@@ -17,31 +17,14 @@
  * (i) parallel_fanout_stream — (h) over the full out-of-core stack
  *     (file reader behind the async prefetch decorator), exposing
  *     the decode-overlap × fan-out product,
- * (j) decode_scaling — the shard set analyzed through the
- *     parallel-decode merge (openShardSetParallel), sweeping the
- *     reader-thread count (entries shard_readersN),
- * (k) merge_width — pure merge drain (no analysis) of a K=64
- *     re-split, loser tree vs linear scan (entries merge_tree_k64 /
- *     merge_scan_k64), isolating what the tournament tree buys
- *     wide shard sets,
- * (l) merge_partitioned — pure drain of the same K=64 set with
- *     the merge itself split across P sequence-range workers
- *     (entries merge_partitioned_pN; p1 isolates the partition
- *     machinery, p2+ measure the scaling)
- * (m) sharded_analysis — one analysis split across W var-shard
- *     workers (--shard-analysis in race_detector), sweeping W
- *     (entries sharded_analysis_wN; w1 is the sequential consumer
- *     the factory falls back to, making the speedup column
- *     self-contained). CI gates w2 ≥ w1 via the throughput
- *     baseline,
- * (m) checkpoint_overhead — the checkpointed drain
+ * (j) checkpoint_overhead — the checkpointed drain
  *     (runWithCheckpoints) with snapshots every
  *     --checkpoint-every events vs the same driver with
  *     checkpointing disabled (entries checkpoint_on/checkpoint_off
  *     per clock). CI gates the ratio: durability must stay ≤5%
  *     of streaming throughput at the default 1M-event cadence
  *     (ci/check_checkpoint_overhead.py),
- * (n) lifecycle_footprint — a dynamic-membership pool workload
+ * (k) lifecycle_footprint — a dynamic-membership pool workload
  *     (src/gen/pool_workload.hh): --pool-tasks logical threads
  *     created and retired through a --pool-size live window.
  *     Entries lifecycle_footprint/{TC,VC} carry clock_bytes_peak
@@ -49,19 +32,13 @@
  *     external indexing) and lifecycle_bound/TC repeats the TC
  *     leg at 10x the tasks to pin that its peak is set by the
  *     pool width, not the task count,
- * (o) decode_io — pure decode drains (no analysis) of the same
+ * (l) decode_io — pure decode drains (no analysis) of the same
  *     bytes through each --io byte source: buffered stream vs the
  *     mmap in-place decoder, for both the single .tcb file and the
  *     K-shard merged set, plus the prefetch decorator over the
  *     stream reader as the pre-existing overlap point of reference
  *     (entries decode_{tcb,shards}_{stream,mmap} and
- *     decode_tcb_prefetch). CI floors mmap against stream,
- * (p) capture_async — the write-side twin: the same parallel split
- *     (encode + shard append) with the writer's flush submitted
- *     synchronously vs handed to the async backend (io_uring where
- *     the kernel has it, a writer thread otherwise; entries
- *     capture_sync/capture_async), measuring how much flush wall
- *     time the capture overlap hides.
+ *     decode_tcb_prefetch). CI floors mmap against stream.
  *
  * Reports events/s per (mode, clock), quantifying what "streaming
  * SHB/MAZ by default" costs over the batch loop, how much of the
@@ -71,7 +48,6 @@
  *
  *   ./bench_streaming --events=2000000 --po=shb --json=out.json
  *   ./bench_streaming --mode=fanout_seq,parallel_fanout
- *   ./bench_streaming --mode=decode_scaling,merge_width
  */
 
 #include <sys/stat.h>
@@ -221,46 +197,10 @@ constexpr const char *kModeNames[] = {
     "shard_merge",    "shard_prefetch",
     "fanout_seq",     "parallel_fanout",
     "parallel_fanout_stream",
-    "decode_scaling", "merge_width",
-    "merge_partitioned",
-    "sharded_analysis",
     "checkpoint_overhead",
     "lifecycle_footprint",
-    "decode_io",       "capture_async",
+    "decode_io",
 };
-
-/** Best seconds for one pass of @p trace through a single (po,
- * clock) analysis sharded across @p shard_workers var-shard
- * workers (sequential consumer when 0 — the same fallback the
- * --shard-analysis flag resolves to). The consumer is constructed
- * once and reused across repetitions, like the fan-out modes. */
-double
-timeShardedAnalysis(const Trace &trace, const std::string &po,
-                    const char *clock, std::size_t shard_workers,
-                    int reps)
-{
-    AnalysisPipeline pipeline;
-    pipeline.add(makeShardedAnalysisConsumer(po.c_str(), clock,
-                                             shard_workers));
-    TraceSource source(trace);
-    return bestOfReps(reps, [&] {
-        if (!source.rewind()) {
-            std::fprintf(stderr,
-                         "bench: event source cannot rewind\n");
-            std::abort();
-        }
-        Timer timer;
-        pipeline.run(source);
-        const double t = timer.seconds();
-        if (source.failed()) {
-            std::fprintf(stderr,
-                         "bench: event source failed: %s\n",
-                         source.error().c_str());
-            std::abort();
-        }
-        return t;
-    });
-}
 
 /** Best seconds for one checkpointed drain of @p trace through one
  * (po, clock) analysis: every == 0 is the control (the same
@@ -318,8 +258,8 @@ removeScratchDir(const std::string &dir)
     rmdir(dir.c_str());
 }
 
-/** Pure-drain throughput of @p source: the merge cost itself, no
- * analysis behind it (the merge_width mode). */
+/** Pure-drain throughput of @p source: decode (and merge) cost
+ * alone, no analysis behind it (the decode_io mode). */
 double
 timeDrain(EventSource &source, int reps)
 {
@@ -411,10 +351,8 @@ main(int argc, char **argv)
                    "trace_source | file_stream | prefetch | "
                    "shard_merge | shard_prefetch | fanout_seq | "
                    "parallel_fanout | parallel_fanout_stream | "
-                   "decode_scaling | merge_width | "
-                   "merge_partitioned | sharded_analysis | "
                    "checkpoint_overhead | lifecycle_footprint | "
-                   "decode_io | capture_async | all");
+                   "decode_io | all");
     args.addInt("checkpoint-every",
                 static_cast<std::int64_t>(1000000),
                 "snapshot cadence (events) for the "
@@ -467,8 +405,7 @@ main(int argc, char **argv)
         modeEnabled(mode_filter, "file_stream") ||
         modeEnabled(mode_filter, "prefetch") ||
         modeEnabled(mode_filter, "parallel_fanout_stream") ||
-        modeEnabled(mode_filter, "decode_io") ||
-        modeEnabled(mode_filter, "capture_async");
+        modeEnabled(mode_filter, "decode_io");
     if (need_file && !saveTrace(trace, path)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
                      path.c_str());
@@ -485,29 +422,11 @@ main(int argc, char **argv)
     const bool need_shards =
         modeEnabled(mode_filter, "shard_merge") ||
         modeEnabled(mode_filter, "shard_prefetch") ||
-        modeEnabled(mode_filter, "decode_scaling") ||
         modeEnabled(mode_filter, "decode_io");
     if (need_shards) {
         TraceSource shard_feed(trace);
         std::string error;
         if (splitTraceStream(shard_feed, shard_prefix, shards,
-                             &error) == kUnknownEventCount) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 1;
-        }
-    }
-    // merge_width wants a deliberately wide set: K=64 is where the
-    // per-event O(K) head scan stops being noise and the loser
-    // tree's O(log K) replay shows up.
-    constexpr std::uint32_t kWideShards = 64;
-    const std::string wide_prefix = path + ".wide";
-    const bool need_wide =
-        modeEnabled(mode_filter, "merge_width") ||
-        modeEnabled(mode_filter, "merge_partitioned");
-    if (need_wide) {
-        TraceSource wide_feed(trace);
-        std::string error;
-        if (splitTraceStream(wide_feed, wide_prefix, kWideShards,
                              &error) == kUnknownEventCount) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 1;
@@ -563,35 +482,6 @@ main(int argc, char **argv)
                    timePoSource<ClockT>(
                        po, *merged_prefetched, reps));
         }
-        if (modeEnabled(mode_filter, "decode_scaling")) {
-            // Reader-count sweep over the parallel-decode merge:
-            // shard_readersN has the consuming thread merge while
-            // N threads decode; shard_prefetch_rN additionally
-            // moves the merge onto the prefetch thread — the
-            // apples-to-apples upgrade of the shard_prefetch mode
-            // (whose decode is a single reader). Capped at the
-            // cores actually present (beyond that the sweep
-            // measures scheduler thrash, not decode overlap) and
-            // at the shard count (idle readers decode nothing).
-            const unsigned hw = std::thread::hardware_concurrency();
-            const std::size_t max_readers = std::min<std::size_t>(
-                {4, hw == 0 ? 1 : hw, shards});
-            for (std::size_t r = 1; r <= max_readers; r *= 2) {
-                const auto parallel = openShardSetParallel(
-                    shard_prefix, r, window);
-                report(("shard_readers" + std::to_string(r))
-                           .c_str(),
-                       clock,
-                       timePoSource<ClockT>(po, *parallel, reps));
-                const auto stacked = makePrefetchSource(
-                    openShardSetParallel(shard_prefix, r, window),
-                    window);
-                report(("shard_prefetch_r" + std::to_string(r))
-                           .c_str(),
-                       clock,
-                       timePoSource<ClockT>(po, *stacked, reps));
-            }
-        }
     };
     runClock.template operator()<TreeClock>("TC");
     runClock.template operator()<VectorClock>("VC");
@@ -632,61 +522,6 @@ main(int argc, char **argv)
             openTraceFile(path, window), window);
         report("parallel_fanout_stream", "6x",
                timeFanout(*streamed, reps, workers, window));
-    }
-    if (modeEnabled(mode_filter, "merge_width")) {
-        // Merge drain only (no analysis): what the per-event
-        // winner selection costs at K=64, tournament tree vs the
-        // old linear head scan.
-        const auto tree = openShardSet(wide_prefix, window,
-                                       MergeStrategy::LoserTree);
-        report("merge_tree_k64", "drain", timeDrain(*tree, reps));
-        const auto scan = openShardSet(wide_prefix, window,
-                                       MergeStrategy::LinearScan);
-        report("merge_scan_k64", "drain", timeDrain(*scan, reps));
-    }
-    if (modeEnabled(mode_filter, "merge_partitioned")) {
-        // The range-partitioned merge over the same K=64 wide
-        // set: P merge workers each reconstruct one contiguous
-        // sequence range (openShardSetPartitioned). p1 is the
-        // partition machinery at its floor (one worker plus the
-        // hand-off), p2 is the headline entry the throughput gate
-        // tracks; higher P only where the cores exist —
-        // oversubscription would measure time-slicing, not the
-        // partition split (the PR 7 sharded_analysis caveat
-        // applies on 1-vCPU CI boxes).
-        const unsigned cores = std::thread::hardware_concurrency();
-        const std::size_t max_p = std::min<std::size_t>(
-            4, std::max<std::size_t>(2, cores));
-        for (std::size_t p = 1; p <= max_p; p *= 2) {
-            const auto part =
-                openShardSetPartitioned(wide_prefix, p, window);
-            report(("merge_partitioned_p" + std::to_string(p))
-                       .c_str(),
-                   "drain", timeDrain(*part, reps));
-        }
-    }
-    if (modeEnabled(mode_filter, "sharded_analysis")) {
-        // Worker sweep for the intra-analysis var-shard split:
-        // w1 is the sequential consumer (the factory's ≤1
-        // fallback), then powers of two capped at the cores
-        // actually present — oversubscription measures scheduler
-        // thrash, not the shard split. w2 is always measured (it
-        // is the headline entry the throughput gate tracks); on a
-        // single-core host it documents the time-sliced overhead
-        // rather than a speedup.
-        const unsigned cores = std::thread::hardware_concurrency();
-        const std::size_t max_w = std::min<std::size_t>(
-            4, std::max<std::size_t>(2, cores));
-        for (const char *clock : {"tc", "vc"}) {
-            const char *label = clock[0] == 't' ? "TC" : "VC";
-            for (std::size_t w = 1; w <= max_w; w *= 2) {
-                report(("sharded_analysis_w" + std::to_string(w))
-                           .c_str(),
-                       label,
-                       timeShardedAnalysis(trace, po_name, clock,
-                                           w <= 1 ? 0 : w, reps));
-            }
-        }
     }
     if (modeEnabled(mode_filter, "checkpoint_overhead")) {
         const std::int64_t every_raw =
@@ -799,60 +634,25 @@ main(int argc, char **argv)
         // request degrades to the stream reader, so the pair
         // simply ties instead of failing.
         const auto tcb_stream =
-            openTraceFile(path, window, 0, 0, IoMode::Stream);
+            openTraceFile(path, window, IoMode::Stream);
         report("decode_tcb_stream", "drain",
                timeDrain(*tcb_stream, reps));
         const auto tcb_mmap =
-            openTraceFile(path, window, 0, 0, IoMode::Mmap);
+            openTraceFile(path, window, IoMode::Mmap);
         report("decode_tcb_mmap", "drain",
                timeDrain(*tcb_mmap, reps));
         const auto tcb_prefetch = makePrefetchSource(
-            openTraceFile(path, window, 0, 0, IoMode::Stream),
-            window);
+            openTraceFile(path, window, IoMode::Stream), window);
         report("decode_tcb_prefetch", "drain",
                timeDrain(*tcb_prefetch, reps));
         const auto shards_stream =
-            openShardSet(shard_prefix, window,
-                         MergeStrategy::LoserTree, IoMode::Stream);
+            openShardSet(shard_prefix, window, IoMode::Stream);
         report("decode_shards_stream", "drain",
                timeDrain(*shards_stream, reps));
         const auto shards_mmap =
-            openShardSet(shard_prefix, window,
-                         MergeStrategy::LoserTree, IoMode::Mmap);
+            openShardSet(shard_prefix, window, IoMode::Mmap);
         report("decode_shards_mmap", "drain",
                timeDrain(*shards_mmap, reps));
-    }
-    if (modeEnabled(mode_filter, "capture_async")) {
-        // Write-side twin of decode_io: the same parallel split
-        // (encode + shard append) with the writer's staged
-        // segments flushed synchronously vs submitted to the async
-        // backend (io_uring where the kernel has it, a flush
-        // thread otherwise) — how much flush wall time the
-        // capture/flush overlap hides. Two writer threads so the
-        // encode side is not the bottleneck on small CI boxes.
-        const std::string cap_prefix = path + ".cap";
-        auto timeSplit = [&](ShardAppendMode append) {
-            return bestOfReps(reps, [&] {
-                TraceSource feed(trace);
-                std::string error;
-                Timer timer;
-                if (splitTraceStreamParallel(feed, cap_prefix,
-                                             shards, 2, &error,
-                                             append) ==
-                    kUnknownEventCount) {
-                    std::fprintf(stderr, "error: %s\n",
-                                 error.c_str());
-                    std::abort();
-                }
-                return timer.seconds();
-            });
-        };
-        report("capture_sync", "write",
-               timeSplit(ShardAppendMode::Sync));
-        report("capture_async", "write",
-               timeSplit(ShardAppendMode::Async));
-        for (std::uint32_t i = 0; i < shards; i++)
-            std::remove(shardPath(cap_prefix, i).c_str());
     }
 
     table.print(std::cout);
@@ -861,10 +661,6 @@ main(int argc, char **argv)
     if (need_shards) {
         for (std::uint32_t i = 0; i < shards; i++)
             std::remove(shardPath(shard_prefix, i).c_str());
-    }
-    if (need_wide) {
-        for (std::uint32_t i = 0; i < kWideShards; i++)
-            std::remove(shardPath(wide_prefix, i).c_str());
     }
     return maybeWriteJson(args, json) ? 0 : 1;
 }

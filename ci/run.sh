@@ -10,9 +10,9 @@
 #           on the pipeline fault paths).
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           spawns threads (prefetch reader, window-bus ring,
-#           pipeline worker pool, parallel capture writers,
-#           parallel shard decode, scratch-arena regression) —
-#           under ThreadSanitizer. CMakeLists.txt owns the list
+#           pipeline worker pool, concurrent capture appenders,
+#           scratch-arena regression) — under ThreadSanitizer.
+#           CMakeLists.txt owns the list
 #           (TC_THREADED_TESTS), so new threaded suites are covered
 #           by adding them there, not by editing CI regexes. Scoped
 #           because the rest of the codebase is single-threaded and
@@ -85,15 +85,13 @@ TC_TEST_DEPTH="${TC_CRASH_DEPTH:-3}" ctest \
 #    may allocate more than the baseline (counts are
 #    deterministic);
 #  * throughput (25% tolerance): bench_streaming events/s — the
-#    streaming modes, the fan-out cross product, the decode-scaling
-#    reader sweep and the K=64 merge drains (sequential
-#    merge_tree_k64/merge_scan_k64 plus the range-partitioned
-#    merge_partitioned_pN sweep) — must not collapse;
-#    the loose threshold absorbs machine noise while catching a
-#    serialized pool, a re-introduced copy, or a merge that fell
-#    back to scanning. (Nightly additionally gates tighter against
-#    a per-runner floor baseline; see nightly.yml +
-#    ci/update_runner_baseline.py.)
+#    streaming modes, the shard merge, the fan-out cross product
+#    and the decode_io drains (mmap vs stream) — must not
+#    collapse; the loose threshold absorbs machine noise while
+#    catching a serialized pool, a re-introduced copy, or a decoder
+#    that fell off its batched path. (Nightly additionally gates
+#    tighter against a per-runner floor baseline; see nightly.yml
+#    + ci/update_runner_baseline.py.)
 # Both reports are merged into one document with merge_bench_json
 # (the same layout as the committed baseline) so the checkers diff
 # key by key. bench_micro_clock is skipped when google-benchmark

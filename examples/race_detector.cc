@@ -27,36 +27,10 @@
  * With --parallel[=K] the fan-out runs on a worker pool (one worker
  * per analysis, or K workers round-robin over the analyses), all
  * borrowing the same zero-copy decode windows — results are
- * identical to the sequential pass. For sharded captures,
- * --readers=K additionally spreads the *decode* over K shard
- * reader threads (reordered back to the captured sequence order),
- * so the full pipeline overlaps K decoders with N analysis
- * workers:
+ * identical to the sequential pass:
  *
  *   ./race_detector --trace=huge.tcb --stream --prefetch \
  *       --po=hb,shb,maz --clock=tc,vc --parallel
- *   ./race_detector --trace=cap.0.tcs --stream --readers=4 \
- *       --prefetch --po=hb,shb,maz --clock=tc,vc --parallel
- *
- * With --shard-analysis[=W] each analysis is itself split across W
- * var-shard workers (sharded_driver.hh) with byte-identical reports
- * and work counters; it composes with all of the above — decode
- * readers feed the fan-out pool, and each fan-out consumer
- * re-broadcasts its windows to its own shard workers:
- *
- *   ./race_detector --trace=huge.tcb --stream --shard-analysis=4
- *   ./race_detector --trace=cap.0.tcs --stream --readers=2 \
- *       --prefetch --po=hb,maz --clock=tc --parallel \
- *       --shard-analysis=2
- *
- * With --merge-workers[=P] a sharded capture's K-way merge — the
- * one stage all of the above funnel through — itself runs on P
- * sequence-range workers (openShardSetPartitioned), byte-identical
- * to the sequential merge and composing with everything here,
- * checkpoint/resume included:
- *
- *   ./race_detector --trace=cap.0.tcs --stream --merge-workers=4 \
- *       --prefetch --po=hb,shb,maz --clock=tc,vc --parallel
  */
 
 #include <algorithm>
@@ -132,7 +106,6 @@ main(int argc, char **argv)
                    "clock data structures, comma-separated: tc | "
                    "vc");
     addParallelFlag(args);
-    addShardAnalysisFlag(args);
     args.addBool("pool", false,
                  "generate a task-pool workload with lifecycle "
                  "events instead of the flat random trace "
@@ -240,24 +213,6 @@ main(int argc, char **argv)
                      "analysis)\n");
         return kExitUsage;
     }
-    if (args.getInt("shard-analysis") < -1) {
-        std::fprintf(stderr,
-                     "error: --shard-analysis expects a "
-                     "non-negative worker count (bare "
-                     "--shard-analysis = one per hardware "
-                     "thread)\n");
-        return kExitUsage;
-    }
-    if (args.getInt("merge-workers") < -1) {
-        std::fprintf(stderr,
-                     "error: --merge-workers expects a "
-                     "non-negative worker count (bare "
-                     "--merge-workers = one per hardware "
-                     "thread)\n");
-        return kExitUsage;
-    }
-    const std::size_t shard_workers = resolveShardWorkers(
-        shardAnalysisWorkersFromFlags(args));
     IoMode io = IoMode::Auto;
     if (!ioModeFromFlags(args, io)) {
         std::fprintf(stderr,
@@ -356,8 +311,7 @@ main(int argc, char **argv)
             const std::string clock = trimString(clock_raw);
             if (clock.empty())
                 continue;
-            auto consumer = makeShardedAnalysisConsumer(
-                po, clock, shard_workers, cfg);
+            auto consumer = makeAnalysisConsumer(po, clock, cfg);
             if (consumer == nullptr) {
                 std::fprintf(stderr,
                              "error: unknown analysis '%s/%s' "
@@ -386,14 +340,6 @@ main(int argc, char **argv)
                 stream ? " (streaming)" : "");
     if (pool_size > 1)
         std::printf(" (%zu workers)", pool_size);
-    if (shard_workers > 1)
-        std::printf(" (%zu shard workers each)", shard_workers);
-    if (stream) {
-        const std::size_t merge_workers = resolveMergeWorkers(
-            mergeWorkersFromFlags(args));
-        if (merge_workers > 1)
-            std::printf(" (%zu merge workers)", merge_workers);
-    }
     std::printf("\n");
 
     Timer timer;

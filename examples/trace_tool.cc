@@ -7,9 +7,6 @@
  *   trace_tool validate run.tct
  *   trace_tool convert  run.tct run.tcb       (format by extension)
  *   trace_tool split    run.tct cap --shards=4   (cap.0.tcs ...)
- *   trace_tool split    run.tct cap --shards=8 --writers=4
- *                                             (multi-writer split:
- *                                              4 appender threads)
  *   trace_tool merge    cap out.tcb           (any .tcs member or
  *                                              the set prefix)
  *   trace_tool capture  cap --shards=4 --threads=16 --events=1000000
@@ -89,15 +86,11 @@ loadOrDie(const std::string &path)
 }
 
 /** Open a chunked streaming reader, or die on open/header errors.
- * @p mergeWorkers > 0 merges shard-set inputs on that many
- * range-partitioned workers (no effect on single-file formats);
  * @p io selects the byte source (--io). */
 std::unique_ptr<EventSource>
-openOrDie(const std::string &path, std::size_t mergeWorkers = 0,
-          IoMode io = IoMode::Auto)
+openOrDie(const std::string &path, IoMode io)
 {
-    auto source = openTraceFile(path, kDefaultSourceWindow, 0,
-                                mergeWorkers, io);
+    auto source = openTraceFile(path, kDefaultSourceWindow, io);
     if (source->failed())
         std::exit(reportSourceError(*source));
     return source;
@@ -220,23 +213,10 @@ main(int argc, char **argv)
     args.addInt("shards", static_cast<std::int64_t>(
                               kDefaultShardCount),
                 "shard count (split/capture)");
-    args.addInt("writers", 1,
-                "writer threads for split (1 = single-threaded; "
-                "output is byte-identical either way)");
-    args.addInt("merge-workers", 0,
-                "range-partitioned merge workers for reading "
-                "shard sets (stats/convert/merge; 0/1 = "
-                "sequential merge, byte-identical either way)");
     args.addString("io", "auto",
                    "byte source for reading traces: mmap decodes "
                    "binary files in place, stream reads through "
                    "buffered I/O (auto|mmap|stream)");
-    args.addBool("async-append", false,
-                 "flush shard segments asynchronously in "
-                 "multi-writer split and capture (io_uring where "
-                 "it works, a flusher thread otherwise; the "
-                 "finalized set is byte-identical to synchronous "
-                 "flushing)");
     args.addString("vars", "", "comma-separated variable ids (slice)");
     args.addString("threads-list", "",
                    "comma-separated thread ids (project)");
@@ -266,20 +246,6 @@ main(int argc, char **argv)
     }
     const std::string &cmd = pos[0];
 
-    if (args.getInt("merge-workers") < 0) {
-        std::fprintf(stderr,
-                     "error: --merge-workers expects a "
-                     "non-negative worker count\n");
-        return kExitUsage;
-    }
-    // 1 collapses to the sequential merge: a one-range partition
-    // only adds a hand-off thread.
-    const auto merge_workers =
-        args.getInt("merge-workers") <= 1
-            ? std::size_t{0}
-            : static_cast<std::size_t>(
-                  args.getInt("merge-workers"));
-
     IoMode io = IoMode::Auto;
     if (!ioModeFromFlags(args, io)) {
         std::fprintf(stderr,
@@ -288,14 +254,11 @@ main(int argc, char **argv)
                      args.getString("io").c_str());
         return kExitUsage;
     }
-    const ShardAppendMode append_mode =
-        args.getBool("async-append") ? ShardAppendMode::Async
-                                     : ShardAppendMode::Sync;
 
     if (cmd == "stats" && pos.size() == 2) {
         // Streaming: O(distinct ids) memory regardless of file
         // size.
-        const auto source = openOrDie(pos[1], merge_workers, io);
+        const auto source = openOrDie(pos[1], io);
         const TraceStats s = computeStats(*source);
         checkDrained(*source, pos[1]);
         printStats(s);
@@ -326,7 +289,7 @@ main(int argc, char **argv)
         }
         if (isShardOutput(pos[2]))
             return 1;
-        const auto source = openOrDie(pos[1], merge_workers, io);
+        const auto source = openOrDie(pos[1], io);
         // Probe writability first (append mode, no truncation) so
         // the failure cleanup below never deletes a pre-existing
         // file we were unable to open in the first place.
@@ -350,10 +313,9 @@ main(int argc, char **argv)
     if (cmd == "split" && pos.size() == 3) {
         // Streaming: route events into per-thread shard files with
         // global sequence numbers (trace/shard.hh); memory stays
-        // O(window) however large the input is.
-        // The merge reader scans all K shard heads per event and
-        // holds K windows; both are sized for capture-like K, so
-        // cap the split width accordingly.
+        // O(window) however large the input is. The merge reader
+        // holds K windows, sized for capture-like K, so cap the
+        // split width accordingly.
         const std::int64_t shards_raw = args.getInt("shards");
         if (shards_raw < 1 || shards_raw > 256) {
             std::fprintf(stderr,
@@ -376,25 +338,10 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        const std::int64_t writers_raw = args.getInt("writers");
-        if (writers_raw < 1 || writers_raw > 256) {
-            std::fprintf(stderr,
-                         "error: --writers must be in 1..256\n");
-            return 1;
-        }
-        const auto writers =
-            static_cast<std::uint32_t>(writers_raw);
-        const auto source = openOrDie(pos[1], merge_workers, io);
+        const auto source = openOrDie(pos[1], io);
         std::string error;
-        // Both paths produce byte-identical sets; the parallel one
-        // dispatches decoded records to per-shard writer threads
-        // (and is the one --async-append applies to).
         const std::uint64_t written =
-            writers > 1 ? splitTraceStreamParallel(
-                              *source, pos[2], shards, writers,
-                              &error, append_mode)
-                        : splitTraceStream(*source, pos[2], shards,
-                                           &error);
+            splitTraceStream(*source, pos[2], shards, &error);
         if (written == kUnknownEventCount) {
             checkDrained(*source, pos[1]);
             return reportError(error, 0,
@@ -432,8 +379,7 @@ main(int argc, char **argv)
         std::string error;
         const std::uint64_t written = captureTraceParallel(
             trace, pos[1],
-            static_cast<std::uint32_t>(shards_raw), &error,
-            append_mode);
+            static_cast<std::uint32_t>(shards_raw), &error);
         if (written == kUnknownEventCount) {
             return reportError(error, 0,
                                exitCodeForMessage(error));
@@ -474,14 +420,8 @@ main(int argc, char **argv)
         // excludes it).
         auto source =
             named_member
-                ? openShardMember(pos[1], kDefaultSourceWindow,
-                                  0, merge_workers, io)
-                : merge_workers > 0
-                      ? openShardSetPartitioned(
-                            prefix, merge_workers,
-                            kDefaultSourceWindow, io)
-                      : openShardSet(prefix, kDefaultSourceWindow,
-                                     MergeStrategy::LoserTree, io);
+                ? openShardMember(pos[1], kDefaultSourceWindow, io)
+                : openShardSet(prefix, kDefaultSourceWindow, io);
         if (source->failed())
             return reportSourceError(*source);
         // Probe only after the set opened: the append-mode probe

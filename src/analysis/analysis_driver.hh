@@ -373,6 +373,11 @@ class AnalysisDriver
         std::uint64_t first = 0;
         if (!in.getU64(first))
             return false;
+        // State of the retired sharded consumer (--shard-analysis):
+        // per-shard sections behind a header that would otherwise
+        // read as a legacy event count. Never restore it.
+        if (first == kShardedStateMarker)
+            return in.fail();
         const bool legacy = first != kStateMarker;
         if (!legacy) {
             std::uint32_t version = 0;
@@ -455,9 +460,7 @@ class AnalysisDriver
     }
     /** @} */
 
-    /** Direct read access to a thread's clock by *external* id (the
-     * sharded-analysis spine publishes these into the shared clock
-     * bank after each clock-mutating sync event). */
+    /** Direct read access to a thread's clock by *external* id. */
     const ClockT &
     threadClock(Tid t) const
     {
@@ -491,6 +494,10 @@ class AnalysisDriver
     static constexpr std::uint64_t kStateMarker =
         0xFFFFFFFF54435332ull;
     static constexpr std::uint32_t kStateVersion = 2;
+    /** First u64 of a sharded consumer's state ("TCSHARD1"), as
+     * written by releases with --shard-analysis. */
+    static constexpr std::uint64_t kShardedStateMarker =
+        0x5443534841524431ull;
 
     /** Lifecycle protocol states (lifeState_, external-indexed).
      * kNone doubles as "ordinary thread" — only tcreate moves a

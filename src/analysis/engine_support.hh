@@ -64,28 +64,6 @@ struct EngineConfig
      * each event (tests; very slow). No-op for vector clocks. */
     bool deepChecks = false;
 
-    /** @name Intra-analysis sharding (sharded_driver.hh)
-     *
-     * When an analysis is split across W workers, every worker sees
-     * the full ordered event stream but owns only the variables with
-     * `var % shardCount == shardIndex`: race checks, access-history
-     * updates and race recording run on the owner alone, while the
-     * clock-side rules stay exactly the sequential ones (replicated
-     * or banked — see ShardedAnalysisConsumer). The default (1, 0)
-     * owns everything, i.e. the sequential driver.
-     * @{ */
-    std::uint32_t shardCount = 1;
-    std::uint32_t shardIndex = 0;
-
-    bool
-    ownsVar(VarId x) const
-    {
-        return shardCount <= 1 ||
-               static_cast<std::uint32_t>(x) % shardCount ==
-                   shardIndex;
-    }
-    /** @} */
-
     /**
      * Analysis-wide external-id compaction map (thread_id_map.hh),
      * owned by the driver; attached to every clock that understands

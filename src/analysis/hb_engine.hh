@@ -89,10 +89,7 @@ class HbPolicy
     onRead(const Event &e, Clk c, ClockT &ct, Tid num_threads,
            RaceSummary &races)
     {
-        // HB access events never touch clocks, so a non-owned
-        // variable (intra-analysis sharding) skips the event
-        // entirely — its shard owner performs the identical check.
-        if (!cfg_->analysis || !cfg_->ownsVar(e.var()))
+        if (!cfg_->analysis)
             return;
         const Epoch cur(e.tid, c);
         if (cfg_->useEpochs) {
@@ -120,7 +117,7 @@ class HbPolicy
     onWrite(const Event &e, Clk c, ClockT &ct, Tid /*num_threads*/,
             RaceSummary &races)
     {
-        if (!cfg_->analysis || !cfg_->ownsVar(e.var()))
+        if (!cfg_->analysis)
             return;
         const Epoch cur(e.tid, c);
         if (cfg_->useEpochs) {

@@ -80,12 +80,7 @@ class MazPolicy
            RaceSummary &races)
     {
         VarState &v = vars_[static_cast<std::size_t>(e.var())];
-        // MAZ access events mutate clocks (lw-join, R_{t,x}
-        // updates), so under intra-analysis sharding every worker
-        // replicates the clock-side state; only the race checks are
-        // owner-only.
-        if (cfg_->analysis && cfg_->ownsVar(e.var()) &&
-            !v.lastWriteEpoch.coveredBy(ct)) {
+        if (cfg_->analysis && !v.lastWriteEpoch.coveredBy(ct)) {
             races.record(e.var(), RaceKind::WriteRead,
                          v.lastWriteEpoch, Epoch(e.tid, c));
         }
@@ -105,7 +100,7 @@ class MazPolicy
             RaceSummary &races)
     {
         VarState &v = vars_[static_cast<std::size_t>(e.var())];
-        if (cfg_->analysis && cfg_->ownsVar(e.var())) {
+        if (cfg_->analysis) {
             // All checks precede this event's joins: the question
             // is whether the prior access and this one are ordered
             // *without* the direct edge.

@@ -6,7 +6,6 @@
 
 #include "analysis/hb_engine.hh"
 #include "analysis/maz_engine.hh"
-#include "analysis/sharded_driver.hh"
 #include "analysis/shb_engine.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
@@ -50,8 +49,11 @@ AnalysisPipeline::drainParallel(EventSource &source,
                 while (const EventWindow *window =
                            bus.acquire(w)) {
                     for (std::size_t i = w;
-                         i < consumers_.size(); i += workers)
-                        consumers_[i]->consumeWindow(*window);
+                         i < consumers_.size(); i += workers) {
+                        AnalysisConsumer &consumer = *consumers_[i];
+                        for (const Event &e : *window)
+                            consumer.consume(e);
+                    }
                     bus.release(w);
                 }
             } catch (...) {
@@ -117,32 +119,6 @@ makeForClock(const std::string &po, std::string name,
     return nullptr;
 }
 
-template <typename ClockT>
-std::unique_ptr<AnalysisConsumer>
-makeShardedForClock(const std::string &po, std::string name,
-                    std::size_t workers, const EngineConfig &cfg)
-{
-    // HB access events never touch clocks, so HB gets the banked
-    // layout (one clock spine, clock-free var shards); SHB and MAZ
-    // join per-variable clocks on access events and run as full
-    // replicas with owner-only analysis (sharded_driver.hh).
-    if (po == "hb") {
-        return std::make_unique<ShardedBankedConsumer<ClockT>>(
-            std::move(name), workers, cfg);
-    }
-    if (po == "shb") {
-        return std::make_unique<
-            ShardedReplicaConsumer<ClockT, ShbPolicy>>(
-            std::move(name), workers, cfg);
-    }
-    if (po == "maz") {
-        return std::make_unique<
-            ShardedReplicaConsumer<ClockT, MazPolicy>>(
-            std::move(name), workers, cfg);
-    }
-    return nullptr;
-}
-
 } // namespace
 
 std::unique_ptr<AnalysisConsumer>
@@ -155,26 +131,6 @@ makeAnalysisConsumer(const std::string &po,
         return makeForClock<TreeClock>(po, std::move(name), cfg);
     if (clock == "vc")
         return makeForClock<VectorClock>(po, std::move(name), cfg);
-    return nullptr;
-}
-
-std::unique_ptr<AnalysisConsumer>
-makeShardedAnalysisConsumer(const std::string &po,
-                            const std::string &clock,
-                            std::size_t workers,
-                            const EngineConfig &cfg)
-{
-    if (workers <= 1)
-        return makeAnalysisConsumer(po, clock, cfg);
-    std::string name = po + "/" + clock;
-    if (clock == "tc") {
-        return makeShardedForClock<TreeClock>(po, std::move(name),
-                                              workers, cfg);
-    }
-    if (clock == "vc") {
-        return makeShardedForClock<VectorClock>(
-            po, std::move(name), workers, cfg);
-    }
     return nullptr;
 }
 

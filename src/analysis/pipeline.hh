@@ -54,21 +54,6 @@ class AnalysisConsumer
     /** One event, in stream order. */
     virtual void consume(const Event &e) = 0;
 
-    /**
-     * A whole window of events, in stream order — equivalent to
-     * consume() per event (the default does exactly that), but one
-     * virtual call per window, and overridable by consumers that
-     * can take windows wholesale (the sharded consumers re-publish
-     * them into an internal WindowBus without per-event calls).
-     * The span is only valid for the duration of the call.
-     */
-    virtual void
-    consumeWindow(const EventWindow &window)
-    {
-        for (const Event &e : window)
-            consume(e);
-    }
-
     /** Results accumulated so far (valid mid-stream and after). */
     virtual EngineResult result() const = 0;
 
@@ -250,8 +235,11 @@ class AnalysisPipeline
             // evicted N-1 times per event. Consumers are
             // independent, so each still sees events in stream
             // order — the per-event interleaving is unobservable.
-            for (auto &c : consumers_)
-                c->consumeWindow(window);
+            for (auto &c : consumers_) {
+                AnalysisConsumer &consumer = *c;
+                for (const Event &e : window)
+                    consumer.consume(e);
+            }
         }
         return reports();
     }
@@ -308,21 +296,6 @@ std::unique_ptr<AnalysisConsumer>
 makeAnalysisConsumer(const std::string &po,
                      const std::string &clock,
                      const EngineConfig &cfg = {});
-
-/**
- * The sharded variant (sharded_driver.hh): the same analysis split
- * across @p workers threads by variable shard, with results byte-
- * identical to the sequential consumer. workers <= 1 returns the
- * sequential consumer (same name, same snapshots); null for
- * unknown names. The consumer keeps the sequential "<po>/<clock>"
- * name so pipelines mix freely, but its snapshots carry a sharded
- * header and only restore at the same worker count.
- */
-std::unique_ptr<AnalysisConsumer>
-makeShardedAnalysisConsumer(const std::string &po,
-                            const std::string &clock,
-                            std::size_t workers,
-                            const EngineConfig &cfg = {});
 
 } // namespace tc
 

@@ -90,46 +90,6 @@ class RaceSummary
     const std::vector<bool> &racyVars() const { return racyVar_; }
     const std::vector<RacePair> &reports() const { return reports_; }
 
-    /** @name Sharded-analysis merge support (sharded_driver.hh)
-     *
-     * A sharded analysis records races into per-worker summaries
-     * over disjoint variable shards; the merged result sums the
-     * counts, ORs the racy-variable bitmaps, and replaces the
-     * report buffer with the globally position-ordered first
-     * maxReports (each worker's buffer is a superset of its share
-     * of the global first-N, so the merge loses nothing).
-     * @{ */
-
-    /** Fold @p shard's counts and racy-variable bitmap into this
-     * summary, leaving the report buffer untouched. */
-    void
-    absorbCounts(const RaceSummary &shard)
-    {
-        total_ += shard.total_;
-        writeWrite_ += shard.writeWrite_;
-        writeRead_ += shard.writeRead_;
-        readWrite_ += shard.readWrite_;
-        if (racyVar_.size() < shard.racyVar_.size())
-            racyVar_.resize(shard.racyVar_.size(), false);
-        for (std::size_t i = 0; i < shard.racyVar_.size(); i++) {
-            if (shard.racyVar_[i] && !racyVar_[i]) {
-                racyVar_[i] = true;
-                racyVarCount_++;
-            }
-        }
-    }
-
-    /** Replace the report buffer (already merged in stream order by
-     * the caller); truncated to maxReports. */
-    void
-    replaceReports(std::vector<RacePair> reports)
-    {
-        if (reports.size() > maxReports_)
-            reports.resize(maxReports_);
-        reports_ = std::move(reports);
-    }
-    /** @} */
-
     /** @name Checkpoint serialization (core/serial.hh)
      * Field-wise (RacePair has padding; raw bytes would leak
      * nondeterminism into snapshots). deserialize() cross-checks

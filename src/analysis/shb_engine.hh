@@ -65,17 +65,12 @@ class ShbPolicy
            RaceSummary &races)
     {
         VarState &v = vars_[static_cast<std::size_t>(e.var())];
-        // SHB reads mutate the thread clock (the lw-join below), so
-        // under intra-analysis sharding every worker replicates the
-        // clock-side rules; only the analysis phase (race checks and
-        // the access history) is owner-only.
-        const bool owns = cfg_->analysis && cfg_->ownsVar(e.var());
-        if (owns && !v.history.lastWrite().coveredBy(ct)) {
+        if (cfg_->analysis && !v.history.lastWrite().coveredBy(ct)) {
             races.record(e.var(), RaceKind::WriteRead,
                          v.history.lastWrite(), Epoch(e.tid, c));
         }
         detail::joinClock(ct, v.lastWriteClock, *cfg_);
-        if (owns)
+        if (cfg_->analysis)
             v.history.recordRead(e.tid, c, ct, num_threads);
     }
 
@@ -84,8 +79,7 @@ class ShbPolicy
             RaceSummary &races)
     {
         VarState &v = vars_[static_cast<std::size_t>(e.var())];
-        const bool owns = cfg_->analysis && cfg_->ownsVar(e.var());
-        if (owns) {
+        if (cfg_->analysis) {
             const Epoch cur(e.tid, c);
             if (!v.history.lastWrite().coveredBy(ct)) {
                 races.record(e.var(), RaceKind::WriteWrite,
@@ -100,7 +94,7 @@ class ShbPolicy
             v.lastWriteClock.deepCopy(ct);
         else
             v.lastWriteClock.copyCheckMonotone(ct);
-        if (owns) {
+        if (cfg_->analysis) {
             v.history.setLastWrite(Epoch(e.tid, c));
             v.history.clearReads();
         }

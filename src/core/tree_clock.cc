@@ -440,27 +440,19 @@ TreeClock::deepCopy(const TreeClock &other)
 std::vector<Clk>
 TreeClock::toVector(std::size_t min_threads) const
 {
-    std::vector<Clk> out;
-    toVectorInto(out, min_threads);
-    return out;
-}
-
-void
-TreeClock::toVectorInto(std::vector<Clk> &out,
-                        std::size_t min_threads) const
-{
     if (idMap_ && idMap_->active()) {
         // External index space: project each mapped id through its
         // slot/bias/cap record so the vector time reads in trace
         // ids, exactly like a flat vector clock's.
         const std::size_t exts = idMap_->extCount();
-        out.assign(std::max(exts, min_threads), 0);
+        std::vector<Clk> out(std::max(exts, min_threads), 0);
         for (std::size_t t = 0; t < exts; t++)
             out[t] = get(static_cast<Tid>(t));
-        return;
+        return out;
     }
-    out.assign(std::max(clk_.size(), min_threads), 0);
+    std::vector<Clk> out(std::max(clk_.size(), min_threads), 0);
     std::copy(clk_.begin(), clk_.end(), out.begin());
+    return out;
 }
 
 std::size_t

@@ -260,12 +260,6 @@ class TreeClock
      * map is active (at least @p min_threads wide). */
     std::vector<Clk> toVector(std::size_t min_threads = 0) const;
 
-    /** toVector into caller storage, reusing its capacity (the
-     * sharded-analysis clock bank publishes through this on every
-     * sync event; no allocation in steady state). */
-    void toVectorInto(std::vector<Clk> &out,
-                      std::size_t min_threads = 0) const;
-
     /** Number of addressable thread ids. */
     std::size_t size() const { return clk_.size(); }
 

@@ -105,14 +105,6 @@ VectorClock::toVector(std::size_t min_threads) const
 }
 
 void
-VectorClock::toVectorInto(std::vector<Clk> &out,
-                          std::size_t min_threads) const
-{
-    out.assign(std::max(times_.size(), min_threads), 0);
-    std::copy(times_.begin(), times_.end(), out.begin());
-}
-
-void
 VectorClock::serialize(ByteSink &out) const
 {
     out.putI32(owner_);

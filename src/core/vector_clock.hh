@@ -112,10 +112,6 @@ class VectorClock
      */
     std::vector<Clk> toVector(std::size_t min_threads = 0) const;
 
-    /** toVector into caller storage, reusing its capacity. */
-    void toVectorInto(std::vector<Clk> &out,
-                      std::size_t min_threads = 0) const;
-
     /**
      * Retire path: free this clock's storage and un-credit it from
      * the resident-byte gauge. For a flat clock this is all

@@ -1,7 +1,5 @@
 #include "support/source_cli.hh"
 
-#include <thread>
-
 #include "gen/generator_source.hh"
 #include "support/strings.hh"
 #include "trace/prefetch_source.hh"
@@ -22,11 +20,6 @@ addTraceSourceFlags(ArgParser &args)
     args.addBool("prefetch", false,
                  "decode --trace on a background reader thread "
                  "(double-buffered windows)");
-    args.addInt("readers", 0,
-                "decode a sharded --trace with K parallel reader "
-                "threads, reordered on sequence numbers (0 = "
-                "sequential merge; ignored for non-shard inputs)");
-    addMergeWorkersFlag(args);
     args.addBool("generate", false, "generate a synthetic trace");
     args.addInt("threads", 16, "threads for --generate");
     args.addInt("locks", 16, "locks for --generate");
@@ -52,63 +45,6 @@ parallelWorkersFromFlags(const ArgParser &args)
     if (raw < 0)
         return kParallelAuto;
     return static_cast<std::size_t>(raw);
-}
-
-void
-addShardAnalysisFlag(ArgParser &args)
-{
-    args.addOptionalInt(
-        "shard-analysis", 0, -1,
-        "split each analysis across W var-shard workers (bare = "
-        "one per hardware thread; 0/1 = sequential)");
-}
-
-std::size_t
-shardAnalysisWorkersFromFlags(const ArgParser &args)
-{
-    const std::int64_t raw = args.getInt("shard-analysis");
-    if (raw < 0)
-        return kShardAuto;
-    return static_cast<std::size_t>(raw);
-}
-
-std::size_t
-resolveShardWorkers(std::size_t requested)
-{
-    if (requested == kShardAuto) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw >= 2 ? static_cast<std::size_t>(hw) : 2;
-    }
-    return requested <= 1 ? 0 : requested;
-}
-
-void
-addMergeWorkersFlag(ArgParser &args)
-{
-    args.addOptionalInt(
-        "merge-workers", 0, -1,
-        "split a sharded --trace's K-way merge across P "
-        "sequence-range workers (bare = one per hardware thread; "
-        "0/1 = sequential merge; subsumes --readers)");
-}
-
-std::size_t
-mergeWorkersFromFlags(const ArgParser &args)
-{
-    const std::int64_t raw = args.getInt("merge-workers");
-    if (raw < 0)
-        return kMergeAuto;
-    return static_cast<std::size_t>(raw);
-}
-
-std::size_t
-resolveMergeWorkers(std::size_t requested)
-{
-    if (requested == kMergeAuto) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw >= 2 ? static_cast<std::size_t>(hw) : 2;
-    }
-    return requested <= 1 ? 0 : requested;
 }
 
 bool
@@ -144,30 +80,17 @@ std::unique_ptr<EventSource>
 makeEventSource(const ArgParser &args)
 {
     if (!args.getString("trace").empty()) {
-        const std::int64_t readers_raw = args.getInt("readers");
-        const auto readers =
-            readers_raw < 0 ? std::size_t{0}
-                            : static_cast<std::size_t>(
-                                  readers_raw);
-        const std::size_t mergeWorkers =
-            resolveMergeWorkers(mergeWorkersFromFlags(args));
         IoMode io = IoMode::Auto;
         if (!ioModeFromFlags(args, io)) {
             return makeFailedSource(strFormat(
                 "unknown --io mode '%s' (auto|mmap|stream)",
                 args.getString("io").c_str()));
         }
-        auto source =
-            openTraceFile(args.getString("trace"),
-                          kDefaultSourceWindow, readers,
-                          mergeWorkers, io);
-        // Prefetch pays off where there is decode + I/O to hide;
-        // generated sources below have neither. It composes with
-        // --readers: the shard readers decode, the prefetch
-        // thread runs the sequence-reordering merge off the
-        // analysis thread. (--merge-workers decodes and merges on
-        // its range workers; prefetch then just moves the
-        // stitching off the analysis thread.)
+        auto source = openTraceFile(args.getString("trace"),
+                                    kDefaultSourceWindow, io);
+        // Prefetch pays off where there is decode + I/O to hide
+        // (for shard sets it also moves the merge off the analysis
+        // thread); generated sources below have neither.
         if (args.getBool("prefetch") && !source->failed())
             source = makePrefetchSource(std::move(source));
         return source;

@@ -44,63 +44,6 @@ void addParallelFlag(ArgParser &args);
  * does). */
 std::size_t parallelWorkersFromFlags(const ArgParser &args);
 
-/** Sentinel: --shard-analysis given bare — one worker per
- * hardware thread. */
-inline constexpr std::size_t kShardAuto =
-    ~static_cast<std::size_t>(0);
-
-/** Register --shard-analysis[=W] for tools that can split a single
- * analysis across variable shards (sharded_driver.hh): bare = one
- * worker per hardware thread, W = worker count, 0/1 = the ordinary
- * sequential analysis. Composes with --parallel (each analysis in
- * the fan-out is itself sharded). */
-void addShardAnalysisFlag(ArgParser &args);
-
-/** The intra-analysis worker request the flags describe: 0 =
- * sequential (the default), kShardAuto = one worker per hardware
- * thread, otherwise the worker count. As with --parallel, every
- * negative raw value maps to the auto sentinel; tools rejecting
- * other negatives as typos check args.getInt("shard-analysis")
- * < -1 themselves. */
-std::size_t shardAnalysisWorkersFromFlags(const ArgParser &args);
-
-/** Resolve a shard worker request to a concrete count: the auto
- * sentinel becomes the hardware concurrency (at least 2), and a
- * request of 1 collapses to 0 (a one-worker shard *is* the
- * sequential analysis). */
-std::size_t resolveShardWorkers(std::size_t requested);
-
-/** Sentinel: --merge-workers given bare — one merge worker per
- * hardware thread. */
-inline constexpr std::size_t kMergeAuto =
-    ~static_cast<std::size_t>(0);
-
-/** Register --merge-workers[=P] for tools that read shard sets:
- * the K-way merge reconstructing the total order is itself split
- * into P contiguous sequence ranges, one merge worker per range
- * (openShardSetPartitioned), output byte-identical to the
- * sequential merge. Bare = one worker per hardware thread; 0/1 =
- * the ordinary single-thread merge. Composes with --prefetch,
- * --parallel, --shard-analysis and checkpoint/resume; a
- * partitioned merge decodes on its own workers, so it subsumes
- * --readers when both are given. */
-void addMergeWorkersFlag(ArgParser &args);
-
-/** The merge-worker request the flags describe: 0 = sequential
- * merge (the default), kMergeAuto = one worker per hardware
- * thread, otherwise the worker count. As with the other worker
- * flags, every negative raw value maps to the auto sentinel; tools
- * rejecting other negatives as typos check
- * args.getInt("merge-workers") < -1 themselves. */
-std::size_t mergeWorkersFromFlags(const ArgParser &args);
-
-/** Resolve a merge-worker request to a concrete count: the auto
- * sentinel becomes the hardware concurrency (at least 2), and a
- * request of 1 collapses to 0 (a one-range partitioned merge adds
- * a hand-off thread for nothing the sequential merge doesn't
- * already do). */
-std::size_t resolveMergeWorkers(std::size_t requested);
-
 /**
  * The byte-source request --io describes: "auto" (mmap where it
  * applies — regular binary/shard files with no armed fault
@@ -117,12 +60,6 @@ bool ioModeFromFlags(const ArgParser &args, IoMode &out);
  *                   shard set by extension; never materializes the
  *                   event vector), wrapped in an asynchronous
  *                   double-buffering decorator under --prefetch;
- *                   --readers=K decodes a shard set on K parallel
- *                   reader threads (reordered on sequence numbers
- *                   — see trace/shard.hh; composes with
- *                   --prefetch); --merge-workers=P runs the
- *                   range-partitioned parallel merge instead
- *                   (subsuming --readers);
  *  --generate       a generated synthetic workload.
  * Returns a source in the failed() state on open/parse errors, and
  * null only when neither input flag was given.

@@ -1,5 +1,6 @@
 #include "trace/event_source.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -195,10 +196,23 @@ constexpr char kMagicV1[6] = {'T', 'C', 'T', 'B', '1', '\0'};
 constexpr char kMagicV2[6] = {'T', 'C', 'T', 'B', '2', '\0'};
 /** On-wire bytes per event: int32 tid, uint32 target, uint8 op. */
 constexpr std::size_t kEventBytes = 9;
+/** Bytes of the fixed binary-trace header: magic, 3×u32 id-space
+ * bounds, u64 event count. */
+constexpr std::size_t kBinaryHeaderBytes =
+    sizeof(kMagicV1) + 3 * sizeof(std::uint32_t) +
+    sizeof(std::uint64_t);
 
-/** Streaming reader over the binary format: refills a fixed window
- * of raw event records per bulk read, so memory use is O(window)
- * regardless of file size. */
+/**
+ * Streaming reader over the binary format: memory use is O(window)
+ * regardless of file size. Each refill yields the next window of raw
+ * records as a byte span — straight out of the mapping when the file
+ * is mapped (no read syscalls, no private buffer), otherwise out of
+ * one bulk read into buf_ — and a single table-dispatched loop
+ * decodes and validates that span. Windowing, validation order and
+ * every error text and position are therefore the same on both byte
+ * sources. seekToSequence() is one byte seek (offset arithmetic over
+ * a mapping).
+ */
 class BinaryEventSource final : public EventSource
 {
   public:
@@ -217,176 +231,8 @@ class BinaryEventSource final : public EventSource
         parseHeader();
     }
 
-    SourceInfo info() const override { return info_; }
-
-    bool
-    next(Event &out) override
-    {
-        if (failed())
-            return false;
-        if (bufPos_ >= bufCount_ && !refill())
-            return false;
-        const unsigned char *p =
-            buf_.data() + bufPos_ * kEventBytes;
-        std::int32_t tid;
-        std::uint32_t target;
-        std::memcpy(&tid, p, sizeof(tid));
-        std::memcpy(&target, p + 4, sizeof(target));
-        const std::uint8_t op = p[8];
-        bufPos_++;
-        delivered_++;
-        if (op > maxOp_) {
-            fail(0, "invalid op code");
-            return false;
-        }
-        // Ids are int32 in the event model; reject records a valid
-        // writer cannot have produced before they reach consumers.
-        if (tid < 0 ||
-            target > static_cast<std::uint32_t>(
-                         std::numeric_limits<std::int32_t>::max())) {
-            fail(0, "event id out of range");
-            return false;
-        }
-        out = Event(static_cast<Tid>(tid),
-                    static_cast<OpType>(op), target);
-        return true;
-    }
-
-    bool
-    rewind() override
-    {
-        is_->clear();
-        if (!is_->seekg(start_))
-            return false;
-        delivered_ = 0;
-        bufPos_ = bufCount_ = 0;
-        clearError();
-        parseHeader();
-        return !failed();
-    }
-
-    /** Events are fixed-width records after a fixed-width header,
-     * so resuming at event n is a single byte seek. */
-    bool
-    seekToSequence(std::uint64_t n) override
-    {
-        if (!rewind())
-            return false;
-        if (n >= info_.events) {
-            // At or past the end: nothing left to deliver; refill()
-            // sees delivered_ >= events and reports end of stream.
-            delivered_ = n;
-            return true;
-        }
-        // parseHeader() left the stream at the first record.
-        if (!is_->seekg(static_cast<std::streamoff>(n) *
-                            static_cast<std::streamoff>(
-                                kEventBytes),
-                        std::ios::cur))
-            return false;
-        delivered_ = n;
-        return true;
-    }
-
-  private:
-    void
-    parseHeader()
-    {
-        char magic[sizeof(kMagicV1)];
-        if (!is_->read(magic, sizeof(magic))) {
-            fail(0, "bad magic (not a treeclock binary trace)");
-            return;
-        }
-        if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-            maxOp_ = kMaxOpV1;
-        } else if (std::memcmp(magic, kMagicV2,
-                               sizeof(kMagicV2)) == 0) {
-            maxOp_ = kMaxOpV2;
-        } else {
-            fail(0, "bad magic (not a treeclock binary trace)");
-            return;
-        }
-        std::uint32_t header[3];
-        std::uint64_t n = 0;
-        if (!is_->read(reinterpret_cast<char *>(header),
-                       sizeof(header)) ||
-            !is_->read(reinterpret_cast<char *>(&n), sizeof(n))) {
-            fail(0, "truncated header");
-            return;
-        }
-        info_.threads = static_cast<Tid>(header[0]);
-        info_.locks = static_cast<LockId>(header[1]);
-        info_.vars = static_cast<VarId>(header[2]);
-        info_.events = n;
-        // v2 files may carry lifecycle events, so their declared
-        // thread count can far exceed the live set — tell consumers
-        // to reserve accordingly.
-        info_.lifecycle = maxOp_ == kMaxOpV2;
-    }
-
-    /** Bulk-read the next window of raw records. */
-    bool
-    refill()
-    {
-        if (delivered_ >= info_.events)
-            return false;
-        const std::uint64_t remaining = info_.events - delivered_;
-        const std::size_t want = static_cast<std::size_t>(
-            remaining < window_ ? remaining : window_);
-        buf_.resize(want * kEventBytes);
-        is_->read(reinterpret_cast<char *>(buf_.data()),
-                  static_cast<std::streamsize>(buf_.size()));
-        const auto got = static_cast<std::size_t>(is_->gcount());
-        if (got < buf_.size() && got % kEventBytes != 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_ + got / kEventBytes)));
-            return false;
-        }
-        bufCount_ = got / kEventBytes;
-        bufPos_ = 0;
-        if (bufCount_ == 0) {
-            fail(0, strFormat(
-                        "truncated event stream at event %llu",
-                        static_cast<unsigned long long>(
-                            delivered_)));
-            return false;
-        }
-        return true;
-    }
-
-    std::unique_ptr<std::istream> owned_;
-    std::istream *is_;
-    std::istream::pos_type start_;
-    SourceInfo info_;
-    std::size_t window_;
-    std::uint8_t maxOp_ = kMaxOpV1;
-    std::vector<unsigned char> buf_;
-    std::size_t bufPos_ = 0;
-    std::size_t bufCount_ = 0;
-    std::uint64_t delivered_ = 0;
-};
-
-/** Bytes of the fixed binary-trace header: magic, 3×u32 id-space
- * bounds, u64 event count. */
-constexpr std::size_t kBinaryHeaderBytes =
-    sizeof(kMagicV1) + 3 * sizeof(std::uint32_t) +
-    sizeof(std::uint64_t);
-
-/**
- * Zero-copy reader over a mapped binary trace: same windowed
- * delivery, validation order and error text as BinaryEventSource —
- * including which window a torn tail fails in — but records decode
- * straight out of the mapping (no read syscalls, no private raw
- * buffer) and the whole window validates in one table-dispatched
- * pass through read(). seekToSequence() is pure offset arithmetic.
- */
-class MappedBinaryEventSource final : public EventSource
-{
-  public:
-    MappedBinaryEventSource(std::unique_ptr<MappedFile> map,
-                            std::size_t window)
+    BinaryEventSource(std::unique_ptr<MappedFile> map,
+                      std::size_t window)
         : map_(std::move(map)), window_(window == 0 ? 1 : window)
     {
         parseHeader();
@@ -401,8 +247,7 @@ class MappedBinaryEventSource final : public EventSource
             return false;
         if (bufPos_ >= bufCount_ && !refill())
             return false;
-        const std::size_t got = decodeRun(&out, 1);
-        return got == 1;
+        return decodeRun(&out, 1) == 1;
     }
 
     /** The batched hot drain: decode and validate the rest of the
@@ -429,6 +274,11 @@ class MappedBinaryEventSource final : public EventSource
     bool
     rewind() override
     {
+        if (!map_) {
+            is_->clear();
+            if (!is_->seekg(start_))
+                return false;
+        }
         delivered_ = 0;
         bufPos_ = bufCount_ = 0;
         clearError();
@@ -436,12 +286,21 @@ class MappedBinaryEventSource final : public EventSource
         return !failed();
     }
 
-    /** No stream to reposition: resuming at event n is arithmetic
-     * on delivered_; the next refill computes its span from it. */
+    /** Events are fixed-width records after a fixed-width header,
+     * so resuming at event n is a single byte seek; at or past the
+     * end nothing is left to deliver and refill() reports end of
+     * stream. */
     bool
     seekToSequence(std::uint64_t n) override
     {
         if (!rewind())
+            return false;
+        // parseHeader() left the stream at the first record.
+        if (!map_ && n < info_.events &&
+            !is_->seekg(static_cast<std::streamoff>(n) *
+                            static_cast<std::streamoff>(
+                                kEventBytes),
+                        std::ios::cur))
             return false;
         delivered_ = n;
         return true;
@@ -451,33 +310,46 @@ class MappedBinaryEventSource final : public EventSource
     void
     parseHeader()
     {
-        const unsigned char *d = map_->data();
-        if (map_->size() < sizeof(kMagicV1)) {
+        unsigned char header[kBinaryHeaderBytes];
+        std::size_t got;
+        if (map_) {
+            got = std::min(map_->size(), sizeof(header));
+            std::memcpy(header, map_->data(), got);
+        } else {
+            is_->read(reinterpret_cast<char *>(header),
+                      sizeof(header));
+            got = static_cast<std::size_t>(is_->gcount());
+        }
+        if (got < sizeof(kMagicV1)) {
             fail(0, "bad magic (not a treeclock binary trace)");
             return;
         }
-        if (std::memcmp(d, kMagicV1, sizeof(kMagicV1)) == 0) {
+        if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0) {
             maxOp_ = kMaxOpV1;
-        } else if (std::memcmp(d, kMagicV2,
+        } else if (std::memcmp(header, kMagicV2,
                                sizeof(kMagicV2)) == 0) {
             maxOp_ = kMaxOpV2;
         } else {
             fail(0, "bad magic (not a treeclock binary trace)");
             return;
         }
-        if (map_->size() < kBinaryHeaderBytes) {
+        if (got < sizeof(header)) {
             fail(0, "truncated header");
             return;
         }
-        std::uint32_t header[3];
+        std::uint32_t bounds[3];
         std::uint64_t n = 0;
-        std::memcpy(header, d + sizeof(kMagicV1), sizeof(header));
-        std::memcpy(&n, d + sizeof(kMagicV1) + sizeof(header),
+        std::memcpy(bounds, header + sizeof(kMagicV1),
+                    sizeof(bounds));
+        std::memcpy(&n, header + sizeof(kMagicV1) + sizeof(bounds),
                     sizeof(n));
-        info_.threads = static_cast<Tid>(header[0]);
-        info_.locks = static_cast<LockId>(header[1]);
-        info_.vars = static_cast<VarId>(header[2]);
+        info_.threads = static_cast<Tid>(bounds[0]);
+        info_.locks = static_cast<LockId>(bounds[1]);
+        info_.vars = static_cast<VarId>(bounds[2]);
         info_.events = n;
+        // v2 files may carry lifecycle events, so their declared
+        // thread count can far exceed the live set — tell consumers
+        // to reserve accordingly.
         info_.lifecycle = maxOp_ == kMaxOpV2;
         // Validation dispatch table: one byte-indexed load per
         // record instead of a compare against the format version.
@@ -485,9 +357,8 @@ class MappedBinaryEventSource final : public EventSource
             opValid_[op] = op <= maxOp_;
     }
 
-    /** The windowing half of the stream reader's refill(), with the
-     * read() replaced by bounds arithmetic against the mapping —
-     * same window spans, same truncation positions and messages. */
+    /** Point span_ at the next window of raw records: bounds
+     * arithmetic against the mapping, or one bulk read. */
     bool
     refill()
     {
@@ -497,13 +368,24 @@ class MappedBinaryEventSource final : public EventSource
         const std::size_t want = static_cast<std::size_t>(
             remaining < window_ ? remaining : window_);
         const std::size_t wantBytes = want * kEventBytes;
-        const std::uint64_t consumed =
-            kBinaryHeaderBytes + delivered_ * kEventBytes;
-        const std::size_t avail =
-            map_->size() > consumed
-                ? static_cast<std::size_t>(map_->size() - consumed)
-                : 0;
-        const std::size_t got = std::min(wantBytes, avail);
+        std::size_t got;
+        if (map_) {
+            const std::uint64_t consumed =
+                kBinaryHeaderBytes + delivered_ * kEventBytes;
+            const std::size_t avail =
+                map_->size() > consumed
+                    ? static_cast<std::size_t>(map_->size() -
+                                               consumed)
+                    : 0;
+            got = std::min(wantBytes, avail);
+            span_ = map_->data() + (map_->size() - avail);
+        } else {
+            buf_.resize(wantBytes);
+            is_->read(reinterpret_cast<char *>(buf_.data()),
+                      static_cast<std::streamsize>(wantBytes));
+            got = static_cast<std::size_t>(is_->gcount());
+            span_ = buf_.data();
+        }
         if (got < wantBytes && got % kEventBytes != 0) {
             fail(0, strFormat(
                         "truncated event stream at event %llu",
@@ -526,14 +408,11 @@ class MappedBinaryEventSource final : public EventSource
     /** Decode @p take records of the current window into @p out in
      * one pass. Returns how many validated; on a bad record the
      * prefix is delivered, the cursor has consumed the bad record
-     * (mirroring the stream reader's advance-then-validate order)
      * and fail() is set. */
     std::size_t
     decodeRun(Event *out, std::size_t take)
     {
-        const unsigned char *p = map_->data() +
-                                 kBinaryHeaderBytes +
-                                 delivered_ * kEventBytes;
+        const unsigned char *p = span_ + bufPos_ * kEventBytes;
         for (std::size_t i = 0; i < take;
              i++, p += kEventBytes) {
             std::int32_t tid;
@@ -547,6 +426,9 @@ class MappedBinaryEventSource final : public EventSource
                 fail(0, "invalid op code");
                 return i;
             }
+            // Ids are int32 in the event model; reject records a
+            // valid writer cannot have produced before they reach
+            // consumers.
             if (tid < 0 ||
                 target >
                     static_cast<std::uint32_t>(
@@ -561,11 +443,19 @@ class MappedBinaryEventSource final : public EventSource
         return take;
     }
 
+    /** Byte source: the mapping when map_ is set, else is_. */
     std::unique_ptr<MappedFile> map_;
+    std::unique_ptr<std::istream> owned_;
+    std::istream *is_ = nullptr;
+    std::istream::pos_type start_;
     SourceInfo info_;
     std::size_t window_;
     std::uint8_t maxOp_ = kMaxOpV1;
     bool opValid_[256] = {};
+    /** Stream path only: the window's raw bytes. */
+    std::vector<unsigned char> buf_;
+    /** Raw records of the current window. */
+    const unsigned char *span_ = nullptr;
     std::size_t bufPos_ = 0;
     std::size_t bufCount_ = 0;
     std::uint64_t delivered_ = 0;
@@ -616,19 +506,16 @@ useMappedIo(IoMode io)
 }
 
 std::unique_ptr<EventSource>
-openTraceFile(const std::string &path, std::size_t window,
-              std::size_t shardReaders, std::size_t mergeWorkers,
-              IoMode io)
+openTraceFile(const std::string &path, std::size_t window, IoMode io)
 {
     if (isShardPath(path))
-        return openShardMember(path, window, shardReaders,
-                               mergeWorkers, io);
+        return openShardMember(path, window, io);
     const bool binary =
         path.size() >= 4 &&
         path.compare(path.size() - 4, 4, ".tcb") == 0;
     if (binary && useMappedIo(io)) {
         if (auto map = MappedFile::map(path)) {
-            return std::make_unique<MappedBinaryEventSource>(
+            return std::make_unique<BinaryEventSource>(
                 std::move(map), window);
         }
         // Unmappable (pipe, special file): stream it below.

@@ -347,24 +347,15 @@ makeBinaryEventSource(std::istream &is,
  * Open a trace file as a chunked streaming source; format chosen by
  * extension: ".tcb" binary, ".tcs" a shard-set member (the whole
  * set opens, merged back into capture order — see trace/shard.hh),
- * anything else text, matching loadTrace(). For shard sets,
- * @p shardReaders > 0 decodes the members on that many parallel
- * reader threads (reordered back to the merged sequence order),
- * and @p mergeWorkers > 0 splits the merge itself across that many
- * range-partitioned workers (which decode for themselves, so it
- * subsumes @p shardReaders — see trace/shard.hh); neither flag has
- * an effect on single-file formats, whose decode is parallelized
- * by the prefetch decorator instead. @p io selects the byte source
- * of the binary formats (see IoMode; text traces always stream).
- * The returned source owns the file stream(s) or mapping(s). On
- * open or header failure the source is returned in the failed()
- * state (never null).
+ * anything else text, matching loadTrace(). @p io selects the byte
+ * source of the binary formats (see IoMode; text traces always
+ * stream). The returned source owns the file stream(s) or
+ * mapping(s). On open or header failure the source is returned in
+ * the failed() state (never null).
  */
 std::unique_ptr<EventSource>
 openTraceFile(const std::string &path,
               std::size_t window = kDefaultSourceWindow,
-              std::size_t shardReaders = 0,
-              std::size_t mergeWorkers = 0,
               IoMode io = IoMode::Auto);
 
 /** A source that is born failed() with @p message — for factories

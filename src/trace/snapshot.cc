@@ -181,7 +181,11 @@ parseSnapshot(const std::string &path,
     ByteSource body(bytes.data() + kSnapHeaderBytes,
                     bytes.size() - kSnapHeaderBytes);
     std::vector<Section> parsed;
-    parsed.reserve(section_count);
+    // The header sits outside every checksum, so a flipped count
+    // must not drive the allocation: each section needs at least
+    // its 16-byte tag/length/CRC header in the body.
+    parsed.reserve(std::min<std::size_t>(section_count,
+                                         body.remaining() / 16));
     for (std::uint32_t s = 0; s < section_count; s++) {
         std::uint32_t tag = 0, crc = 0;
         std::uint64_t len = 0;

@@ -152,7 +152,7 @@ ParseResult
 loadTrace(const std::string &path, IoMode io)
 {
     const auto source =
-        openTraceFile(path, kDefaultSourceWindow, 0, 0, io);
+        openTraceFile(path, kDefaultSourceWindow, io);
     return drainSource(*source);
 }
 

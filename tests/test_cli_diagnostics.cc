@@ -114,6 +114,24 @@ TEST_F(CliDiagnostics, UsageErrorsExitOne)
               1);
 }
 
+TEST_F(CliDiagnostics, RetiredParallelFlagsAreUnknown)
+{
+    // The parallel/async shapes that did not pay end to end are
+    // gone; their flags must fail as typos do, not be ignored.
+    const std::string input = " --trace=" + goodPath() + " --stream";
+    for (const char *flag : {"--readers=2", "--merge-workers=2",
+                             "--shard-analysis=2"}) {
+        EXPECT_EQ(runCli("./race_detector" + input + " " + flag), 1)
+            << flag;
+    }
+    const std::string split = "./trace_tool split " + goodPath() +
+                              " " + std::string(kWorkDir) +
+                              "/retired_split ";
+    for (const char *flag :
+         {"--writers=2", "--async-append", "--merge-workers=2"})
+        EXPECT_EQ(runCli(split + flag), 1) << flag;
+}
+
 TEST_F(CliDiagnostics, FindingsExitTwo)
 {
     // The generated workload races; detection is a finding, not an

@@ -248,7 +248,9 @@ TEST_F(CrashRecovery, TransientCheckpointWriteRecoversInPlace)
 
 /** Kill the sharded capture mid-append and mid-finalize: the
  * unfinalized set must be rejected as corrupt by the merge (exit
- * 3), and a clean re-capture then round-trips. */
+ * 3). Injected append errors instead fail the capture with the I/O
+ * exit code and remove its shards. A clean re-capture then
+ * round-trips. */
 TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
 {
     const std::string prefix = std::string(kWorkDir) + "/cap";
@@ -258,19 +260,22 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
         " --threads=6 --locks=3 --gen-vars=16 --events=20000"
         " --seed=77 --shards=4";
 
-    // split drives ShardWriter (one appender, "shard.append");
-    // capture drives ParallelShardWriter's buffered appenders
-    // ("shard.flush") and its own finalize. A crash skips the
-    // writers' unfinalized-set cleanup, so the sentinel headers
+    // split and capture both drive ShardWriter's buffered
+    // appenders: "shard.append" fires per record, "shard.flush"
+    // per staged batch, "shard.finalize" once. A crash skips the
+    // writer's unfinalized-set cleanup, so the sentinel headers
     // land on disk — the merge must refuse them.
     const struct
     {
         const char *failpoints;
         const char *command;
+        int exit;
     } kills[] = {
-        {"shard.append=crash@5000", "split"},
-        {"shard.flush=crash@2", "capture"},
-        {"shard.finalize=crash@1", "capture"},
+        {"shard.append=crash@5000", "split", kFaultCrashExitCode},
+        {"shard.append=torn-write@5000", "split", 4},
+        {"shard.append=eio@5000", "split", 4},
+        {"shard.flush=crash@2", "capture", kFaultCrashExitCode},
+        {"shard.finalize=crash@1", "capture", kFaultCrashExitCode},
     };
     for (const auto &kill : kills) {
         const std::string out =
@@ -280,12 +285,23 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
                 ? "./trace_tool split " + tracePath() + " " +
                       prefix + " --shards=4"
                 : "./trace_tool capture " + prefix + gen;
-        const int crashed =
+        const int code =
             runCli(std::string("TC_FAILPOINTS='") +
                    kill.failpoints + "' " + command + " > " + out +
                    " 2>&1");
-        ASSERT_EQ(crashed, kFaultCrashExitCode)
+        ASSERT_EQ(code, kill.exit)
             << kill.failpoints << ": " << readFile(out);
+        if (code != kFaultCrashExitCode) {
+            // A failed (not crashed) capture removes its shards.
+            for (int i = 0; i < 4; i++) {
+                struct stat st;
+                const std::string shard =
+                    prefix + "." + std::to_string(i) + ".tcs";
+                EXPECT_NE(stat(shard.c_str(), &st), 0)
+                    << kill.failpoints << " left " << shard;
+            }
+            continue;
+        }
 
         // The crashed set must never merge into an answer.
         const int merge_code =

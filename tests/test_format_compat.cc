@@ -9,22 +9,31 @@
  *   golden_v1.{0,1,2}.tcs  the same trace as a 3-shard capture set
  *   golden_v1.tcsnap    mid-stream checkpoint of the full
  *                       (hb,shb,maz) × (tc,vc) analysis matrix
+ *   golden_v1.shard_analysis_w2.tcsnap
+ *                       event-500 checkpoint of hb/tc and shb/tc
+ *                       written by the retired two-worker sharded
+ *                       analysis (--shard-analysis=2)
  *
- * The suite pins three contracts: every v1 container still decodes
+ * The suite pins four contracts: every v1 container still decodes
  * to the identical event stream with the identical analysis
- * results (hardcoded from the pre-bump run), v1 snapshots still
- * resume, and version mismatches are rejected as corrupt input —
- * including by the CLIs, whose exit code 3 is scripted against.
+ * results (hardcoded from the pre-bump run), today's split still
+ * writes the committed shard bytes, v1 snapshots still resume, and
+ * version mismatches and stale sharded snapshots are rejected as
+ * corrupt input — including by the CLIs, whose exit code 3 is
+ * scripted against.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -66,14 +75,34 @@ loadGoldenBinary()
     return std::move(r.trace);
 }
 
+/** Run @p command through the shell; its stdout and stderr land in
+ * @p output when given. Returns the exit code (-1 on abnormal
+ * termination). */
 int
-runCli(const std::string &command)
+runCli(const std::string &command, std::string *output = nullptr)
 {
-    const int status =
-        std::system((command + " > /dev/null 2>&1").c_str());
+    const std::string sink = "/tmp/tc_compat_cli.txt";
+    const int status = std::system(
+        (command + " > " + (output ? sink : "/dev/null") + " 2>&1")
+            .c_str());
+    if (output) {
+        std::ifstream in(sink, std::ios::binary);
+        output->assign(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+        std::remove(sink.c_str());
+    }
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 TEST(FormatCompat, FixturesAreGenuinelyV1)
@@ -109,6 +138,33 @@ TEST(FormatCompat, AllV1ContainersDecodeIdentically)
     ASSERT_NE(shards, nullptr);
     EXPECT_FALSE(shards->info().lifecycle);
     test::expectSameEvents(golden, *shards, "v1 shard set");
+}
+
+TEST(FormatCompat, SplitWritesTheCommittedShardBytes)
+{
+    // The committed set came from an earlier shard writer; today's
+    // split must reproduce it byte for byte — headers, stamps and
+    // routing — both as a library call and through the CLI.
+    const std::string prefix = "/tmp/tc_compat_golden_split";
+    auto source = openTraceFile(kDir + "/golden_v1.tcb");
+    std::string error;
+    ASSERT_EQ(splitTraceStream(*source, prefix, 3, &error), 3998u)
+        << error;
+    const std::string cli = "/tmp/tc_compat_golden_cli";
+    ASSERT_EQ(runCli("./trace_tool split " + kDir +
+                     "/golden_v1.tcb " + cli + " --shards=3"),
+              0);
+    for (std::uint32_t i = 0; i < 3; i++) {
+        const std::string golden =
+            fileBytes(kDir + "/golden_v1." + std::to_string(i) +
+                      ".tcs");
+        EXPECT_EQ(fileBytes(shardPath(prefix, i)), golden)
+            << "shard " << i;
+        EXPECT_EQ(fileBytes(shardPath(cli, i)), golden)
+            << "CLI shard " << i;
+        std::remove(shardPath(prefix, i).c_str());
+        std::remove(shardPath(cli, i).c_str());
+    }
 }
 
 TEST(FormatCompat, V1RoundTripsThroughTheV2Writer)
@@ -217,6 +273,83 @@ TEST(FormatCompat, V1SnapshotResumesToTheFullRunResult)
     EXPECT_EQ(reports[0].result.races.total(), kGolden[0].total);
     EXPECT_EQ(reports[2].result.races.total(), kGolden[1].total);
     EXPECT_EQ(reports[4].result.races.total(), kGolden[2].total);
+}
+
+// ---------------------------------------------------------------
+// Stale sharded snapshots: the retired var-sharded consumers wrote
+// their state behind a "TCSHARD1" header under the sequential
+// consumer names. Such a section must never restore into a
+// sequential driver: an explicit --resume-from is corrupt input
+// (exit 3), and --resume skips it and starts clean.
+// ---------------------------------------------------------------
+
+const std::string kShardedSnap =
+    kDir + "/golden_v1.shard_analysis_w2.tcsnap";
+
+TEST(FormatCompat, ShardedSnapshotFixtureIsGenuine)
+{
+    // "TCSHARD1" as the little-endian u64 the sharded consumers
+    // wrote first in each state section.
+    EXPECT_NE(fileBytes(kShardedSnap).find("1DRAHSCT"),
+              std::string::npos);
+    SnapshotMeta meta;
+    std::string error;
+    ASSERT_TRUE(readSnapshotMeta(kShardedSnap, &meta, &error))
+        << error;
+    EXPECT_EQ(meta.position, 500u);
+    EXPECT_EQ(meta.consumers,
+              (std::vector<std::string>{"hb/tc", "shb/tc"}));
+}
+
+TEST(FormatCompat, ShardedSnapshotNeverRestores)
+{
+    AnalysisPipeline pipeline;
+    pipeline.add(makeAnalysisConsumer("hb", "tc"))
+        .add(makeAnalysisConsumer("shb", "tc"));
+    SnapshotMeta meta;
+    std::string error;
+    EXPECT_FALSE(loadSnapshot(kShardedSnap, pipeline, &meta, &error));
+    EXPECT_NE(error.find("'hb/tc' state failed to restore"),
+              std::string::npos)
+        << error;
+}
+
+TEST(FormatCompat, ShardedSnapshotFailsCleanlyThroughTheCli)
+{
+    const std::string detector = "./race_detector --trace=" + kDir +
+                                 "/golden_v1.tcb --stream "
+                                 "--po=hb,shb --clock=tc";
+    EXPECT_EQ(runCli(detector + " --resume-from=" + kShardedSnap),
+              3);
+
+    const std::string dir = "/tmp/tc_compat_sharded_snaps";
+    const std::string copy =
+        dir + "/snapshot.00000000000000000500.tcsnap";
+    mkdir(dir.c_str(), 0755);
+    {
+        std::ofstream out(copy, std::ios::binary | std::ios::trunc);
+        out << fileBytes(kShardedSnap);
+    }
+    std::string straight, resumed;
+    const int straight_code = runCli(detector, &straight);
+    const int code =
+        runCli(detector + " --resume --snapshot-dir=" + dir,
+               &resumed);
+    EXPECT_EQ(straight_code, 2) << straight; // the golden trace races
+    EXPECT_EQ(code, straight_code) << resumed;
+    EXPECT_NE(resumed.find("warning: skipping snapshot"),
+              std::string::npos)
+        << resumed;
+    EXPECT_NE(resumed.find("no usable snapshot, starting clean"),
+              std::string::npos)
+        << resumed;
+    const auto reports = [](const std::string &out) {
+        const std::size_t at = out.find("--- ");
+        return at == std::string::npos ? out : out.substr(at);
+    };
+    EXPECT_EQ(reports(resumed), reports(straight));
+    std::remove(copy.c_str());
+    rmdir(dir.c_str());
 }
 
 // ---------------------------------------------------------------

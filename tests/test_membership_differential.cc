@@ -6,9 +6,9 @@
  * vector clock — byte-identical race summaries (counts, racy-var
  * bitmap, and the bounded report buffer, compared through the
  * canonical RaceSummary serialization) for every partial order,
- * straight through, across checkpoint/resume boundaries that cut
- * between create/retire pairs, and under the variable-sharded
- * analysis. Work counters are deliberately out of scope: the two
+ * straight through and across checkpoint/resume boundaries that
+ * cut between create/retire pairs. Work counters are deliberately
+ * out of scope: the two
  * representations do different amounts of clock work by design.
  */
 
@@ -174,33 +174,6 @@ TEST(MembershipDifferential, CheckpointResumeCutsAcrossLifecycle)
             }
         }
         removeDir(dir);
-    }
-}
-
-TEST(MembershipDifferential, ShardedAnalysisMatchesSequential)
-{
-    Rng rng(0x9003);
-    for (int iter = 0; iter < test::depthScale(); iter++) {
-        const Trace trace = generatePoolWorkload(samplePool(
-            rng, 0xbee0 + static_cast<std::uint64_t>(iter)));
-        for (const char *po : kPartialOrders) {
-            for (const char *clock : {"tc", "vc"}) {
-                for (const std::size_t workers : {2u, 3u}) {
-                    AnalysisPipeline pipeline;
-                    pipeline.add(makeAnalysisConsumer(po, clock))
-                        .add(makeShardedAnalysisConsumer(
-                            po, clock, workers));
-                    TraceSource source(trace);
-                    const auto reports = pipeline.run(source);
-                    ASSERT_EQ(reports.size(), 2u);
-                    expectByteIdentical(
-                        reports[0].result, reports[1].result,
-                        std::string(po) + "/" + clock + " x" +
-                            std::to_string(workers) + " iter " +
-                            std::to_string(iter));
-                }
-            }
-        }
     }
 }
 

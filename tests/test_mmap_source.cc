@@ -6,9 +6,8 @@
  * messages and kinds — must be identical whether the bytes come
  * from an mmap'd file (--io=mmap / the Auto default) or from the
  * buffered stream readers (--io=stream). The matrix covers v1 and
- * v2 binary traces, shard sets under every merge flavour
- * (sequential, partitioned), truncation and corruption at awkward
- * byte positions, seekToSequence resume points, and fault
+ * v2 binary traces, shard sets, truncation and corruption at
+ * awkward byte positions, seekToSequence resume points, and fault
  * injection, where an armed registry must route mmap requests
  * through the stream path so injected faults fire identically.
  *
@@ -106,13 +105,10 @@ expectSameDrain(const DrainResult &mm, const DrainResult &st,
 /** Open @p path both ways and require identical observations. */
 void
 expectIoParity(const std::string &path, std::size_t window,
-               const std::string &label,
-               std::size_t mergeWorkers = 0)
+               const std::string &label)
 {
-    auto mm = openTraceFile(path, window, 0, mergeWorkers,
-                            IoMode::Mmap);
-    auto st = openTraceFile(path, window, 0, mergeWorkers,
-                            IoMode::Stream);
+    auto mm = openTraceFile(path, window, IoMode::Mmap);
+    auto st = openTraceFile(path, window, IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), label);
 }
 
@@ -201,10 +197,9 @@ TEST_F(MmapSource, BinaryDifferentialV1)
     }
     // Auto on a regular file takes the mapped path and must still
     // match the explicit stream request.
-    auto mm = openTraceFile(p, kDefaultSourceWindow, 0, 0,
-                            IoMode::Auto);
-    auto st = openTraceFile(p, kDefaultSourceWindow, 0, 0,
-                            IoMode::Stream);
+    auto mm = openTraceFile(p, kDefaultSourceWindow, IoMode::Auto);
+    auto st =
+        openTraceFile(p, kDefaultSourceWindow, IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), "v1.tcb auto");
 }
 
@@ -214,11 +209,10 @@ TEST_F(MmapSource, BinaryDifferentialV2Lifecycle)
     ASSERT_TRUE(t.hasLifecycle());
     const std::string p = path("v2.tcb");
     ASSERT_TRUE(saveTrace(t, p));
-    auto mm = openTraceFile(p, kDefaultSourceWindow, 0, 0,
-                            IoMode::Mmap);
+    auto mm = openTraceFile(p, kDefaultSourceWindow, IoMode::Mmap);
     EXPECT_TRUE(mm->info().lifecycle);
-    auto st = openTraceFile(p, kDefaultSourceWindow, 0, 0,
-                            IoMode::Stream);
+    auto st =
+        openTraceFile(p, kDefaultSourceWindow, IoMode::Stream);
     expectSameDrain(drainAll(*mm), drainAll(*st), "v2.tcb");
 }
 
@@ -228,9 +222,6 @@ TEST_F(MmapSource, GoldenV1FixtureParity)
                    kDefaultSourceWindow, "golden_v1.tcb");
     expectIoParity(kFixtures + "/golden_v1.0.tcs",
                    kDefaultSourceWindow, "golden_v1 shard set");
-    expectIoParity(kFixtures + "/golden_v1.0.tcs",
-                   kDefaultSourceWindow,
-                   "golden_v1 shard set, partitioned", 2);
 }
 
 TEST_F(MmapSource, RewindParity)
@@ -238,7 +229,7 @@ TEST_F(MmapSource, RewindParity)
     const Trace t = makeV1Trace(5000);
     const std::string p = path("rewind.tcb");
     ASSERT_TRUE(saveTrace(t, p));
-    auto mm = openTraceFile(p, 64, 0, 0, IoMode::Mmap);
+    auto mm = openTraceFile(p, 64, IoMode::Mmap);
     // Drain a prefix, rewind mid-window, then the full drain must
     // match the trace exactly.
     Event e;
@@ -259,8 +250,8 @@ TEST_F(MmapSource, SeekToSequenceParity)
     for (const std::uint64_t n :
          {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2499},
           std::uint64_t{4999}, std::uint64_t{5000}}) {
-        auto mm = openTraceFile(p, 64, 0, 0, IoMode::Mmap);
-        auto st = openTraceFile(p, 64, 0, 0, IoMode::Stream);
+        auto mm = openTraceFile(p, 64, IoMode::Mmap);
+        auto st = openTraceFile(p, 64, IoMode::Stream);
         ASSERT_EQ(mm->seekToSequence(n), st->seekToSequence(n))
             << "seek " << n;
         expectSameDrain(drainAll(*mm), drainAll(*st),
@@ -328,30 +319,20 @@ TEST_F(MmapSource, ShardSetDifferential)
               kUnknownEventCount)
         << error;
 
-    // Sequential merge, both byte sources.
+    // The merge over both byte sources.
     auto mm = openShardSet(prefix, kDefaultSourceWindow,
-                           MergeStrategy::LoserTree, IoMode::Mmap);
+                           IoMode::Mmap);
     auto st = openShardSet(prefix, kDefaultSourceWindow,
-                           MergeStrategy::LoserTree,
                            IoMode::Stream);
     const DrainResult stDrain = drainAll(*st);
-    expectSameDrain(drainAll(*mm), stDrain, "sequential merge");
+    expectSameDrain(drainAll(*mm), stDrain, "shard merge");
 
-    // Partitioned merge workers each map their range (the
-    // --merge-workers compose leg).
-    auto part = openShardSetPartitioned(prefix, 3,
-                                        kDefaultSourceWindow,
-                                        IoMode::Mmap);
-    expectSameDrain(drainAll(*part), stDrain,
-                    "partitioned merge, mmap");
-
-    // The --resume compose leg: a mid-stream seek on the mapped
-    // partitioned merge must restart exactly where the stream
-    // path's total order says it should.
+    // The --resume leg: a mid-stream seek on the mapped merge must
+    // restart exactly where the stream path's total order says it
+    // should.
     const std::uint64_t resumeAt = stDrain.events.size() / 3;
-    auto resumed = openShardSetPartitioned(prefix, 3,
-                                           kDefaultSourceWindow,
-                                           IoMode::Mmap);
+    auto resumed = openShardSet(prefix, kDefaultSourceWindow,
+                                IoMode::Mmap);
     ASSERT_TRUE(resumed->seekToSequence(resumeAt));
     Event e;
     std::size_t i = static_cast<std::size_t>(resumeAt);
@@ -392,10 +373,8 @@ TEST_F(MmapSource, ShardCorruptionParity)
     };
     auto parity = [&](const std::string &label) {
         auto mm = openShardSet(prefix, kDefaultSourceWindow,
-                               MergeStrategy::LoserTree,
                                IoMode::Mmap);
         auto st = openShardSet(prefix, kDefaultSourceWindow,
-                               MergeStrategy::LoserTree,
                                IoMode::Stream);
         expectSameDrain(drainAll(*mm), drainAll(*st), label);
     };
@@ -457,8 +436,7 @@ TEST_F(MmapSource, ArmedFaultInjectionRoutesToStream)
     // Both modes stream under arms, so the decorated sources fail
     // at the same event with the same injected error.
     auto run = [&](IoMode io) {
-        auto src = makeFaultInjectingSource(
-            openTraceFile(p, 64, 0, 0, io));
+        auto src = makeFaultInjectingSource(openTraceFile(p, 64, io));
         return drainAll(*src);
     };
     const DrainResult mm = run(IoMode::Mmap);

@@ -1,13 +1,11 @@
 /**
  * @file
- * Concurrent capture tests: ParallelShardWriter (one appender per
- * shard, one atomic global sequence counter), the multi-writer
- * split, and the generator-driven capture simulation. The
- * contracts pinned here:
+ * Concurrent capture tests: ShardWriter appenders driven by one
+ * thread each (one atomic global sequence counter) and the
+ * generator-driven capture simulation. The contracts pinned here:
  *
- *  - determinism: a multi-writer capture/split of a trace is
- *    byte-identical to the single-writer split of the same trace,
- *    for any writer/shard count;
+ *  - determinism: a concurrent capture of a trace is byte-identical
+ *    to the split of the same trace, for any shard count;
  *  - equivalence: captured sets merge and analyze exactly like the
  *    original trace (races and work counters included);
  *  - torn captures: a writer crashing at any point — before
@@ -106,37 +104,11 @@ TEST(ParallelCapture, SimulationMatchesSingleWriterByteForByte)
     }
 }
 
-TEST(ParallelCapture, MultiWriterSplitMatchesSingleWriter)
-{
-    const Trace trace = sampleTrace(5000, 12);
-    const std::string ref = "/tmp/tc_pcap_sw";
-    std::string error;
-    {
-        TraceSource source(trace);
-        ASSERT_EQ(splitTraceStream(source, ref, 8, &error),
-                  trace.size())
-            << error;
-    }
-    for (const std::uint32_t writers : {1u, 2u, 3u, 8u, 64u}) {
-        const std::string par = "/tmp/tc_pcap_mw";
-        TraceSource source(trace);
-        // Oversized writer counts clamp to the shard count.
-        ASSERT_EQ(splitTraceStreamParallel(source, par, 8, writers,
-                                           &error),
-                  trace.size())
-            << error;
-        expectSameShardSets(par, ref, 8,
-                            "writers=" + std::to_string(writers));
-        removeShards(par, 8);
-    }
-    removeShards(ref, 8);
-}
-
 TEST(ParallelCapture, RandomizedCaptureMergeAnalyzeEquivalence)
 {
     // capture → merge → analyze must equal analyzing the original
-    // trace, across randomized shard/writer counts and workload
-    // seeds (the nightly depth job multiplies the rounds).
+    // trace, across randomized shard counts and workload seeds
+    // (the nightly depth job multiplies the rounds).
     Rng rng(20260730);
     const int rounds = 6 * test::depthScale();
     for (int round = 0; round < rounds; round++) {
@@ -144,8 +116,6 @@ TEST(ParallelCapture, RandomizedCaptureMergeAnalyzeEquivalence)
             sampleTrace(1500 + rng.range(0, 1500),
                         1000 + static_cast<std::uint64_t>(round));
         const auto shards =
-            static_cast<std::uint32_t>(rng.range(1, 12));
-        const auto writers =
             static_cast<std::uint32_t>(rng.range(1, 12));
         const bool simulate = rng.range(0, 1) == 0;
         const std::string prefix = "/tmp/tc_pcap_rand";
@@ -156,15 +126,13 @@ TEST(ParallelCapture, RandomizedCaptureMergeAnalyzeEquivalence)
                                            &error);
         } else {
             TraceSource source(trace);
-            written = splitTraceStreamParallel(
-                source, prefix, shards, writers, &error);
+            written = splitTraceStream(source, prefix, shards, &error);
         }
         ASSERT_EQ(written, trace.size()) << error;
         const std::string label =
             "round=" + std::to_string(round) +
             " shards=" + std::to_string(shards) +
-            (simulate ? " sim" : " writers=" +
-                                     std::to_string(writers));
+            (simulate ? " sim" : " split");
 
         auto merged = openShardSet(prefix);
         ASSERT_FALSE(merged->failed()) << merged->error();
@@ -212,7 +180,7 @@ TEST(ParallelCapture, CrashBeforeFinalizeIsRejected)
             info.threads = trace.numThreads();
             info.locks = trace.numLocks();
             info.vars = trace.numVars();
-            ParallelShardWriter writer(prefix, shards, info);
+            ShardWriter writer(prefix, shards, info);
             ASSERT_FALSE(writer.failed()) << writer.error();
             // Concurrent free-running appends up to the crash
             // point; no finalize.
@@ -265,7 +233,7 @@ TEST(ParallelCapture, FreeRunningConcurrentCaptureIsConsistent)
         info.threads = trace.numThreads();
         info.locks = trace.numLocks();
         info.vars = trace.numVars();
-        ParallelShardWriter writer(prefix, shards, info);
+        ShardWriter writer(prefix, shards, info);
         ASSERT_FALSE(writer.failed()) << writer.error();
         std::vector<std::thread> pool;
         std::atomic<bool> failed{false};
@@ -325,7 +293,7 @@ TEST(ParallelCapture, AppendAfterFinalizeFails)
     const std::string prefix = "/tmp/tc_pcap_postfin";
     SourceInfo info;
     info.threads = 2;
-    ParallelShardWriter writer(prefix, 2, info);
+    ShardWriter writer(prefix, 2, info);
     ASSERT_FALSE(writer.failed());
     ASSERT_TRUE(writer.appender(0).append(
         Event(0, OpType::Write, 3)));
@@ -361,9 +329,8 @@ TEST(ParallelCapture, UnwritablePrefixReportsError)
     EXPECT_FALSE(error.empty());
     TraceSource source(trace);
     error.clear();
-    EXPECT_EQ(splitTraceStreamParallel(
-                  source, "/nonexistent-dir/tc_pcap", 2, 2,
-                  &error),
+    EXPECT_EQ(splitTraceStream(source, "/nonexistent-dir/tc_pcap",
+                               2, &error),
               kUnknownEventCount);
     EXPECT_FALSE(error.empty());
 }

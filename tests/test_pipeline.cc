@@ -4,7 +4,7 @@
  * N (partial order × clock) consumers — sequentially or over the
  * parallel worker pool — must give each consumer exactly the result
  * a dedicated run would: races, reports and work counters,
- * including through the full sharded + prefetched stack. The
+ * including through the full shard + prefetched stack. The
  * parallel pool's shutdown discipline is pinned too: a consumer
  * throwing mid-stream stops every worker and the producer,
  * propagates the first exception, and leaves the pipeline reusable
@@ -155,12 +155,11 @@ TEST_P(PipelineSweep, FullStackShardedPrefetchedFanOut)
         std::remove(shardPath(prefix, i).c_str());
 }
 
-TEST_P(PipelineSweep, FullParallelStackDecodeReordersFanOut)
+TEST_P(PipelineSweep, CapturedPrefetchedParallelFanOut)
 {
-    // The PR-5 production stack end to end: concurrent capture →
-    // parallel shard decode (2 readers, out-of-order arrival,
-    // in-order reorder) → prefetch hand-off → parallel 6-analysis
-    // fan-out. Results must equal six dedicated batch runs.
+    // The production stack end to end: concurrent capture → shard
+    // merge → prefetch hand-off → parallel 6-analysis fan-out.
+    // Results must equal six dedicated batch runs.
     const std::string prefix =
         "/tmp/tc_pipeline_stack_" + GetParam().label;
     {
@@ -169,8 +168,7 @@ TEST_P(PipelineSweep, FullParallelStackDecodeReordersFanOut)
                   trace_.size())
             << error;
     }
-    auto source = makePrefetchSource(
-        openShardSetParallel(prefix, 2, 64), 64);
+    auto source = makePrefetchSource(openShardSet(prefix, 64), 64);
     ASSERT_FALSE(source->failed()) << source->error();
     AnalysisPipeline pipeline = fullPipeline();
     ParallelOptions opt;

@@ -200,8 +200,11 @@ TEST(ShardErrors, UnfinalizedCaptureIsRejected)
         ShardWriter writer(prefix, 2, source.info());
         Event e;
         while (source.next(e))
-            writer.append(e);
+            writer.appender(static_cast<std::uint32_t>(e.tid) % 2)
+                .append(e);
         // No finalize(): simulates a capture that died mid-run.
+        writer.appender(0).flush();
+        writer.appender(1).flush();
     }
     auto merged = openShardSet(prefix);
     EXPECT_TRUE(merged->failed());
