@@ -84,20 +84,25 @@ namespace {
  * one. (The paper-figure harnesses keep reporting means — they
  * compare data structures on one machine, not one machine against
  * its own past.)
- */
-/**
+ *
  * One warm-up call (r == 0: caches, file pages, allocator state),
  * then the best (minimum) of @p reps timed calls of @p run — the
  * single estimator behind every mode in this harness. @p reps
- * must be >= 1 (main clamps).
+ * must be >= 1 (main clamps). When @p heap_allocs is set it
+ * receives the operator-new count of the last call: unlike the
+ * time it is deterministic, so the CI allocation gate compares it
+ * exactly.
  */
 template <typename Fn>
 double
-bestOfReps(int reps, Fn &&run)
+bestOfReps(int reps, Fn &&run, std::uint64_t *heap_allocs = nullptr)
 {
     double best = 0;
     for (int r = 0; r <= reps; r++) {
+        const std::uint64_t allocs_before = heapAllocCount();
         const double t = run();
+        if (heap_allocs)
+            *heap_allocs = heapAllocCount() - allocs_before;
         if (r == 1 || (r > 1 && t < best))
             best = t;
     }
@@ -107,8 +112,9 @@ bestOfReps(int reps, Fn &&run)
 template <typename ClockT>
 double
 timePoSource(Po po, EventSource &source, int reps,
-             EngineConfig base = {})
+             std::uint64_t *heap_allocs = nullptr)
 {
+    const EngineConfig base;
     return bestOfReps(reps, [&] {
         switch (po) {
           case Po::MAZ:
@@ -119,7 +125,7 @@ timePoSource(Po po, EventSource &source, int reps,
             return timeOneSource<HbEngine, ClockT>(source, base);
         }
         return 0.0;
-    });
+    }, heap_allocs);
 }
 
 /** Batch-mode twin of timePoSource: same best-of estimator so the
@@ -128,7 +134,8 @@ timePoSource(Po po, EventSource &source, int reps,
  * mean for the paper-figure harnesses. */
 template <typename ClockT>
 double
-timePoBatch(Po po, const Trace &trace, int reps)
+timePoBatch(Po po, const Trace &trace, int reps,
+            std::uint64_t *heap_allocs = nullptr)
 {
     EngineConfig base;
     base.analysis = true;
@@ -142,7 +149,7 @@ timePoBatch(Po po, const Trace &trace, int reps)
             return timeOne<HbEngine, ClockT>(trace, base);
         }
         return 0.0;
-    });
+    }, heap_allocs);
 }
 
 /** The 6-analysis cross product every fan-out mode times. */
@@ -449,15 +456,22 @@ main(int argc, char **argv)
         json.metric("events_per_s", rate);
     };
 
+    // The in-memory modes also record the analysis's heap
+    // allocations: engine-level entries for the CI allocation gate,
+    // which the micro-benchmarks (0 in steady state) cannot give.
     auto runClock = [&]<typename ClockT>(const char *clock) {
         if (modeEnabled(mode_filter, "batch")) {
+            std::uint64_t allocs = 0;
             report("batch", clock,
-                   timePoBatch<ClockT>(po, trace, reps));
+                   timePoBatch<ClockT>(po, trace, reps, &allocs));
+            json.metric("heap_allocs", static_cast<double>(allocs));
         }
         if (modeEnabled(mode_filter, "trace_source")) {
             TraceSource mem(trace);
+            std::uint64_t allocs = 0;
             report("trace_source", clock,
-                   timePoSource<ClockT>(po, mem, reps));
+                   timePoSource<ClockT>(po, mem, reps, &allocs));
+            json.metric("heap_allocs", static_cast<double>(allocs));
         }
         if (modeEnabled(mode_filter, "file_stream")) {
             const auto file = openTraceFile(path, window);

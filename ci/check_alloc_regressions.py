@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Fail when steady-state clock operations started allocating.
+"""Fail when clock operations or whole analyses started allocating.
 
 Usage:
     ci/check_alloc_regressions.py BENCH_baseline.json current.json
 
-`current.json` is a bench_micro_clock --json report (either the raw
-harness output or a BENCH_baseline.json-style merged document). For
-every benchmark present in both current and the baseline's
-bench_micro_clock section, the current heap_allocs count must not
-exceed the baseline's. The steady-state join/copy benchmarks
-(BM_JoinVacuous / BM_SyncRoundTrip / BM_MonotoneCopy) are
-additionally required to stay at exactly 0 allocations — a warmed
-clock hot path must never touch the heap, whatever the baseline
-says.
+`current.json` is a bench_micro_clock or bench_streaming --json
+report (either raw harness output or a BENCH_baseline.json-style
+merged document). For every benchmark present in both current and
+the baseline's bench_micro_clock or bench_streaming section, the
+current heap_allocs count must not exceed the baseline's. The
+steady-state join/copy benchmarks (BM_JoinVacuous /
+BM_SyncRoundTrip / BM_MonotoneCopy) are additionally required to
+stay at exactly 0 allocations — a warmed clock hot path must never
+touch the heap, whatever the baseline says.
+
+The bench_streaming entries (batch/* and trace_source/*) count
+every allocation of one whole engine run, clock bank and
+per-variable clocks included, so the gate also covers the engines:
+a clock that goes back to several heap arrays, or a new
+per-event allocation, fails it.
 
 Timing metrics are deliberately ignored: allocation counts are
 deterministic, wall times are not.
@@ -28,13 +34,16 @@ STEADY_STATE_PREFIXES = (
 )
 
 
+HARNESSES = ("bench_micro_clock", "bench_streaming")
+
+
 def entries(report: dict) -> dict:
-    """name -> heap_allocs for one harness report."""
-    if "bench_micro_clock" in report:  # merged baseline document
-        report = report["bench_micro_clock"]
+    """name -> heap_allocs over a harness report or merged document."""
+    sections = [report[h] for h in HARNESSES if h in report]
     return {
-        b["name"]: b.get("heap_allocs")
-        for b in report.get("benchmarks", [])
+        b["name"]: b["heap_allocs"]
+        for section in sections or [report]
+        for b in section.get("benchmarks", [])
         if "heap_allocs" in b
     }
 

@@ -3,7 +3,8 @@
 # configurations, then a bench smoke job.
 #
 #   Job 1 — Release with -Werror: the measured configuration must
-#           build warning-clean.
+#           build warning-clean; the fuzz and crash suites then
+#           rerun under a 4 GiB address-space limit (ulimit -v).
 #   Job 2 — ASan + UBSan: the full test suite under both sanitizers
 #           (catches scratch-arena lifetime bugs, OOB link-array
 #           indexing, signed-overflow in the traversals, and leaks
@@ -57,6 +58,19 @@ run_job() {
 
 run_job "Release -Werror" build-ci-werror \
     -DCMAKE_BUILD_TYPE=Release -DTC_WERROR=ON
+
+# The fuzz, crash and CLI-boundary suites again, under a 4 GiB
+# address-space limit: an allocation sized by a corrupt header then
+# fails the same way on every box, instead of passing wherever
+# overcommit hides it. Release only — ASan reserves far more
+# address space than the limit allows. The subshell keeps the limit
+# away from the jobs below.
+echo "=== fuzz/crash suites under a 4 GiB address-space limit ==="
+(
+    ulimit -v 4194304
+    ctest --test-dir build-ci-werror --output-on-failure -j "${JOBS}" \
+        -R 'test_(snapshot_fuzz|crash_recovery|format_compat|cli_diagnostics)$'
+)
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \
     -DTC_SANITIZE=ON
@@ -83,7 +97,8 @@ TC_TEST_DEPTH="${TC_CRASH_DEPTH:-3}" ctest \
 #  * allocations (exact): the steady-state join/copy
 #    micro-benchmarks must stay allocation-free and no benchmark
 #    may allocate more than the baseline (counts are
-#    deterministic);
+#    deterministic) — including bench_streaming's batch and
+#    trace_source entries, which count a whole engine run;
 #  * throughput (25% tolerance): bench_streaming events/s — the
 #    streaming modes, the shard merge, the fan-out cross product
 #    and the decode_io drains (mmap vs stream) — must not
@@ -95,7 +110,8 @@ TC_TEST_DEPTH="${TC_CRASH_DEPTH:-3}" ctest \
 # Both reports are merged into one document with merge_bench_json
 # (the same layout as the committed baseline) so the checkers diff
 # key by key. bench_micro_clock is skipped when google-benchmark
-# was not found at configure time.
+# was not found at configure time; the allocation gate then covers
+# the bench_streaming entries alone.
 echo "=== bench smoke (alloc + throughput regressions) ==="
 # Same workload the committed baseline was generated with (events,
 # po) — throughput entries only compare meaningfully like-for-like.
@@ -108,13 +124,13 @@ if [[ -x build-ci-werror/bench_micro_clock ]]; then
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_micro_clock=/tmp/tc-bench-micro.json \
         bench_streaming=/tmp/tc-bench-streaming.json
-    python3 ci/check_alloc_regressions.py BENCH_baseline.json \
-        /tmp/tc-bench-ci.json
 else
-    echo "--- alloc gate skipped (no google-benchmark) ---"
+    echo "--- micro-benchmarks skipped (no google-benchmark) ---"
     python3 ci/merge_bench_json.py /tmp/tc-bench-ci.json \
         bench_streaming=/tmp/tc-bench-streaming.json
 fi
+python3 ci/check_alloc_regressions.py BENCH_baseline.json \
+    /tmp/tc-bench-ci.json
 # TC_THROUGHPUT_TOLERANCE widens the gate for hosts that differ
 # structurally from the baseline machine (the committed baseline is
 # floored over several runs on the reference box; see ROADMAP).

@@ -98,7 +98,8 @@ main(int argc, char **argv)
                  "consume --trace through the chunked reader "
                  "(out-of-core; whole-trace validation is skipped "
                  "— only lock/fork discipline is checked "
-                 "event-by-event, and violating it aborts)");
+                 "event-by-event: a lock violation exits 2 as on "
+                 "the materialized path, any other aborts)");
     args.addString("po", "hb",
                    "partial orders, comma-separated: hb | shb | "
                    "maz");
@@ -255,13 +256,9 @@ main(int argc, char **argv)
                 generateRandomTrace(traceParamsFromFlags(args));
         }
         const ValidationResult valid = trace.validate();
-        if (!valid.ok) {
-            std::fprintf(stderr,
-                         "error: malformed trace at event %zu: "
-                         "%s\n",
-                         valid.eventIndex, valid.message.c_str());
-            return kExitFinding;
-        }
+        if (!valid.ok)
+            return reportMalformedTrace(valid.eventIndex,
+                                        valid.message);
         const TraceStats stats = computeStats(trace);
         std::printf("trace           : %s events, %d threads, "
                     "%s vars, %s locks, %.1f%% sync\n",
@@ -346,60 +343,66 @@ main(int argc, char **argv)
     ParallelOptions popt;
     popt.workers = pool_size;
     std::vector<AnalysisReport> reports;
-    if (checkpoint_every == 0 && !resume_requested) {
-        reports = pool_size > 1 ? pipeline.run(*source, popt)
-                                : pipeline.run(*source);
-    } else {
-        CheckpointOptions copt;
-        copt.every = checkpoint_every;
-        copt.dir = snapshot_dir;
-        copt.keep = args.getInt("keep-snapshots") < 0
-                        ? 0
-                        : static_cast<std::size_t>(
-                              args.getInt("keep-snapshots"));
-        copt.parallel = popt;
-        copt.useParallel = pool_size > 1;
-        std::uint64_t start = 0;
-        bool resumed = false;
-        if (resume_requested) {
-            ResumeResult rr;
-            std::string err;
-            if (!resumeFromDir(snapshot_dir, copt.base,
-                               resume_from, pipeline, &rr, &err))
-                return reportError(err, 0,
-                                   exitCodeForMessage(err));
-            for (const std::string &diag : rr.diagnostics)
-                std::fprintf(stderr,
-                             "warning: skipping snapshot: %s\n",
-                             diag.c_str());
-            if (rr.resumed) {
-                // O(tail): the source repositions without
-                // decoding the already-analyzed prefix.
-                if (!source->seekToSequence(rr.position)) {
-                    if (source->failed())
-                        return reportSourceError(*source);
-                    return reportError(
-                        "input does not support seeking to the "
-                        "snapshot position",
-                        0, kExitIo);
+    try {
+        if (checkpoint_every == 0 && !resume_requested) {
+            reports = pool_size > 1 ? pipeline.run(*source, popt)
+                                    : pipeline.run(*source);
+        } else {
+            CheckpointOptions copt;
+            copt.every = checkpoint_every;
+            copt.dir = snapshot_dir;
+            copt.keep = args.getInt("keep-snapshots") < 0
+                            ? 0
+                            : static_cast<std::size_t>(
+                                  args.getInt("keep-snapshots"));
+            copt.parallel = popt;
+            copt.useParallel = pool_size > 1;
+            std::uint64_t start = 0;
+            bool resumed = false;
+            if (resume_requested) {
+                ResumeResult rr;
+                std::string err;
+                if (!resumeFromDir(snapshot_dir, copt.base,
+                                   resume_from, pipeline, &rr, &err))
+                    return reportError(err, 0,
+                                       exitCodeForMessage(err));
+                for (const std::string &diag : rr.diagnostics)
+                    std::fprintf(stderr,
+                                 "warning: skipping snapshot: %s\n",
+                                 diag.c_str());
+                if (rr.resumed) {
+                    // O(tail): the source repositions without
+                    // decoding the already-analyzed prefix.
+                    if (!source->seekToSequence(rr.position)) {
+                        if (source->failed())
+                            return reportSourceError(*source);
+                        return reportError(
+                            "input does not support seeking to the "
+                            "snapshot position",
+                            0, kExitIo);
+                    }
+                    start = rr.position;
+                    resumed = true;
+                    std::printf("resumed         : %s (event %llu)\n",
+                                rr.path.c_str(),
+                                static_cast<unsigned long long>(
+                                    rr.position));
+                } else {
+                    std::printf("resumed         : no usable "
+                                "snapshot, starting clean\n");
                 }
-                start = rr.position;
-                resumed = true;
-                std::printf("resumed         : %s (event %llu)\n",
-                            rr.path.c_str(),
-                            static_cast<unsigned long long>(
-                                rr.position));
-            } else {
-                std::printf("resumed         : no usable "
-                            "snapshot, starting clean\n");
             }
+            if (!resumed)
+                pipeline.beginAll(source->info());
+            std::string err;
+            if (!runWithCheckpoints(pipeline, *source, start, copt,
+                                    &reports, &err))
+                return reportError(err, 0, exitCodeForMessage(err));
         }
-        if (!resumed)
-            pipeline.beginAll(source->info());
-        std::string err;
-        if (!runWithCheckpoints(pipeline, *source, start, copt,
-                                &reports, &err))
-            return reportError(err, 0, exitCodeForMessage(err));
+    } catch (const TraceInputError &err) {
+        // A streamed lock-discipline violation: the same event and
+        // message validate() reports on the materialized path.
+        return reportMalformedTrace(err.eventIndex, err.what());
     }
     const double seconds = timer.seconds();
     if (source->failed())

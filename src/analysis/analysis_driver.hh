@@ -81,9 +81,13 @@ class AnalysisDriver
 
     /**
      * Process one event. Ids may exceed anything seen before; state
-     * grows on demand. Event well-formedness is always checked
-     * (feeding an ill-formed event aborts — a streamed execution
-     * must be a real one).
+     * grows on demand. Event well-formedness is always checked. A
+     * lock-discipline violation (acquiring a held lock, releasing a
+     * lock one does not hold) is an input error: feed throws
+     * TraceInputError with the event's index and the message
+     * Trace::validate() gives, and the run is over (begin() again
+     * before reuse). Any other ill-formed event aborts — a streamed
+     * execution must be a real one.
      */
     void
     feed(const Event &e)
@@ -118,8 +122,8 @@ class AnalysisDriver
             ensureLock(e.lock());
             LockState &lock =
                 locks_[static_cast<std::size_t>(e.lock())];
-            TC_CHECK(lock.holder == kNoTid,
-                     "feed: acquire of a held lock");
+            if (lock.holder != kNoTid)
+                throwLockHeld(index, e.lock(), lock.holder);
             lock.holder = e.tid;
             detail::joinClock(ct, lock.clock, cfg_);
             break;
@@ -128,8 +132,8 @@ class AnalysisDriver
             ensureLock(e.lock());
             LockState &lock =
                 locks_[static_cast<std::size_t>(e.lock())];
-            TC_CHECK(lock.holder == e.tid,
-                     "feed: release by a non-holder");
+            if (lock.holder != e.tid)
+                throwLockNotHeld(index, e.lock(), e.tid, lock.holder);
             lock.holder = kNoTid;
             lock.clock.monotoneCopy(ct);
             if (cfg_.deepChecks)
@@ -237,10 +241,10 @@ class AnalysisDriver
      *
      * EngineConfig::validate is necessarily ignored here: whole-
      * trace validation needs the full event vector. Only feed()'s
-     * incremental checks apply (id ranges, lock discipline, fork
-     * targets); violations like a thread acting after being joined
-     * pass undetected — materialize and run(Trace) when that
-     * guarantee matters.
+     * incremental checks apply (id ranges, lock discipline — thrown
+     * as TraceInputError — and fork targets); violations like a
+     * thread acting after being joined pass undetected — materialize
+     * and run(Trace) when that guarantee matters.
      */
     EngineResult
     run(EventSource &source)

@@ -13,19 +13,14 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
     ensure(std::max<std::size_t>(capacity,
                                  static_cast<std::size_t>(owner) + 1));
     root_ = owner;
-    parent_[static_cast<std::size_t>(owner)] = kNoTid;
+    node(owner).parent = kNoTid;
 }
 
 void
 TreeClock::ensure(std::size_t n)
 {
-    if (clk_.size() < n) {
-        clk_.resize(n, 0);
-        aclk_.resize(n, 0);
-        parent_.resize(n, kAbsent);
-        firstChild_.resize(n, kNoTid);
-        nextSib_.resize(n, kNoTid);
-        prevSib_.resize(n, kNoTid);
+    if (nodes_.size() < n) {
+        nodes_.resize(n);
         updateAccounting();
     }
 }
@@ -34,17 +29,12 @@ void
 TreeClock::resetToRoot(Tid owner, Clk start)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
-    std::fill(clk_.begin(), clk_.end(), 0);
-    std::fill(aclk_.begin(), aclk_.end(), 0);
-    std::fill(parent_.begin(), parent_.end(), kAbsent);
-    std::fill(firstChild_.begin(), firstChild_.end(), kNoTid);
-    std::fill(nextSib_.begin(), nextSib_.end(), kNoTid);
-    std::fill(prevSib_.begin(), prevSib_.end(), kNoTid);
+    std::fill(nodes_.begin(), nodes_.end(), Node{});
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
-    const auto o = static_cast<std::size_t>(owner);
-    parent_[o] = kNoTid;
-    clk_[o] = start;
+    Node &r = node(owner);
+    r.parent = kNoTid;
+    r.clk = start;
 }
 
 void
@@ -52,7 +42,7 @@ TreeClock::increment(Clk delta)
 {
     TC_CHECK(root_ != kNoTid,
              "increment() requires an initialized thread clock");
-    clk_[static_cast<std::size_t>(root_)] += delta;
+    node(root_).clk += delta;
     if (counters_) {
         counters_->increments++;
         counters_->vtWork++;
@@ -63,8 +53,8 @@ TreeClock::increment(Clk delta)
 bool
 TreeClock::lessThanOrEqualExact(const TreeClock &other) const
 {
-    for (std::size_t i = 0; i < clk_.size(); i++) {
-        if (clk_[i] > other.rawGet(static_cast<Tid>(i)))
+    for (std::size_t i = 0; i < nodes_.size(); i++) {
+        if (nodes_[i].clk > other.rawGet(static_cast<Tid>(i)))
             return false;
     }
     return true;
@@ -73,36 +63,36 @@ TreeClock::lessThanOrEqualExact(const TreeClock &other) const
 void
 TreeClock::pushChild(Tid child, Tid parent)
 {
-    const auto c = static_cast<std::size_t>(child);
-    const auto p = static_cast<std::size_t>(parent);
-    parent_[c] = parent;
-    prevSib_[c] = kNoTid;
-    const Tid head = firstChild_[p];
-    nextSib_[c] = head;
+    Node &c = node(child);
+    Node &p = node(parent);
+    c.parent = parent;
+    c.prevSib = kNoTid;
+    const Tid head = p.firstChild;
+    c.nextSib = head;
     if (head != kNoTid)
-        prevSib_[static_cast<std::size_t>(head)] = child;
-    firstChild_[p] = child;
+        node(head).prevSib = child;
+    p.firstChild = child;
 }
 
 void
 TreeClock::detachFromParent(Tid t)
 {
-    const auto i = static_cast<std::size_t>(t);
-    const Tid prev = prevSib_[i];
-    const Tid next = nextSib_[i];
+    const Node &n = node(t);
+    const Tid prev = n.prevSib;
+    const Tid next = n.nextSib;
     if (prev != kNoTid) {
-        nextSib_[static_cast<std::size_t>(prev)] = next;
+        node(prev).nextSib = next;
     } else {
-        firstChild_[static_cast<std::size_t>(parent_[i])] = next;
+        node(n.parent).firstChild = next;
     }
     if (next != kNoTid)
-        prevSib_[static_cast<std::size_t>(next)] = prev;
+        node(next).prevSib = prev;
 }
 
 void
 TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                          bool is_copy, Tid z_tid,
-                         std::uint64_t &examined)
+                         std::uint64_t &examined) const
 {
     // Iterative rendering of getUpdatedNodesJoin/-Copy
     // (Algorithm 2, lines 36-40 and 62-69), walking the operand's
@@ -110,60 +100,45 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
     // stack. S is filled in pre-order; attachNodes pops it from the
     // back, which attaches later siblings first so the front-insert
     // of pushChild restores the operand's (descending-aclk) child
-    // order. Nodes are unlinked from our tree as they enter S (the
-    // walk itself only reads our flat clk_ array, so the link edits
-    // cannot disturb it).
-    //
-    // The scan reads exactly four operand arrays — clk (progress
-    // test), aclk (indirect cut), nextSib/firstChild/parent
-    // (navigation) — each a dense 4-byte stream thanks to the SoA
-    // layout.
+    // order. The walk reads only our timestamps, never our links, so
+    // unlinking S afterwards (unlinkGathered) is equivalent to
+    // unlinking each node as it is met.
     const bool use_direct = policy_ != JoinPolicy::NoPruning;
     const bool use_indirect = policy_ == JoinPolicy::Full;
 
-    const Clk *oclk = other.clk_.data();
-    const Clk *oaclk = other.aclk_.data();
-    const Tid *oparent = other.parent_.data();
-    const Tid *ofirst = other.firstChild_.data();
-    const Tid *onext = other.nextSib_.data();
-    const Clk *mine = clk_.data();
-    auto enter = [&](Tid t) {
-        if (t != root_ &&
-            parent_[static_cast<std::size_t>(t)] != kAbsent) {
-            detachFromParent(t);
-        }
-        S.push_back(t);
-    };
+    const Node *theirs = other.nodes_.data();
+    const Node *mine = nodes_.data();
 
     const Tid root = other.root_;
-    enter(root);
+    S.push_back(root);
     Tid parent = root;
-    Tid cur = ofirst[static_cast<std::size_t>(root)];
+    Tid cur = theirs[static_cast<std::size_t>(root)].firstChild;
     std::uint64_t scans = 0;
     while (true) {
         if (cur == kNoTid) {
             // Level exhausted: resume the parent's sibling scan.
             if (parent == root)
                 break;
-            cur = onext[static_cast<std::size_t>(parent)];
-            parent = oparent[static_cast<std::size_t>(parent)];
+            const Node &p = theirs[static_cast<std::size_t>(parent)];
+            cur = p.nextSib;
+            parent = p.parent;
             continue;
         }
         scans++;
-        const auto c = static_cast<std::size_t>(cur);
-        const bool progressed = mine[c] < oclk[c];
+        const Node &o = theirs[static_cast<std::size_t>(cur)];
+        const bool progressed =
+            mine[static_cast<std::size_t>(cur)].clk < o.clk;
         if (progressed || !use_direct) {
             // Direct monotonicity: descend only into progressed
             // subtrees (NoPruning descends regardless but still
             // only transplants progressed nodes on joins).
             if (progressed || is_copy)
-                enter(cur);
-            const Tid first = ofirst[c];
-            if (first != kNoTid) {
+                S.push_back(cur);
+            if (o.firstChild != kNoTid) {
                 parent = cur;
-                cur = first;
+                cur = o.firstChild;
             } else {
-                cur = onext[c];
+                cur = o.nextSib;
             }
             continue;
         }
@@ -173,19 +148,29 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
             S.push_back(cur);
         }
         if (use_indirect &&
-            oaclk[c] <= mine[static_cast<std::size_t>(parent)]) {
+            o.aclk <= mine[static_cast<std::size_t>(parent)].clk) {
             // Indirect monotonicity: siblings further down the list
             // were attached no later than cur, so our view of the
             // parent already covers them (lines 39/68).
             if (parent == root)
                 break;
-            cur = onext[static_cast<std::size_t>(parent)];
-            parent = oparent[static_cast<std::size_t>(parent)];
+            const Node &p = theirs[static_cast<std::size_t>(parent)];
+            cur = p.nextSib;
+            parent = p.parent;
             continue;
         }
-        cur = onext[c];
+        cur = o.nextSib;
     }
     examined += scans;
+}
+
+void
+TreeClock::unlinkGathered(const std::vector<Tid> &S)
+{
+    for (const Tid t : S) {
+        if (t != root_ && node(t).parent != kAbsent)
+            detachFromParent(t);
+    }
 }
 
 std::uint64_t
@@ -194,33 +179,26 @@ TreeClock::attachNodes(const TreeClock &other, std::vector<Tid> &S)
     // Iterate back-to-front: S is in pre-order, so later siblings
     // attach first and pushChild's front insertion restores the
     // operand's child order.
-    const Clk *oclk = other.clk_.data();
-    const Clk *oaclk = other.aclk_.data();
-    const Tid *oparent = other.parent_.data();
-    Clk *mclk = clk_.data();
-    Clk *maclk = aclk_.data();
-    Tid *mparent = parent_.data();
-    Tid *mfirst = firstChild_.data();
-    Tid *mnext = nextSib_.data();
-    Tid *mprev = prevSib_.data();
+    const Node *theirs = other.nodes_.data();
+    Node *mine = nodes_.data();
     std::uint64_t changed = 0;
     for (std::size_t idx = S.size(); idx-- > 0;) {
-        const auto i = static_cast<std::size_t>(S[idx]);
-        const Clk new_clk = oclk[i];
-        changed += mclk[i] != new_clk;
-        mclk[i] = new_clk;
-        const Tid parent = oparent[i];
+        const Tid t = S[idx];
+        const Node &o = theirs[static_cast<std::size_t>(t)];
+        Node &m = mine[static_cast<std::size_t>(t)];
+        changed += m.clk != o.clk;
+        m.clk = o.clk;
+        const Tid parent = o.parent;
         if (parent != kNoTid) {
-            const auto p = static_cast<std::size_t>(parent);
-            maclk[i] = oaclk[i];
-            mparent[i] = parent;
-            mprev[i] = kNoTid;
-            const Tid head = mfirst[p];
-            mnext[i] = head;
+            Node &p = mine[static_cast<std::size_t>(parent)];
+            m.aclk = o.aclk;
+            m.parent = parent;
+            m.prevSib = kNoTid;
+            const Tid head = p.firstChild;
+            m.nextSib = head;
             if (head != kNoTid)
-                mprev[static_cast<std::size_t>(head)] =
-                    static_cast<Tid>(i);
-            mfirst[p] = static_cast<Tid>(i);
+                mine[static_cast<std::size_t>(head)].prevSib = t;
+            p.firstChild = t;
         }
     }
     return changed;
@@ -239,8 +217,7 @@ TreeClock::join(const TreeClock &other)
     TC_CHECK(root_ != kNoTid,
              "join() requires an initialized thread clock");
 
-    const Clk other_root_clk =
-        other.clk_[static_cast<std::size_t>(other.root_)];
+    const Clk other_root_clk = other.node(other.root_).clk;
     if (rawGet(other.root_) >= other_root_clk) {
         // Root already covered: by direct monotonicity the whole
         // operand is covered (Algorithm 2, line 18).
@@ -252,23 +229,22 @@ TreeClock::join(const TreeClock &other)
     }
     TC_CHECK(other.rawGet(root_) <= localClk(),
              "join operand claims to know this thread's future");
-    ensure(other.clk_.size());
+    ensure(other.nodes_.size());
 
     // Fast path: only the operand's root thread progressed. Its
     // first child is not ahead of us and was attached no later than
     // our knowledge of the root, so by indirect monotonicity the
     // whole remainder is covered; transplant just the root node.
     if (policy_ == JoinPolicy::Full) {
-        const auto o = static_cast<std::size_t>(other.root_);
-        const Tid c = other.firstChild_[o];
+        const Tid c = other.node(other.root_).firstChild;
         if (c == kNoTid ||
-            (rawGet(c) >= other.clk_[static_cast<std::size_t>(c)] &&
-             other.aclk_[static_cast<std::size_t>(c)] <=
-                 rawGet(other.root_))) {
-            if (parent_[o] != kAbsent)
+            (rawGet(c) >= other.node(c).clk &&
+             other.node(c).aclk <= rawGet(other.root_))) {
+            Node &n = node(other.root_);
+            if (n.parent != kAbsent)
                 detachFromParent(other.root_);
-            clk_[o] = other_root_clk;
-            aclk_[o] = clk_[static_cast<std::size_t>(root_)];
+            n.clk = other_root_clk;
+            n.aclk = localClk();
             pushChild(other.root_, root_);
             if (counters_) {
                 // Same accounting as the generic path: root compare
@@ -286,13 +262,13 @@ TreeClock::join(const TreeClock &other)
 
     std::uint64_t examined = 0;
     gatherUpdated(other, S, false, kNoTid, examined);
+    unlinkGathered(S);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
 
     // Hang the transplanted subtree under our root, stamped with the
     // current root time (Algorithm 2, lines 24-27).
-    aclk_[static_cast<std::size_t>(other.root_)] =
-        clk_[static_cast<std::size_t>(root_)];
+    node(other.root_).aclk = localClk();
     pushChild(other.root_, root_);
 
     if (counters_) {
@@ -318,20 +294,21 @@ TreeClock::monotoneCopy(const TreeClock &other)
     }
     TC_ASSERT(lessThanOrEqualExact(other),
               "monotoneCopy requires this ⊑ other");
-    ensure(other.clk_.size());
+    ensure(other.nodes_.size());
 
     // Fast path: same root thread and only its time progressed
     // (the common shape for last-write and read clocks refreshed by
     // the same thread). By indirect monotonicity the first child's
     // coverage extends to all siblings, so the copy is one store.
     if (policy_ == JoinPolicy::Full && other.root_ == root_) {
-        const auto i = static_cast<std::size_t>(root_);
-        const Tid c = other.firstChild_[i];
+        const Node &o = other.node(root_);
+        const Tid c = o.firstChild;
+        Node &r = node(root_);
         if (c == kNoTid ||
-            (rawGet(c) >= other.clk_[static_cast<std::size_t>(c)] &&
-             other.aclk_[static_cast<std::size_t>(c)] <= clk_[i])) {
-            const std::uint64_t changed = clk_[i] != other.clk_[i];
-            clk_[i] = other.clk_[i];
+            (rawGet(c) >= other.node(c).clk &&
+             other.node(c).aclk <= r.clk)) {
+            const std::uint64_t changed = r.clk != o.clk;
+            r.clk = o.clk;
             if (counters_) {
                 // Same accounting as the generic path: children
                 // examined (0 or 1) + the root transplant.
@@ -364,15 +341,28 @@ TreeClock::monotoneCopy(const TreeClock &other)
         return;
     }
 
+    if (S.size() > nodes_.size() / kDenseCopyDivisor) {
+        // Dense copy: most of the tree moves, so one flat copy of
+        // every record beats relinking node by node. The vector time
+        // and vtWork are the relink's (nodes outside S already hold
+        // the operand's time); dsWork pays the width instead of the
+        // transplants.
+        if (counters_)
+            counters_->dsWork += examined;
+        deepCopy(other);
+        return;
+    }
+
+    unlinkGathered(S);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
 
     root_ = other.root_;
-    const auto r = static_cast<std::size_t>(root_);
-    parent_[r] = kNoTid;
-    aclk_[r] = 0;
-    nextSib_[r] = kNoTid;
-    prevSib_[r] = kNoTid;
+    Node &r = node(root_);
+    r.parent = kNoTid;
+    r.aclk = 0;
+    r.nextSib = kNoTid;
+    r.prevSib = kNoTid;
 
     if (counters_) {
         counters_->copies++;
@@ -397,43 +387,23 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    ensure(other.clk_.size());
+    ensure(other.nodes_.size());
+    const std::size_t n = other.nodes_.size();
     std::uint64_t changed = 0;
-    const std::size_t n = other.clk_.size();
-    for (std::size_t i = 0; i < n; i++) {
-        changed += clk_[i] != other.clk_[i];
-        clk_[i] = other.clk_[i];
-    }
-    for (std::size_t i = n; i < clk_.size(); i++) {
-        changed += clk_[i] != 0;
-        clk_[i] = 0;
-    }
-    // Bulk per-array copies: each is a straight 4-byte memmove, the
-    // payoff of the SoA layout on the linear path.
-    std::copy(other.aclk_.begin(), other.aclk_.end(), aclk_.begin());
-    std::copy(other.parent_.begin(), other.parent_.end(),
-              parent_.begin());
-    std::copy(other.firstChild_.begin(), other.firstChild_.end(),
-              firstChild_.begin());
-    std::copy(other.nextSib_.begin(), other.nextSib_.end(),
-              nextSib_.begin());
-    std::copy(other.prevSib_.begin(), other.prevSib_.end(),
-              prevSib_.begin());
-    std::fill(aclk_.begin() + static_cast<std::ptrdiff_t>(n),
-              aclk_.end(), 0);
-    std::fill(parent_.begin() + static_cast<std::ptrdiff_t>(n),
-              parent_.end(), kAbsent);
-    std::fill(firstChild_.begin() + static_cast<std::ptrdiff_t>(n),
-              firstChild_.end(), kNoTid);
-    std::fill(nextSib_.begin() + static_cast<std::ptrdiff_t>(n),
-              nextSib_.end(), kNoTid);
-    std::fill(prevSib_.begin() + static_cast<std::ptrdiff_t>(n),
-              prevSib_.end(), kNoTid);
+    for (std::size_t i = 0; i < n; i++)
+        changed += nodes_[i].clk != other.nodes_[i].clk;
+    for (std::size_t i = n; i < nodes_.size(); i++)
+        changed += nodes_[i].clk != 0;
+    // One bulk record copy, then absent records past the operand's
+    // width.
+    std::copy(other.nodes_.begin(), other.nodes_.end(), nodes_.begin());
+    std::fill(nodes_.begin() + static_cast<std::ptrdiff_t>(n),
+              nodes_.end(), Node{});
     root_ = other.root_;
     if (counters_) {
         counters_->copies++;
         counters_->vtWork += changed;
-        counters_->dsWork += clk_.size();
+        counters_->dsWork += nodes_.size();
     }
 }
 
@@ -450,8 +420,9 @@ TreeClock::toVector(std::size_t min_threads) const
             out[t] = get(static_cast<Tid>(t));
         return out;
     }
-    std::vector<Clk> out(std::max(clk_.size(), min_threads), 0);
-    std::copy(clk_.begin(), clk_.end(), out.begin());
+    std::vector<Clk> out(std::max(nodes_.size(), min_threads), 0);
+    for (std::size_t i = 0; i < nodes_.size(); i++)
+        out[i] = nodes_[i].clk;
     return out;
 }
 
@@ -459,7 +430,7 @@ std::size_t
 TreeClock::nodeCount() const
 {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < parent_.size(); i++)
+    for (std::size_t i = 0; i < nodes_.size(); i++)
         n += hasThread(static_cast<Tid>(i));
     return n;
 }
@@ -469,7 +440,7 @@ TreeClock::parentOf(Tid t) const
 {
     if (!hasThread(t))
         return kNoTid;
-    const Tid p = parent_[static_cast<std::size_t>(t)];
+    const Tid p = node(t).parent;
     return p == kAbsent ? kNoTid : p;
 }
 
@@ -477,7 +448,7 @@ Clk
 TreeClock::aclkOf(Tid t) const
 {
     return hasThread(t) && t != root_
-               ? aclk_[static_cast<std::size_t>(t)]
+               ? node(t).aclk
                : 0;
 }
 
@@ -487,8 +458,8 @@ TreeClock::childrenOf(Tid t) const
     std::vector<Tid> out;
     if (!hasThread(t))
         return out;
-    for (Tid c = firstChild_[static_cast<std::size_t>(t)];
-         c != kNoTid; c = nextSib_[static_cast<std::size_t>(c)]) {
+    for (Tid c = node(t).firstChild;
+         c != kNoTid; c = node(c).nextSib) {
         out.push_back(c);
     }
     return out;
@@ -505,14 +476,14 @@ TreeClock::checkInvariants() const
     }
     if (!hasThread(root_))
         return "root is not present";
-    if (parent_[static_cast<std::size_t>(root_)] != kNoTid)
+    if (node(root_).parent != kNoTid)
         return "root has a parent";
 
     // Walk the tree from the root, verifying link consistency and
     // the descending-aclk child order on the way.
     std::vector<Tid> stack{root_};
     std::size_t reached = 0;
-    std::vector<bool> seen(parent_.size(), false);
+    std::vector<bool> seen(nodes_.size(), false);
     while (!stack.empty()) {
         const Tid u = stack.back();
         stack.pop_back();
@@ -521,31 +492,31 @@ TreeClock::checkInvariants() const
         seen[static_cast<std::size_t>(u)] = true;
         reached++;
 
+        const Clk parent_clk = node(u).clk;
         Clk prev_aclk = 0;
         bool first = true;
         Tid prev = kNoTid;
-        for (Tid c = firstChild_[static_cast<std::size_t>(u)];
-             c != kNoTid; c = nextSib_[static_cast<std::size_t>(c)]) {
-            const auto ci = static_cast<std::size_t>(c);
+        for (Tid c = node(u).firstChild; c != kNoTid;
+             c = node(c).nextSib) {
             if (!hasThread(c))
                 return strFormat("child t%d of t%d not present", c,
                                  u);
-            if (parent_[ci] != u)
+            const Node &n = node(c);
+            if (n.parent != u)
                 return strFormat("child t%d has wrong parent", c);
-            if (prevSib_[ci] != prev)
+            if (n.prevSib != prev)
                 return strFormat("broken prevSib link at t%d", c);
-            if (!first && aclk_[ci] > prev_aclk) {
+            if (!first && n.aclk > prev_aclk) {
                 return strFormat(
                     "children of t%d not in descending aclk order",
                     u);
             }
-            if (aclk_[ci] > clk_[static_cast<std::size_t>(u)]) {
+            if (n.aclk > parent_clk) {
                 return strFormat(
                     "child t%d attached later (%u) than parent time "
-                    "(%u)", c, aclk_[ci],
-                    clk_[static_cast<std::size_t>(u)]);
+                    "(%u)", c, n.aclk, parent_clk);
             }
-            prev_aclk = aclk_[ci];
+            prev_aclk = n.aclk;
             first = false;
             prev = c;
             stack.push_back(c);
@@ -564,12 +535,20 @@ TreeClock::serialize(ByteSink &out) const
 {
     out.putI32(root_);
     out.putU64(fallbackCopies_);
-    out.putVec(clk_);
-    out.putVec(aclk_);
-    out.putVec(parent_);
-    out.putVec(firstChild_);
-    out.putVec(nextSib_);
-    out.putVec(prevSib_);
+    // One length-prefixed column per node field, in record order:
+    // checkpoints keep their six-array clock layout whatever the
+    // in-memory representation.
+    auto column = [&](auto field) {
+        out.putU64(nodes_.size());
+        for (const Node &n : nodes_)
+            out.putBytes(&(n.*field), sizeof(n.*field));
+    };
+    column(&Node::clk);
+    column(&Node::aclk);
+    column(&Node::parent);
+    column(&Node::firstChild);
+    column(&Node::nextSib);
+    column(&Node::prevSib);
 }
 
 bool
@@ -585,9 +564,9 @@ TreeClock::deserialize(ByteSource &in)
         !in.getVec(next_sib) || !in.getVec(prev_sib))
         return false;
 
-    // Reject before mutating: all six arrays must agree, the root
+    // Reject before mutating: all six columns must agree, the root
     // must be addressable, and absent nodes must read as time 0
-    // (get() serves straight from clk_).
+    // (get() serves straight from the records).
     const std::size_t n = clk.size();
     if (aclk.size() != n || parent.size() != n ||
         first_child.size() != n || next_sib.size() != n ||
@@ -604,23 +583,17 @@ TreeClock::deserialize(ByteSource &in)
 
     root_ = root;
     fallbackCopies_ = fallback;
-    clk_ = std::move(clk);
-    aclk_ = std::move(aclk);
-    parent_ = std::move(parent);
-    firstChild_ = std::move(first_child);
-    nextSib_ = std::move(next_sib);
-    prevSib_ = std::move(prev_sib);
+    nodes_.resize(n);
+    for (std::size_t i = 0; i < n; i++) {
+        nodes_[i] = Node{clk[i],         aclk[i],     parent[i],
+                         first_child[i], next_sib[i], prev_sib[i]};
+    }
     updateAccounting();
     if (!checkInvariants().empty()) {
         // Leave a rejected clock empty rather than structurally
         // broken; the configured sinks stay attached.
         root_ = kNoTid;
-        clk_.clear();
-        aclk_.clear();
-        parent_.clear();
-        firstChild_.clear();
-        nextSib_.clear();
-        prevSib_.clear();
+        nodes_.clear();
         return in.fail();
     }
     return true;
@@ -638,13 +611,11 @@ TreeClock::toString() const
         const auto [u, depth] = stack.back();
         stack.pop_back();
         out += std::string(static_cast<std::size_t>(depth) * 2, ' ');
+        const Node &n = node(u);
         if (u == root_) {
-            out += strFormat("(t%d, %u, _)\n", u,
-                             clk_[static_cast<std::size_t>(u)]);
+            out += strFormat("(t%d, %u, _)\n", u, n.clk);
         } else {
-            out += strFormat("(t%d, %u, %u)\n", u,
-                             clk_[static_cast<std::size_t>(u)],
-                             aclk_[static_cast<std::size_t>(u)]);
+            out += strFormat("(t%d, %u, %u)\n", u, n.clk, n.aclk);
         }
         // Push children reversed so the first child prints first.
         const auto kids = childrenOf(u);

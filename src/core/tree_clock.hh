@@ -24,21 +24,33 @@
  * Implementation follows the paper's §6 notes: "the tree clock data
  * structure is represented as two arrays of length k, the first one
  * encoding the shape of the tree and the second one encoding the
- * integer timestamps as in a standard vector clock". Here clk_ is
- * the flat timestamp array (so Get is the same single load a vector
- * clock performs, Remark 1); the recursive traversals of Algorithm 2
- * are made iterative with an explicit node stack.
+ * integer timestamps as in a standard vector clock". Here both
+ * arrays are one: a node record per thread id holds the timestamp
+ * next to the shape (so Get is still a single indexed load, Remark
+ * 1); the recursive traversals of Algorithm 2 are made iterative
+ * with an explicit node stack.
  *
- * Memory layout (structure of arrays). The shape is stored as five
- * parallel 32-bit arrays indexed by thread id — aclk_, parent_,
- * firstChild_, nextSib_, prevSib_ — rather than one array of 20-byte
- * per-node records. The traversals have sharply skewed access
- * patterns: the descending-aclk child scan of Join reads only
- * aclk/nextSib for pruned siblings, and the transplant loop writes
- * links but never re-reads aclk. With parallel arrays each scan
- * streams 4-byte entries of exactly the fields it touches (16 nodes
- * per cache line instead of 3), which is where the constant-factor
- * win of a cache-conscious layout comes from.
+ * Memory layout (node records). A clock is one std::vector of
+ * 24-byte records {clk, aclk, parent, firstChild, nextSib, prevSib}
+ * indexed by thread id: one allocation per clock, and a node's
+ * fields share a cache line. The traversals visit a node and then
+ * read or write most of its fields (progress test, aclk cut,
+ * navigation, relinking), so one record beats six parallel arrays
+ * end to end, and growing, resetting or flat-copying a clock is a
+ * single resize, fill or copy. Six parallel arrays win only in
+ * micro-benchmarks at k ≥ 1024; on the paper's corpus their six
+ * allocations per clock and scattered fields lose
+ * (docs/ARCHITECTURE.md, Measured verdicts).
+ *
+ * Dense copies. MonotoneCopy gathers the operand's progressed nodes
+ * first and only then decides how to move them. When more than half
+ * of the clock's width (kDenseCopyDivisor) would be transplanted,
+ * relinking node by node costs more than copying every record, so
+ * the copy finishes flat with deepCopy (dsWork = examined + width,
+ * still within ~3× the entries moved). Sparse copies — HB's lock
+ * copies, the case the paper targets — keep the O(changed) relink.
+ * The stale per-variable clocks of SHB and MAZ (last writes, read
+ * clocks) are where the flat path pays.
  *
  * Scratch ownership. The traversal stack lives in a ScratchArena
  * (scratch_arena.hh): engines attach one shared arena to all their
@@ -139,9 +151,9 @@ class TreeClock
 
     /**
      * Get(t): time of external thread @p t, 0 when unknown. Without
-     * an active id map this is the same single array load a vector
-     * clock pays (absent threads hold 0 in the flat timestamp
-     * array); with one it is a record lookup plus a clamp.
+     * an active id map this is a single indexed load, as for a
+     * vector clock (absent threads' records hold time 0); with one
+     * it is a record lookup plus a clamp.
      */
     Clk
     get(Tid t) const
@@ -169,7 +181,7 @@ class TreeClock
     rawGet(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < clk_.size() ? clk_[i] : 0;
+        return i < nodes_.size() ? nodes_[i].clk : 0;
     }
 
     /** Root's thread id (kNoTid when empty). */
@@ -179,9 +191,7 @@ class TreeClock
     Clk
     localClk() const
     {
-        return root_ == kNoTid
-                   ? 0
-                   : clk_[static_cast<std::size_t>(root_)];
+        return root_ == kNoTid ? 0 : node(root_).clk;
     }
 
     bool empty() const { return root_ == kNoTid; }
@@ -251,7 +261,7 @@ class TreeClock
      * the raw value at which the new thread's time begins (see
      * thread_id_map.hh). With start == 0 this is equivalent to
      * constructing a fresh thread clock. Counters/arena/policy/map
-     * wiring is preserved; no memory is returned (the arrays are
+     * wiring is preserved; no memory is returned (the node array is
      * about to be repopulated).
      */
     void resetToRoot(Tid owner, Clk start);
@@ -261,7 +271,7 @@ class TreeClock
     std::vector<Clk> toVector(std::size_t min_threads = 0) const;
 
     /** Number of addressable thread ids. */
-    std::size_t size() const { return clk_.size(); }
+    std::size_t size() const { return nodes_.size(); }
 
     /** Number of threads present in the tree. O(k). */
     std::size_t nodeCount() const;
@@ -272,8 +282,8 @@ class TreeClock
     hasThread(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < parent_.size() &&
-               (t == root_ || parent_[i] != kAbsent);
+        return i < nodes_.size() &&
+               (t == root_ || nodes_[i].parent != kAbsent);
     }
     /** Parent thread of @p t's node (kNoTid for root/absent). */
     Tid parentOf(Tid t) const;
@@ -316,6 +326,35 @@ class TreeClock
     /** Sentinel parent for threads that were never in the tree. */
     static constexpr Tid kAbsent = -2;
 
+    /**
+     * Dense-copy cutover: a monotone copy that would transplant more
+     * than width / kDenseCopyDivisor nodes finishes as a flat
+     * deepCopy. On the corpus one half ties one quarter on time and
+     * touches fewer entries; three quarters and never are slower
+     * (docs/ARCHITECTURE.md, Measured verdicts).
+     */
+    static constexpr std::size_t kDenseCopyDivisor = 2;
+
+    /** One thread's node; the default record is an absent thread. */
+    struct Node
+    {
+        Clk clk = 0;             ///< timestamp (Get reads this)
+        Clk aclk = 0;            ///< attachment time
+        Tid parent = kAbsent;    ///< kAbsent = never present
+        Tid firstChild = kNoTid; ///< head of child list
+        Tid nextSib = kNoTid;    ///< next sibling (smaller aclk)
+        Tid prevSib = kNoTid;    ///< previous sibling
+    };
+    static_assert(sizeof(Node) == 6 * sizeof(Clk),
+                  "node records are six packed 32-bit fields");
+
+    Node &node(Tid t) { return nodes_[static_cast<std::size_t>(t)]; }
+    const Node &
+    node(Tid t) const
+    {
+        return nodes_[static_cast<std::size_t>(t)];
+    }
+
     void ensure(std::size_t n);
     /** Front-insert @p child under @p parent (pushChild). */
     void pushChild(Tid child, Tid parent);
@@ -324,13 +363,16 @@ class TreeClock
 
     /**
      * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
-     * (pre-order) the operand's nodes to transplant, unlinking them
-     * from this tree on the way. @p z_tid is the old root for
-     * copies (kNoTid for joins).
+     * (pre-order) the operand's nodes to transplant. The tree is not
+     * edited, so a copy can still choose the flat path afterwards;
+     * unlinkGathered() detaches S before attachNodes(). @p z_tid is
+     * the old root for copies (kNoTid for joins).
      */
     void gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                        bool is_copy, Tid z_tid,
-                       std::uint64_t &examined);
+                       std::uint64_t &examined) const;
+    /** Unlink every gathered node from its current parent. */
+    void unlinkGathered(const std::vector<Tid> &S);
     /** Transplant S (popped in reverse) mirroring other's shape;
      * returns the number of clk entries whose value changed. */
     std::uint64_t attachNodes(const TreeClock &other,
@@ -343,31 +385,25 @@ class TreeClock
         return arena_ ? arena_->stack : ownScratch_;
     }
 
-    /** Bytes per addressable slot: six parallel 32-bit arrays. */
-    static constexpr std::uint64_t kBytesPerSlot = 6 * sizeof(Clk);
+    /** Bytes per addressable slot: one node record. */
+    static constexpr std::uint64_t kBytesPerSlot = sizeof(Node);
 
     /** Sync the counter sink's resident-byte gauge with the current
-     * array sizes (growth-only; shrinking never happens). */
+     * array size (growth-only; shrinking never happens). */
     void
     updateAccounting()
     {
         if (!counters_)
             return;
-        const std::uint64_t now = clk_.size() * kBytesPerSlot;
+        const std::uint64_t now = nodes_.size() * kBytesPerSlot;
         if (now > accounted_) {
             counters_->addClockBytes(now - accounted_);
             accounted_ = now;
         }
     }
 
-    // Structure-of-arrays node storage, all 32-bit entries, indexed
-    // by thread id (see the file comment for why).
-    std::vector<Clk> clk_;        ///< flat timestamps (hot)
-    std::vector<Clk> aclk_;       ///< attachment times
-    std::vector<Tid> parent_;     ///< kAbsent = never present
-    std::vector<Tid> firstChild_; ///< head of child list
-    std::vector<Tid> nextSib_;    ///< next sibling (smaller aclk)
-    std::vector<Tid> prevSib_;    ///< previous sibling
+    /** Node records indexed by thread id (see the file comment). */
+    std::vector<Node> nodes_;
 
     Tid root_ = kNoTid;
     WorkCounters *counters_ = nullptr;

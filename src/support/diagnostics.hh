@@ -85,6 +85,17 @@ reportError(const std::string &message, std::size_t line,
     return exit_code;
 }
 
+/** The one spelling of a trace-validity failure, whether
+ * Trace::validate() found it in a materialized trace or a streamed
+ * analysis threw TraceInputError: a finding, exit 2. */
+inline int
+reportMalformedTrace(std::size_t event_index, const std::string &message)
+{
+    std::fprintf(stderr, "error: malformed trace at event %zu: %s\n",
+                 event_index, message.c_str());
+    return kExitFinding;
+}
+
 /** reportError for a failed source, classified by errorKind(). */
 inline int
 reportSourceError(const EventSource &source)

@@ -7,6 +7,38 @@
 
 namespace tc {
 
+namespace {
+
+std::string
+lockHeldMessage(LockId lock, Tid holder)
+{
+    return strFormat("lock %d acquired while held by thread %d", lock,
+                     holder);
+}
+
+std::string
+lockNotHeldMessage(LockId lock, Tid releaser, Tid holder)
+{
+    return strFormat("lock %d released by thread %d but held by %d",
+                     lock, releaser, holder);
+}
+
+} // namespace
+
+void
+throwLockHeld(std::size_t index, LockId lock, Tid holder)
+{
+    throw TraceInputError(index, lockHeldMessage(lock, holder));
+}
+
+void
+throwLockNotHeld(std::size_t index, LockId lock, Tid releaser,
+                 Tid holder)
+{
+    throw TraceInputError(index,
+                          lockNotHeldMessage(lock, releaser, holder));
+}
+
 const char *
 opName(OpType op)
 {
@@ -148,8 +180,7 @@ Trace::validate() const
             Tid &h = holder[static_cast<std::size_t>(e.lock())];
             if (h != kNoTid) {
                 return ValidationResult::failure(
-                    i, strFormat("lock %d acquired while held by "
-                                 "thread %d", e.lock(), h));
+                    i, lockHeldMessage(e.lock(), h));
             }
             h = e.tid;
             break;
@@ -162,8 +193,7 @@ Trace::validate() const
             Tid &h = holder[static_cast<std::size_t>(e.lock())];
             if (h != e.tid) {
                 return ValidationResult::failure(
-                    i, strFormat("lock %d released by thread %d but "
-                                 "held by %d", e.lock(), e.tid, h));
+                    i, lockNotHeldMessage(e.lock(), e.tid, h));
             }
             h = kNoTid;
             break;

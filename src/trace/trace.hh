@@ -9,6 +9,7 @@
 #define TC_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,32 @@ struct ValidationResult
         return {false, index, std::move(msg)};
     }
 };
+
+/**
+ * A validity violation found while streaming, where no whole-trace
+ * validate() pass runs first: the offending event's index and the
+ * message validate() gives for it, so streamed and materialized
+ * runs report the same failure.
+ */
+class TraceInputError : public std::runtime_error
+{
+  public:
+    TraceInputError(std::size_t index, const std::string &message)
+        : std::runtime_error(message), eventIndex(index)
+    {}
+
+    std::size_t eventIndex;
+};
+
+/** @name Streamed lock-discipline violations at event @p index
+ * Throw TraceInputError with validate()'s message. Out of line, so
+ * a per-event loop carries only the call.
+ * @{ */
+[[noreturn]] void throwLockHeld(std::size_t index, LockId lock,
+                                Tid holder);
+[[noreturn]] void throwLockNotHeld(std::size_t index, LockId lock,
+                                   Tid releaser, Tid holder);
+/** @} */
 
 /**
  * A concrete execution trace. Events are appended in trace order;

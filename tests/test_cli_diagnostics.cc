@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "gen/random_trace.hh"
@@ -27,14 +28,27 @@ namespace {
 
 constexpr const char *kWorkDir = "/tmp/tc_cli_diag";
 
+/** Exit code of @p command, keeping what it wrote to stderr in
+ * @p err (-1 when it did not exit normally). */
 int
-runCli(const std::string &command)
+runCliStderr(const std::string &command, std::string &err)
 {
-    const int status =
-        std::system((command + " > /dev/null 2>&1").c_str());
+    const std::string path = std::string(kWorkDir) + "/stderr.txt";
+    const int status = std::system(
+        (command + " > /dev/null 2> " + path).c_str());
+    std::ifstream in(path);
+    err.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+int
+runCli(const std::string &command)
+{
+    std::string ignored;
+    return runCliStderr(command, ignored);
 }
 
 class CliDiagnostics : public ::testing::Test
@@ -139,6 +153,45 @@ TEST_F(CliDiagnostics, FindingsExitTwo)
     EXPECT_EQ(runCli("./race_detector --trace=" + goodPath() +
                      " --po=hb --clock=tc"),
               2);
+}
+
+TEST_F(CliDiagnostics, StreamedLockViolationsExitTwoLikeMaterialized)
+{
+    // The materialized path rejects these in validate(); every
+    // streamed path must stop at the same event with the same line
+    // rather than abort.
+    const struct
+    {
+        const char *name;
+        const char *text;
+        const char *line;
+    } cases[] = {
+        {"double_acquire",
+         "threads 2 locks 1 vars 1\n0 acq 0\n1 acq 0\n",
+         "error: malformed trace at event 1: lock 0 acquired while "
+         "held by thread 0\n"},
+        {"unheld_release", "threads 2 locks 1 vars 1\n0 rel 0\n",
+         "error: malformed trace at event 0: lock 0 released by "
+         "thread 0 but held by -1\n"},
+    };
+    for (const auto &c : cases) {
+        const std::string path =
+            std::string(kWorkDir) + "/" + c.name + ".tct";
+        std::ofstream(path) << c.text;
+        for (const char *mode :
+             {"", " --stream", " --stream --prefetch",
+              " --stream --parallel=2",
+              " --stream --prefetch --po=hb,shb,maz --clock=tc,vc "
+              "--parallel"}) {
+            std::string err;
+            EXPECT_EQ(runCliStderr(
+                          "./race_detector --trace=" + path + mode,
+                          err),
+                      2)
+                << c.name << mode;
+            EXPECT_EQ(err, c.line) << c.name << mode;
+        }
+    }
 }
 
 TEST_F(CliDiagnostics, MissingInputsExitFourFromBothTools)

@@ -215,6 +215,32 @@ TEST(ClockRoundTrip, EmptyClocks)
     }
 }
 
+TEST(ClockRoundTrip, TreeClockSerializesSixColumns)
+{
+    // The .tcsnap clock record: root, fallback count, then one
+    // length-prefixed column per node field. Pinned byte for byte
+    // so the in-memory layout can change without touching
+    // checkpoints.
+    TreeClock a(0, 3), b(1, 3);
+    b.increment(2);
+    a.increment(1);
+    a.join(b); // t0 (1) with child t1 (2, aclk 1); t2 absent
+
+    ByteSink expected;
+    expected.putI32(0);
+    expected.putU64(0);
+    expected.putVec(std::vector<Clk>{1, 2, 0});     // clk
+    expected.putVec(std::vector<Clk>{0, 1, 0});     // aclk
+    expected.putVec(std::vector<Tid>{-1, 0, -2});   // parent
+    expected.putVec(std::vector<Tid>{1, -1, -1});   // firstChild
+    expected.putVec(std::vector<Tid>{-1, -1, -1});  // nextSib
+    expected.putVec(std::vector<Tid>{-1, -1, -1});  // prevSib
+
+    ByteSink out;
+    a.serialize(out);
+    EXPECT_EQ(out.bytes(), expected.bytes());
+}
+
 TEST(ClockRoundTrip, TreeClockRejectsTruncation)
 {
     rejectTruncations<TreeClock>(41);

@@ -72,13 +72,29 @@ TEST(OnlineDetector, ViewOfExposesVectorTime)
     EXPECT_EQ(view[1], 1u);
 }
 
-TEST(OnlineDetector, MalformedFeedsAbort)
+TEST(OnlineDetector, LockViolationsThrowInputErrors)
 {
+    // The event's index and Trace::validate()'s message, so a caller
+    // can report a bad feed exactly like a bad materialized trace.
     OnlineRaceDetector<TreeClock> detector;
     detector.acquire(0, 0);
-    EXPECT_DEATH(detector.acquire(1, 0), "held lock");
+    try {
+        detector.acquire(1, 0);
+        ADD_FAILURE() << "double acquire accepted";
+    } catch (const TraceInputError &err) {
+        EXPECT_EQ(err.eventIndex, 1u);
+        EXPECT_STREQ(err.what(),
+                     "lock 0 acquired while held by thread 0");
+    }
     OnlineRaceDetector<TreeClock> detector2;
-    EXPECT_DEATH(detector2.release(0, 0), "non-holder");
+    try {
+        detector2.release(0, 0);
+        ADD_FAILURE() << "release of a free lock accepted";
+    } catch (const TraceInputError &err) {
+        EXPECT_EQ(err.eventIndex, 0u);
+        EXPECT_STREQ(err.what(),
+                     "lock 0 released by thread 0 but held by -1");
+    }
 }
 
 TEST(OnlineDetector, PoOnlyModeSkipsRaces)

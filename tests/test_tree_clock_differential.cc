@@ -5,9 +5,9 @@
  * operation sequences (the lock/fork-join discipline the engines
  * obey) and must materialize identical vector times after every
  * operation, under all three traversal policies, with the tree's
- * structural invariants intact throughout. This pins the SoA
- * storage rewrite and the scratch-arena traversals to the flat
- * reference semantics, operation by operation.
+ * structural invariants intact throughout. This pins the node-record
+ * storage, the dense-copy cutover and the scratch-arena traversals
+ * to the flat reference semantics, operation by operation.
  */
 
 #include <gtest/gtest.h>
