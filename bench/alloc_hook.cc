@@ -1,16 +1,19 @@
 /**
  * @file
- * Global allocation-counting hook for the benchmark binaries.
+ * Global allocation-counting hook.
  *
  * Replaces the global operator new/delete family with versions that
- * count every successful heap allocation. bench_common.hh declares
- * heapAllocCount(); harnesses snapshot it around a measured region
- * to assert allocation-free steady states (the tree-clock join/copy
- * hot paths must not touch the heap once warmed).
+ * count every successful heap allocation. alloc_hook.hh declares
+ * heapAllocCount(); callers snapshot it around a region to assert
+ * allocation-free steady states (the tree-clock join/copy hot paths
+ * must not touch the heap once warmed).
  *
- * Linked only into bench executables — the library and tests keep
- * the stock allocator.
+ * Linked only into bench_micro_clock and the test_engine_allocs
+ * suite — the library, the other harnesses and the other suites
+ * keep the stock allocator.
  */
+
+#include "alloc_hook.hh"
 
 #include <atomic>
 #include <cstdint>
@@ -38,7 +41,7 @@ countedAlloc(std::size_t size)
 namespace tc {
 namespace bench {
 
-/** Heap allocations since process start (see bench_common.hh). */
+/** Heap allocations since process start (see alloc_hook.hh). */
 std::uint64_t
 heapAllocCount() noexcept
 {

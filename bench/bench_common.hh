@@ -13,12 +13,6 @@
 #define TC_BENCH_BENCH_COMMON_HH
 
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/hb_engine.hh"
@@ -30,124 +24,10 @@
 #include "support/cli.hh"
 #include "support/strings.hh"
 #include "support/timer.hh"
-#include "trace/event_source.hh"
 #include "trace/trace_stats.hh"
 
 namespace tc {
 namespace bench {
-
-/**
- * Heap allocations since process start. Defined in alloc_hook.cc
- * (global operator new/delete replacements linked into every bench
- * binary). Harnesses snapshot it around a measured region to
- * assert allocation-free steady states: a warmed tree-clock
- * join/copy must not touch the heap.
- */
-std::uint64_t heapAllocCount() noexcept;
-
-/**
- * Machine-readable benchmark output: a flat list of named entries,
- * each a map of metric name → value, serialized as JSON. Harnesses
- * opt in via addJsonFlag()/maybeWriteJson() and mirror their table
- * through a reporter so perf PRs can diff BENCH_baseline.json
- * mechanically instead of scraping stdout (currently wired into
- * bench_fig7_sync_sweep, bench_micro_clock and bench_streaming;
- * extend per harness as baselines are added).
- */
-class JsonReporter
-{
-  public:
-    /** Start an entry; subsequent metric() calls attach to it. */
-    void
-    entry(std::string name)
-    {
-        entries_.push_back({std::move(name), {}});
-    }
-
-    /** Add one numeric metric to the current entry. */
-    void
-    metric(const std::string &key, double value)
-    {
-        entries_.back().metrics.emplace_back(key, value);
-    }
-
-    /** One top-level string field (scale, git rev, ...). */
-    void
-    context(const std::string &key, const std::string &value)
-    {
-        context_.emplace_back(key, value);
-    }
-
-    bool empty() const { return entries_.empty(); }
-
-    /** Serialize to @p path; returns false on I/O failure. */
-    bool
-    writeTo(const std::string &path) const
-    {
-        std::ofstream out(path);
-        if (!out)
-            return false;
-        out << render();
-        return static_cast<bool>(out);
-    }
-
-    /** The serialized JSON document. */
-    std::string
-    render() const
-    {
-        std::string s = "{\n";
-        for (const auto &[k, v] : context_) {
-            s += strFormat("  \"%s\": \"%s\",\n", k.c_str(),
-                           v.c_str());
-        }
-        s += "  \"benchmarks\": [\n";
-        for (std::size_t i = 0; i < entries_.size(); i++) {
-            const Entry &e = entries_[i];
-            s += strFormat("    {\"name\": \"%s\"",
-                           e.name.c_str());
-            for (const auto &[k, v] : e.metrics)
-                s += strFormat(", \"%s\": %.9g", k.c_str(), v);
-            s += i + 1 < entries_.size() ? "},\n" : "}\n";
-        }
-        s += "  ]\n}\n";
-        return s;
-    }
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        std::vector<std::pair<std::string, double>> metrics;
-    };
-
-    std::vector<std::pair<std::string, std::string>> context_;
-    std::vector<Entry> entries_;
-};
-
-/** Register the shared --json flag (empty = no JSON output). */
-inline void
-addJsonFlag(ArgParser &args)
-{
-    args.addString("json", "",
-                   "write machine-readable results to this path");
-}
-
-/** Honor --json when set; prints where the report landed. Returns
- * false (for the harness exit code) when the write failed. */
-inline bool
-maybeWriteJson(const ArgParser &args, const JsonReporter &report)
-{
-    const std::string &path = args.getString("json");
-    if (path.empty())
-        return true;
-    if (report.writeTo(path)) {
-        std::printf("\njson report written to %s\n", path.c_str());
-        return true;
-    }
-    std::fprintf(stderr, "\nfailed to write json to %s\n",
-                 path.c_str());
-    return false;
-}
 
 /** The three partial orders of the evaluation. */
 enum class Po { MAZ, SHB, HB };
@@ -180,31 +60,6 @@ timeOne(const Trace &trace, const EngineConfig &base)
     Timer timer;
     engine.run(trace);
     return timer.seconds();
-}
-
-/** One timed engine run consuming an EventSource (the streaming
- * path); the source is rewound first so repetitions are
- * comparable. */
-template <template <typename> class Engine, typename ClockT>
-double
-timeOneSource(EventSource &source, const EngineConfig &base)
-{
-    if (!source.rewind()) {
-        std::fprintf(stderr, "bench: event source cannot rewind\n");
-        std::abort();
-    }
-    EngineConfig cfg = base;
-    cfg.validate = false;
-    Engine<ClockT> engine(cfg);
-    Timer timer;
-    engine.run(source);
-    const double seconds = timer.seconds();
-    if (source.failed()) {
-        std::fprintf(stderr, "bench: event source failed: %s\n",
-                     source.error().c_str());
-        std::abort();
-    }
-    return seconds;
 }
 
 /** Mean of @p reps timed runs for (po, clock, analysis). The first

@@ -21,17 +21,12 @@ main(int argc, char **argv)
 {
     ArgParser args("Figure 7: HB+Analysis speedup vs %sync events");
     addCommonFlags(args);
-    addJsonFlag(args);
     args.addInt("threads", 48, "threads per trace");
     args.addInt("events", 1500000, "events per trace (pre-scale)");
     if (!args.parse(argc, argv))
         return 1;
     const double scale = args.getDouble("scale");
     const int reps = static_cast<int>(args.getInt("reps"));
-
-    JsonReporter report;
-    report.context("harness", "bench_fig7_sync_sweep");
-    report.context("scale", strFormat("%g", scale));
 
     const double sync_ratios[] = {0.01, 0.02, 0.05, 0.10, 0.15,
                                   0.20, 0.30, 0.40, 0.44};
@@ -66,18 +61,8 @@ main(int argc, char **argv)
             timePo<TreeClock>(Po::HB, trace, true, reps);
         table.addRow({fixed(stats.syncPercent(), 1), fixed(vc, 4),
                       fixed(tc, 4), fixed(vc / tc, 2)});
-        report.entry(strFormat("hb_analysis/sync_%02.0f",
-                               ratio * 100));
-        report.metric("sync_percent", stats.syncPercent());
-        report.metric("events",
-                      static_cast<double>(trace.size()));
-        report.metric("vc_seconds", vc);
-        report.metric("tc_seconds", tc);
-        report.metric("speedup", vc / tc);
     }
     table.print(std::cout);
-    if (!maybeWriteJson(args, report))
-        return 1;
     std::printf("\npaper: speedup grows from ~1.0 toward ~2.5 as "
                 "sync share approaches 44%%\n");
     return 0;

@@ -10,17 +10,16 @@
  * the alloc_hook.cc global operator new) performed inside the
  * measured loop. The steady-state join/copy benchmarks must report
  * 0: the clock hot paths reuse their scratch and never allocate
- * once warmed. Pass --json <path> for a machine-readable report
- * (BENCH_baseline.json is generated this way).
+ * once warmed.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "bench_common.hh"
+#include "alloc_hook.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 #include "support/rng.hh"
@@ -185,85 +184,7 @@ BENCHMARK_TEMPLATE(BM_SyncRoundTrip, TreeClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, TreeClock)->TC_BENCH_RANGE;
 
-/** Mirrors every finished run into the shared JsonReporter while
- * keeping the familiar console table. */
-class JsonBridgeReporter : public benchmark::ConsoleReporter
-{
-  public:
-    explicit JsonBridgeReporter(bench::JsonReporter *json)
-        : json_(json)
-    {}
-
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (runFailed(run))
-                continue;
-            json_->entry(run.benchmark_name());
-            json_->metric("real_time_ns", run.GetAdjustedRealTime());
-            json_->metric("cpu_time_ns", run.GetAdjustedCPUTime());
-            json_->metric("iterations",
-                          static_cast<double>(run.iterations));
-            for (const auto &[name, counter] : run.counters)
-                json_->metric(name, counter.value);
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-  private:
-    /** benchmark <= 1.7 flags failures via error_occurred; 1.8+
-     * replaced it with the skipped enum (0 = ran). A template so
-     * the branch for the other library version is never
-     * instantiated. */
-    template <typename R>
-    static bool
-    runFailed(const R &run)
-    {
-        if constexpr (requires { run.error_occurred; })
-            return run.error_occurred;
-        else if constexpr (requires { run.skipped; })
-            return run.skipped != decltype(run.skipped){};
-        else
-            return false;
-    }
-
-    bench::JsonReporter *json_;
-};
-
 } // namespace
 } // namespace tc
 
-int
-main(int argc, char **argv)
-{
-    // Peel off our --json flag before google-benchmark sees the
-    // argument vector (it rejects flags it does not know).
-    std::string json_path;
-    int kept = 1;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0) {
-            json_path = arg.substr(7);
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            argv[kept++] = argv[i];
-        }
-    }
-    argc = kept;
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    tc::bench::JsonReporter json;
-    tc::JsonBridgeReporter reporter(&json);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    if (!json_path.empty() && !json.writeTo(json_path)) {
-        std::fprintf(stderr, "failed to write json to %s\n",
-                     json_path.c_str());
-        return 1;
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -83,15 +83,18 @@ class AnalysisDriver
      * Process one event. Ids may exceed anything seen before; state
      * grows on demand. Event well-formedness is always checked. A
      * lock-discipline violation (acquiring a held lock, releasing a
-     * lock one does not hold) is an input error: feed throws
-     * TraceInputError with the event's index and the message
-     * Trace::validate() gives, and the run is over (begin() again
-     * before reuse). Any other ill-formed event aborts — a streamed
-     * execution must be a real one.
+     * lock one does not hold) or a thread-protocol violation (see
+     * ThreadRule: a fork or tcreate of a thread that already ran,
+     * a tjoin without tcreate, a thread acting after its tjoin, ...)
+     * is an input error: feed throws TraceInputError with the
+     * event's index and the message Trace::validate() gives, and the
+     * run is over (begin() again before reuse).
      */
     void
     feed(const Event &e)
     {
+        const std::size_t index =
+            static_cast<std::size_t>(eventsProcessed_);
         // Grow all id spaces before taking references: emplacing a
         // fork/join/lifecycle target would otherwise reallocate
         // threads_ from under `ct`.
@@ -99,15 +102,14 @@ class AnalysisDriver
         if (e.isFork() || e.isJoin() || e.isThreadJoin() ||
             e.isThreadRetire())
             ensureThread(e.targetTid());
+        if (lifeState(e.tid) > kLive)
+            throwThreadRule(index, ThreadRule::ActsAfterJoin, e);
         if (e.isThreadCreate())
-            prepareCreate(e.tid, e.targetTid());
-        TC_CHECK(lifeState(e.tid) <= kLive,
-                 "feed: thread acts after being joined");
+            prepareCreate(index, e);
         ClockT &ct = threads_[slotIndex(e.tid)];
         const Clk c = ++local_[static_cast<std::size_t>(e.tid)];
         ct.increment(1);
-        const std::size_t index =
-            static_cast<std::size_t>(eventsProcessed_++);
+        eventsProcessed_++;
 
         switch (e.op) {
           case OpType::Read:
@@ -142,11 +144,12 @@ class AnalysisDriver
           }
           case OpType::Fork: {
             const Tid child = e.targetTid();
-            TC_CHECK(child != e.tid &&
-                         local_[static_cast<std::size_t>(child)] ==
-                             0 &&
-                         lifeState(child) == kNone,
-                     "feed: fork target already ran");
+            if (child == e.tid)
+                throwThreadRule(index, ThreadRule::SelfTarget, e);
+            if (local_[static_cast<std::size_t>(child)] != 0)
+                throwThreadRule(index, ThreadRule::TargetStarted, e);
+            if (lifeState(child) != kNone)
+                throwThreadRule(index, ThreadRule::ForkOfManaged, e);
             detail::joinClock(threads_[slotIndex(child)], ct, cfg_);
             if (cfg_.deepChecks)
                 detail::deepCheck(threads_[slotIndex(child)]);
@@ -175,17 +178,24 @@ class AnalysisDriver
           }
           case OpType::ThreadJoin: {
             const Tid child = e.targetTid();
-            TC_CHECK(child != e.tid, "feed: tjoin of self");
-            TC_CHECK(lifeState(child) == kLive,
-                     "feed: tjoin without tcreate");
+            if (child == e.tid)
+                throwThreadRule(index, ThreadRule::SelfTarget, e);
+            if (lifeState(child) == kNone)
+                throwThreadRule(index, ThreadRule::JoinWithoutCreate,
+                                e);
+            if (lifeState(child) != kLive)
+                throwThreadRule(index, ThreadRule::JoinedTwice, e);
             lifeState_[static_cast<std::size_t>(child)] = kJoined;
             detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
             break;
           }
           case OpType::ThreadRetire: {
             const Tid child = e.targetTid();
-            TC_CHECK(lifeState(child) == kJoined,
-                     "feed: tretire without tjoin");
+            if (lifeState(child) == kRetired)
+                throwThreadRule(index, ThreadRule::RetiredTwice, e);
+            if (lifeState(child) != kJoined)
+                throwThreadRule(index, ThreadRule::RetireWithoutJoin,
+                                e);
             lifeState_[static_cast<std::size_t>(child)] = kRetired;
             if constexpr (kUsesIdMap) {
                 // The slot becomes reusable at the thread's final
@@ -241,10 +251,13 @@ class AnalysisDriver
      *
      * EngineConfig::validate is necessarily ignored here: whole-
      * trace validation needs the full event vector. Only feed()'s
-     * incremental checks apply (id ranges, lock discipline — thrown
-     * as TraceInputError — and fork targets); violations like a
-     * thread acting after being joined pass undetected — materialize
-     * and run(Trace) when that guarantee matters.
+     * incremental checks apply: lock discipline, fork targets and
+     * the tcreate / tjoin / tretire protocol, each thrown as
+     * TraceInputError. Other misuse of plain fork/join — a second
+     * fork or join of one thread, a tcreate of a forked one, a
+     * thread joining itself or acting after its join — passes
+     * undetected; materialize and run(Trace) when that guarantee
+     * matters.
      */
     EngineResult
     run(EventSource &source)
@@ -639,17 +652,26 @@ class AnalysisDriver
     }
 
     /**
-     * tcreate prologue: assign child @p child its slot — recycling
-     * a retired one when the creating thread @p parent covers the
-     * previous occupant's final clock — and reset its clock to the
-     * occupancy bias. Runs before any reference into threads_ is
-     * taken (slot assignment may grow the bank).
+     * Prologue of tcreate event @p e (number @p index): check the
+     * protocol, then assign the child its slot — recycling a retired
+     * one when the creating thread covers the previous occupant's
+     * final clock — and reset its clock to the occupancy bias. Runs
+     * before any reference into threads_ is taken (slot assignment
+     * may grow the bank).
      */
     void
-    prepareCreate(Tid parent, Tid child)
+    prepareCreate(std::size_t index, const Event &e)
     {
+        const Tid parent = e.tid;
+        const Tid child = e.targetTid();
         TC_CHECK(child >= 0, "negative thread id");
-        TC_CHECK(child != parent, "feed: tcreate of self");
+        if (child == parent)
+            throwThreadRule(index, ThreadRule::SelfTarget, e);
+        growExternal(child);
+        if (local_[static_cast<std::size_t>(child)] != 0)
+            throwThreadRule(index, ThreadRule::TargetStarted, e);
+        if (lifeState(child) != kNone)
+            throwThreadRule(index, ThreadRule::CreatedTwice, e);
         if constexpr (kUsesIdMap) {
             // First lifecycle event: leave identity mode. Only ids
             // actually met keep identity slots (their clock
@@ -659,12 +681,6 @@ class AnalysisDriver
             // illegal create targets.
             if (!idMap_.active())
                 idMap_.activate(extSeen_, seen_.data());
-        }
-        growExternal(child);
-        TC_CHECK(local_[static_cast<std::size_t>(child)] == 0 &&
-                     lifeState(child) == kNone,
-                 "feed: tcreate target already ran");
-        if constexpr (kUsesIdMap) {
             ClockT &pc = threads_[slotIndex(parent)];
             const Tid slot = idMap_.createExt(
                 child, [&pc](Tid s, Clk base) {

@@ -9,7 +9,6 @@
 #include "analysis/maz_engine.hh"
 #include "analysis/online_detector.hh"
 #include "analysis/shb_engine.hh"
-#include "core/sparse_vector_clock.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 
@@ -19,22 +18,16 @@ static_assert(ClockLike<TreeClock>,
               "TreeClock must model the engine clock interface");
 static_assert(ClockLike<VectorClock>,
               "VectorClock must model the engine clock interface");
-static_assert(ClockLike<SparseVectorClock>,
-              "SparseVectorClock must model the engine clock "
-              "interface");
 
 // The engines are aliases of AnalysisDriver instantiations
 // (OnlineRaceDetector<C> is HbEngine<C> itself), so the driver is
 // what gets instantiated explicitly.
 template class AnalysisDriver<TreeClock, HbPolicy>;
 template class AnalysisDriver<VectorClock, HbPolicy>;
-template class AnalysisDriver<SparseVectorClock, HbPolicy>;
 template class AnalysisDriver<TreeClock, ShbPolicy>;
 template class AnalysisDriver<VectorClock, ShbPolicy>;
-template class AnalysisDriver<SparseVectorClock, ShbPolicy>;
 template class AnalysisDriver<TreeClock, MazPolicy>;
 template class AnalysisDriver<VectorClock, MazPolicy>;
-template class AnalysisDriver<SparseVectorClock, MazPolicy>;
 
 const char *
 raceKindName(RaceKind kind)

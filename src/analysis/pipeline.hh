@@ -2,9 +2,10 @@
  * @file
  * One-pass multi-analysis fan-out.
  *
- * Decoding a trace costs as much as analyzing it (bench_streaming),
- * so running HB, SHB and MAZ as three separate drains of the same
- * file pays the I/O and decode three times. AnalysisPipeline drains
+ * Running HB, SHB and MAZ as three separate drains of the same file
+ * pays the I/O and decode three times — about half of a streamed
+ * run when the analysis is cheap and the input is a shard set (the
+ * layered benchmark's ingest workload). AnalysisPipeline drains
  * one EventSource exactly once and feeds every event to N consumers
  * — each an AnalysisDriver of some (partial order × clock) choice —
  * producing the same per-driver results as N separate runs would

@@ -5,8 +5,11 @@
  * The chunked file readers are synchronous: every window boundary
  * stalls the analysis on decode + I/O of the next window. Because
  * the analysis only ever *pulls* events, that latency is pure
- * overhead — bench_streaming measures it at roughly a third of the
- * file-stream analysis time. PrefetchEventSource hides it by
+ * overhead — on a .tcs shard set under a cheap analysis, decode and
+ * merge are about half of the run, and prefetching gains 1.5–1.7×
+ * end to end (docs/ARCHITECTURE.md, Measured verdicts). It gains
+ * little on a mapped .tcb, whose decode is cheap.
+ * PrefetchEventSource hides it by
  * decorating any EventSource with a background reader thread that
  * stays one window ahead: while the analysis consumes window N, the
  * reader decodes window N+1 into a spare buffer (classic double

@@ -23,6 +23,35 @@ lockNotHeldMessage(LockId lock, Tid releaser, Tid holder)
                      lock, releaser, holder);
 }
 
+/** The message for event @p e breaking @p rule. */
+std::string
+threadRuleMessage(ThreadRule rule, const Event &e)
+{
+    const Tid child = e.targetTid();
+    switch (rule) {
+      case ThreadRule::ActsAfterJoin:
+        return strFormat("thread %d acts after being joined", e.tid);
+      case ThreadRule::SelfTarget:
+        return strFormat("thread %ss itself", opName(e.op));
+      case ThreadRule::TargetStarted:
+        return strFormat("%s target %d already has events",
+                         opName(e.op), child);
+      case ThreadRule::ForkOfManaged:
+        return strFormat("fork target %d is lifecycle-managed", child);
+      case ThreadRule::CreatedTwice:
+        return strFormat("thread %d created twice", child);
+      case ThreadRule::JoinWithoutCreate:
+        return strFormat("tjoin of thread %d without tcreate", child);
+      case ThreadRule::JoinedTwice:
+        return strFormat("thread %d joined twice", child);
+      case ThreadRule::RetireWithoutJoin:
+        return strFormat("tretire of thread %d without tjoin", child);
+      case ThreadRule::RetiredTwice:
+        return strFormat("thread %d retired twice", child);
+    }
+    return "?";
+}
+
 } // namespace
 
 void
@@ -37,6 +66,12 @@ throwLockNotHeld(std::size_t index, LockId lock, Tid releaser,
 {
     throw TraceInputError(index,
                           lockNotHeldMessage(lock, releaser, holder));
+}
+
+void
+throwThreadRule(std::size_t index, ThreadRule rule, const Event &e)
+{
+    throw TraceInputError(index, threadRuleMessage(rule, e));
 }
 
 const char *
@@ -156,11 +191,14 @@ Trace::validate() const
             return ValidationResult::failure(
                 i, strFormat("thread id %d out of range", e.tid));
         }
-        if (joined[static_cast<std::size_t>(e.tid)]) {
-            return ValidationResult::failure(
-                i, strFormat("thread %d acts after being joined",
-                             e.tid));
-        }
+        // A thread-protocol failure at this event, worded as a
+        // streamed run words it (threadRuleMessage).
+        const auto broken = [&](ThreadRule rule) {
+            return ValidationResult::failure(i,
+                                             threadRuleMessage(rule, e));
+        };
+        if (joined[static_cast<std::size_t>(e.tid)])
+            return broken(ThreadRule::ActsAfterJoin);
         started[static_cast<std::size_t>(e.tid)] = true;
 
         switch (e.op) {
@@ -205,24 +243,16 @@ Trace::validate() const
                     i, strFormat("fork target %d out of range",
                                  child));
             }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread forks itself");
-            }
-            if (started[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d already has events",
-                                 child));
-            }
+            if (child == e.tid)
+                return broken(ThreadRule::SelfTarget);
+            if (started[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::TargetStarted);
             if (forked[static_cast<std::size_t>(child)]) {
                 return ValidationResult::failure(
                     i, strFormat("thread %d forked twice", child));
             }
-            if (created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d is lifecycle-managed",
-                                 child));
-            }
+            if (created[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::ForkOfManaged);
             forked[static_cast<std::size_t>(child)] = true;
             break;
           }
@@ -233,14 +263,10 @@ Trace::validate() const
                     i, strFormat("join target %d out of range",
                                  child));
             }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread joins itself");
-            }
-            if (joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d joined twice", child));
-            }
+            if (child == e.tid)
+                return broken(ThreadRule::SelfTarget);
+            if (joined[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::JoinedTwice);
             joined[static_cast<std::size_t>(child)] = true;
             break;
           }
@@ -251,20 +277,13 @@ Trace::validate() const
                     i, strFormat("tcreate target %d out of range",
                                  child));
             }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread tcreates itself");
-            }
-            if (started[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tcreate target %d already has "
-                                 "events", child));
-            }
+            if (child == e.tid)
+                return broken(ThreadRule::SelfTarget);
+            if (started[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::TargetStarted);
             if (forked[static_cast<std::size_t>(child)] ||
-                created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d created twice", child));
-            }
+                created[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::CreatedTwice);
             created[static_cast<std::size_t>(child)] = true;
             break;
           }
@@ -275,19 +294,12 @@ Trace::validate() const
                     i, strFormat("tjoin target %d out of range",
                                  child));
             }
-            if (child == e.tid) {
-                return ValidationResult::failure(
-                    i, "thread tjoins itself");
-            }
-            if (!created[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tjoin of thread %d without tcreate",
-                                 child));
-            }
-            if (joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d joined twice", child));
-            }
+            if (child == e.tid)
+                return broken(ThreadRule::SelfTarget);
+            if (!created[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::JoinWithoutCreate);
+            if (joined[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::JoinedTwice);
             joined[static_cast<std::size_t>(child)] = true;
             break;
           }
@@ -299,15 +311,10 @@ Trace::validate() const
                                  child));
             }
             if (!created[static_cast<std::size_t>(child)] ||
-                !joined[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("tretire of thread %d without tjoin",
-                                 child));
-            }
-            if (retired[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d retired twice", child));
-            }
+                !joined[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::RetireWithoutJoin);
+            if (retired[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::RetiredTwice);
             retired[static_cast<std::size_t>(child)] = true;
             break;
           }

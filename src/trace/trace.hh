@@ -48,7 +48,23 @@ class TraceInputError : public std::runtime_error
     std::size_t eventIndex;
 };
 
-/** @name Streamed lock-discipline violations at event @p index
+/** Thread-protocol rules that both validate() and a streamed run
+ * check; an event breaking one gets the same message from both
+ * (throwThreadRule below). */
+enum class ThreadRule : std::uint8_t
+{
+    ActsAfterJoin,     ///< the acting thread was joined already
+    SelfTarget,        ///< fork/join/tcreate/tjoin of itself
+    TargetStarted,     ///< fork/tcreate of a thread with events
+    ForkOfManaged,     ///< fork of a tcreate-managed thread
+    CreatedTwice,      ///< second tcreate of the target
+    JoinWithoutCreate, ///< tjoin of a target never tcreated
+    JoinedTwice,       ///< second join/tjoin of the target
+    RetireWithoutJoin, ///< tretire of a target never tjoined
+    RetiredTwice,      ///< second tretire of the target
+};
+
+/** @name Streamed discipline violations at event @p index
  * Throw TraceInputError with validate()'s message. Out of line, so
  * a per-event loop carries only the call.
  * @{ */
@@ -56,6 +72,8 @@ class TraceInputError : public std::runtime_error
                                 Tid holder);
 [[noreturn]] void throwLockNotHeld(std::size_t index, LockId lock,
                                    Tid releaser, Tid holder);
+[[noreturn]] void throwThreadRule(std::size_t index, ThreadRule rule,
+                                  const Event &e);
 /** @} */
 
 /**

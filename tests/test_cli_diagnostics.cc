@@ -155,29 +155,60 @@ TEST_F(CliDiagnostics, FindingsExitTwo)
               2);
 }
 
-TEST_F(CliDiagnostics, StreamedLockViolationsExitTwoLikeMaterialized)
+TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
 {
     // The materialized path rejects these in validate(); every
     // streamed path must stop at the same event with the same line
     // rather than abort.
+    const std::string v1 = "threads 2 locks 1 vars 1\n";
+    const std::string v2 =
+        "# treeclock trace v2\nthreads 3 locks 1 vars 1\n";
     const struct
     {
         const char *name;
-        const char *text;
-        const char *line;
+        std::string text;
+        int event;
+        const char *message;
     } cases[] = {
-        {"double_acquire",
-         "threads 2 locks 1 vars 1\n0 acq 0\n1 acq 0\n",
-         "error: malformed trace at event 1: lock 0 acquired while "
-         "held by thread 0\n"},
-        {"unheld_release", "threads 2 locks 1 vars 1\n0 rel 0\n",
-         "error: malformed trace at event 0: lock 0 released by "
-         "thread 0 but held by -1\n"},
+        {"double_acquire", v1 + "0 acq 0\n1 acq 0\n", 1,
+         "lock 0 acquired while held by thread 0"},
+        {"unheld_release", v1 + "0 rel 0\n", 0,
+         "lock 0 released by thread 0 but held by -1"},
+        {"fork_started", v1 + "1 w 0\n0 fork 1\n", 1,
+         "fork target 1 already has events"},
+        {"fork_self", v1 + "0 fork 0\n", 0, "thread forks itself"},
+        {"fork_managed", v2 + "0 tcreate 1\n0 fork 1\n", 1,
+         "fork target 1 is lifecycle-managed"},
+        {"tcreate_started", v2 + "0 w 0\n1 w 0\n0 tcreate 1\n", 2,
+         "tcreate target 1 already has events"},
+        {"tcreate_self", v2 + "0 tcreate 0\n", 0,
+         "thread tcreates itself"},
+        {"tcreate_twice", v2 + "0 tcreate 1\n2 tcreate 1\n", 1,
+         "thread 1 created twice"},
+        {"tjoin_uncreated", v2 + "0 tjoin 1\n", 0,
+         "tjoin of thread 1 without tcreate"},
+        {"tjoin_self", v2 + "0 tjoin 0\n", 0, "thread tjoins itself"},
+        {"tjoin_twice", v2 + "0 tcreate 1\n0 tjoin 1\n2 tjoin 1\n", 2,
+         "thread 1 joined twice"},
+        {"tretire_unjoined", v2 + "0 tcreate 1\n0 tretire 1\n", 1,
+         "tretire of thread 1 without tjoin"},
+        {"tretire_twice",
+         v2 + "0 tcreate 1\n0 tjoin 1\n0 tretire 1\n2 tretire 1\n", 3,
+         "thread 1 retired twice"},
+        {"acts_after_tjoin",
+         v2 + "0 tcreate 1\n1 w 0\n0 tjoin 1\n1 w 0\n", 3,
+         "thread 1 acts after being joined"},
+        {"tcreate_after_tjoin",
+         v2 + "0 tcreate 1\n0 tjoin 1\n1 tcreate 2\n", 2,
+         "thread 1 acts after being joined"},
     };
     for (const auto &c : cases) {
         const std::string path =
             std::string(kWorkDir) + "/" + c.name + ".tct";
         std::ofstream(path) << c.text;
+        const std::string line =
+            "error: malformed trace at event " +
+            std::to_string(c.event) + ": " + c.message + "\n";
         for (const char *mode :
              {"", " --stream", " --stream --prefetch",
               " --stream --parallel=2",
@@ -189,7 +220,7 @@ TEST_F(CliDiagnostics, StreamedLockViolationsExitTwoLikeMaterialized)
                           err),
                       2)
                 << c.name << mode;
-            EXPECT_EQ(err, c.line) << c.name << mode;
+            EXPECT_EQ(err, line) << c.name << mode;
         }
     }
 }

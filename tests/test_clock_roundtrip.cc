@@ -1,6 +1,6 @@
 /**
  * @file
- * Serialization round-trip property tests for the three clock
+ * Serialization round-trip property tests for the two clock
  * representations. A clock evolved through a random walk of
  * increments, joins and copies must survive serialize →
  * deserialize bit-exactly (observable state: every thread's time,
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/serial.hh"
-#include "core/sparse_vector_clock.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 #include "support/rng.hh"
@@ -181,12 +180,6 @@ TEST(ClockRoundTrip, VectorClockRandomWalks)
         roundTripWalk<VectorClock>(2000 + i);
 }
 
-TEST(ClockRoundTrip, SparseVectorClockRandomWalks)
-{
-    for (int i = 0; i < 4 * test::depthScale(); i++)
-        roundTripWalk<SparseVectorClock>(3000 + i);
-}
-
 TEST(ClockRoundTrip, EmptyClocks)
 {
     {
@@ -202,14 +195,6 @@ TEST(ClockRoundTrip, EmptyClocks)
         VectorClock().serialize(out);
         ByteSource in(out.bytes());
         VectorClock loaded;
-        ASSERT_TRUE(loaded.deserialize(in));
-        EXPECT_TRUE(loaded.empty());
-    }
-    {
-        ByteSink out;
-        SparseVectorClock().serialize(out);
-        ByteSource in(out.bytes());
-        SparseVectorClock loaded;
         ASSERT_TRUE(loaded.deserialize(in));
         EXPECT_TRUE(loaded.empty());
     }
@@ -249,11 +234,6 @@ TEST(ClockRoundTrip, TreeClockRejectsTruncation)
 TEST(ClockRoundTrip, VectorClockRejectsTruncation)
 {
     rejectTruncations<VectorClock>(42);
-}
-
-TEST(ClockRoundTrip, SparseVectorClockRejectsTruncation)
-{
-    rejectTruncations<SparseVectorClock>(43);
 }
 
 /** Single-byte corruptions must never crash the decoders, and a
@@ -296,11 +276,6 @@ TEST(ClockRoundTrip, TreeClockSurvivesByteFlips)
 TEST(ClockRoundTrip, VectorClockSurvivesByteFlips)
 {
     surviveByteFlips<VectorClock>(52);
-}
-
-TEST(ClockRoundTrip, SparseVectorClockSurvivesByteFlips)
-{
-    surviveByteFlips<SparseVectorClock>(53);
 }
 
 } // namespace
