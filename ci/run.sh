@@ -3,8 +3,8 @@
 # configurations, then deep crash-recovery sweeps.
 #
 #   Job 1 — Release with -Werror: the measured configuration must
-#           build warning-clean; the fuzz and crash suites then
-#           rerun under a 4 GiB address-space limit (ulimit -v).
+#           build warning-clean; the fuzz, crash and reader suites
+#           then rerun under a 4 GiB address-space limit (ulimit -v).
 #   Job 2 — ASan + UBSan: the full test suite under both sanitizers
 #           (catches scratch-arena lifetime bugs, OOB link-array
 #           indexing, signed-overflow in the traversals, and leaks
@@ -56,17 +56,17 @@ run_job() {
 run_job "Release -Werror" build-ci-werror \
     -DCMAKE_BUILD_TYPE=Release -DTC_WERROR=ON
 
-# The fuzz, crash and CLI-boundary suites again, under a 4 GiB
-# address-space limit: an allocation sized by a corrupt header then
-# fails the same way on every box, instead of passing wherever
-# overcommit hides it. Release only — ASan reserves far more
+# The fuzz, crash, CLI-boundary and .tcb/.tcs reader suites again,
+# under a 4 GiB address-space limit: an allocation sized by a
+# corrupt header then fails the same way on every box, instead of
+# passing wherever overcommit hides it. Release only — ASan reserves far more
 # address space than the limit allows. The subshell keeps the limit
 # away from the jobs below.
-echo "=== fuzz/crash suites under a 4 GiB address-space limit ==="
+echo "=== fuzz/crash/reader suites under a 4 GiB address-space limit ==="
 (
     ulimit -v 4194304
     ctest --test-dir build-ci-werror --output-on-failure -j "${JOBS}" \
-        -R 'test_(snapshot_fuzz|crash_recovery|format_compat|cli_diagnostics)$'
+        -R 'test_(snapshot_fuzz|crash_recovery|format_compat|cli_diagnostics|event_source|shard|trace_io)$'
 )
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \

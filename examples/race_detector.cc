@@ -214,22 +214,13 @@ main(int argc, char **argv)
                      "analysis)\n");
         return kExitUsage;
     }
-    IoMode io = IoMode::Auto;
-    if (!ioModeFromFlags(args, io)) {
-        std::fprintf(stderr,
-                     "error: unknown --io mode '%s' "
-                     "(auto|mmap|stream)\n",
-                     args.getString("io").c_str());
-        return kExitUsage;
-    }
     std::unique_ptr<EventSource> source;
     if (!stream) {
         // Materialize once: whole-trace validation and the summary
         // header need the full event vector.
         Trace trace;
         if (has_trace) {
-            ParseResult parsed =
-                loadTrace(args.getString("trace"), io);
+            ParseResult parsed = loadTrace(args.getString("trace"));
             if (!parsed.ok) {
                 return reportError(
                     parsed.message, parsed.line,

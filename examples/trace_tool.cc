@@ -48,7 +48,6 @@
 #include "gen/random_trace.hh"
 #include "support/cli.hh"
 #include "support/diagnostics.hh"
-#include "support/source_cli.hh"
 #include "support/strings.hh"
 #include "trace/event_source.hh"
 #include "trace/fault_injection.hh"
@@ -85,12 +84,11 @@ loadOrDie(const std::string &path)
     return std::move(r.trace);
 }
 
-/** Open a chunked streaming reader, or die on open/header errors.
- * @p io selects the byte source (--io). */
+/** Open a chunked streaming reader, or die on open/header errors. */
 std::unique_ptr<EventSource>
-openOrDie(const std::string &path, IoMode io)
+openOrDie(const std::string &path)
 {
-    auto source = openTraceFile(path, kDefaultSourceWindow, io);
+    auto source = openTraceFile(path);
     if (source->failed())
         std::exit(reportSourceError(*source));
     return source;
@@ -213,10 +211,6 @@ main(int argc, char **argv)
     args.addInt("shards", static_cast<std::int64_t>(
                               kDefaultShardCount),
                 "shard count (split/capture)");
-    args.addString("io", "auto",
-                   "byte source for reading traces: mmap decodes "
-                   "binary files in place, stream reads through "
-                   "buffered I/O (auto|mmap|stream)");
     args.addString("vars", "", "comma-separated variable ids (slice)");
     args.addString("threads-list", "",
                    "comma-separated thread ids (project)");
@@ -246,19 +240,10 @@ main(int argc, char **argv)
     }
     const std::string &cmd = pos[0];
 
-    IoMode io = IoMode::Auto;
-    if (!ioModeFromFlags(args, io)) {
-        std::fprintf(stderr,
-                     "error: unknown --io mode '%s' "
-                     "(auto|mmap|stream)\n",
-                     args.getString("io").c_str());
-        return kExitUsage;
-    }
-
     if (cmd == "stats" && pos.size() == 2) {
         // Streaming: O(distinct ids) memory regardless of file
         // size.
-        const auto source = openOrDie(pos[1], io);
+        const auto source = openOrDie(pos[1]);
         const TraceStats s = computeStats(*source);
         checkDrained(*source, pos[1]);
         printStats(s);
@@ -289,7 +274,7 @@ main(int argc, char **argv)
         }
         if (isShardOutput(pos[2]))
             return 1;
-        const auto source = openOrDie(pos[1], io);
+        const auto source = openOrDie(pos[1]);
         // Probe writability first (append mode, no truncation) so
         // the failure cleanup below never deletes a pre-existing
         // file we were unable to open in the first place.
@@ -338,7 +323,7 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        const auto source = openOrDie(pos[1], io);
+        const auto source = openOrDie(pos[1]);
         std::string error;
         const std::uint64_t written =
             splitTraceStream(*source, pos[2], shards, &error);
@@ -418,10 +403,8 @@ main(int argc, char **argv)
         // stale-member check applies (merging "cap.7.tcs" must not
         // silently produce a merge of a narrower re-split that
         // excludes it).
-        auto source =
-            named_member
-                ? openShardMember(pos[1], kDefaultSourceWindow, io)
-                : openShardSet(prefix, kDefaultSourceWindow, io);
+        auto source = named_member ? openShardMember(pos[1])
+                                   : openShardSet(prefix);
         if (source->failed())
             return reportSourceError(*source);
         // Probe only after the set opened: the append-mode probe

@@ -77,10 +77,13 @@ class AnalysisConsumer
  * AnalysisConsumer over an AnalysisDriver instantiation. Owns its
  * WorkCounters when the given config has no sink, so per-driver
  * work is always separated even when many consumers share one
- * stream.
+ * stream. Cache-line aligned: the fan-out allocates its consumers
+ * back to back and feeds them from different workers, so the
+ * counters and driver state each one writes per event must not
+ * share a line with a neighbour's.
  */
 template <ClockLike ClockT, template <typename> class PolicyT>
-class DriverConsumer final : public AnalysisConsumer
+class alignas(64) DriverConsumer final : public AnalysisConsumer
 {
   public:
     explicit DriverConsumer(std::string name,

@@ -1,7 +1,6 @@
 #include "support/source_cli.hh"
 
 #include "gen/generator_source.hh"
-#include "support/strings.hh"
 #include "trace/prefetch_source.hh"
 
 namespace tc {
@@ -12,11 +11,6 @@ addTraceSourceFlags(ArgParser &args)
     args.addString("trace", "",
                    "trace file to analyze (.tct/.tcb, or any "
                    ".tcs member of a sharded capture)");
-    args.addString("io", "auto",
-                   "byte source for --trace: mmap decodes binary "
-                   "files in place, stream reads through buffered "
-                   "I/O, auto picks mmap where it applies "
-                   "(auto|mmap|stream)");
     args.addBool("prefetch", false,
                  "decode --trace on a background reader thread "
                  "(double-buffered windows)");
@@ -47,21 +41,6 @@ parallelWorkersFromFlags(const ArgParser &args)
     return static_cast<std::size_t>(raw);
 }
 
-bool
-ioModeFromFlags(const ArgParser &args, IoMode &out)
-{
-    const std::string raw = args.getString("io");
-    if (raw == "auto")
-        out = IoMode::Auto;
-    else if (raw == "mmap")
-        out = IoMode::Mmap;
-    else if (raw == "stream")
-        out = IoMode::Stream;
-    else
-        return false;
-    return true;
-}
-
 RandomTraceParams
 traceParamsFromFlags(const ArgParser &args)
 {
@@ -80,14 +59,7 @@ std::unique_ptr<EventSource>
 makeEventSource(const ArgParser &args)
 {
     if (!args.getString("trace").empty()) {
-        IoMode io = IoMode::Auto;
-        if (!ioModeFromFlags(args, io)) {
-            return makeFailedSource(strFormat(
-                "unknown --io mode '%s' (auto|mmap|stream)",
-                args.getString("io").c_str()));
-        }
-        auto source = openTraceFile(args.getString("trace"),
-                                    kDefaultSourceWindow, io);
+        auto source = openTraceFile(args.getString("trace"));
         // Prefetch pays off where there is decode + I/O to hide
         // (for shard sets it also moves the merge off the analysis
         // thread); generated sources below have neither.

@@ -45,16 +45,6 @@ void addParallelFlag(ArgParser &args);
 std::size_t parallelWorkersFromFlags(const ArgParser &args);
 
 /**
- * The byte-source request --io describes: "auto" (mmap where it
- * applies — regular binary/shard files with no armed fault
- * injection — buffered streams elsewhere), "mmap", or "stream".
- * Returns false on any other value, leaving @p out untouched;
- * makeEventSource reports that as a failed source, so tools only
- * call this directly when they need the mode for their own I/O.
- */
-bool ioModeFromFlags(const ArgParser &args, IoMode &out);
-
-/**
  * Build the EventSource the parsed flags describe:
  *  --trace=FILE     a chunked streaming file reader (text/binary/
  *                   shard set by extension; never materializes the

@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "support/strings.hh"
-#include "trace/fault_injection.hh"
-#include "trace/mapped_file.hh"
 #include "trace/shard.hh"
 
 namespace tc {
@@ -204,14 +202,10 @@ constexpr std::size_t kBinaryHeaderBytes =
 
 /**
  * Streaming reader over the binary format: memory use is O(window)
- * regardless of file size. Each refill yields the next window of raw
- * records as a byte span — straight out of the mapping when the file
- * is mapped (no read syscalls, no private buffer), otherwise out of
- * one bulk read into buf_ — and a single table-dispatched loop
- * decodes and validates that span. Windowing, validation order and
- * every error text and position are therefore the same on both byte
- * sources. seekToSequence() is one byte seek (offset arithmetic over
- * a mapping).
+ * regardless of file size. Each refill is one bulk read of the next
+ * window of raw records into buf_, and a single table-dispatched
+ * loop decodes and validates that window. seekToSequence() is one
+ * byte seek.
  */
 class BinaryEventSource final : public EventSource
 {
@@ -227,13 +221,6 @@ class BinaryEventSource final : public EventSource
                       std::size_t window)
         : owned_(std::move(owned)), is_(owned_.get()),
           start_(is_->tellg()), window_(window == 0 ? 1 : window)
-    {
-        parseHeader();
-    }
-
-    BinaryEventSource(std::unique_ptr<MappedFile> map,
-                      std::size_t window)
-        : map_(std::move(map)), window_(window == 0 ? 1 : window)
     {
         parseHeader();
     }
@@ -274,11 +261,9 @@ class BinaryEventSource final : public EventSource
     bool
     rewind() override
     {
-        if (!map_) {
-            is_->clear();
-            if (!is_->seekg(start_))
-                return false;
-        }
+        is_->clear();
+        if (!is_->seekg(start_))
+            return false;
         delivered_ = 0;
         bufPos_ = bufCount_ = 0;
         clearError();
@@ -296,7 +281,7 @@ class BinaryEventSource final : public EventSource
         if (!rewind())
             return false;
         // parseHeader() left the stream at the first record.
-        if (!map_ && n < info_.events &&
+        if (n < info_.events &&
             !is_->seekg(static_cast<std::streamoff>(n) *
                             static_cast<std::streamoff>(
                                 kEventBytes),
@@ -311,15 +296,8 @@ class BinaryEventSource final : public EventSource
     parseHeader()
     {
         unsigned char header[kBinaryHeaderBytes];
-        std::size_t got;
-        if (map_) {
-            got = std::min(map_->size(), sizeof(header));
-            std::memcpy(header, map_->data(), got);
-        } else {
-            is_->read(reinterpret_cast<char *>(header),
-                      sizeof(header));
-            got = static_cast<std::size_t>(is_->gcount());
-        }
+        is_->read(reinterpret_cast<char *>(header), sizeof(header));
+        const auto got = static_cast<std::size_t>(is_->gcount());
         if (got < sizeof(kMagicV1)) {
             fail(0, "bad magic (not a treeclock binary trace)");
             return;
@@ -347,6 +325,10 @@ class BinaryEventSource final : public EventSource
         info_.locks = static_cast<LockId>(bounds[1]);
         info_.vars = static_cast<VarId>(bounds[2]);
         info_.events = n;
+        const std::uint64_t records = recordsAfterHeader();
+        info_.backedEvents =
+            records == kUnknownEventCount ? records
+                                          : std::min(n, records);
         // v2 files may carry lifecycle events, so their declared
         // thread count can far exceed the live set — tell consumers
         // to reserve accordingly.
@@ -357,8 +339,24 @@ class BinaryEventSource final : public EventSource
             opValid_[op] = op <= maxOp_;
     }
 
-    /** Point span_ at the next window of raw records: bounds
-     * arithmetic against the mapping, or one bulk read. */
+    /** Whole records between the read position and the end of the
+     * stream, leaving the position where it was;
+     * kUnknownEventCount when the stream cannot seek (a pipe). */
+    std::uint64_t
+    recordsAfterHeader()
+    {
+        const std::istream::pos_type here = is_->tellg();
+        if (here == std::istream::pos_type(-1) ||
+            !is_->seekg(0, std::ios::end)) {
+            is_->clear();
+            return kUnknownEventCount;
+        }
+        const std::istream::pos_type end = is_->tellg();
+        is_->seekg(here);
+        return static_cast<std::uint64_t>(end - here) / kEventBytes;
+    }
+
+    /** Read the next window of raw records into buf_. */
     bool
     refill()
     {
@@ -368,24 +366,10 @@ class BinaryEventSource final : public EventSource
         const std::size_t want = static_cast<std::size_t>(
             remaining < window_ ? remaining : window_);
         const std::size_t wantBytes = want * kEventBytes;
-        std::size_t got;
-        if (map_) {
-            const std::uint64_t consumed =
-                kBinaryHeaderBytes + delivered_ * kEventBytes;
-            const std::size_t avail =
-                map_->size() > consumed
-                    ? static_cast<std::size_t>(map_->size() -
-                                               consumed)
-                    : 0;
-            got = std::min(wantBytes, avail);
-            span_ = map_->data() + (map_->size() - avail);
-        } else {
-            buf_.resize(wantBytes);
-            is_->read(reinterpret_cast<char *>(buf_.data()),
-                      static_cast<std::streamsize>(wantBytes));
-            got = static_cast<std::size_t>(is_->gcount());
-            span_ = buf_.data();
-        }
+        buf_.resize(wantBytes);
+        is_->read(reinterpret_cast<char *>(buf_.data()),
+                  static_cast<std::streamsize>(wantBytes));
+        const auto got = static_cast<std::size_t>(is_->gcount());
         if (got < wantBytes && got % kEventBytes != 0) {
             fail(0, strFormat(
                         "truncated event stream at event %llu",
@@ -412,7 +396,7 @@ class BinaryEventSource final : public EventSource
     std::size_t
     decodeRun(Event *out, std::size_t take)
     {
-        const unsigned char *p = span_ + bufPos_ * kEventBytes;
+        const unsigned char *p = buf_.data() + bufPos_ * kEventBytes;
         for (std::size_t i = 0; i < take;
              i++, p += kEventBytes) {
             std::int32_t tid;
@@ -443,8 +427,6 @@ class BinaryEventSource final : public EventSource
         return take;
     }
 
-    /** Byte source: the mapping when map_ is set, else is_. */
-    std::unique_ptr<MappedFile> map_;
     std::unique_ptr<std::istream> owned_;
     std::istream *is_ = nullptr;
     std::istream::pos_type start_;
@@ -452,10 +434,8 @@ class BinaryEventSource final : public EventSource
     std::size_t window_;
     std::uint8_t maxOp_ = kMaxOpV1;
     bool opValid_[256] = {};
-    /** Stream path only: the window's raw bytes. */
+    /** The current window's raw records. */
     std::vector<unsigned char> buf_;
-    /** Raw records of the current window. */
-    const unsigned char *span_ = nullptr;
     std::size_t bufPos_ = 0;
     std::size_t bufCount_ = 0;
     std::uint64_t delivered_ = 0;
@@ -494,32 +474,14 @@ makeFailedSource(std::string message, SourceErrorKind kind)
     return std::make_unique<FailedSource>(std::move(message), kind);
 }
 
-bool
-useMappedIo(IoMode io)
-{
-    // Armed fault injection streams everything: the source.next
-    // decorator and the stream-path I/O faults then behave
-    // identically whatever --io asked for (positions, messages,
-    // exit codes — the fault-parity differential leg pins it).
-    return io != IoMode::Stream && mmapSupported() &&
-           !FailpointRegistry::instance().anyArmed();
-}
-
 std::unique_ptr<EventSource>
-openTraceFile(const std::string &path, std::size_t window, IoMode io)
+openTraceFile(const std::string &path, std::size_t window)
 {
     if (isShardPath(path))
-        return openShardMember(path, window, io);
+        return openShardMember(path, window);
     const bool binary =
         path.size() >= 4 &&
         path.compare(path.size() - 4, 4, ".tcb") == 0;
-    if (binary && useMappedIo(io)) {
-        if (auto map = MappedFile::map(path)) {
-            return std::make_unique<BinaryEventSource>(
-                std::move(map), window);
-        }
-        // Unmappable (pipe, special file): stream it below.
-    }
     auto is = std::make_unique<std::ifstream>(
         path, binary ? std::ios::binary : std::ios::in);
     if (!*is) {

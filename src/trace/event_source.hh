@@ -65,7 +65,9 @@ struct SourceInfo
     LockId locks = 0;
     VarId vars = 0;
     /** Total events when known upfront (materialized traces, binary
-     * files); kUnknownEventCount otherwise (text streams). */
+     * files); kUnknownEventCount otherwise (text streams). For
+     * files this is the header's declared count, which the readers
+     * check truncation against. */
     std::uint64_t events = kUnknownEventCount;
     /** The stream may contain thread lifecycle events (format v2
      * with a dynamic-membership trace). A reservation hint only:
@@ -75,6 +77,13 @@ struct SourceInfo
      * Consumers must handle lifecycle events regardless of this
      * flag — a false value never licenses rejecting them. */
     bool lifecycle = false;
+    /** Events the input can actually hold: `events` capped by the
+     * bytes behind the header (file size ÷ record size), since a
+     * corrupt header can declare far more than follows it. Size
+     * reservations by this, never by `events`. Set by the binary
+     * file readers; kUnknownEventCount elsewhere (text, pipes,
+     * in-memory sources). */
+    std::uint64_t backedEvents = kUnknownEventCount;
 
     bool
     eventCountKnown() const
@@ -307,32 +316,6 @@ class TraceSource final : public EventSource
  * in memory at any time, not a file-size limit). */
 inline constexpr std::size_t kDefaultSourceWindow = 4096;
 
-/**
- * How file-backed binary readers (.tcb and .tcs) get their bytes —
- * the --io flag of the CLIs.
- *
- *  - Mmap:   map the file and decode records in place (zero copy;
- *            seeks become offset arithmetic). Degrades to Stream
- *            when the file cannot be mapped (pipe, special file,
- *            platform without mmap) or fault injection is armed —
- *            armed sources always take the stream path so injected
- *            faults fire identically regardless of the flag.
- *  - Stream: buffered istream reads into a private window (the
- *            original path; the only one for text traces).
- *  - Auto:   Mmap where possible, Stream otherwise (the default).
- *
- * The two paths are byte-identical — streams, SourceInfo, rewind,
- * seeks, and mid-stream error positions/messages all match
- * (tests/test_mmap_source.cc pins this differentially), so the
- * mode is purely a performance choice.
- */
-enum class IoMode : std::uint8_t
-{
-    Auto,
-    Mmap,
-    Stream,
-};
-
 /** Streaming reader over the text format, borrowing @p is. Holds
  * one line at a time. */
 std::unique_ptr<EventSource> makeTextEventSource(std::istream &is);
@@ -347,16 +330,13 @@ makeBinaryEventSource(std::istream &is,
  * Open a trace file as a chunked streaming source; format chosen by
  * extension: ".tcb" binary, ".tcs" a shard-set member (the whole
  * set opens, merged back into capture order — see trace/shard.hh),
- * anything else text, matching loadTrace(). @p io selects the byte
- * source of the binary formats (see IoMode; text traces always
- * stream). The returned source owns the file stream(s) or
- * mapping(s). On open or header failure the source is returned in
- * the failed() state (never null).
+ * anything else text, matching loadTrace(). The returned source
+ * owns the file stream(s). On open or header failure the source is
+ * returned in the failed() state (never null).
  */
 std::unique_ptr<EventSource>
 openTraceFile(const std::string &path,
-              std::size_t window = kDefaultSourceWindow,
-              IoMode io = IoMode::Auto);
+              std::size_t window = kDefaultSourceWindow);
 
 /** A source that is born failed() with @p message — for factories
  * that must report "could not even open the input" through the
@@ -365,14 +345,6 @@ openTraceFile(const std::string &path,
 std::unique_ptr<EventSource>
 makeFailedSource(std::string message,
                  SourceErrorKind kind = SourceErrorKind::Io);
-
-/** Resolve @p io against runtime state: true when readers should
- * attempt the mapped path — @p io is not Stream, the build has
- * mmap, and no fault injection is armed (armed processes stream
- * everything so injected faults fire identically under any --io).
- * A true answer still degrades per file when the mapping call
- * fails. */
-bool useMappedIo(IoMode io);
 
 } // namespace tc
 

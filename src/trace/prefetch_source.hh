@@ -8,7 +8,7 @@
  * overhead — on a .tcs shard set under a cheap analysis, decode and
  * merge are about half of the run, and prefetching gains 1.5–1.7×
  * end to end (docs/ARCHITECTURE.md, Measured verdicts). It gains
- * little on a mapped .tcb, whose decode is cheap.
+ * little on a .tcb, whose decode is cheap.
  * PrefetchEventSource hides it by
  * decorating any EventSource with a background reader thread that
  * stays one window ahead: while the analysis consumes window N, the

@@ -22,7 +22,6 @@
 #include "support/strings.hh"
 #include "trace/fault_injection.hh"
 #include "trace/loser_tree.hh"
-#include "trace/mapped_file.hh"
 
 namespace tc {
 
@@ -120,26 +119,24 @@ pwriteAll(int fd, const unsigned char *data, std::size_t n,
     return true;
 }
 
-/** Decode a shard header from @p size bytes at @p d (the mapped
- * path's equivalent of readShardHeader). */
 bool
-decodeShardHeader(const unsigned char *d, std::size_t size,
-                  ShardHeader &h)
+readShardHeader(std::istream &is, ShardHeader &h)
 {
-    if (size < kShardHeaderBytes)
+    unsigned char hdr[kShardHeaderBytes];
+    if (!is.read(reinterpret_cast<char *>(hdr), sizeof(hdr)))
         return false;
-    if (std::memcmp(d, kShardMagicV1,
+    if (std::memcmp(hdr, kShardMagicV1,
                     sizeof(kShardMagicV1)) == 0)
         h.version = 1;
-    else if (std::memcmp(d, kShardMagicV2,
+    else if (std::memcmp(hdr, kShardMagicV2,
                          sizeof(kShardMagicV2)) == 0)
         h.version = 2;
     else
         return false;
     std::uint32_t words[5];
     std::uint64_t counts[2];
-    std::memcpy(words, d + sizeof(kShardMagicV1), sizeof(words));
-    std::memcpy(counts, d + kCountsOffset, sizeof(counts));
+    std::memcpy(words, hdr + sizeof(kShardMagicV1), sizeof(words));
+    std::memcpy(counts, hdr + kCountsOffset, sizeof(counts));
     h.index = words[0];
     h.count = words[1];
     h.threads = words[2];
@@ -148,15 +145,6 @@ decodeShardHeader(const unsigned char *d, std::size_t size,
     h.shardEvents = counts[0];
     h.totalEvents = counts[1];
     return true;
-}
-
-bool
-readShardHeader(std::istream &is, ShardHeader &h)
-{
-    unsigned char hdr[kShardHeaderBytes];
-    if (!is.read(reinterpret_cast<char *>(hdr), sizeof(hdr)))
-        return false;
-    return decodeShardHeader(hdr, sizeof(hdr), h);
 }
 
 /** One decoded shard record: the global stamp and its event. */
@@ -171,22 +159,13 @@ struct ShardRecord
  * `window` raw records per refill and decodes them into ShardRecord
  * batches — the unit the merge moves around. Validation (op/id
  * ranges, strictly increasing sequence numbers) happens here, once.
- *
- * With IoMode::Auto/Mmap (and no armed fault injection) the file
- * is memory-mapped: batches decode straight out of the mapping
- * with no read syscalls or staging copy, seqAt() probes become
- * plain loads (so countBelow / the merged seekToSequence are pure
- * memory binary searches), and seekToIndex is offset arithmetic.
- * Window spans, validation order and every error position/message
- * are identical to the stream path.
+ * Each refill is one bulk read of the next window into raw_.
  */
 class ShardFileReader
 {
   public:
-    ShardFileReader(std::string path, std::size_t window,
-                    IoMode io = IoMode::Auto)
-        : path_(std::move(path)), io_(io),
-          window_(window == 0 ? 1 : window)
+    ShardFileReader(std::string path, std::size_t window)
+        : path_(std::move(path)), window_(window == 0 ? 1 : window)
     {
         open();
     }
@@ -195,6 +174,9 @@ class ShardFileReader
     const std::string &error() const { return error_; }
     const ShardHeader &header() const { return header_; }
     const std::string &path() const { return path_; }
+    /** Records the file can hold: the declared count capped by the
+     * bytes after the header (kUnknownEventCount on a pipe). */
+    std::uint64_t backedEvents() const { return backedEvents_; }
 
     /**
      * Decode the next batch (≤ window records) into @p out.
@@ -217,29 +199,10 @@ class ShardFileReader
             header_.shardEvents - delivered_;
         const std::size_t want = static_cast<std::size_t>(
             remaining < window_ ? remaining : window_);
-        const unsigned char *base;
-        std::size_t got;
-        if (map_) {
-            // Zero-copy refill: the "read" is bounds arithmetic
-            // against the mapping — same span a stream read of
-            // want records would return, including the short tail.
-            const std::uint64_t consumed =
-                kShardHeaderBytes +
-                delivered_ * kShardRecordBytes;
-            const std::size_t avail =
-                map_->size() > consumed
-                    ? static_cast<std::size_t>(map_->size() -
-                                               consumed)
-                    : 0;
-            got = std::min(want * kShardRecordBytes, avail);
-            base = map_->data() + consumed;
-        } else {
-            raw_.resize(want * kShardRecordBytes);
-            is_.read(reinterpret_cast<char *>(raw_.data()),
-                     static_cast<std::streamsize>(raw_.size()));
-            got = static_cast<std::size_t>(is_.gcount());
-            base = raw_.data();
-        }
+        raw_.resize(want * kShardRecordBytes);
+        is_.read(reinterpret_cast<char *>(raw_.data()),
+                 static_cast<std::streamsize>(raw_.size()));
+        const auto got = static_cast<std::size_t>(is_.gcount());
         const std::size_t records = got / kShardRecordBytes;
         if (records == 0) {
             setError(strFormat(
@@ -250,7 +213,7 @@ class ShardFileReader
         out.reserve(records);
         for (std::size_t j = 0; j < records; j++) {
             const unsigned char *p =
-                base + j * kShardRecordBytes;
+                raw_.data() + j * kShardRecordBytes;
             std::uint64_t seq;
             std::int32_t tid;
             std::uint32_t target;
@@ -311,12 +274,9 @@ class ShardFileReader
     bool
     rewind()
     {
-        if (!map_) {
-            is_.clear();
-            if (!is_.seekg(static_cast<std::streamoff>(
-                    kShardHeaderBytes)))
-                return false;
-        }
+        is_.clear();
+        if (!is_.seekg(static_cast<std::streamoff>(kShardHeaderBytes)))
+            return false;
         delivered_ = 0;
         lastSeq_ = 0;
         error_.clear();
@@ -331,12 +291,6 @@ class ShardFileReader
     {
         const std::uint64_t off =
             kShardHeaderBytes + i * kShardRecordBytes;
-        if (map_) {
-            if (off + sizeof(out) > map_->size())
-                return false;
-            std::memcpy(&out, map_->data() + off, sizeof(out));
-            return true;
-        }
         is_.clear();
         if (!is_.seekg(static_cast<std::streamoff>(off)))
             return false;
@@ -380,13 +334,10 @@ class ShardFileReader
         std::uint64_t prev = 0;
         if (index > 0 && !seqAt(index - 1, prev))
             return false;
-        if (!map_) {
-            is_.clear();
-            if (!is_.seekg(static_cast<std::streamoff>(
-                    kShardHeaderBytes +
-                    index * kShardRecordBytes)))
-                return false;
-        }
+        is_.clear();
+        if (!is_.seekg(static_cast<std::streamoff>(
+                kShardHeaderBytes + index * kShardRecordBytes)))
+            return false;
         delivered_ = index;
         lastSeq_ = prev;
         error_.clear();
@@ -397,28 +348,27 @@ class ShardFileReader
     void
     open()
     {
-        if (useMappedIo(io_))
-            map_ = MappedFile::map(path_);
-        if (map_) {
-            if (!decodeShardHeader(map_->data(), map_->size(),
-                                   header_)) {
-                setError(strFormat("%s: bad shard header",
-                                   path_.c_str()));
-                return;
-            }
-        } else {
-            is_.open(path_, std::ios::binary);
-            if (!is_) {
-                setError(strFormat("cannot open '%s'",
-                                   path_.c_str()));
-                return;
-            }
-            if (!readShardHeader(is_, header_)) {
-                setError(strFormat("%s: bad shard header",
-                                   path_.c_str()));
-                return;
-            }
+        is_.open(path_, std::ios::binary);
+        if (!is_) {
+            setError(strFormat("cannot open '%s'", path_.c_str()));
+            return;
         }
+        if (!readShardHeader(is_, header_)) {
+            setError(strFormat("%s: bad shard header",
+                               path_.c_str()));
+            return;
+        }
+        // The records behind the header bound what a corrupt
+        // declared count may reserve (unknown when the file cannot
+        // seek, e.g. a pipe).
+        if (is_.seekg(0, std::ios::end)) {
+            const auto bytes = static_cast<std::uint64_t>(
+                is_.tellg() - std::streamoff(kShardHeaderBytes));
+            backedEvents_ = std::min(header_.shardEvents,
+                                     bytes / kShardRecordBytes);
+            is_.seekg(static_cast<std::streamoff>(kShardHeaderBytes));
+        }
+        is_.clear();
         if (header_.shardEvents == kUnknownEventCount ||
             header_.totalEvents == kUnknownEventCount) {
             setError(strFormat(
@@ -446,11 +396,9 @@ class ShardFileReader
 
     std::string path_;
     std::string error_;
-    IoMode io_;
-    /** Non-null when the file is mapped; is_/raw_ are unused then. */
-    std::unique_ptr<MappedFile> map_;
     std::ifstream is_;
     ShardHeader header_;
+    std::uint64_t backedEvents_ = kUnknownEventCount;
     std::size_t window_;
     std::vector<unsigned char> raw_;
     std::uint64_t delivered_ = 0;
@@ -468,21 +416,22 @@ std::string
 openShardReaders(
     const std::string &prefix, std::size_t window,
     std::vector<std::unique_ptr<ShardFileReader>> &readers,
-    SourceInfo &info, IoMode io)
+    SourceInfo &info)
 {
     readers.clear();
     readers.push_back(std::make_unique<ShardFileReader>(
-        shardPath(prefix, 0), window, io));
+        shardPath(prefix, 0), window));
     if (!readers[0]->ok())
         return readers[0]->error();
     const ShardHeader first = readers[0]->header();
     for (std::uint32_t i = 1; i < first.count; i++) {
         readers.push_back(std::make_unique<ShardFileReader>(
-            shardPath(prefix, i), window, io));
+            shardPath(prefix, i), window));
         if (!readers.back()->ok())
             return readers.back()->error();
     }
     std::uint64_t sum = 0;
+    std::uint64_t backed = 0;
     for (std::size_t i = 0; i < readers.size(); i++) {
         const ShardHeader &h = readers[i]->header();
         if (h.version != first.version ||
@@ -496,6 +445,10 @@ openShardReaders(
                 readers[i]->path().c_str());
         }
         sum += h.shardEvents;
+        const std::uint64_t b = readers[i]->backedEvents();
+        backed = backed == kUnknownEventCount || b == kUnknownEventCount
+                     ? kUnknownEventCount
+                     : backed + b;
     }
     if (sum != first.totalEvents) {
         return strFormat(
@@ -508,6 +461,7 @@ openShardReaders(
     info.locks = static_cast<LockId>(first.locks);
     info.vars = static_cast<VarId>(first.vars);
     info.events = first.totalEvents;
+    info.backedEvents = backed;
     info.lifecycle = first.version >= 2;
     return {};
 }
@@ -563,12 +517,12 @@ class MergingEventSource final : public EventSource
 {
   public:
     MergingEventSource(const std::string &prefix,
-                       std::size_t window, IoMode io)
+                       std::size_t window)
         : tree_(1)
     {
         std::vector<std::unique_ptr<ShardFileReader>> readers;
         std::string err =
-            openShardReaders(prefix, window, readers, info_, io);
+            openShardReaders(prefix, window, readers, info_);
         if (!err.empty()) {
             rejectSet(std::move(err));
             return;
@@ -1200,15 +1154,13 @@ captureTraceParallel(const Trace &trace, const std::string &prefix,
 }
 
 std::unique_ptr<EventSource>
-openShardSet(const std::string &prefix, std::size_t window,
-             IoMode io)
+openShardSet(const std::string &prefix, std::size_t window)
 {
-    return std::make_unique<MergingEventSource>(prefix, window, io);
+    return std::make_unique<MergingEventSource>(prefix, window);
 }
 
 std::unique_ptr<EventSource>
-openShardMember(const std::string &path, std::size_t window,
-                IoMode io)
+openShardMember(const std::string &path, std::size_t window)
 {
     std::string prefix;
     std::uint32_t index = 0;
@@ -1218,7 +1170,7 @@ openShardMember(const std::string &path, std::size_t window,
                       "(want <prefix>.<index>.tcs)",
                       path.c_str()));
     }
-    auto merged = openShardSet(prefix, window, io);
+    auto merged = openShardSet(prefix, window);
     // The named member must belong to the set that shard 0's
     // header describes — a stale higher-numbered file from an
     // earlier, wider split would otherwise be silently *excluded*

@@ -241,15 +241,12 @@ captureTraceParallel(const Trace &trace, const std::string &prefix,
  * yields the canonical total order (a K-way merge on global
  * sequence numbers through a loser tree, O(log K) per event). Each
  * underlying reader holds at most @p window records in memory.
- * @p io selects each member reader's byte source (IoMode; mmap
- * decodes records in place and turns seek probes into loads).
  * Never null; open/header/consistency failures surface through the
  * failed() state.
  */
 std::unique_ptr<EventSource>
 openShardSet(const std::string &prefix,
-             std::size_t window = kDefaultSourceWindow,
-             IoMode io = IoMode::Auto);
+             std::size_t window = kDefaultSourceWindow);
 
 /**
  * Open the shard set that member file @p path belongs to (the
@@ -260,8 +257,7 @@ openShardSet(const std::string &prefix,
  */
 std::unique_ptr<EventSource>
 openShardMember(const std::string &path,
-                std::size_t window = kDefaultSourceWindow,
-                IoMode io = IoMode::Auto);
+                std::size_t window = kDefaultSourceWindow);
 
 } // namespace tc
 

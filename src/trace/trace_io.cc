@@ -26,7 +26,11 @@ parseFailure(std::size_t line, std::string msg)
  * of the chunked sources in event_source.cc. Drains window-at-a-time
  * through read() into one reused buffer — with a known event count
  * the reserve below is the only steady-state allocation, so loading
- * never holds a second materialized copy of the trace. */
+ * never holds a second materialized copy of the trace. The reserve
+ * takes the count the file's bytes can back, not the header's
+ * claim: an inflated header then fails as the same truncated
+ * stream a streamed run reports, instead of aborting on the
+ * allocation. */
 ParseResult
 drainSource(EventSource &source)
 {
@@ -36,8 +40,8 @@ drainSource(EventSource &source)
     ParseResult result;
     const SourceInfo si = source.info();
     result.trace = Trace(si.threads, si.locks, si.vars);
-    if (si.eventCountKnown())
-        result.trace.reserve(si.events);
+    if (si.backedEvents != kUnknownEventCount)
+        result.trace.reserve(si.backedEvents);
     std::vector<Event> buf(kDefaultSourceWindow);
     std::size_t n;
     while ((n = source.read(buf.data(), buf.size())) != 0)
@@ -149,11 +153,9 @@ saveTrace(const Trace &trace, const std::string &path)
 }
 
 ParseResult
-loadTrace(const std::string &path, IoMode io)
+loadTrace(const std::string &path)
 {
-    const auto source =
-        openTraceFile(path, kDefaultSourceWindow, io);
-    return drainSource(*source);
+    return drainSource(*openTraceFile(path));
 }
 
 bool

@@ -20,7 +20,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "trace/event_source.hh" // IoMode
+#include "trace/event_source.hh"
 #include "trace/trace.hh"
 
 namespace tc {
@@ -47,13 +47,10 @@ ParseResult readTraceBinary(std::istream &is);
 /** Convenience file wrappers; format chosen by extension
  * (".tcb" binary, anything else text — except ".tcs", which names
  * shard sets that only trace/shard.hh writes; saving to one is
- * refused). @p io selects the byte source for loading: the Auto
- * default maps binary files and decodes them in place (one pass,
- * no second materialized copy), degrading to buffered streams
- * where mmap does not apply. */
+ * refused). Loading drains the chunked reader of openTraceFile()
+ * in one pass, with no second materialized copy. */
 bool saveTrace(const Trace &trace, const std::string &path);
-ParseResult loadTrace(const std::string &path,
-                      IoMode io = IoMode::Auto);
+ParseResult loadTrace(const std::string &path);
 
 /**
  * Drain @p source into @p path without materializing a Trace

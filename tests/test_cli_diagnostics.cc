@@ -128,22 +128,27 @@ TEST_F(CliDiagnostics, UsageErrorsExitOne)
               1);
 }
 
-TEST_F(CliDiagnostics, RetiredParallelFlagsAreUnknown)
+TEST_F(CliDiagnostics, RetiredFlagsAreUnknown)
 {
-    // The parallel/async shapes that did not pay end to end are
-    // gone; their flags must fail as typos do, not be ignored.
-    const std::string input = " --trace=" + goodPath() + " --stream";
-    for (const char *flag : {"--readers=2", "--merge-workers=2",
-                             "--shard-analysis=2"}) {
-        EXPECT_EQ(runCli("./race_detector" + input + " " + flag), 1)
+    // The parallel/async shapes and the mmap byte source did not
+    // pay end to end and are gone; their flags (named here without
+    // their leading dashes) must fail as typos do, not be ignored.
+    const std::string input =
+        " --trace=" + goodPath() + " --stream --";
+    for (const char *flag : {"readers=2", "merge-workers=2",
+                             "shard-analysis=2", "io=stream"}) {
+        EXPECT_EQ(runCli("./race_detector" + input + flag), 1)
             << flag;
     }
     const std::string split = "./trace_tool split " + goodPath() +
                               " " + std::string(kWorkDir) +
-                              "/retired_split ";
+                              "/retired_split --";
     for (const char *flag :
-         {"--writers=2", "--async-append", "--merge-workers=2"})
+         {"writers=2", "async-append", "merge-workers=2"})
         EXPECT_EQ(runCli(split + flag), 1) << flag;
+    const std::string stats =
+        "./trace_tool stats " + goodPath() + " --";
+    EXPECT_EQ(runCli(stats + "io=mmap"), 1);
 }
 
 TEST_F(CliDiagnostics, FindingsExitTwo)
@@ -253,6 +258,70 @@ TEST_F(CliDiagnostics, CorruptInputsExitThreeFromBothTools)
     }
 }
 
+TEST_F(CliDiagnostics, InflatedEventCountsExitThreeLikeStreamed)
+{
+    // Headers declaring 2^50 events over one record. The
+    // materialized path must fail on the missing records, as
+    // --stream does, not abort reserving room for the declared
+    // count (this suite also runs under a 4 GiB address limit).
+    const std::uint64_t declared = std::uint64_t{1} << 50;
+    auto put = [](std::string &out, const auto &value) {
+        out.append(reinterpret_cast<const char *>(&value),
+                   sizeof(value));
+    };
+    // threads 1, locks 0, vars 1; the one record is "0 w 0".
+    const std::uint32_t ids[3] = {1, 0, 1};
+    const std::int32_t tid = 0;
+    const std::uint32_t target = 0;
+    const auto op = static_cast<std::uint8_t>(OpType::Write);
+
+    std::string tcb("TCTB1", 6);
+    put(tcb, ids);
+    put(tcb, declared);
+    put(tcb, tid);
+    put(tcb, target);
+    put(tcb, op);
+    ASSERT_EQ(tcb.size(), 35u);
+
+    // Shard 0 of 1 with the same id space, shard and total counts.
+    std::string tcs("TCSH1", 6);
+    const std::uint32_t shape[2] = {0, 1};
+    put(tcs, shape);
+    put(tcs, ids);
+    put(tcs, declared);
+    put(tcs, declared);
+    put(tcs, std::uint64_t{0}); // the record's global stamp
+    put(tcs, tid);
+    put(tcs, target);
+    put(tcs, op);
+
+    const std::string tcb_path =
+        std::string(kWorkDir) + "/inflated.tcb";
+    const std::string tcs_path =
+        std::string(kWorkDir) + "/inflated.0.tcs";
+    std::ofstream(tcb_path, std::ios::binary) << tcb;
+    std::ofstream(tcs_path, std::ios::binary) << tcs;
+    const struct
+    {
+        std::string path;
+        std::string line;
+    } cases[] = {
+        {tcb_path, "error: truncated event stream at event 1\n"},
+        {tcs_path,
+         "error: " + tcs_path + ": truncated shard at event 1\n"},
+    };
+    for (const auto &c : cases) {
+        for (const std::string &command :
+             {"./race_detector --trace=" + c.path,
+              "./race_detector --trace=" + c.path + " --stream",
+              "./trace_tool validate " + c.path}) {
+            std::string err;
+            EXPECT_EQ(runCliStderr(command, err), 3) << command;
+            EXPECT_EQ(err, c.line) << command;
+        }
+    }
+}
+
 TEST_F(CliDiagnostics, CleanRunsExitZero)
 {
     EXPECT_EQ(runCli("./trace_tool stats " + goodPath()), 0);
@@ -272,6 +341,14 @@ TEST_F(CliDiagnostics, InjectedIoErrorsExitFourFromBothTools)
                      goodPath() + " " + std::string(kWorkDir) +
                      "/diag_split --shards=2"),
               4);
+}
+
+TEST_F(CliDiagnostics, InjectedSourceCrashExitsSeventySeven)
+{
+    EXPECT_EQ(runCli("TC_FAILPOINTS='source.next=crash@100' "
+                     "./race_detector --trace=" +
+                     goodPath() + " --stream"),
+              77);
 }
 
 } // namespace

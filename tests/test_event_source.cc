@@ -13,6 +13,7 @@
 #include <string>
 
 #include "gen/generator_source.hh"
+#include "gen/pool_workload.hh"
 #include "gen/random_trace.hh"
 #include "test_helpers.hh"
 #include "trace/event_source.hh"
@@ -104,9 +105,51 @@ TEST_F(EventSourceFiles, RewindRestartsTheStream)
         Event e;
         for (int i = 0; i < 100; i++)
             ASSERT_TRUE(source->next(e));
+        // Mid-window (100 is not a multiple of 32), then again
+        // after a clean end of stream.
+        ASSERT_TRUE(source->rewind());
+        expectSameEvents(trace_, *source);
         ASSERT_TRUE(source->rewind());
         expectSameEvents(trace_, *source);
     }
+}
+
+TEST_F(EventSourceFiles, SeekToSequenceResumesAtTheNamedEvent)
+{
+    const std::uint64_t n = trace_.size();
+    for (const std::uint64_t at :
+         {std::uint64_t{0}, std::uint64_t{1}, n / 2, n - 1, n}) {
+        auto source = openTraceFile(binPath_, 64);
+        ASSERT_TRUE(source->seekToSequence(at)) << "seek " << at;
+        Event e;
+        std::uint64_t i = at;
+        while (source->next(e)) {
+            ASSERT_LT(i, n) << "seek " << at;
+            ASSERT_EQ(e, trace_[i]) << "seek " << at;
+            i++;
+        }
+        EXPECT_FALSE(source->failed())
+            << "seek " << at << ": " << source->error();
+        EXPECT_EQ(i, n) << "seek " << at;
+    }
+}
+
+TEST(EventSourceV2, LifecycleBinaryRoundTrips)
+{
+    PoolWorkloadParams params;
+    params.poolSize = 5;
+    params.tasks = 600;
+    params.taskEvents = 9;
+    params.seed = 23;
+    const Trace t = generatePoolWorkload(params);
+    ASSERT_TRUE(t.hasLifecycle());
+    const std::string path = "/tmp/tc_event_source_v2.tcb";
+    ASSERT_TRUE(saveTrace(t, path));
+    auto source = openTraceFile(path);
+    ASSERT_FALSE(source->failed()) << source->error();
+    EXPECT_TRUE(source->info().lifecycle);
+    expectSameEvents(t, *source);
+    std::remove(path.c_str());
 }
 
 TEST_F(EventSourceFiles, StreamingConvertRoundTrips)
@@ -179,6 +222,72 @@ TEST(EventSourceErrors, TruncatedBinaryFailsMidStream)
         delivered++;
     EXPECT_TRUE(source->failed());
     EXPECT_LT(delivered, t.size());
+}
+
+TEST(EventSourceErrors, DamagedBinaryFilesReportWhereTheyBroke)
+{
+    // Every structurally distinct cut of a .tcb and two corrupt
+    // bytes: the exact message, the events delivered before it and
+    // the error kind, read back through a 64-event window.
+    const Trace t = sampleTrace(1000);
+    std::stringstream ss(std::ios::in | std::ios::out |
+                         std::ios::binary);
+    ASSERT_TRUE(writeTraceBinary(t, ss));
+    const std::string bytes = ss.str();
+    const std::size_t header = 26; // magic + 3×u32 + u64 count
+    const std::size_t record = 9;
+    const std::size_t n = t.size();
+    ASSERT_GT(n, 100u);
+
+    std::string bad_magic = bytes;
+    bad_magic[0] = 'X';
+    std::string bad_op = bytes;
+    bad_op[header + record * 100 + 8] = 0x7f; // op byte of event 100
+
+    const struct
+    {
+        const char *label;
+        std::string content;
+        std::size_t delivered;
+        std::string error;
+    } cases[] = {
+        {"mid-magic", bytes.substr(0, 3), 0,
+         "bad magic (not a treeclock binary trace)"},
+        {"mid-header", bytes.substr(0, header - 2), 0,
+         "truncated header"},
+        {"header only", bytes.substr(0, header), 0,
+         "truncated event stream at event 0"},
+        {"record boundary", bytes.substr(0, header + record * 17), 17,
+         "truncated event stream at event 17"},
+        // A torn window fails before delivering any of it.
+        {"mid-record", bytes.substr(0, header + record * 17 + 4), 0,
+         "truncated event stream at event 17"},
+        // The last window is torn, so what came before it is all
+        // that arrives.
+        {"last byte cut", bytes.substr(0, bytes.size() - 1),
+         (n - 1) / 64 * 64,
+         "truncated event stream at event " + std::to_string(n - 1)},
+        {"bad magic", bad_magic, 0,
+         "bad magic (not a treeclock binary trace)"},
+        {"invalid op at event 100", bad_op, 100, "invalid op code"},
+    };
+    const std::string path = "/tmp/tc_event_source_damaged.tcb";
+    for (const auto &c : cases) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << c.content;
+        auto source = openTraceFile(path, 64);
+        Event e;
+        std::size_t delivered = 0;
+        while (source->next(e))
+            delivered++;
+        EXPECT_EQ(delivered, c.delivered) << c.label;
+        EXPECT_TRUE(source->failed()) << c.label;
+        EXPECT_EQ(source->error(), c.error) << c.label;
+        EXPECT_EQ(source->errorKind(), SourceErrorKind::Corrupt)
+            << c.label;
+        EXPECT_EQ(source->errorLine(), 0u) << c.label;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(EventSourceErrors, RejectsOutOfRangeBinaryIds)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/pool_workload.hh"
 #include "gen/random_trace.hh"
 #include "support/rng.hh"
 #include "test_helpers.hh"
@@ -152,6 +153,36 @@ TEST(ShardRoundTrip, RewindRestartsTheMerge)
         ASSERT_TRUE(merged->next(e));
     ASSERT_TRUE(merged->rewind());
     expectSameEvents(trace, *merged, "after rewind");
+    removeShards(prefix, 4);
+}
+
+TEST(ShardRoundTrip, SeekResumesTheMergeMidStream)
+{
+    // The --resume entry point over a v2 (lifecycle) set: seeking
+    // the merge to a third of the stream must continue exactly
+    // where the total order says it should.
+    PoolWorkloadParams params;
+    params.poolSize = 5;
+    params.tasks = 600;
+    params.taskEvents = 9;
+    params.seed = 23;
+    const Trace trace = generatePoolWorkload(params);
+    const std::string prefix = "/tmp/tc_shard_resume";
+    split(trace, prefix, 4);
+    auto merged = openShardSet(prefix);
+    ASSERT_FALSE(merged->failed()) << merged->error();
+    EXPECT_TRUE(merged->info().lifecycle);
+    const std::uint64_t resume_at = trace.size() / 3;
+    ASSERT_TRUE(merged->seekToSequence(resume_at));
+    Event e;
+    std::size_t i = static_cast<std::size_t>(resume_at);
+    while (merged->next(e)) {
+        ASSERT_LT(i, trace.size());
+        ASSERT_EQ(e, trace[i]) << "resumed event " << i;
+        i++;
+    }
+    EXPECT_FALSE(merged->failed()) << merged->error();
+    EXPECT_EQ(i, trace.size());
     removeShards(prefix, 4);
 }
 
@@ -332,6 +363,75 @@ TEST(ShardErrors, TruncatedShardFailsAfterConsumedPrefix)
     EXPECT_TRUE(merged->failed());
     EXPECT_LT(delivered, trace.size());
     removeShards(prefix, 2);
+}
+
+TEST(ShardErrors, DamagedMemberReportsPathPositionAndKind)
+{
+    // One member of a 3-shard set damaged three ways: the message
+    // names the member, and the merge stops where that member
+    // broke.
+    const Trace trace = sampleTrace(3000, 11);
+    const std::string prefix = "/tmp/tc_shard_damaged";
+    split(trace, prefix, 3);
+    const std::string victim = shardPath(prefix, 1);
+    std::string saved;
+    {
+        std::ifstream in(victim, std::ios::binary);
+        saved.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // Shard k holds the events of threads t with t mod 3 == k,
+    // stamped with their trace positions.
+    std::vector<std::size_t> member;
+    for (std::size_t i = 0; i < trace.size(); i++) {
+        if (trace[i].tid % 3 == 1)
+            member.push_back(i);
+    }
+    ASSERT_GE(member.size(), 2u);
+
+    const std::size_t records = member.size();
+    std::string torn = saved.substr(0, saved.size() - 5);
+    std::string bad_magic = saved;
+    bad_magic[0] = 'Z';
+    // The sentinel a crashed capture leaves in both u64 counts
+    // (header bytes 26..41).
+    std::string unfinalized = saved;
+    for (std::size_t i = 26; i < 26 + 16; i++)
+        unfinalized[i] = static_cast<char>(0xff);
+
+    const struct
+    {
+        const char *label;
+        std::string content;
+        std::size_t delivered;
+        std::string error;
+    } cases[] = {
+        // The torn last record fails the member after its whole
+        // records; the merge surfaces it one event after the
+        // member's last good record.
+        {"truncated tail", torn, member[records - 2] + 1,
+         victim + ": truncated shard at event " +
+             std::to_string(records - 1)},
+        {"corrupt magic", bad_magic, 0,
+         victim + ": bad shard header"},
+        {"unfinalized", unfinalized, 0,
+         victim + ": shard was never finalized (crashed capture?)"},
+    };
+    for (const auto &c : cases) {
+        std::ofstream(victim, std::ios::binary | std::ios::trunc)
+            << c.content;
+        auto merged = openShardSet(prefix);
+        Event e;
+        std::size_t delivered = 0;
+        while (merged->next(e))
+            delivered++;
+        EXPECT_EQ(delivered, c.delivered) << c.label;
+        EXPECT_TRUE(merged->failed()) << c.label;
+        EXPECT_EQ(merged->error(), c.error) << c.label;
+        EXPECT_EQ(merged->errorKind(), SourceErrorKind::Corrupt)
+            << c.label;
+    }
+    removeShards(prefix, 3);
 }
 
 } // namespace
