@@ -67,9 +67,9 @@ timeOne(const Trace &trace, const EngineConfig &base)
  * comparison is not skewed by which side runs first. */
 template <typename ClockT>
 double
-timePo(Po po, const Trace &trace, bool analysis, int reps,
-       EngineConfig base = {})
+timePo(Po po, const Trace &trace, bool analysis, int reps)
 {
+    EngineConfig base;
     base.analysis = analysis;
     double total = 0;
     for (int r = 0; r <= reps; r++) {

@@ -3,7 +3,7 @@
  * Regenerates the paper's Table 1 (aggregate trace statistics:
  * min/max/mean of threads, locks, variables, events, %sync, %r/w)
  * and Table 3 (the per-trace inventory) for this repository's
- * corpus (DESIGN.md §5 documents the corpus substitution).
+ * corpus (docs/ARCHITECTURE.md, Corpus, documents the substitution).
  */
 
 #include <iostream>

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Docs honesty gate: links resolve, flags exist, no drift.
 
-Two checks over docs/*.md (plus README.md for links):
+Three checks:
 
- 1. Link check — every relative markdown link target must exist on
-    disk (anchors and external http(s)/mailto links are skipped).
+ 1. Link check — every relative markdown link target in docs/*.md
+    and README.md must exist on disk (anchors and external
+    http(s)/mailto links are skipped).
 
- 2. Flag drift — every `--flag` spelled in the docs must be
+ 2. Flag drift — every `--flag` spelled in docs/*.md must be
     declared somewhere in the CLIs/benches/CI scripts (catches
     typos and docs describing removed flags), and every flag of
     the *user-facing* binaries (race_detector, trace_tool, the
     shared source flags) must be mentioned in the docs (catches
     new flags landing without documentation).
+
+ 3. Cited documents — every `.md` file a comment names in the C++
+    sources under src/, bench/, examples/ and tests/ must exist,
+    resolved from the repository root or from the citing file's
+    directory (catches comments pointing at deleted documents).
 
 Exit 1 with a per-finding report on any failure, 0 when clean.
 """
@@ -51,6 +57,14 @@ PY_FLAG_RE = re.compile(r'add_argument\(\s*"--([a-z][a-z0-9-]*)"')
 DOC_FLAG_RE = re.compile(r"--([a-z][a-z0-9-]*)")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+CITING_SOURCES = sorted(
+    path
+    for tree in ("src", "bench", "examples", "tests")
+    for suffix in ("*.cc", "*.hh")
+    for path in (ROOT / tree).rglob(suffix))
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+MD_NAME_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+
 
 def declared_flags(paths):
     flags = set()
@@ -59,6 +73,15 @@ def declared_flags(paths):
         flags.update(CC_FLAG_RE.findall(text))
         flags.update(PY_FLAG_RE.findall(text))
     return flags
+
+
+def cited_documents(path):
+    """(line, name) of every .md file named in @p path's comments."""
+    text = path.read_text()
+    for comment in COMMENT_RE.finditer(text):
+        for name in MD_NAME_RE.finditer(comment.group()):
+            at = comment.start() + name.start()
+            yield text.count("\n", 0, at) + 1, name.group()
 
 
 def main():
@@ -74,6 +97,14 @@ def main():
                 failures.append(
                     f"{doc.relative_to(ROOT)}: broken link "
                     f"'{target}'")
+
+    for source in CITING_SOURCES:
+        for line, name in cited_documents(source):
+            if not ((ROOT / name).exists() or
+                    (source.parent / name).exists()):
+                failures.append(
+                    f"{source.relative_to(ROOT)}:{line}: comment "
+                    f"cites '{name}', which does not exist")
 
     declared = declared_flags(DECLARED_SOURCES)
     user_facing = declared_flags(USER_FACING_SOURCES)
@@ -101,7 +132,8 @@ def main():
     print(f"docs gate OK: {len(LINK_FILES)} files link-checked, "
           f"{len(user_facing)} user-facing flags documented, "
           f"{len(documented & declared)} documented flags "
-          f"verified against declarations")
+          f"verified against declarations, "
+          f"{len(CITING_SOURCES)} sources' cited documents found")
     return 0
 
 

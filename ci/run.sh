@@ -26,9 +26,10 @@
 #           at depth 1 inside jobs 1–2; this job buys the deep
 #           randomized sweeps without slowing the whole matrix.
 #   Job 0 — docs gate: internal links in docs/ + README resolve,
-#           and the flags the docs spell exist in the CLIs (and
-#           every user-facing flag is documented). Runs first: it
-#           needs no build and catches drift in seconds.
+#           the flags the docs spell exist in the CLIs (and every
+#           user-facing flag is documented), and every .md file a
+#           source comment cites exists. Runs first: it needs no
+#           build and catches drift in seconds.
 #
 # Performance is not gated here: perfbench/run.py (BENCHMARK.json)
 # compares a change against its parent on one host.
@@ -39,9 +40,9 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-# Docs gate first: link and flag-drift checking needs no build, so
-# a stale docs/ tree fails in seconds, before any compile.
-echo "=== docs gate (links + flag drift) ==="
+# Docs gate first: link, flag-drift and cited-document checking
+# needs no build, so stale docs fail in seconds, before any compile.
+echo "=== docs gate (links + flag drift + cited docs) ==="
 python3 ci/check_docs.py
 
 run_job() {

@@ -96,10 +96,10 @@ main(int argc, char **argv)
     addTraceSourceFlags(args);
     args.addBool("stream", false,
                  "consume --trace through the chunked reader "
-                 "(out-of-core; whole-trace validation is skipped "
-                 "— only lock/fork discipline is checked "
-                 "event-by-event: a lock violation exits 2 as on "
-                 "the materialized path, any other aborts)");
+                 "(out-of-core; whole-trace validation is skipped, "
+                 "but every lock, fork/join and lifecycle rule is "
+                 "checked event by event: a violation exits 2 with "
+                 "the materialized path's line)");
     args.addString("po", "hb",
                    "partial orders, comma-separated: hb | shb | "
                    "maz");
@@ -391,8 +391,9 @@ main(int argc, char **argv)
                 return reportError(err, 0, exitCodeForMessage(err));
         }
     } catch (const TraceInputError &err) {
-        // A streamed lock-discipline violation: the same event and
-        // message validate() reports on the materialized path.
+        // A streamed lock or thread-protocol violation: the same
+        // event and message validate() reports on the materialized
+        // path.
         return reportMalformedTrace(err.eventIndex, err.what());
     }
     const double seconds = timer.seconds();

@@ -5,10 +5,7 @@
  * AccessHistory is the FastTrack-style adaptive state: the last write
  * as an epoch, and reads as a single epoch while one suffices
  * (reads totally ordered so far), promoted to a flat per-thread
- * vector once reads become concurrent. FlatAccessHistory is the
- * pre-epoch (DJIT+-style) variant that always keeps full per-thread
- * read and write vectors; it exists as the `useEpochs=false`
- * ablation of the HB engine.
+ * vector once reads become concurrent.
  */
 
 #ifndef TC_ANALYSIS_ACCESS_HISTORY_HH
@@ -140,86 +137,6 @@ class AccessHistory
     Epoch readEpoch_;
     bool shared_ = false;
     std::vector<Clk> readVec_;
-};
-
-/** Always-flat per-thread access history (epoch ablation). */
-class FlatAccessHistory
-{
-  public:
-    explicit FlatAccessHistory(Tid num_threads = 0)
-        : reads_(static_cast<std::size_t>(num_threads), 0),
-          writes_(static_cast<std::size_t>(num_threads), 0)
-    {}
-
-    void
-    recordRead(Tid t, Clk c)
-    {
-        grow(t);
-        reads_[static_cast<std::size_t>(t)] = c;
-    }
-    void
-    recordWrite(Tid t, Clk c)
-    {
-        grow(t);
-        writes_[static_cast<std::size_t>(t)] = c;
-    }
-
-    template <typename ClockT, typename Fn>
-    void
-    forEachUncoveredWrite(const ClockT &clock, Fn &&on_race) const
-    {
-        for (std::size_t u = 0; u < writes_.size(); u++) {
-            if (writes_[u] > clock.get(static_cast<Tid>(u)))
-                on_race(Epoch(static_cast<Tid>(u), writes_[u]));
-        }
-    }
-
-    template <typename ClockT, typename Fn>
-    void
-    forEachUncoveredRead(const ClockT &clock, Fn &&on_race) const
-    {
-        for (std::size_t u = 0; u < reads_.size(); u++) {
-            if (reads_[u] > clock.get(static_cast<Tid>(u)))
-                on_race(Epoch(static_cast<Tid>(u), reads_[u]));
-        }
-    }
-
-    /** @name Checkpoint serialization (core/serial.hh) @{ */
-    void
-    serialize(ByteSink &out) const
-    {
-        out.putVec(reads_);
-        out.putVec(writes_);
-    }
-
-    bool
-    deserialize(ByteSource &in)
-    {
-        std::vector<Clk> reads, writes;
-        if (!in.getVec(reads) || !in.getVec(writes))
-            return false;
-        if (reads.size() != writes.size())
-            return in.fail();
-        reads_ = std::move(reads);
-        writes_ = std::move(writes);
-        return true;
-    }
-    /** @} */
-
-  private:
-    /** Streaming analyses may grow the thread population after this
-     * history was sized; batch runs pre-size past every tid. */
-    void
-    grow(Tid t)
-    {
-        if (reads_.size() <= static_cast<std::size_t>(t)) {
-            reads_.resize(static_cast<std::size_t>(t) + 1, 0);
-            writes_.resize(static_cast<std::size_t>(t) + 1, 0);
-        }
-    }
-
-    std::vector<Clk> reads_;
-    std::vector<Clk> writes_;
 };
 
 } // namespace tc

@@ -84,11 +84,12 @@ class AnalysisDriver
      * grows on demand. Event well-formedness is always checked. A
      * lock-discipline violation (acquiring a held lock, releasing a
      * lock one does not hold) or a thread-protocol violation (see
-     * ThreadRule: a fork or tcreate of a thread that already ran,
-     * a tjoin without tcreate, a thread acting after its tjoin, ...)
-     * is an input error: feed throws TraceInputError with the
-     * event's index and the message Trace::validate() gives, and the
-     * run is over (begin() again before reuse).
+     * ThreadRule: a fork or tcreate of a thread that already ran, a
+     * second fork or join of one thread, a tjoin without tcreate, a
+     * thread acting after its join, ...) is an input error: feed
+     * throws TraceInputError with the event's index and the message
+     * Trace::validate() gives, and the run is over (begin() again
+     * before reuse).
      */
     void
     feed(const Event &e)
@@ -102,7 +103,7 @@ class AnalysisDriver
         if (e.isFork() || e.isJoin() || e.isThreadJoin() ||
             e.isThreadRetire())
             ensureThread(e.targetTid());
-        if (lifeState(e.tid) > kLive)
+        if (joined(lifeState(e.tid)))
             throwThreadRule(index, ThreadRule::ActsAfterJoin, e);
         if (e.isThreadCreate())
             prepareCreate(index, e);
@@ -148,17 +149,28 @@ class AnalysisDriver
                 throwThreadRule(index, ThreadRule::SelfTarget, e);
             if (local_[static_cast<std::size_t>(child)] != 0)
                 throwThreadRule(index, ThreadRule::TargetStarted, e);
-            if (lifeState(child) != kNone)
+            if (lifeState(child) & kForked)
+                throwThreadRule(index, ThreadRule::ForkedTwice, e);
+            if (managed(lifeState(child)))
                 throwThreadRule(index, ThreadRule::ForkOfManaged, e);
+            lifeState_[static_cast<std::size_t>(child)] |= kForked;
             detail::joinClock(threads_[slotIndex(child)], ct, cfg_);
             if (cfg_.deepChecks)
                 detail::deepCheck(threads_[slotIndex(child)]);
             break;
           }
-          case OpType::Join:
-            detail::joinClock(ct, threads_[slotIndex(e.targetTid())],
-                              cfg_);
+          case OpType::Join: {
+            const Tid child = e.targetTid();
+            if (child == e.tid)
+                throwThreadRule(index, ThreadRule::SelfTarget, e);
+            std::uint8_t &state =
+                lifeState_[static_cast<std::size_t>(child)];
+            if (joined(state))
+                throwThreadRule(index, ThreadRule::JoinedTwice, e);
+            state = state == kLive ? kJoined : state | kJoinedPlain;
+            detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
             break;
+          }
           case OpType::ThreadCreate: {
             // prepareCreate() already assigned the child its slot
             // and reset its clock to the occupancy bias; what is
@@ -180,7 +192,7 @@ class AnalysisDriver
             const Tid child = e.targetTid();
             if (child == e.tid)
                 throwThreadRule(index, ThreadRule::SelfTarget, e);
-            if (lifeState(child) == kNone)
+            if (!managed(lifeState(child)))
                 throwThreadRule(index, ThreadRule::JoinWithoutCreate,
                                 e);
             if (lifeState(child) != kLive)
@@ -250,14 +262,10 @@ class AnalysisDriver
      * clean end of stream.
      *
      * EngineConfig::validate is necessarily ignored here: whole-
-     * trace validation needs the full event vector. Only feed()'s
-     * incremental checks apply: lock discipline, fork targets and
-     * the tcreate / tjoin / tretire protocol, each thrown as
-     * TraceInputError. Other misuse of plain fork/join — a second
-     * fork or join of one thread, a tcreate of a forked one, a
-     * thread joining itself or acting after its join — passes
-     * undetected; materialize and run(Trace) when that guarantee
-     * matters.
+     * trace validation needs the full event vector. feed() checks
+     * the same lock-discipline and thread-protocol rules (plain
+     * fork/join and tcreate / tjoin / tretire) event by event and
+     * throws TraceInputError with validate()'s event and message.
      */
     EngineResult
     run(EventSource &source)
@@ -516,13 +524,32 @@ class AnalysisDriver
     static constexpr std::uint64_t kShardedStateMarker =
         0x5443534841524431ull;
 
-    /** Lifecycle protocol states (lifeState_, external-indexed).
-     * kNone doubles as "ordinary thread" — only tcreate moves a
-     * thread to kLive. */
+    /** Thread protocol states (lifeState_, external-indexed), as
+     * Trace::validate() tracks them. A tcreated thread runs kLive →
+     * kJoined (by tjoin or a plain join) → kRetired. Any other
+     * thread is kNone, plus the kForked and kJoinedPlain flags once
+     * a plain fork or join names it. */
     static constexpr std::uint8_t kNone = 0;
     static constexpr std::uint8_t kLive = 1;
     static constexpr std::uint8_t kJoined = 2;
     static constexpr std::uint8_t kRetired = 3;
+    static constexpr std::uint8_t kForked = 4;
+    static constexpr std::uint8_t kJoinedPlain = 8;
+
+    /** Created by tcreate (and perhaps joined or retired since). */
+    static bool
+    managed(std::uint8_t state)
+    {
+        return state >= kLive && state <= kRetired;
+    }
+
+    /** Joined by tjoin or a plain join: it may not act again. */
+    static bool
+    joined(std::uint8_t state)
+    {
+        return state == kJoined || state == kRetired ||
+               (state & kJoinedPlain) != 0;
+    }
 
     std::uint8_t
     lifeState(Tid t) const
@@ -602,7 +629,7 @@ class AnalysisDriver
         locks_.resize(static_cast<std::size_t>(si.locks));
         for (LockState &l : locks_)
             detail::configureClock(l.clock, cfg_, &arena_);
-        policy_.reserveVars(si.vars, si.threads);
+        policy_.reserveVars(si.vars);
         races_.growVars(si.vars);
     }
 
@@ -711,7 +738,7 @@ class AnalysisDriver
     ensureVar(VarId x)
     {
         TC_CHECK(x >= 0, "negative variable id");
-        policy_.ensureVar(x, threadsSeen());
+        policy_.ensureVar(x);
         races_.growVars(x + 1);
     }
 

@@ -46,17 +46,6 @@ struct EngineConfig
     /** Work-accounting sink shared by every clock of the run. */
     WorkCounters *counters = nullptr;
 
-    /** Traversal policy for TreeClock runs (ablation hook). */
-    TreeClock::JoinPolicy policy = TreeClock::JoinPolicy::Full;
-
-    /** HB only: FastTrack-style adaptive epochs (true) vs flat
-     * DJIT+-style access vectors (false). */
-    bool useEpochs = true;
-
-    /** SHB only: force the linear deep-copy path of
-     * CopyCheckMonotone (ablation of the O(1) monotone test). */
-    bool alwaysDeepCopy = false;
-
     /** Optional per-event timestamp observer (tests). */
     TimestampObserver onTimestamp;
 
@@ -86,10 +75,10 @@ struct EngineResult
 namespace detail {
 
 /**
- * Apply config knobs that only exist on some clock types, and share
- * the analysis' scratch arena with clocks that can use one. The
- * arena (when given) must outlive the clock — engines keep it next
- * to their clock storage.
+ * Attach the run's counters, and share the analysis' scratch arena
+ * and id map with clocks that can use them. The arena (when given)
+ * must outlive the clock — engines keep it next to their clock
+ * storage.
  */
 template <ClockLike ClockT>
 void
@@ -97,8 +86,6 @@ configureClock(ClockT &clock, const EngineConfig &cfg,
                ScratchArena *arena = nullptr)
 {
     clock.setCounters(cfg.counters);
-    if constexpr (std::same_as<ClockT, TreeClock>)
-        clock.setPolicy(cfg.policy);
     if constexpr (requires { clock.setArena(arena); })
         clock.setArena(arena);
     if constexpr (requires { clock.setIdMap(cfg.idMap); })

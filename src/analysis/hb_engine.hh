@@ -27,16 +27,12 @@
 namespace tc {
 
 /**
- * Access-event rules of HB: no clock updates, only the epoch (or
- * flat DJIT+-style, under `useEpochs=false`) race checks. The
- * epoch path takes the same-epoch `ownedBy` shortcut: a history
+ * Access-event rules of HB: no clock updates, only the epoch race
+ * checks. They take the same-epoch `ownedBy` shortcut: a history
  * entirely owned by the current thread is covered by program order
- * alone, so the dominant steady-state pattern (a thread
- * re-accessing data it wrote) stays O(1) with no clock probe; the
- * shortcut never touches a clock, so VC/TC work-counter parity is
- * unaffected. The flat path deliberately has no shortcut — it is
- * the pre-epoch ablation and always runs the full per-thread
- * scans.
+ * alone, so the dominant steady-state pattern (a thread re-accessing
+ * data it wrote) stays O(1) with no clock probe; the shortcut never
+ * touches a clock, so VC/TC work-counter parity is unaffected.
  */
 template <typename ClockT>
 class HbPolicy
@@ -50,39 +46,21 @@ class HbPolicy
         cfg_ = cfg;
     }
 
+    void reset() { vars_.clear(); }
+
     void
-    reset()
+    reserveVars(VarId n)
     {
-        vars_.clear();
-        flat_.clear();
+        if (cfg_->analysis)
+            vars_.assign(static_cast<std::size_t>(n), AccessHistory());
     }
 
     void
-    reserveVars(VarId n, Tid threads_hint)
+    ensureVar(VarId x)
     {
-        if (!cfg_->analysis)
-            return;
-        if (cfg_->useEpochs) {
-            vars_.assign(static_cast<std::size_t>(n),
-                         AccessHistory());
-        } else {
-            flat_.assign(static_cast<std::size_t>(n),
-                         FlatAccessHistory(threads_hint));
-        }
-    }
-
-    void
-    ensureVar(VarId x, Tid threads_hint)
-    {
-        if (!cfg_->analysis)
-            return;
-        if (cfg_->useEpochs) {
-            if (vars_.size() <= static_cast<std::size_t>(x))
-                vars_.resize(static_cast<std::size_t>(x) + 1);
-        } else {
-            while (flat_.size() <= static_cast<std::size_t>(x))
-                flat_.emplace_back(threads_hint);
-        }
+        if (cfg_->analysis &&
+            vars_.size() <= static_cast<std::size_t>(x))
+            vars_.resize(static_cast<std::size_t>(x) + 1);
     }
 
     void
@@ -91,26 +69,14 @@ class HbPolicy
     {
         if (!cfg_->analysis)
             return;
-        const Epoch cur(e.tid, c);
-        if (cfg_->useEpochs) {
-            AccessHistory &v =
-                vars_[static_cast<std::size_t>(e.var())];
-            // Same-epoch shortcut (epoch.hh): a prior write owned
-            // by this thread is covered by program order — skip the
-            // clock probe.
-            const Epoch w = v.lastWrite();
-            if (!w.ownedBy(e.tid) && !w.coveredBy(ct))
-                races.record(e.var(), RaceKind::WriteRead, w, cur);
-            v.recordRead(e.tid, c, ct, num_threads);
-        } else {
-            FlatAccessHistory &v =
-                flat_[static_cast<std::size_t>(e.var())];
-            v.forEachUncoveredWrite(ct, [&](Epoch prior) {
-                races.record(e.var(), RaceKind::WriteRead, prior,
-                             cur);
-            });
-            v.recordRead(e.tid, c);
-        }
+        AccessHistory &v = vars_[static_cast<std::size_t>(e.var())];
+        // Same-epoch shortcut (epoch.hh): a prior write owned by this
+        // thread is covered by program order — skip the clock probe.
+        const Epoch w = v.lastWrite();
+        if (!w.ownedBy(e.tid) && !w.coveredBy(ct))
+            races.record(e.var(), RaceKind::WriteRead, w,
+                         Epoch(e.tid, c));
+        v.recordRead(e.tid, c, ct, num_threads);
     }
 
     void
@@ -120,56 +86,39 @@ class HbPolicy
         if (!cfg_->analysis)
             return;
         const Epoch cur(e.tid, c);
-        if (cfg_->useEpochs) {
-            AccessHistory &v =
-                vars_[static_cast<std::size_t>(e.var())];
-            // Same-epoch write shortcut: when the entire history
-            // (last write + reads) is owned by this thread, program
-            // order covers it — record the new write epoch and
-            // return without any clock probes or read scans.
-            if (v.lastWrite().ownedBy(e.tid) &&
-                v.readsOwnedBy(e.tid)) {
-                v.setLastWrite(cur);
-                v.clearReads();
-                return;
-            }
-            if (!v.lastWrite().coveredBy(ct)) {
-                races.record(e.var(), RaceKind::WriteWrite,
-                             v.lastWrite(), cur);
-            }
-            v.forEachUncoveredRead(ct, [&](Epoch prior) {
-                races.record(e.var(), RaceKind::ReadWrite, prior,
-                             cur);
-            });
+        AccessHistory &v = vars_[static_cast<std::size_t>(e.var())];
+        // Same-epoch write shortcut: when the entire history (last
+        // write + reads) is owned by this thread, program order
+        // covers it — record the new write epoch and return without
+        // any clock probes or read scans.
+        if (v.lastWrite().ownedBy(e.tid) && v.readsOwnedBy(e.tid)) {
             v.setLastWrite(cur);
             v.clearReads();
-        } else {
-            FlatAccessHistory &v =
-                flat_[static_cast<std::size_t>(e.var())];
-            v.forEachUncoveredWrite(ct, [&](Epoch prior) {
-                races.record(e.var(), RaceKind::WriteWrite, prior,
-                             cur);
-            });
-            v.forEachUncoveredRead(ct, [&](Epoch prior) {
-                if (prior.tid != e.tid) {
-                    races.record(e.var(), RaceKind::ReadWrite,
-                                 prior, cur);
-                }
-            });
-            v.recordWrite(e.tid, c);
+            return;
         }
+        if (!v.lastWrite().coveredBy(ct)) {
+            races.record(e.var(), RaceKind::WriteWrite, v.lastWrite(),
+                         cur);
+        }
+        v.forEachUncoveredRead(ct, [&](Epoch prior) {
+            races.record(e.var(), RaceKind::ReadWrite, prior, cur);
+        });
+        v.setLastWrite(cur);
+        v.clearReads();
     }
 
-    /** @name Checkpoint state (core/serial.hh) @{ */
+    /** @name Checkpoint state (core/serial.hh)
+     * The epoch histories, then a count that once prefixed flat
+     * (pre-epoch) histories: always 0, so snapshots keep the layout
+     * of state version 2, and a non-zero count is rejected as
+     * corrupt. @{ */
     void
     saveState(ByteSink &out) const
     {
         out.putU64(vars_.size());
         for (const AccessHistory &v : vars_)
             v.serialize(out);
-        out.putU64(flat_.size());
-        for (const FlatAccessHistory &v : flat_)
-            v.serialize(out);
+        out.putU64(0);
     }
 
     bool
@@ -183,13 +132,9 @@ class HbPolicy
         for (AccessHistory &v : vars_)
             if (!v.deserialize(in))
                 return false;
-        if (!in.getU64(n) || n > in.remaining())
+        std::uint64_t flat = 0;
+        if (!in.getU64(flat) || flat != 0)
             return in.fail();
-        flat_.clear();
-        flat_.resize(static_cast<std::size_t>(n));
-        for (FlatAccessHistory &v : flat_)
-            if (!v.deserialize(in))
-                return false;
         return true;
     }
     /** @} */
@@ -197,7 +142,6 @@ class HbPolicy
   private:
     const EngineConfig *cfg_ = nullptr;
     std::vector<AccessHistory> vars_;
-    std::vector<FlatAccessHistory> flat_;
 };
 
 /** Algorithm 1/3: the driver instantiated with the HB rules. */

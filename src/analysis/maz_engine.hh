@@ -57,16 +57,16 @@ class MazPolicy
     }
 
     void
-    reserveVars(VarId n, Tid /*threads_hint*/)
+    reserveVars(VarId n)
     {
         if (n <= 0)
             return;
         vars_.reserve(static_cast<std::size_t>(n));
-        ensureVar(n - 1, 0);
+        ensureVar(n - 1);
     }
 
     void
-    ensureVar(VarId x, Tid /*threads_hint*/)
+    ensureVar(VarId x)
     {
         while (vars_.size() <= static_cast<std::size_t>(x)) {
             vars_.emplace_back();

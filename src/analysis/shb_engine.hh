@@ -42,16 +42,16 @@ class ShbPolicy
     void reset() { vars_.clear(); }
 
     void
-    reserveVars(VarId n, Tid /*threads_hint*/)
+    reserveVars(VarId n)
     {
         if (n <= 0)
             return;
         vars_.reserve(static_cast<std::size_t>(n));
-        ensureVar(n - 1, 0);
+        ensureVar(n - 1);
     }
 
     void
-    ensureVar(VarId x, Tid /*threads_hint*/)
+    ensureVar(VarId x)
     {
         while (vars_.size() <= static_cast<std::size_t>(x)) {
             vars_.emplace_back();
@@ -90,10 +90,7 @@ class ShbPolicy
                              cur);
             });
         }
-        if (cfg_->alwaysDeepCopy)
-            v.lastWriteClock.deepCopy(ct);
-        else
-            v.lastWriteClock.copyCheckMonotone(ct);
+        v.lastWriteClock.copyCheckMonotone(ct);
         if (cfg_->analysis) {
             v.history.setLastWrite(Epoch(e.tid, c));
             v.history.clearReads();

@@ -89,6 +89,7 @@ TreeClock::detachFromParent(Tid t)
         node(next).prevSib = prev;
 }
 
+template <bool kPrune>
 void
 TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                          bool is_copy, Tid z_tid,
@@ -103,9 +104,6 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
     // order. The walk reads only our timestamps, never our links, so
     // unlinking S afterwards (unlinkGathered) is equivalent to
     // unlinking each node as it is met.
-    const bool use_direct = policy_ != JoinPolicy::NoPruning;
-    const bool use_indirect = policy_ == JoinPolicy::Full;
-
     const Node *theirs = other.nodes_.data();
     const Node *mine = nodes_.data();
 
@@ -128,10 +126,10 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
         const Node &o = theirs[static_cast<std::size_t>(cur)];
         const bool progressed =
             mine[static_cast<std::size_t>(cur)].clk < o.clk;
-        if (progressed || !use_direct) {
+        if (progressed || !kPrune) {
             // Direct monotonicity: descend only into progressed
-            // subtrees (NoPruning descends regardless but still
-            // only transplants progressed nodes on joins).
+            // subtrees (joinFull descends regardless but still
+            // transplants only progressed nodes).
             if (progressed || is_copy)
                 S.push_back(cur);
             if (o.firstChild != kNoTid) {
@@ -147,8 +145,7 @@ TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
             // though its time has not progressed (line 67).
             S.push_back(cur);
         }
-        if (use_indirect &&
-            o.aclk <= mine[static_cast<std::size_t>(parent)].clk) {
+        if (o.aclk <= mine[static_cast<std::size_t>(parent)].clk) {
             // Indirect monotonicity: siblings further down the list
             // were attached no later than cur, so our view of the
             // parent already covers them (lines 39/68).
@@ -204,8 +201,9 @@ TreeClock::attachNodes(const TreeClock &other, std::vector<Tid> &S)
     return changed;
 }
 
+template <bool kPrune>
 void
-TreeClock::join(const TreeClock &other)
+TreeClock::joinImpl(const TreeClock &other)
 {
     if (other.root_ == kNoTid) {
         // Nothing to learn from an empty clock; still an operation
@@ -235,7 +233,7 @@ TreeClock::join(const TreeClock &other)
     // first child is not ahead of us and was attached no later than
     // our knowledge of the root, so by indirect monotonicity the
     // whole remainder is covered; transplant just the root node.
-    if (policy_ == JoinPolicy::Full) {
+    if constexpr (kPrune) {
         const Tid c = other.node(other.root_).firstChild;
         if (c == kNoTid ||
             (rawGet(c) >= other.node(c).clk &&
@@ -261,7 +259,7 @@ TreeClock::join(const TreeClock &other)
     S.clear();
 
     std::uint64_t examined = 0;
-    gatherUpdated(other, S, false, kNoTid, examined);
+    gatherUpdated<kPrune>(other, S, false, kNoTid, examined);
     unlinkGathered(S);
     const std::uint64_t transplanted = S.size();
     const std::uint64_t changed = attachNodes(other, S);
@@ -276,6 +274,18 @@ TreeClock::join(const TreeClock &other)
         counters_->vtWork += changed;
         counters_->dsWork += 1 + examined + transplanted;
     }
+}
+
+void
+TreeClock::join(const TreeClock &other)
+{
+    joinImpl<true>(other);
+}
+
+void
+TreeClock::joinFull(const TreeClock &other)
+{
+    joinImpl<false>(other);
 }
 
 void
@@ -300,7 +310,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
     // (the common shape for last-write and read clocks refreshed by
     // the same thread). By indirect monotonicity the first child's
     // coverage extends to all siblings, so the copy is one store.
-    if (policy_ == JoinPolicy::Full && other.root_ == root_) {
+    if (other.root_ == root_) {
         const Node &o = other.node(root_);
         const Tid c = o.firstChild;
         Node &r = node(root_);
@@ -324,7 +334,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
     S.clear();
 
     std::uint64_t examined = 0;
-    gatherUpdated(other, S, true, root_, examined);
+    gatherUpdated<true>(other, S, true, root_, examined);
 
     if (root_ != other.root_ &&
         std::find(S.begin(), S.end(), root_) == S.end()) {

@@ -97,19 +97,6 @@ namespace tc {
 class TreeClock
 {
   public:
-    /**
-     * Traversal pruning policy — ablation hook (DESIGN.md §8).
-     * Full is the paper's Algorithm 2; NoIndirect drops the aclk
-     * sibling cut; NoPruning also descends into non-progressed
-     * subtrees (isolating pure tree overhead).
-     */
-    enum class JoinPolicy : std::uint8_t
-    {
-        Full,
-        NoIndirect,
-        NoPruning,
-    };
-
     /** Auxiliary (empty) clock; Get(t) = 0 for all t. */
     TreeClock() = default;
 
@@ -134,9 +121,6 @@ class TreeClock
      * see scratch_arena.hh for the ownership rules.
      */
     void setArena(ScratchArena *arena) { arena_ = arena; }
-
-    void setPolicy(JoinPolicy policy) { policy_ = policy; }
-    JoinPolicy policy() const { return policy_; }
 
     /**
      * Attach the analysis-wide external-id map (nullptr detaches).
@@ -217,25 +201,19 @@ class TreeClock
     void join(const TreeClock &other);
 
     /**
-     * join() with pruning disabled for this one call — a full
-     * descent of the operand that transplants every progressed
-     * node. Required exactly once per slot reuse: right after
-     * resetToRoot() the clock's root entry is a synthetic bias, not
-     * causally acquired knowledge, so direct-monotonicity pruning
-     * against it could skip operand subtrees hanging under the
-     * recycled slot's stale node. One full-descent publish restores
-     * the causal premise (the creator covered the previous
-     * occupant's final clock, so everything any stale subtree holds
-     * is transplanted here), and every later join can prune again.
+     * join() without either pruning principle: no root-only fast
+     * path, no direct-monotonicity cut and no indirect (aclk) cut,
+     * so the walk descends the whole operand and transplants every
+     * progressed node. Required exactly once per slot reuse: right
+     * after resetToRoot() the clock's root entry is a synthetic
+     * bias, not causally acquired knowledge, so pruning against it
+     * could skip operand subtrees hanging under the recycled slot's
+     * stale node. One full-descent publish restores the causal
+     * premise (the creator covered the previous occupant's final
+     * clock, so everything any stale subtree holds is transplanted
+     * here), and every later join can prune again.
      */
-    void
-    joinFull(const TreeClock &other)
-    {
-        const JoinPolicy saved = policy_;
-        policy_ = JoinPolicy::NoPruning;
-        join(other);
-        policy_ = saved;
-    }
+    void joinFull(const TreeClock &other);
 
     /**
      * MonotoneCopy of Algorithm 2: this ← other given this ⊑ other,
@@ -260,8 +238,8 @@ class TreeClock
      * clock (owner, @p start, ⊥). @p start is the occupancy bias —
      * the raw value at which the new thread's time begins (see
      * thread_id_map.hh). With start == 0 this is equivalent to
-     * constructing a fresh thread clock. Counters/arena/policy/map
-     * wiring is preserved; no memory is returned (the node array is
+     * constructing a fresh thread clock. Counters/arena/map wiring
+     * is preserved; no memory is returned (the node array is
      * about to be repopulated).
      */
     void resetToRoot(Tid owner, Clk start);
@@ -308,13 +286,12 @@ class TreeClock
     /** @name Checkpoint serialization (core/serial.hh)
      *
      * serialize() writes the logical clock state: root, tree shape
-     * and timestamps. The configured sinks — counters, arena,
-     * join policy — are wiring, not state; deserialize() leaves
-     * them untouched. deserialize() validates sizes and re-runs
-     * checkInvariants(), returning false (and failing @p in,
-     * leaving this clock empty) on any malformed input, so a
-     * corrupted snapshot can never produce a structurally broken
-     * clock.
+     * and timestamps. The attached counters, arena and id map are
+     * wiring, not state; deserialize() leaves them untouched.
+     * deserialize() validates sizes and re-runs checkInvariants(),
+     * returning false (and failing @p in, leaving this clock empty)
+     * on any malformed input, so a corrupted snapshot can never
+     * produce a structurally broken clock.
      * @{ */
     void serialize(ByteSink &out) const;
     bool deserialize(ByteSource &in);
@@ -361,13 +338,19 @@ class TreeClock
     /** Unlink @p t from its parent's child list. */
     void detachFromParent(Tid t);
 
+    /** join() (kPrune) and joinFull() (!kPrune). */
+    template <bool kPrune> void joinImpl(const TreeClock &other);
+
     /**
      * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
      * (pre-order) the operand's nodes to transplant. The tree is not
      * edited, so a copy can still choose the flat path afterwards;
      * unlinkGathered() detaches S before attachNodes(). @p z_tid is
-     * the old root for copies (kNoTid for joins).
+     * the old root for copies (kNoTid for joins). Without kPrune
+     * (joinFull) the walk applies neither cut and descends the whole
+     * operand.
      */
+    template <bool kPrune>
     void gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
                        bool is_copy, Tid z_tid,
                        std::uint64_t &examined) const;
@@ -409,7 +392,6 @@ class TreeClock
     WorkCounters *counters_ = nullptr;
     ScratchArena *arena_ = nullptr;
     const ThreadIdMap *idMap_ = nullptr;
-    JoinPolicy policy_ = JoinPolicy::Full;
     std::uint64_t fallbackCopies_ = 0;
     /** Bytes already credited to counters_ (resident-byte gauge). */
     std::uint64_t accounted_ = 0;

@@ -3,10 +3,10 @@
  * The benchmark corpus: a deterministic set of synthetic traces
  * whose per-trace parameters (threads, locks, variables,
  * synchronization density, skew) span the same ranges as the
- * paper's Table 3 suite of 153 logged traces (see DESIGN.md §5 for
- * the substitution rationale). Used by the Table 1/2/3 and
- * Figure 6/8/9 harnesses and by the integration tests (at a small
- * scale).
+ * paper's Table 3 suite of 153 logged traces (docs/ARCHITECTURE.md,
+ * Corpus, gives the substitution rationale). Used by the Table
+ * 1/2/3 and Figure 6/8/9 harnesses and by the integration tests (at
+ * a small scale).
  */
 
 #ifndef TC_GEN_CORPUS_HH
@@ -33,7 +33,7 @@ struct CorpusSpec
 };
 
 /**
- * The default corpus (24 entries). Event counts are the @c events
+ * The default corpus (25 entries). Event counts are the @c events
  * fields scaled by @p scale; scale 1.0 keeps the full harness run in
  * the minutes range on a laptop.
  */

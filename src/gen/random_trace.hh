@@ -1,10 +1,11 @@
 /**
  * @file
  * General-purpose well-formed random trace synthesis. This is the
- * substitute for the paper's logged benchmark traces (DESIGN.md §5):
- * the knobs below span the same axes the paper's Table 3 corpus
- * spans — thread/lock/variable counts, synchronization density,
- * access skew and thread-activity skew.
+ * substitute for the paper's logged benchmark traces
+ * (docs/ARCHITECTURE.md, Corpus): the knobs below span the same
+ * axes the paper's Table 3 corpus spans — thread/lock/variable
+ * counts, synchronization density, access skew and thread-activity
+ * skew.
  */
 
 #ifndef TC_GEN_RANDOM_TRACE_HH

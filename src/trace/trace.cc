@@ -36,6 +36,8 @@ threadRuleMessage(ThreadRule rule, const Event &e)
       case ThreadRule::TargetStarted:
         return strFormat("%s target %d already has events",
                          opName(e.op), child);
+      case ThreadRule::ForkedTwice:
+        return strFormat("thread %d forked twice", child);
       case ThreadRule::ForkOfManaged:
         return strFormat("fork target %d is lifecycle-managed", child);
       case ThreadRule::CreatedTwice:
@@ -247,10 +249,8 @@ Trace::validate() const
                 return broken(ThreadRule::SelfTarget);
             if (started[static_cast<std::size_t>(child)])
                 return broken(ThreadRule::TargetStarted);
-            if (forked[static_cast<std::size_t>(child)]) {
-                return ValidationResult::failure(
-                    i, strFormat("thread %d forked twice", child));
-            }
+            if (forked[static_cast<std::size_t>(child)])
+                return broken(ThreadRule::ForkedTwice);
             if (created[static_cast<std::size_t>(child)])
                 return broken(ThreadRule::ForkOfManaged);
             forked[static_cast<std::size_t>(child)] = true;
@@ -282,6 +282,7 @@ Trace::validate() const
             if (started[static_cast<std::size_t>(child)])
                 return broken(ThreadRule::TargetStarted);
             if (forked[static_cast<std::size_t>(child)] ||
+                joined[static_cast<std::size_t>(child)] ||
                 created[static_cast<std::size_t>(child)])
                 return broken(ThreadRule::CreatedTwice);
             created[static_cast<std::size_t>(child)] = true;

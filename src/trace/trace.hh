@@ -56,8 +56,9 @@ enum class ThreadRule : std::uint8_t
     ActsAfterJoin,     ///< the acting thread was joined already
     SelfTarget,        ///< fork/join/tcreate/tjoin of itself
     TargetStarted,     ///< fork/tcreate of a thread with events
+    ForkedTwice,       ///< second fork of the target
     ForkOfManaged,     ///< fork of a tcreate-managed thread
-    CreatedTwice,      ///< second tcreate of the target
+    CreatedTwice,      ///< tcreate of a forked/joined/created target
     JoinWithoutCreate, ///< tjoin of a target never tcreated
     JoinedTwice,       ///< second join/tjoin of the target
     RetireWithoutJoin, ///< tretire of a target never tjoined

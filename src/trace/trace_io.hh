@@ -11,7 +11,7 @@
  *  - binary (.tcb): "TCTB1" magic, header counts, raw 12-byte events.
  *
  * These replace the RV-Predict / ThreadSanitizer trace logs the paper
- * consumed (see DESIGN.md §5).
+ * consumed (see docs/ARCHITECTURE.md, Corpus).
  */
 
 #ifndef TC_TRACE_TRACE_IO_HH

@@ -13,6 +13,7 @@
 
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include <string>
 
 #include "gen/random_trace.hh"
+#include "trace/snapshot.hh"
 #include "trace/trace_io.hh"
 
 namespace tc {
@@ -182,6 +184,15 @@ TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
         {"fork_started", v1 + "1 w 0\n0 fork 1\n", 1,
          "fork target 1 already has events"},
         {"fork_self", v1 + "0 fork 0\n", 0, "thread forks itself"},
+        {"fork_twice", v1 + "0 fork 1\n0 fork 1\n", 1,
+         "thread 1 forked twice"},
+        {"join_self", v1 + "0 join 0\n", 0, "thread joins itself"},
+        {"join_twice",
+         v1 + "0 fork 1\n1 w 0\n0 join 1\n0 join 1\n", 3,
+         "thread 1 joined twice"},
+        {"acts_after_join",
+         v1 + "0 fork 1\n1 w 0\n0 join 1\n1 w 0\n", 3,
+         "thread 1 acts after being joined"},
         {"fork_managed", v2 + "0 tcreate 1\n0 fork 1\n", 1,
          "fork target 1 is lifecycle-managed"},
         {"tcreate_started", v2 + "0 w 0\n1 w 0\n0 tcreate 1\n", 2,
@@ -189,6 +200,10 @@ TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
         {"tcreate_self", v2 + "0 tcreate 0\n", 0,
          "thread tcreates itself"},
         {"tcreate_twice", v2 + "0 tcreate 1\n2 tcreate 1\n", 1,
+         "thread 1 created twice"},
+        {"tcreate_forked", v2 + "0 fork 1\n0 tcreate 1\n", 1,
+         "thread 1 created twice"},
+        {"tcreate_joined", v2 + "0 join 1\n0 tcreate 1\n", 1,
          "thread 1 created twice"},
         {"tjoin_uncreated", v2 + "0 tjoin 1\n", 0,
          "tjoin of thread 1 without tcreate"},
@@ -215,7 +230,8 @@ TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
             "error: malformed trace at event " +
             std::to_string(c.event) + ": " + c.message + "\n";
         for (const char *mode :
-             {"", " --stream", " --stream --prefetch",
+             {"", " --po=hb,shb,maz --clock=tc,vc --parallel",
+              " --stream", " --stream --prefetch",
               " --stream --parallel=2",
               " --stream --prefetch --po=hb,shb,maz --clock=tc,vc "
               "--parallel"}) {
@@ -227,6 +243,57 @@ TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
                 << c.name << mode;
             EXPECT_EQ(err, line) << c.name << mode;
         }
+    }
+}
+
+TEST_F(CliDiagnostics, StreamedForkJoinViolationsSurviveResume)
+{
+    // A checkpoint taken right before the violating event carries
+    // the plain fork/join state, so the resumed run stops there
+    // with the line the uninterrupted run printed.
+    const std::string v1 = "threads 2 locks 1 vars 1\n";
+    const struct
+    {
+        const char *name;
+        std::string text;
+        int event;
+        const char *message;
+    } cases[] = {
+        {"resume_fork_twice", v1 + "0 fork 1\n0 fork 1\n", 1,
+         "thread 1 forked twice"},
+        {"resume_join_twice",
+         v1 + "0 fork 1\n1 w 0\n0 join 1\n0 join 1\n", 3,
+         "thread 1 joined twice"},
+        {"resume_acts_after_join",
+         v1 + "0 fork 1\n1 w 0\n0 join 1\n1 w 0\n", 3,
+         "thread 1 acts after being joined"},
+    };
+    for (const auto &c : cases) {
+        const std::string dir = std::string(kWorkDir) + "/" + c.name;
+        const std::string path = dir + ".tct";
+        std::ofstream(path) << c.text;
+        mkdir(dir.c_str(), 0755);
+        const std::string line =
+            "error: malformed trace at event " +
+            std::to_string(c.event) + ": " + c.message + "\n";
+        const std::string run = "./race_detector --trace=" + path +
+                                " --stream --snapshot-dir=" + dir;
+        std::string err;
+        EXPECT_EQ(runCliStderr(run + " --checkpoint-every=" +
+                                   std::to_string(c.event),
+                               err),
+                  2)
+            << c.name;
+        EXPECT_EQ(err, line) << c.name;
+        const std::string snapshot =
+            dir + "/" +
+            snapshotFileName(CheckpointOptions().base, c.event);
+        ASSERT_EQ(access(snapshot.c_str(), F_OK), 0) << snapshot;
+        EXPECT_EQ(runCliStderr(run + " --resume-from=" + snapshot,
+                               err),
+                  2)
+            << c.name;
+        EXPECT_EQ(err, line) << c.name;
     }
 }
 

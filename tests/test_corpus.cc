@@ -2,7 +2,8 @@
  * @file
  * Corpus tests: every entry must build (at a reduced scale), be
  * well-formed, and the corpus as a whole must span the diversity
- * ranges DESIGN.md promises (threads, sync density, topologies).
+ * ranges docs/ARCHITECTURE.md (Corpus) promises: threads, sync
+ * density, fork/join and scenario topologies.
  */
 
 #include <gtest/gtest.h>

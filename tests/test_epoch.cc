@@ -114,35 +114,5 @@ TEST(AccessHistory, LastWriteEpochStored)
     EXPECT_EQ(h.lastWrite(), Epoch(3, 7));
 }
 
-TEST(FlatAccessHistory, TracksPerThreadAccesses)
-{
-    FlatAccessHistory h(4);
-    h.recordWrite(0, 2);
-    h.recordWrite(1, 3);
-    h.recordRead(2, 1);
-
-    TreeClock c3(3, 4);
-    c3.increment(1);
-    int writes = 0, reads = 0;
-    h.forEachUncoveredWrite(c3, [&](Epoch) { writes++; });
-    h.forEachUncoveredRead(c3, [&](Epoch) { reads++; });
-    EXPECT_EQ(writes, 2);
-    EXPECT_EQ(reads, 1);
-
-    // Once c3 has seen everything, nothing is uncovered.
-    TreeClock c0(0, 4), c1(1, 4), c2(2, 4);
-    c0.increment(2);
-    c1.increment(3);
-    c2.increment(1);
-    c3.join(c0);
-    c3.join(c1);
-    c3.join(c2);
-    writes = reads = 0;
-    h.forEachUncoveredWrite(c3, [&](Epoch) { writes++; });
-    h.forEachUncoveredRead(c3, [&](Epoch) { reads++; });
-    EXPECT_EQ(writes, 0);
-    EXPECT_EQ(reads, 0);
-}
-
 } // namespace
 } // namespace tc

@@ -132,6 +132,43 @@ TEST(HbEngine, ReportCapBoundsReportsNotCounts)
     EXPECT_GT(result.races.total(), 50u);
 }
 
+TEST(HbEngine, ConsumerStateRejectsFlatHistories)
+{
+    // The HB state ends with the count of the retired flat
+    // (pre-epoch) histories. It is always written as 0, so snapshots
+    // keep their layout; a non-zero count is corrupt input.
+    EngineConfig cfg;
+    HbPolicy<TreeClock> policy;
+    policy.configure(&cfg, nullptr);
+    ByteSink history;
+    AccessHistory().serialize(history);
+
+    auto state = [&](std::uint64_t flat) {
+        ByteSink out;
+        out.putU64(1);
+        out.putBytes(history.bytes().data(), history.bytes().size());
+        out.putU64(flat);
+        for (std::uint64_t i = 0; i < flat; i++) {
+            // One empty history: per-thread reads, then writes.
+            out.putVec(std::vector<Clk>{});
+            out.putVec(std::vector<Clk>{});
+        }
+        return out.bytes();
+    };
+
+    const std::vector<std::uint8_t> clean = state(0);
+    ByteSource ok_in(clean);
+    EXPECT_TRUE(policy.restoreState(ok_in));
+    ByteSink resaved;
+    policy.saveState(resaved);
+    EXPECT_EQ(resaved.bytes(), clean);
+
+    const std::vector<std::uint8_t> flat = state(1);
+    ByteSource flat_in(flat);
+    EXPECT_FALSE(policy.restoreState(flat_in));
+    EXPECT_FALSE(flat_in.ok());
+}
+
 class HbSweep : public ::testing::TestWithParam<SweepCase>
 {
   protected:
@@ -166,24 +203,6 @@ TEST_P(HbSweep, RacesMatchOracle)
                   oracle_.races().readWrite);
         EXPECT_EQ(result.races.racyVars(), oracle_.races().racyVar);
     }
-}
-
-TEST_P(HbSweep, FlatModeAgreesOnRacyVars)
-{
-    EngineConfig epoch_cfg;
-    EngineConfig flat_cfg;
-    flat_cfg.useEpochs = false;
-    const auto with_epochs =
-        runEngine<HbEngine, TreeClock>(trace_, epoch_cfg);
-    const auto flat =
-        runEngine<HbEngine, TreeClock>(trace_, flat_cfg);
-    EXPECT_EQ(with_epochs.races.racyVars(), flat.races.racyVars());
-    // Flat mode checks more candidate pairs, never fewer.
-    EXPECT_GE(flat.races.total(), with_epochs.races.total());
-    // And the two clock types agree in flat mode as well.
-    const auto flat_vc =
-        runEngine<HbEngine, VectorClock>(trace_, flat_cfg);
-    EXPECT_EQ(flat_vc.races.total(), flat.races.total());
 }
 
 TEST_P(HbSweep, UnorderedConflictingPairsExistIffRacyVars)

@@ -60,31 +60,6 @@ TEST(ShbEngine, WriteWriteRaceTriggersDeepCopy)
     EXPECT_EQ(w.deepCopies, 1u);
 }
 
-TEST(ShbEngine, AlwaysDeepCopyAblationPreservesResults)
-{
-    RandomTraceParams params;
-    params.threads = 6;
-    params.vars = 12;
-    params.locks = 3;
-    params.events = 1500;
-    params.syncRatio = 0.2;
-    params.seed = 77;
-    const Trace t = generateRandomTrace(params);
-
-    EngineConfig fast, slow;
-    slow.alwaysDeepCopy = true;
-    const auto a = collectTimestamps<ShbEngine, TreeClock>(t, fast);
-    const auto b = collectTimestamps<ShbEngine, TreeClock>(t, slow);
-    for (std::size_t i = 0; i < t.size(); i++)
-        ASSERT_EQ(a[i], b[i]) << "event " << i;
-
-    const auto ra = runEngine<ShbEngine, TreeClock>(t, fast);
-    EngineConfig slow2;
-    slow2.alwaysDeepCopy = true;
-    const auto rb = runEngine<ShbEngine, TreeClock>(t, slow2);
-    EXPECT_EQ(ra.races.total(), rb.races.total());
-}
-
 TEST(ShbEngine, ReadRetainsOwnThreadKnowledge)
 {
     Trace t;

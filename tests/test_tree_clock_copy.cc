@@ -256,12 +256,6 @@ TEST(TreeClockCopy, CopyFromEmptyOntoEmptyIsNoop)
     EXPECT_EQ(a.checkInvariants(), "");
 }
 
-constexpr TreeClock::JoinPolicy kAllPolicies[] = {
-    TreeClock::JoinPolicy::Full,
-    TreeClock::JoinPolicy::NoIndirect,
-    TreeClock::JoinPolicy::NoPruning,
-};
-
 /**
  * The dense-copy cutover, pinned on both sides. The target is a
  * stale copy of thread 0's clock; thread 0 then learns m fresh
@@ -274,56 +268,51 @@ constexpr TreeClock::JoinPolicy kAllPolicies[] = {
  */
 TEST(TreeClockCopy, DenseCopyCutoverBoundary)
 {
-    for (const auto policy : kAllPolicies) {
-        for (const std::size_t w : {std::size_t{8}, std::size_t{9}}) {
-            for (const std::size_t moved : {w / 2, w / 2 + 1}) {
-                SCOPED_TRACE(testing::Message()
-                             << "policy " << static_cast<int>(policy)
-                             << " w " << w << " moved " << moved);
-                const std::size_t m = moved - 1;
-                TreeClock t0(0, w);
-                VectorClock v0(0, w);
-                t0.setPolicy(policy);
+    for (const std::size_t w : {std::size_t{8}, std::size_t{9}}) {
+        for (const std::size_t moved : {w / 2, w / 2 + 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << "w " << w << " moved " << moved);
+            const std::size_t m = moved - 1;
+            TreeClock t0(0, w);
+            VectorClock v0(0, w);
+            t0.increment(1);
+            v0.increment(1);
+
+            WorkCounters tw, vw;
+            TreeClock target;
+            VectorClock vtarget;
+            target.setCounters(&tw);
+            vtarget.setCounters(&vw);
+            target.monotoneCopy(t0); // first population
+            vtarget.monotoneCopy(v0);
+
+            for (Tid u = 1; u <= static_cast<Tid>(m); u++) {
+                TreeClock tu(u, w);
+                VectorClock vu(u, w);
+                tu.increment(1);
+                vu.increment(1);
                 t0.increment(1);
                 v0.increment(1);
-
-                WorkCounters tw, vw;
-                TreeClock target;
-                VectorClock vtarget;
-                target.setPolicy(policy);
-                target.setCounters(&tw);
-                vtarget.setCounters(&vw);
-                target.monotoneCopy(t0); // first population
-                vtarget.monotoneCopy(v0);
-
-                for (Tid u = 1; u <= static_cast<Tid>(m); u++) {
-                    TreeClock tu(u, w);
-                    VectorClock vu(u, w);
-                    tu.increment(1);
-                    vu.increment(1);
-                    t0.increment(1);
-                    v0.increment(1);
-                    t0.join(tu);
-                    v0.join(vu);
-                }
-
-                const WorkCounters tc_before = tw;
-                const WorkCounters vc_before = vw;
-                target.monotoneCopy(t0);
-                vtarget.monotoneCopy(v0);
-
-                EXPECT_EQ(target.toVector(w), t0.toVector(w));
-                EXPECT_EQ(target.toVector(w), vtarget.toVector(w));
-                EXPECT_EQ(target.checkInvariants(), "")
-                    << target.toString();
-                EXPECT_EQ(tw.vtWork - tc_before.vtWork,
-                          vw.vtWork - vc_before.vtWork);
-                EXPECT_EQ(target.fallbackCopies(), 0u);
-                const std::uint64_t examined = m;
-                const bool flat = moved > w / 2;
-                EXPECT_EQ(tw.dsWork - tc_before.dsWork,
-                          examined + (flat ? w : moved));
+                t0.join(tu);
+                v0.join(vu);
             }
+
+            const WorkCounters tc_before = tw;
+            const WorkCounters vc_before = vw;
+            target.monotoneCopy(t0);
+            vtarget.monotoneCopy(v0);
+
+            EXPECT_EQ(target.toVector(w), t0.toVector(w));
+            EXPECT_EQ(target.toVector(w), vtarget.toVector(w));
+            EXPECT_EQ(target.checkInvariants(), "")
+                << target.toString();
+            EXPECT_EQ(tw.vtWork - tc_before.vtWork,
+                      vw.vtWork - vc_before.vtWork);
+            EXPECT_EQ(target.fallbackCopies(), 0u);
+            const std::uint64_t examined = m;
+            const bool flat = moved > w / 2;
+            EXPECT_EQ(tw.dsWork - tc_before.dsWork,
+                      examined + (flat ? w : moved));
         }
     }
 }
@@ -333,94 +322,87 @@ TEST(TreeClockCopy, DenseCopyCutoverBoundary)
  * per-variable last-write clocks fall many joins behind their
  * thread's clock, so refreshing them moves large parts of the tree
  * and crosses the cutover both ways. Every clock has a VectorClock
- * twin; vector times and vtWork must agree after every operation,
- * under all three join policies.
+ * twin; vector times and vtWork must agree after every operation.
  */
 TEST(TreeClockCopy, StaleTargetSweepMatchesVectorClock)
 {
     constexpr std::size_t k = 12;
     constexpr std::size_t vars = 3;
-    for (const auto policy : kAllPolicies) {
-        SCOPED_TRACE(testing::Message()
-                     << "policy " << static_cast<int>(policy));
-        Rng rng(77);
-        WorkCounters tw, vw;
-        std::vector<TreeClock> tc_threads;
-        std::vector<VectorClock> vc_threads;
-        for (std::size_t t = 0; t < k; t++) {
-            tc_threads.emplace_back(static_cast<Tid>(t), k);
-            vc_threads.emplace_back(static_cast<Tid>(t), k);
-        }
-        std::vector<TreeClock> tc_reads(k * vars), tc_writes(vars);
-        std::vector<VectorClock> vc_reads(k * vars), vc_writes(vars);
-        for (auto *fleet : {&tc_threads, &tc_reads, &tc_writes}) {
-            for (TreeClock &c : *fleet) {
-                c.setPolicy(policy);
-                c.setCounters(&tw);
-            }
-        }
-        for (auto *fleet : {&vc_threads, &vc_reads, &vc_writes}) {
-            for (VectorClock &c : *fleet)
-                c.setCounters(&vw);
-        }
+    Rng rng(77);
+    WorkCounters tw, vw;
+    std::vector<TreeClock> tc_threads;
+    std::vector<VectorClock> vc_threads;
+    for (std::size_t t = 0; t < k; t++) {
+        tc_threads.emplace_back(static_cast<Tid>(t), k);
+        vc_threads.emplace_back(static_cast<Tid>(t), k);
+    }
+    std::vector<TreeClock> tc_reads(k * vars), tc_writes(vars);
+    std::vector<VectorClock> vc_reads(k * vars), vc_writes(vars);
+    for (auto *fleet : {&tc_threads, &tc_reads, &tc_writes}) {
+        for (TreeClock &c : *fleet)
+            c.setCounters(&tw);
+    }
+    for (auto *fleet : {&vc_threads, &vc_reads, &vc_writes}) {
+        for (VectorClock &c : *fleet)
+            c.setCounters(&vw);
+    }
 
-        // Copies whose progressed entries alone exceed half the
-        // width: they must have taken the flat path.
-        std::uint64_t surely_flat = 0;
-        auto refresh = [&](TreeClock &tdst, VectorClock &vdst,
-                           std::size_t t, bool check_monotone) {
-            const TreeClock &src = tc_threads[t];
-            std::size_t progressed = 0;
-            for (std::size_t u = 0; u < k; u++) {
-                progressed += tdst.rawGet(static_cast<Tid>(u)) <
-                              src.rawGet(static_cast<Tid>(u));
-            }
-            const bool populated = !tdst.empty();
-            const std::uint64_t ds_before = tw.dsWork;
-            if (check_monotone) {
-                tdst.copyCheckMonotone(src);
-                vdst.copyCheckMonotone(vc_threads[t]);
-            } else {
-                tdst.monotoneCopy(src);
-                vdst.monotoneCopy(vc_threads[t]);
-            }
-            if (populated && !check_monotone && progressed > k / 2) {
-                surely_flat++;
-                EXPECT_GE(tw.dsWork - ds_before, k);
-            }
-            ASSERT_EQ(tdst.toVector(k), vdst.toVector(k));
-            ASSERT_EQ(tdst.checkInvariants(), "") << tdst.toString();
-        };
-
-        for (int step = 0; step < 3000; step++) {
-            const std::size_t t = rng.below(k);
-            tc_threads[t].increment(1);
-            vc_threads[t].increment(1);
-            const std::uint64_t roll = rng.below(10);
-            if (roll < 6) {
-                // A message from another thread: the joins that
-                // leave the per-variable clocks behind.
-                const std::size_t u = rng.below(k);
-                if (u != t) {
-                    tc_threads[t].join(tc_threads[u]);
-                    vc_threads[t].join(vc_threads[u]);
-                }
-            } else if (roll < 9) {
-                const std::size_t r = t * vars + rng.below(vars);
-                refresh(tc_reads[r], vc_reads[r], t, false);
-            } else {
-                const std::size_t x = rng.below(vars);
-                refresh(tc_writes[x], vc_writes[x], t, true);
-            }
-            ASSERT_EQ(tw.vtWork, vw.vtWork) << "step " << step;
+    // Copies whose progressed entries alone exceed half the width:
+    // they must have taken the flat path.
+    std::uint64_t surely_flat = 0;
+    auto refresh = [&](TreeClock &tdst, VectorClock &vdst,
+                       std::size_t t, bool check_monotone) {
+        const TreeClock &src = tc_threads[t];
+        std::size_t progressed = 0;
+        for (std::size_t u = 0; u < k; u++) {
+            progressed += tdst.rawGet(static_cast<Tid>(u)) <
+                          src.rawGet(static_cast<Tid>(u));
         }
-
-        EXPECT_GT(surely_flat, 0u);
-        EXPECT_EQ(tw.fallbackCopies, 0u);
-        for (std::size_t t = 0; t < k; t++) {
-            EXPECT_EQ(tc_threads[t].toVector(k),
-                      vc_threads[t].toVector(k));
+        const bool populated = !tdst.empty();
+        const std::uint64_t ds_before = tw.dsWork;
+        if (check_monotone) {
+            tdst.copyCheckMonotone(src);
+            vdst.copyCheckMonotone(vc_threads[t]);
+        } else {
+            tdst.monotoneCopy(src);
+            vdst.monotoneCopy(vc_threads[t]);
         }
+        if (populated && !check_monotone && progressed > k / 2) {
+            surely_flat++;
+            EXPECT_GE(tw.dsWork - ds_before, k);
+        }
+        ASSERT_EQ(tdst.toVector(k), vdst.toVector(k));
+        ASSERT_EQ(tdst.checkInvariants(), "") << tdst.toString();
+    };
+
+    for (int step = 0; step < 3000; step++) {
+        const std::size_t t = rng.below(k);
+        tc_threads[t].increment(1);
+        vc_threads[t].increment(1);
+        const std::uint64_t roll = rng.below(10);
+        if (roll < 6) {
+            // A message from another thread: the joins that leave
+            // the per-variable clocks behind.
+            const std::size_t u = rng.below(k);
+            if (u != t) {
+                tc_threads[t].join(tc_threads[u]);
+                vc_threads[t].join(vc_threads[u]);
+            }
+        } else if (roll < 9) {
+            const std::size_t r = t * vars + rng.below(vars);
+            refresh(tc_reads[r], vc_reads[r], t, false);
+        } else {
+            const std::size_t x = rng.below(vars);
+            refresh(tc_writes[x], vc_writes[x], t, true);
+        }
+        ASSERT_EQ(tw.vtWork, vw.vtWork) << "step " << step;
+    }
+
+    EXPECT_GT(surely_flat, 0u);
+    EXPECT_EQ(tw.fallbackCopies, 0u);
+    for (std::size_t t = 0; t < k; t++) {
+        EXPECT_EQ(tc_threads[t].toVector(k),
+                  vc_threads[t].toVector(k));
     }
 }
 

@@ -4,10 +4,10 @@
  * both structures are driven through the same random-but-legal
  * operation sequences (the lock/fork-join discipline the engines
  * obey) and must materialize identical vector times after every
- * operation, under all three traversal policies, with the tree's
- * structural invariants intact throughout. This pins the node-record
- * storage, the dense-copy cutover and the scratch-arena traversals
- * to the flat reference semantics, operation by operation.
+ * operation, with the tree's structural invariants intact
+ * throughout. This pins the node-record storage, the dense-copy
+ * cutover, the scratch-arena traversals and joinFull's unpruned
+ * descent to the flat reference semantics, operation by operation.
  */
 
 #include <gtest/gtest.h>
@@ -27,25 +27,19 @@ namespace {
 class MirrorFleet
 {
   public:
-    MirrorFleet(Tid threads, std::size_t locks, std::size_t aux,
-                TreeClock::JoinPolicy policy)
+    MirrorFleet(Tid threads, std::size_t locks, std::size_t aux)
         : numThreads_(threads)
     {
         for (Tid t = 0; t < threads; t++) {
             // Deliberately small initial capacity: growth through
             // ensure() is part of what the differential run covers.
             tc_.emplace_back(t, 1);
-            tc_.back().setPolicy(policy);
             vc_.emplace_back(t, 1);
         }
         tcLocks_.resize(locks);
         vcLocks_.resize(locks);
-        for (auto &l : tcLocks_)
-            l.setPolicy(policy);
         tcAux_.resize(aux);
         vcAux_.resize(aux);
-        for (auto &a : tcAux_)
-            a.setPolicy(policy);
     }
 
     void
@@ -72,17 +66,22 @@ class MirrorFleet
         checkClock(tcLocks_[l], vcLocks_[l], "release-copy");
     }
 
-    /** Direct thread-to-thread join (the fork/join shape). */
+    /** Direct thread-to-thread join (the fork/join shape); with
+     * @p full the tree clock takes joinFull's unpruned descent. */
     void
-    threadJoin(std::size_t dst, std::size_t src)
+    threadJoin(std::size_t dst, std::size_t src, bool full)
     {
         if (dst == src)
             return;
         tc_[dst].increment(1);
         vc_[dst].increment(1);
-        tc_[dst].join(tc_[src]);
+        if (full)
+            tc_[dst].joinFull(tc_[src]);
+        else
+            tc_[dst].join(tc_[src]);
         vc_[dst].join(vc_[src]);
-        checkClock(tc_[dst], vc_[dst], "thread-join");
+        checkClock(tc_[dst], vc_[dst],
+                   full ? "thread-join-full" : "thread-join");
     }
 
     /** SHB's CopyCheckMonotone into an auxiliary clock. */
@@ -132,24 +131,20 @@ class MirrorFleet
     std::vector<VectorClock> vcAux_;
 };
 
-class DifferentialPolicy
-    : public ::testing::TestWithParam<TreeClock::JoinPolicy>
-{};
-
-TEST_P(DifferentialPolicy, RandomizedJoinCopyAgreesWithVectorClock)
+TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
 {
     const Tid threads = 11;
     const std::size_t locks = 5;
     const std::size_t aux = 3;
-    MirrorFleet fleet(threads, locks, aux, GetParam());
+    MirrorFleet fleet(threads, locks, aux);
 
-    Rng rng(0xd1ffULL +
-            static_cast<std::uint64_t>(GetParam()) * 101);
+    Rng rng(0xd1ffULL);
     const int steps = 4000 * test::depthScale();
     for (int step = 0; step < steps; step++) {
         const auto t = static_cast<std::size_t>(
             rng.below(static_cast<std::uint64_t>(threads)));
-        switch (rng.below(10)) {
+        const std::uint64_t op = rng.below(11);
+        switch (op) {
           case 0:
           case 1:
             fleet.increment(
@@ -164,10 +159,12 @@ TEST_P(DifferentialPolicy, RandomizedJoinCopyAgreesWithVectorClock)
             break;
           case 6:
           case 7:
+          case 10:
             fleet.threadJoin(
                 t,
                 static_cast<std::size_t>(rng.below(
-                    static_cast<std::uint64_t>(threads))));
+                    static_cast<std::uint64_t>(threads))),
+                op == 10);
             break;
           case 8:
             fleet.copyCheck(
@@ -183,22 +180,6 @@ TEST_P(DifferentialPolicy, RandomizedJoinCopyAgreesWithVectorClock)
     }
     fleet.checkAll();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, DifferentialPolicy,
-    ::testing::Values(TreeClock::JoinPolicy::Full,
-                      TreeClock::JoinPolicy::NoIndirect,
-                      TreeClock::JoinPolicy::NoPruning),
-    [](const auto &info) {
-        switch (info.param) {
-          case TreeClock::JoinPolicy::Full: return "Full";
-          case TreeClock::JoinPolicy::NoIndirect:
-            return "NoIndirect";
-          case TreeClock::JoinPolicy::NoPruning:
-            return "NoPruning";
-        }
-        return "Unknown";
-    });
 
 } // namespace
 } // namespace tc

@@ -1,11 +1,10 @@
 /**
  * @file
  * Differential tests for the O(1) fast paths of join/monotoneCopy
- * (the "only the root progressed" cases). The NoIndirect policy
- * never takes the fast paths, so running the same operation
- * sequences under both policies and demanding identical vector
- * times, tree shapes and race results pins the fast paths to the
- * generic algorithm.
+ * (the "only the root progressed" cases). Every tree clock runs
+ * beside a VectorClock twin driven through the same operations, and
+ * the twins must agree on vector times, races and vtWork, which pins
+ * the fast paths to the flat reference semantics.
  */
 
 #include <gtest/gtest.h>
@@ -19,66 +18,72 @@ namespace {
 using test::runEngine;
 using test::SweepCase;
 
-/** Two identical clock fleets, one per policy, driven in lockstep. */
+/** A tree-clock fleet and its vector-clock twin, in lockstep. */
 class Fleet
 {
   public:
     Fleet(Tid threads, LockId locks)
     {
         for (Tid t = 0; t < threads; t++) {
-            fast_.emplace_back(t, static_cast<std::size_t>(threads));
-            slow_.emplace_back(t, static_cast<std::size_t>(threads));
-            slow_.back().setPolicy(TreeClock::JoinPolicy::NoIndirect);
+            tc_.emplace_back(t, static_cast<std::size_t>(threads));
+            vc_.emplace_back(t, static_cast<std::size_t>(threads));
+            tc_.back().setCounters(&tcWork_);
+            vc_.back().setCounters(&vcWork_);
         }
-        fastLocks_.resize(static_cast<std::size_t>(locks));
-        slowLocks_.resize(static_cast<std::size_t>(locks));
-        for (auto &l : slowLocks_)
-            l.setPolicy(TreeClock::JoinPolicy::NoIndirect);
+        tcLocks_.resize(static_cast<std::size_t>(locks));
+        vcLocks_.resize(static_cast<std::size_t>(locks));
+        for (auto &l : tcLocks_)
+            l.setCounters(&tcWork_);
+        for (auto &l : vcLocks_)
+            l.setCounters(&vcWork_);
     }
 
     void
     acq(Tid t, LockId l)
     {
-        fast_[static_cast<std::size_t>(t)].increment(1);
-        fast_[static_cast<std::size_t>(t)].join(
-            fastLocks_[static_cast<std::size_t>(l)]);
-        slow_[static_cast<std::size_t>(t)].increment(1);
-        slow_[static_cast<std::size_t>(t)].join(
-            slowLocks_[static_cast<std::size_t>(l)]);
+        tc_[static_cast<std::size_t>(t)].increment(1);
+        tc_[static_cast<std::size_t>(t)].join(
+            tcLocks_[static_cast<std::size_t>(l)]);
+        vc_[static_cast<std::size_t>(t)].increment(1);
+        vc_[static_cast<std::size_t>(t)].join(
+            vcLocks_[static_cast<std::size_t>(l)]);
     }
 
     void
     rel(Tid t, LockId l)
     {
-        fast_[static_cast<std::size_t>(t)].increment(1);
-        fastLocks_[static_cast<std::size_t>(l)].monotoneCopy(
-            fast_[static_cast<std::size_t>(t)]);
-        slow_[static_cast<std::size_t>(t)].increment(1);
-        slowLocks_[static_cast<std::size_t>(l)].monotoneCopy(
-            slow_[static_cast<std::size_t>(t)]);
+        tc_[static_cast<std::size_t>(t)].increment(1);
+        tcLocks_[static_cast<std::size_t>(l)].monotoneCopy(
+            tc_[static_cast<std::size_t>(t)]);
+        vc_[static_cast<std::size_t>(t)].increment(1);
+        vcLocks_[static_cast<std::size_t>(l)].monotoneCopy(
+            vc_[static_cast<std::size_t>(t)]);
     }
 
     void
     expectEqualState(const char *where)
     {
-        for (std::size_t t = 0; t < fast_.size(); t++) {
-            EXPECT_EQ(fast_[t].toVector(fast_.size()),
-                      slow_[t].toVector(fast_.size()))
+        for (std::size_t t = 0; t < tc_.size(); t++) {
+            EXPECT_EQ(tc_[t].toVector(tc_.size()),
+                      vc_[t].toVector(tc_.size()))
                 << where << " thread " << t;
-            EXPECT_EQ(fast_[t].checkInvariants(), "")
+            EXPECT_EQ(tc_[t].checkInvariants(), "")
                 << where << " thread " << t;
         }
-        for (std::size_t l = 0; l < fastLocks_.size(); l++) {
-            EXPECT_EQ(fastLocks_[l].toVector(fast_.size()),
-                      slowLocks_[l].toVector(fast_.size()))
+        for (std::size_t l = 0; l < tcLocks_.size(); l++) {
+            EXPECT_EQ(tcLocks_[l].toVector(tc_.size()),
+                      vcLocks_[l].toVector(tc_.size()))
                 << where << " lock " << l;
-            EXPECT_EQ(fastLocks_[l].checkInvariants(), "")
+            EXPECT_EQ(tcLocks_[l].checkInvariants(), "")
                 << where << " lock " << l;
         }
+        EXPECT_EQ(tcWork_.vtWork, vcWork_.vtWork) << where;
     }
 
-    std::vector<TreeClock> fast_, slow_;
-    std::vector<TreeClock> fastLocks_, slowLocks_;
+  private:
+    WorkCounters tcWork_, vcWork_;
+    std::vector<TreeClock> tc_, tcLocks_;
+    std::vector<VectorClock> vc_, vcLocks_;
 };
 
 TEST(FastPaths, RepeatedSelfSyncHitsCopyFastPath)
@@ -115,30 +120,23 @@ TEST(FastPaths, JoinFastPathMatchesGenericResult)
 {
     // t1 publishes one new event; t0's join should take the
     // root-only fast path and produce exactly the generic result.
-    for (const auto policy : {TreeClock::JoinPolicy::Full,
-                              TreeClock::JoinPolicy::NoIndirect}) {
-        TreeClock a(0, 4), b(1, 4), c(2, 4);
-        a.setPolicy(policy);
-        b.setPolicy(policy);
-        c.setPolicy(policy);
-        c.increment(2);
-        b.increment(1);
-        b.join(c);
-        a.increment(1);
-        a.join(b); // generic: transplants b and c
-        b.increment(1);
-        a.join(b); // only b's root progressed: fast path eligible
-        EXPECT_EQ(a.toVector(4),
-                  (std::vector<Clk>{1, 2, 2, 0}));
-        EXPECT_EQ(a.parentOf(1), 0);
-        EXPECT_EQ(a.checkInvariants(), "");
-    }
+    TreeClock a(0, 4), b(1, 4), c(2, 4);
+    c.increment(2);
+    b.increment(1);
+    b.join(c);
+    a.increment(1);
+    a.join(b); // generic: transplants b and c
+    b.increment(1);
+    a.join(b); // only b's root progressed: fast path eligible
+    EXPECT_EQ(a.toVector(4), (std::vector<Clk>{1, 2, 2, 0}));
+    EXPECT_EQ(a.parentOf(1), 0);
+    EXPECT_EQ(a.checkInvariants(), "");
 }
 
 TEST(FastPaths, LockstepRandomScheduleAgrees)
 {
-    // Drive both policies through an identical random lock schedule
-    // and compare full state repeatedly.
+    // Drive both clock types through an identical random lock
+    // schedule and compare full state repeatedly.
     Rng rng(2024);
     const Tid threads = 12;
     const LockId locks = 6;
@@ -176,44 +174,31 @@ class FastPathSweep : public ::testing::TestWithParam<SweepCase>
     Trace trace_ = generateRandomTrace(GetParam().params);
 };
 
-TEST_P(FastPathSweep, PoliciesAgreeOnAllEngines)
+/** One engine run over @p trace with its work counted. */
+template <template <typename> class Engine, typename ClockT>
+EngineResult
+countedRun(const Trace &trace)
 {
-    EngineConfig full;
-    EngineConfig no_indirect;
-    no_indirect.policy = TreeClock::JoinPolicy::NoIndirect;
-
-    const auto hb_a = runEngine<HbEngine, TreeClock>(trace_, full);
-    const auto hb_b =
-        runEngine<HbEngine, TreeClock>(trace_, no_indirect);
-    EXPECT_EQ(hb_a.races.total(), hb_b.races.total());
-    EXPECT_EQ(hb_a.races.racyVars(), hb_b.races.racyVars());
-
-    const auto maz_a = runEngine<MazEngine, TreeClock>(trace_, full);
-    const auto maz_b =
-        runEngine<MazEngine, TreeClock>(trace_, no_indirect);
-    EXPECT_EQ(maz_a.races.total(), maz_b.races.total());
-
-    const auto shb_a = runEngine<ShbEngine, TreeClock>(trace_, full);
-    const auto shb_b =
-        runEngine<ShbEngine, TreeClock>(trace_, no_indirect);
-    EXPECT_EQ(shb_a.races.total(), shb_b.races.total());
+    WorkCounters w;
+    EngineConfig cfg;
+    cfg.counters = &w;
+    return runEngine<Engine, ClockT>(trace, cfg);
 }
 
-TEST_P(FastPathSweep, FullPolicyDoesLeastWork)
+TEST_P(FastPathSweep, AgreesWithVectorClockOnAllEngines)
 {
-    auto work_of = [&](TreeClock::JoinPolicy policy) {
-        WorkCounters w;
-        EngineConfig cfg;
-        cfg.counters = &w;
-        cfg.policy = policy;
-        runEngine<ShbEngine, TreeClock>(trace_, cfg);
-        return w;
+    auto check = [](const EngineResult &tree, const EngineResult &flat,
+                    const char *po) {
+        EXPECT_EQ(tree.races.total(), flat.races.total()) << po;
+        EXPECT_EQ(tree.races.racyVars(), flat.races.racyVars()) << po;
+        EXPECT_EQ(tree.work.vtWork, flat.work.vtWork) << po;
     };
-    const auto full = work_of(TreeClock::JoinPolicy::Full);
-    const auto no_ind = work_of(TreeClock::JoinPolicy::NoIndirect);
-    EXPECT_LE(full.dsWork, no_ind.dsWork);
-    // The policies must agree on actual vector-time changes.
-    EXPECT_EQ(full.vtWork, no_ind.vtWork);
+    check(countedRun<HbEngine, TreeClock>(trace_),
+          countedRun<HbEngine, VectorClock>(trace_), "hb");
+    check(countedRun<ShbEngine, TreeClock>(trace_),
+          countedRun<ShbEngine, VectorClock>(trace_), "shb");
+    check(countedRun<MazEngine, TreeClock>(trace_),
+          countedRun<MazEngine, VectorClock>(trace_), "maz");
 }
 
 INSTANTIATE_TEST_SUITE_P(

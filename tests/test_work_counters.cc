@@ -128,32 +128,52 @@ TEST(WorkScenarios, VectorClocksNotVtOptimalOnStar)
         << "tc=" << tcw.dsWork << " vc=" << vc.dsWork;
 }
 
-TEST(WorkScenarios, AblationPoliciesDoMoreWork)
+TEST(WorkScenarios, JoinFullTouchesMoreThanJoinOnStar)
 {
+    // joinFull gives up both pruning principles, so replaying the
+    // star topology's lock syncs through it must reach the same
+    // vector times while touching more entries than the pruned join.
     ScenarioParams p;
     p.threads = 32;
     p.events = 30000;
     p.seed = 13;
     const Trace trace = genStarTopology(p);
 
-    auto work_with = [&](TreeClock::JoinPolicy policy) {
+    auto replay = [&](bool full) {
         WorkCounters w;
-        EngineConfig cfg;
-        cfg.counters = &w;
-        cfg.analysis = false;
-        cfg.policy = policy;
-        HbEngine<TreeClock> engine(cfg);
-        engine.run(trace);
-        return w.dsWork;
+        std::vector<TreeClock> threads, locks(
+            static_cast<std::size_t>(trace.numLocks()));
+        for (Tid t = 0; t < trace.numThreads(); t++) {
+            threads.emplace_back(
+                t, static_cast<std::size_t>(trace.numThreads()));
+            threads.back().setCounters(&w);
+        }
+        for (TreeClock &l : locks)
+            l.setCounters(&w);
+        for (std::size_t i = 0; i < trace.size(); i++) {
+            const Event &e = trace[i];
+            TreeClock &ct = threads[static_cast<std::size_t>(e.tid)];
+            ct.increment(1);
+            TreeClock &lock =
+                locks[static_cast<std::size_t>(e.lock())];
+            if (e.isAcquire() && full)
+                ct.joinFull(lock);
+            else if (e.isAcquire())
+                ct.join(lock);
+            else
+                lock.monotoneCopy(ct);
+        }
+        std::vector<std::vector<Clk>> views;
+        for (const TreeClock &c : threads)
+            views.push_back(c.toVector());
+        return std::pair{w, views};
     };
 
-    const auto full = work_with(TreeClock::JoinPolicy::Full);
-    const auto no_indirect =
-        work_with(TreeClock::JoinPolicy::NoIndirect);
-    const auto no_pruning =
-        work_with(TreeClock::JoinPolicy::NoPruning);
-    EXPECT_LE(full, no_indirect);
-    EXPECT_LT(no_indirect, no_pruning);
+    const auto [join_work, join_views] = replay(false);
+    const auto [full_work, full_views] = replay(true);
+    EXPECT_EQ(join_views, full_views);
+    EXPECT_EQ(join_work.vtWork, full_work.vtWork);
+    EXPECT_LT(join_work.dsWork, full_work.dsWork);
 }
 
 } // namespace
