@@ -6,9 +6,13 @@
 #           build warning-clean; the fuzz, crash and reader suites
 #           then rerun under a 4 GiB address-space limit (ulimit -v).
 #   Job 2 — ASan + UBSan: the full test suite under both sanitizers
-#           (catches scratch-arena lifetime bugs, OOB link-array
-#           indexing, signed-overflow in the traversals, and leaks
-#           on the pipeline fault paths). Like job 1 it includes
+#           (catches scratch-arena lifetime bugs, OOB node-record
+#           indexing, signed overflow in the traversals and the
+#           tree clock's parent tags, and leaks on the pipeline
+#           fault paths). TC_SANITIZE makes every UBSan report fail
+#           its test (-fno-sanitize-recover=undefined) and turns on
+#           _GLIBCXX_ASSERTIONS, so each container index is
+#           bounds-checked. Like job 1 it includes
 #           test_engine_allocs, the exact allocation checks.
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           spawns threads (prefetch reader, window-bus ring,

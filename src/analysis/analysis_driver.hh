@@ -395,6 +395,11 @@ class AnalysisDriver
     restoreState(ByteSource &in)
     {
         resetState();
+        // The restored clocks credit their bytes to the resident
+        // gauge as they load; start it from nothing so it holds
+        // exactly those (begin() may have credited an eager bank).
+        if (cfg_.counters)
+            cfg_.counters->clockBytes = 0;
         std::uint64_t first = 0;
         if (!in.getU64(first))
             return false;
@@ -479,8 +484,17 @@ class AnalysisDriver
                                     : work.deserialize(in);
         if (!work_ok)
             return false;
-        if (cfg_.counters)
+        if (cfg_.counters) {
+            // The gauge the restored clocks credited is the resident
+            // figure. The snapshot's peak still holds when the
+            // snapshot counted the same bytes; a legacy blob (no
+            // gauge) or another clock layout restarts it there.
+            const std::uint64_t resident = cfg_.counters->clockBytes;
+            if (work.clockBytes != resident)
+                work.clockBytesPeak = resident;
+            work.clockBytes = resident;
             *cfg_.counters = work;
+        }
         return true;
     }
     /** @} */

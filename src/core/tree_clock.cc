@@ -13,13 +13,15 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
     ensure(std::max<std::size_t>(capacity,
                                  static_cast<std::size_t>(owner) + 1));
     root_ = owner;
-    node(owner).parent = kNoTid;
+    node(owner).link = kNoTid;
 }
 
 void
 TreeClock::ensure(std::size_t n)
 {
     if (nodes_.size() < n) {
+        TC_CHECK(n <= kMaxWidth,
+                 "tree clock wider than its parent tags can encode");
         nodes_.resize(n);
         updateAccounting();
     }
@@ -33,7 +35,7 @@ TreeClock::resetToRoot(Tid owner, Clk start)
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
     Node &r = node(owner);
-    r.parent = kNoTid;
+    r.link = kNoTid;
     r.clk = start;
 }
 
@@ -65,113 +67,133 @@ TreeClock::pushChild(Tid child, Tid parent)
 {
     Node &c = node(child);
     Node &p = node(parent);
-    c.parent = parent;
-    c.prevSib = kNoTid;
+    c.link = parentTag(parent);
     const Tid head = p.firstChild;
     c.nextSib = head;
     if (head != kNoTid)
-        node(head).prevSib = child;
+        node(head).link = child;
     p.firstChild = child;
+}
+
+void
+TreeClock::insertChildAfter(Tid child, Tid parent, Tid prev)
+{
+    if (prev == kNoTid) {
+        pushChild(child, parent);
+        return;
+    }
+    Node &c = node(child);
+    Node &p = node(prev);
+    c.link = prev;
+    const Tid next = p.nextSib;
+    c.nextSib = next;
+    if (next != kNoTid)
+        node(next).link = child;
+    p.nextSib = child;
 }
 
 void
 TreeClock::detachFromParent(Tid t)
 {
     const Node &n = node(t);
-    const Tid prev = n.prevSib;
+    const Tid link = n.link;
     const Tid next = n.nextSib;
-    if (prev != kNoTid) {
-        node(prev).nextSib = next;
+    TC_ASSERT(link >= 0 || link <= kParentTag,
+              "detaching the root or an absent node");
+    if (link >= 0) {
+        node(link).nextSib = next;
     } else {
-        node(n.parent).firstChild = next;
+        node(taggedParent(link)).firstChild = next;
     }
+    // The next sibling inherits the link: our predecessor, or the
+    // parent's tag when it becomes the first child.
     if (next != kNoTid)
-        node(next).prevSib = prev;
+        node(next).link = link;
 }
 
-template <bool kPrune>
 void
-TreeClock::gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
-                         bool is_copy, Tid z_tid,
-                         std::uint64_t &examined) const
+TreeClock::gatherCopy(const TreeClock &other,
+                      std::vector<ScratchArena::Transplant> &S,
+                      std::vector<ScratchArena::Frame> &frames,
+                      std::uint64_t &examined) const
 {
-    // Iterative rendering of getUpdatedNodesJoin/-Copy
-    // (Algorithm 2, lines 36-40 and 62-69), walking the operand's
-    // tree with parent-pointer backtracking — no auxiliary frame
-    // stack. S is filled in pre-order; attachNodes pops it from the
-    // back, which attaches later siblings first so the front-insert
-    // of pushChild restores the operand's (descending-aclk) child
-    // order. The walk reads only our timestamps, never our links, so
-    // unlinking S afterwards (unlinkGathered) is equivalent to
-    // unlinking each node as it is met.
+    // Iterative rendering of getUpdatedNodesCopy (Algorithm 2,
+    // lines 62-69). S is filled in pre-order; attachNodes pops it
+    // from the back, which attaches later siblings first so the
+    // front-insert of pushChild restores the operand's
+    // (descending-aclk) child order. The walk reads only our
+    // timestamps, never our links, so unlinking S afterwards
+    // (unlinkGathered) is equivalent to unlinking each node as it is
+    // met.
     const Node *theirs = other.nodes_.data();
     const Node *mine = nodes_.data();
 
-    const Tid root = other.root_;
-    S.push_back(root);
-    Tid parent = root;
-    Tid cur = theirs[static_cast<std::size_t>(root)].firstChild;
+    // The level being scanned lives in locals: its operand parent,
+    // our time of that parent, and the child at hand. Descending
+    // suspends it on the frame stack, to resume at the next sibling.
+    Tid parent = other.root_;
+    Clk parent_before = mine[static_cast<std::size_t>(parent)].clk;
+    Tid cur = theirs[static_cast<std::size_t>(parent)].firstChild;
+    S.push_back({parent, kNoTid});
+    frames.clear();
+    frames.reserve(other.nodes_.size());
     std::uint64_t scans = 0;
     while (true) {
         if (cur == kNoTid) {
-            // Level exhausted: resume the parent's sibling scan.
-            if (parent == root)
+            // Level exhausted or cut: resume the suspended one.
+            if (frames.empty())
                 break;
-            const Node &p = theirs[static_cast<std::size_t>(parent)];
-            cur = p.nextSib;
-            parent = p.parent;
+            const ScratchArena::Frame &f = frames.back();
+            parent = f.node;
+            parent_before = f.before;
+            cur = f.next;
+            frames.pop_back();
             continue;
         }
         scans++;
         const Node &o = theirs[static_cast<std::size_t>(cur)];
-        const bool progressed =
-            mine[static_cast<std::size_t>(cur)].clk < o.clk;
-        if (progressed || !kPrune) {
+        const Clk before = mine[static_cast<std::size_t>(cur)].clk;
+        if (before < o.clk) {
             // Direct monotonicity: descend only into progressed
-            // subtrees (joinFull descends regardless but still
-            // transplants only progressed nodes).
-            if (progressed || is_copy)
-                S.push_back(cur);
+            // subtrees.
+            S.push_back({cur, parent});
             if (o.firstChild != kNoTid) {
+                frames.push_back(
+                    {parent, parent_before, o.nextSib, kNoTid});
                 parent = cur;
+                parent_before = before;
                 cur = o.firstChild;
             } else {
                 cur = o.nextSib;
             }
             continue;
         }
-        if (is_copy && cur == z_tid) {
+        if (cur == root_) {
             // The copy target's old root must be repositioned even
             // though its time has not progressed (line 67).
-            S.push_back(cur);
+            S.push_back({cur, parent});
         }
-        if (o.aclk <= mine[static_cast<std::size_t>(parent)].clk) {
-            // Indirect monotonicity: siblings further down the list
-            // were attached no later than cur, so our view of the
-            // parent already covers them (lines 39/68).
-            if (parent == root)
-                break;
-            const Node &p = theirs[static_cast<std::size_t>(parent)];
-            cur = p.nextSib;
-            parent = p.parent;
-            continue;
-        }
-        cur = o.nextSib;
+        // Indirect monotonicity: siblings further down the list were
+        // attached no later than cur, so once our view of the parent
+        // covers cur's attachment it covers them too (line 68).
+        cur = o.aclk <= parent_before ? kNoTid : o.nextSib;
     }
     examined += scans;
 }
 
 void
-TreeClock::unlinkGathered(const std::vector<Tid> &S)
+TreeClock::unlinkGathered(
+    const std::vector<ScratchArena::Transplant> &S)
 {
-    for (const Tid t : S) {
-        if (t != root_ && node(t).parent != kAbsent)
-            detachFromParent(t);
+    for (const ScratchArena::Transplant &g : S) {
+        if (g.node != root_ && node(g.node).link != kAbsent)
+            detachFromParent(g.node);
     }
 }
 
 std::uint64_t
-TreeClock::attachNodes(const TreeClock &other, std::vector<Tid> &S)
+TreeClock::attachNodes(const TreeClock &other,
+                       const std::vector<ScratchArena::Transplant> &S)
 {
     // Iterate back-to-front: S is in pre-order, so later siblings
     // attach first and pushChild's front insertion restores the
@@ -180,22 +202,14 @@ TreeClock::attachNodes(const TreeClock &other, std::vector<Tid> &S)
     Node *mine = nodes_.data();
     std::uint64_t changed = 0;
     for (std::size_t idx = S.size(); idx-- > 0;) {
-        const Tid t = S[idx];
+        const auto [t, parent] = S[idx];
         const Node &o = theirs[static_cast<std::size_t>(t)];
         Node &m = mine[static_cast<std::size_t>(t)];
         changed += m.clk != o.clk;
         m.clk = o.clk;
-        const Tid parent = o.parent;
         if (parent != kNoTid) {
-            Node &p = mine[static_cast<std::size_t>(parent)];
             m.aclk = o.aclk;
-            m.parent = parent;
-            m.prevSib = kNoTid;
-            const Tid head = p.firstChild;
-            m.nextSib = head;
-            if (head != kNoTid)
-                mine[static_cast<std::size_t>(head)].prevSib = t;
-            p.firstChild = t;
+            pushChild(t, parent);
         }
     }
     return changed;
@@ -215,8 +229,9 @@ TreeClock::joinImpl(const TreeClock &other)
     TC_CHECK(root_ != kNoTid,
              "join() requires an initialized thread clock");
 
-    const Clk other_root_clk = other.node(other.root_).clk;
-    if (rawGet(other.root_) >= other_root_clk) {
+    const Tid z = other.root_;
+    const Clk other_root_clk = other.node(z).clk;
+    if (rawGet(z) >= other_root_clk) {
         // Root already covered: by direct monotonicity the whole
         // operand is covered (Algorithm 2, line 18).
         if (counters_) {
@@ -234,16 +249,16 @@ TreeClock::joinImpl(const TreeClock &other)
     // our knowledge of the root, so by indirect monotonicity the
     // whole remainder is covered; transplant just the root node.
     if constexpr (kPrune) {
-        const Tid c = other.node(other.root_).firstChild;
+        const Tid c = other.node(z).firstChild;
         if (c == kNoTid ||
             (rawGet(c) >= other.node(c).clk &&
-             other.node(c).aclk <= rawGet(other.root_))) {
-            Node &n = node(other.root_);
-            if (n.parent != kAbsent)
-                detachFromParent(other.root_);
+             other.node(c).aclk <= rawGet(z))) {
+            Node &n = node(z);
+            if (n.link != kAbsent)
+                detachFromParent(z);
             n.clk = other_root_clk;
             n.aclk = localClk();
-            pushChild(other.root_, root_);
+            pushChild(z, root_);
             if (counters_) {
                 // Same accounting as the generic path: root compare
                 // + children examined (0 or 1) + one transplant.
@@ -255,23 +270,87 @@ TreeClock::joinImpl(const TreeClock &other)
         }
     }
 
-    std::vector<Tid> &S = scratch();
-    S.clear();
+    // Iterative getUpdatedNodesJoin + detachNodes + attachNodes
+    // (Algorithm 2, lines 19-40) in one pre-order pass. The operand
+    // root leaves its place first and is hung under our root last,
+    // stamped with the current root time (lines 24-27); every other
+    // progressed node is unlinked and relinked under its operand
+    // parent, after the siblings relinked before it (tail), as the
+    // walk meets it. Each operand node is met once, so a node's time
+    // is still the pre-join one when it is tested; its parent's is
+    // already updated, which is why the level keeps the parent's
+    // pre-join time (parent_before) for the indirect cut.
+    const Node *theirs = other.nodes_.data();
+    Node *mine = nodes_.data();
+    Node &zn = mine[static_cast<std::size_t>(z)];
+    if (zn.link != kAbsent)
+        detachFromParent(z);
+    Tid parent = z;
+    Clk parent_before = zn.clk;
+    Tid tail = kNoTid;
+    Tid cur = other.node(z).firstChild;
+    zn.clk = other_root_clk;
+    std::vector<ScratchArena::Frame> &frames = scratch().frames;
+    frames.clear();
+    frames.reserve(other.nodes_.size());
 
     std::uint64_t examined = 0;
-    gatherUpdated<kPrune>(other, S, false, kNoTid, examined);
-    unlinkGathered(S);
-    const std::uint64_t transplanted = S.size();
-    const std::uint64_t changed = attachNodes(other, S);
-
-    // Hang the transplanted subtree under our root, stamped with the
-    // current root time (Algorithm 2, lines 24-27).
-    node(other.root_).aclk = localClk();
-    pushChild(other.root_, root_);
+    std::uint64_t transplanted = 1;
+    while (true) {
+        if (cur == kNoTid) {
+            // Level exhausted or cut: resume the suspended one.
+            if (frames.empty())
+                break;
+            const ScratchArena::Frame &f = frames.back();
+            parent = f.node;
+            parent_before = f.before;
+            cur = f.next;
+            tail = f.tail;
+            frames.pop_back();
+            continue;
+        }
+        examined++;
+        const Node &o = theirs[static_cast<std::size_t>(cur)];
+        Node &m = mine[static_cast<std::size_t>(cur)];
+        const Clk before = m.clk;
+        const bool progressed = before < o.clk;
+        if (progressed) {
+            if (m.link != kAbsent)
+                detachFromParent(cur);
+            insertChildAfter(cur, parent, tail);
+            tail = cur;
+            m.clk = o.clk;
+            m.aclk = o.aclk;
+            transplanted++;
+        }
+        if (progressed || !kPrune) {
+            // Direct monotonicity: descend only into progressed
+            // subtrees (joinFull descends regardless).
+            if (o.firstChild != kNoTid) {
+                frames.push_back({parent, parent_before, o.nextSib, tail});
+                parent = cur;
+                parent_before = before;
+                tail = kNoTid;
+                cur = o.firstChild;
+            } else {
+                cur = o.nextSib;
+            }
+            continue;
+        }
+        // Indirect monotonicity: siblings further down the list were
+        // attached no later than cur, so once our pre-join view of
+        // the parent covers cur's attachment it covers them too
+        // (line 39).
+        cur = o.aclk <= parent_before ? kNoTid : o.nextSib;
+    }
+    zn.aclk = localClk();
+    pushChild(z, root_);
 
     if (counters_) {
+        // Every transplanted node progressed, so each one changed
+        // exactly one entry of the vector time.
         counters_->joins++;
-        counters_->vtWork += changed;
+        counters_->vtWork += transplanted;
         counters_->dsWork += 1 + examined + transplanted;
     }
 }
@@ -330,14 +409,18 @@ TreeClock::monotoneCopy(const TreeClock &other)
         }
     }
 
-    std::vector<Tid> &S = scratch();
+    ScratchArena &scratch_arena = scratch();
+    std::vector<ScratchArena::Transplant> &S = scratch_arena.gathered;
     S.clear();
 
     std::uint64_t examined = 0;
-    gatherUpdated<true>(other, S, true, root_, examined);
+    gatherCopy(other, S, scratch_arena.frames, examined);
 
     if (root_ != other.root_ &&
-        std::find(S.begin(), S.end(), root_) == S.end()) {
+        std::none_of(S.begin(), S.end(),
+                     [&](const ScratchArena::Transplant &g) {
+                         return g.node == root_;
+                     })) {
         // The traversal never met our old root, so repositioning it
         // is impossible without breaking reachability. This cannot
         // happen under the HB/SHB/MAZ usage discipline (Lemma 5);
@@ -369,10 +452,9 @@ TreeClock::monotoneCopy(const TreeClock &other)
 
     root_ = other.root_;
     Node &r = node(root_);
-    r.parent = kNoTid;
+    r.link = kNoTid;
     r.aclk = 0;
     r.nextSib = kNoTid;
-    r.prevSib = kNoTid;
 
     if (counters_) {
         counters_->copies++;
@@ -450,8 +532,10 @@ TreeClock::parentOf(Tid t) const
 {
     if (!hasThread(t))
         return kNoTid;
-    const Tid p = node(t).parent;
-    return p == kAbsent ? kNoTid : p;
+    Tid link = node(t).link;
+    while (link >= 0)
+        link = node(link).link;
+    return link == kNoTid ? kNoTid : taggedParent(link);
 }
 
 Clk
@@ -486,7 +570,7 @@ TreeClock::checkInvariants() const
     }
     if (!hasThread(root_))
         return "root is not present";
-    if (node(root_).parent != kNoTid)
+    if (node(root_).link != kNoTid)
         return "root has a parent";
 
     // Walk the tree from the root, verifying link consistency and
@@ -512,9 +596,9 @@ TreeClock::checkInvariants() const
                 return strFormat("child t%d of t%d not present", c,
                                  u);
             const Node &n = node(c);
-            if (n.parent != u)
+            if (first && n.link != parentTag(u))
                 return strFormat("child t%d has wrong parent", c);
-            if (n.prevSib != prev)
+            if (!first && n.link != prev)
                 return strFormat("broken prevSib link at t%d", c);
             if (!first && n.aclk > prev_aclk) {
                 return strFormat(
@@ -540,25 +624,45 @@ TreeClock::checkInvariants() const
     return "";
 }
 
+std::vector<Tid>
+TreeClock::parentColumn() const
+{
+    std::vector<Tid> parent(nodes_.size(), kAbsent);
+    if (root_ != kNoTid)
+        parent[static_cast<std::size_t>(root_)] = kNoTid;
+    for (std::size_t i = 0; i < nodes_.size(); i++) {
+        // Only present nodes' child lists are links; an absent
+        // record's are whatever a snapshot held.
+        if (nodes_[i].link == kAbsent)
+            continue;
+        for (Tid c = nodes_[i].firstChild; c != kNoTid;
+             c = node(c).nextSib)
+            parent[static_cast<std::size_t>(c)] = static_cast<Tid>(i);
+    }
+    return parent;
+}
+
 void
 TreeClock::serialize(ByteSink &out) const
 {
     out.putI32(root_);
     out.putU64(fallbackCopies_);
-    // One length-prefixed column per node field, in record order:
-    // checkpoints keep their six-array clock layout whatever the
-    // in-memory representation.
-    auto column = [&](auto field) {
+    // One length-prefixed column per field of the six-array clock
+    // layout checkpoints keep, whatever the in-memory records hold:
+    // parent and prevSib are rebuilt from the links.
+    auto column = [&](auto value) {
         out.putU64(nodes_.size());
-        for (const Node &n : nodes_)
-            out.putBytes(&(n.*field), sizeof(n.*field));
+        for (const Node &n : nodes_) {
+            const auto v = value(n);
+            out.putBytes(&v, sizeof(v));
+        }
     };
-    column(&Node::clk);
-    column(&Node::aclk);
-    column(&Node::parent);
-    column(&Node::firstChild);
-    column(&Node::nextSib);
-    column(&Node::prevSib);
+    column([](const Node &n) { return n.clk; });
+    column([](const Node &n) { return n.aclk; });
+    out.putVec(parentColumn());
+    column([](const Node &n) { return n.firstChild; });
+    column([](const Node &n) { return n.nextSib; });
+    column([](const Node &n) { return n.link >= 0 ? n.link : kNoTid; });
 }
 
 bool
@@ -575,19 +679,28 @@ TreeClock::deserialize(ByteSource &in)
         return false;
 
     // Reject before mutating: all six columns must agree, the root
-    // must be addressable, and absent nodes must read as time 0
-    // (get() serves straight from the records).
+    // must be addressable, absent nodes must read as time 0 (get()
+    // serves straight from the records), and every parent and
+    // prevSib entry must name a slot, so each record's link can be
+    // derived from them.
     const std::size_t n = clk.size();
-    if (aclk.size() != n || parent.size() != n ||
+    if (n > kMaxWidth || aclk.size() != n || parent.size() != n ||
         first_child.size() != n || next_sib.size() != n ||
         prev_sib.size() != n)
         return in.fail();
     if (root != kNoTid &&
         (root < 0 || static_cast<std::size_t>(root) >= n))
         return in.fail();
+    const auto slot = [n](Tid t) {
+        return t >= 0 && static_cast<std::size_t>(t) < n;
+    };
     for (std::size_t i = 0; i < n; i++) {
         if (parent[i] == kAbsent &&
             static_cast<Tid>(i) != root && clk[i] != 0)
+            return in.fail();
+        if ((parent[i] != kAbsent && parent[i] != kNoTid &&
+             !slot(parent[i])) ||
+            (prev_sib[i] != kNoTid && !slot(prev_sib[i])))
             return in.fail();
     }
 
@@ -595,11 +708,18 @@ TreeClock::deserialize(ByteSource &in)
     fallbackCopies_ = fallback;
     nodes_.resize(n);
     for (std::size_t i = 0; i < n; i++) {
-        nodes_[i] = Node{clk[i],         aclk[i],     parent[i],
-                         first_child[i], next_sib[i], prev_sib[i]};
+        const Tid link = prev_sib[i] != kNoTid ? prev_sib[i]
+                         : parent[i] < 0      ? parent[i]
+                                              : parentTag(parent[i]);
+        nodes_[i] = Node{clk[i], aclk[i], first_child[i], next_sib[i],
+                         link};
     }
     updateAccounting();
-    if (!checkInvariants().empty()) {
+    // checkInvariants() follows the links, which carry every prevSib
+    // entry and a first child's parent. A non-first child's parent
+    // entry is in no record, so check the column against the child
+    // lists.
+    if (!checkInvariants().empty() || parentColumn() != parent) {
         // Leave a rejected clock empty rather than structurally
         // broken; the configured sinks stay attached.
         root_ = kNoTid;

@@ -28,37 +28,51 @@
  * arrays are one: a node record per thread id holds the timestamp
  * next to the shape (so Get is still a single indexed load, Remark
  * 1); the recursive traversals of Algorithm 2 are made iterative
- * with an explicit node stack.
+ * with an explicit frame stack.
  *
  * Memory layout (node records). A clock is one std::vector of
- * 24-byte records {clk, aclk, parent, firstChild, nextSib, prevSib}
- * indexed by thread id: one allocation per clock, and a node's
- * fields share a cache line. The traversals visit a node and then
- * read or write most of its fields (progress test, aclk cut,
- * navigation, relinking), so one record beats six parallel arrays
+ * 20-byte records {clk, aclk, firstChild, nextSib, link} indexed by
+ * thread id: one allocation per clock, and a node's fields share a
+ * cache line. `link` is the previous sibling, or — for a first
+ * child — a negative tag naming the parent (kNoTid for the root,
+ * kAbsent for a thread never in the tree). That is all an O(1)
+ * unlink needs, so no record stores its parent: the walks keep the
+ * operand parents they descend through on a frame stack instead of
+ * backtracking through parent pointers. The traversals visit a node
+ * and then read or write most of its fields (progress test, aclk
+ * cut, navigation, relinking), so one record beats parallel arrays
  * end to end, and growing, resetting or flat-copying a clock is a
  * single resize, fill or copy. Six parallel arrays win only in
  * micro-benchmarks at k ≥ 1024; on the paper's corpus their six
  * allocations per clock and scattered fields lose
  * (docs/ARCHITECTURE.md, Measured verdicts).
  *
- * Dense copies. MonotoneCopy gathers the operand's progressed nodes
- * first and only then decides how to move them. When more than half
- * of the clock's width (kDenseCopyDivisor) would be transplanted,
- * relinking node by node costs more than copying every record, so
- * the copy finishes flat with deepCopy (dsWork = examined + width,
- * still within ~3× the entries moved). Sparse copies — HB's lock
- * copies, the case the paper targets — keep the O(changed) relink.
- * The stale per-variable clocks of SHB and MAZ (last writes, read
- * clocks) are where the flat path pays.
+ * Join is one pre-order pass over the operand: each progressed node
+ * is unlinked and relinked under its operand parent as it is met,
+ * after the siblings relinked before it, so children keep the
+ * operand's descending-aclk order. Each level of the walk (and each
+ * frame) keeps the parent's pre-join time for the indirect cut,
+ * since the parent's record is already updated by then.
  *
- * Scratch ownership. The traversal stack lives in a ScratchArena
- * (scratch_arena.hh): engines attach one shared arena to all their
- * clocks via setArena(); a clock without an arena uses a private
- * per-instance buffer. Either way the buffer is reused across
- * operations, so steady-state join/copy never allocates. There is
- * deliberately no process-global or thread_local scratch: clocks of
- * unrelated analyses share no mutable state.
+ * Dense copies. MonotoneCopy gathers the operand's progressed nodes,
+ * each with its operand parent, and only then decides how to move
+ * them. When more than half of the clock's width
+ * (kDenseCopyDivisor) would be transplanted, relinking node by node
+ * costs more than copying every record, so the copy finishes flat
+ * with deepCopy (dsWork = examined + width, still within ~3× the
+ * entries moved). Sparse copies — HB's lock copies, the case the
+ * paper targets — keep the O(changed) relink. The stale
+ * per-variable clocks of SHB and MAZ (last writes, read clocks) are
+ * where the flat path pays.
+ *
+ * Scratch ownership. The frame stack and the copy's gathered nodes
+ * live in a ScratchArena (scratch_arena.hh): engines attach one
+ * shared arena to all their clocks via setArena(); a clock without
+ * an arena uses a private per-instance one. Either way the buffers
+ * are reused across operations, so steady-state join/copy never
+ * allocates. There is deliberately no process-global or
+ * thread_local scratch: clocks of unrelated analyses share no
+ * mutable state.
  */
 
 #ifndef TC_CORE_TREE_CLOCK_HH
@@ -66,6 +80,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -260,10 +275,10 @@ class TreeClock
     hasThread(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < nodes_.size() &&
-               (t == root_ || nodes_[i].parent != kAbsent);
+        return i < nodes_.size() && nodes_[i].link != kAbsent;
     }
-    /** Parent thread of @p t's node (kNoTid for root/absent). */
+    /** Parent thread of @p t's node (kNoTid for root/absent); walks
+     * back over @p t's older siblings to the first child's tag. */
     Tid parentOf(Tid t) const;
     /** Attachment time of @p t's node (0 for the root). */
     Clk aclkOf(Tid t) const;
@@ -274,7 +289,7 @@ class TreeClock
     std::uint64_t fallbackCopies() const { return fallbackCopies_; }
     /**
      * Validate all structural invariants: single root, consistent
-     * parent/sibling links, descending-aclk child lists,
+     * parent-tag/sibling links, descending-aclk child lists,
      * aclk ≤ parent clk, and reachability of every present node.
      * Returns an empty string when healthy, else a diagnostic.
      */
@@ -286,12 +301,16 @@ class TreeClock
     /** @name Checkpoint serialization (core/serial.hh)
      *
      * serialize() writes the logical clock state: root, tree shape
-     * and timestamps. The attached counters, arena and id map are
+     * and timestamps, as six columns {clk, aclk, parent, firstChild,
+     * nextSib, prevSib}; the parent and prevSib columns are rebuilt
+     * from the links. The attached counters, arena and id map are
      * wiring, not state; deserialize() leaves them untouched.
-     * deserialize() validates sizes and re-runs checkInvariants(),
-     * returning false (and failing @p in, leaving this clock empty)
-     * on any malformed input, so a corrupted snapshot can never
-     * produce a structurally broken clock.
+     * deserialize() validates sizes, derives each link from the
+     * parent and prevSib columns, re-runs checkInvariants() and
+     * checks the parent column against the child lists, returning
+     * false (and failing @p in, leaving this clock empty) on any
+     * malformed input, so a corrupted snapshot can never produce a
+     * structurally broken clock.
      * @{ */
     void serialize(ByteSink &out) const;
     bool deserialize(ByteSource &in);
@@ -300,8 +319,28 @@ class TreeClock
     static constexpr const char *kName = "TC";
 
   private:
-    /** Sentinel parent for threads that were never in the tree. */
+    /** @name Node links
+     * A record's `link` is its previous sibling (≥ 0), kNoTid for
+     * the root, kAbsent for a thread never in the tree, or, for a
+     * first child, the tag kParentTag - parent (≤ kParentTag).
+     * @{ */
     static constexpr Tid kAbsent = -2;
+    static constexpr Tid kParentTag = -3;
+    static constexpr Tid
+    parentTag(Tid parent)
+    {
+        return kParentTag - parent;
+    }
+    static constexpr Tid
+    taggedParent(Tid link)
+    {
+        return kParentTag - link;
+    }
+    /** Widest clock whose tags fit a Tid: its last slot,
+     * kMaxWidth - 1, tags to the Tid minimum. ensure() refuses more. */
+    static constexpr std::size_t kMaxWidth =
+        static_cast<std::size_t>(std::numeric_limits<Tid>::max()) - 1;
+    /** @} */
 
     /**
      * Dense-copy cutover: a monotone copy that would transplant more
@@ -317,13 +356,12 @@ class TreeClock
     {
         Clk clk = 0;             ///< timestamp (Get reads this)
         Clk aclk = 0;            ///< attachment time
-        Tid parent = kAbsent;    ///< kAbsent = never present
         Tid firstChild = kNoTid; ///< head of child list
         Tid nextSib = kNoTid;    ///< next sibling (smaller aclk)
-        Tid prevSib = kNoTid;    ///< previous sibling
+        Tid link = kAbsent;      ///< previous sibling or parent tag
     };
-    static_assert(sizeof(Node) == 6 * sizeof(Clk),
-                  "node records are six packed 32-bit fields");
+    static_assert(sizeof(Node) == 5 * sizeof(Clk),
+                  "node records are five packed 32-bit fields");
 
     Node &node(Tid t) { return nodes_[static_cast<std::size_t>(t)]; }
     const Node &
@@ -332,41 +370,49 @@ class TreeClock
         return nodes_[static_cast<std::size_t>(t)];
     }
 
+    /** Grow to @p n slots; refuses widths past kMaxWidth. */
     void ensure(std::size_t n);
     /** Front-insert @p child under @p parent (pushChild). */
     void pushChild(Tid child, Tid parent);
-    /** Unlink @p t from its parent's child list. */
+    /** Insert @p child under @p parent right after its child
+     * @p prev (at the front when prev is kNoTid). */
+    void insertChildAfter(Tid child, Tid parent, Tid prev);
+    /** Unlink @p t (present, not the root) from its parent's child
+     * list in O(1) through its link. */
     void detachFromParent(Tid t);
 
-    /** join() (kPrune) and joinFull() (!kPrune). */
+    /** join() (kPrune) and joinFull() (!kPrune): one pre-order pass
+     * that relinks each transplanted node as it is met. Without
+     * kPrune the walk applies neither cut and descends the whole
+     * operand, still transplanting only progressed nodes. */
     template <bool kPrune> void joinImpl(const TreeClock &other);
 
     /**
-     * getUpdatedNodesJoin / getUpdatedNodesCopy: collect into @p S
-     * (pre-order) the operand's nodes to transplant. The tree is not
-     * edited, so a copy can still choose the flat path afterwards;
-     * unlinkGathered() detaches S before attachNodes(). @p z_tid is
-     * the old root for copies (kNoTid for joins). Without kPrune
-     * (joinFull) the walk applies neither cut and descends the whole
-     * operand.
+     * getUpdatedNodesCopy: collect into @p S (operand pre-order) the
+     * nodes a monotone copy transplants, each with its operand
+     * parent, plus our old root wherever the walk meets it. The
+     * tree is not edited, so the copy can still choose the flat
+     * path afterwards; unlinkGathered() detaches S before
+     * attachNodes().
      */
-    template <bool kPrune>
-    void gatherUpdated(const TreeClock &other, std::vector<Tid> &S,
-                       bool is_copy, Tid z_tid,
-                       std::uint64_t &examined) const;
+    void gatherCopy(const TreeClock &other,
+                    std::vector<ScratchArena::Transplant> &S,
+                    std::vector<ScratchArena::Frame> &frames,
+                    std::uint64_t &examined) const;
     /** Unlink every gathered node from its current parent. */
-    void unlinkGathered(const std::vector<Tid> &S);
+    void unlinkGathered(const std::vector<ScratchArena::Transplant> &S);
     /** Transplant S (popped in reverse) mirroring other's shape;
      * returns the number of clk entries whose value changed. */
-    std::uint64_t attachNodes(const TreeClock &other,
-                              std::vector<Tid> &S);
+    std::uint64_t
+    attachNodes(const TreeClock &other,
+                const std::vector<ScratchArena::Transplant> &S);
 
-    /** Traversal stack: shared arena when attached, else private. */
-    std::vector<Tid> &
-    scratch()
-    {
-        return arena_ ? arena_->stack : ownScratch_;
-    }
+    /** The checkpoint's parent column, rebuilt from the child
+     * lists. */
+    std::vector<Tid> parentColumn() const;
+
+    /** Walk scratch: shared arena when attached, else private. */
+    ScratchArena &scratch() { return arena_ ? *arena_ : ownScratch_; }
 
     /** Bytes per addressable slot: one node record. */
     static constexpr std::uint64_t kBytesPerSlot = sizeof(Node);
@@ -395,8 +441,8 @@ class TreeClock
     std::uint64_t fallbackCopies_ = 0;
     /** Bytes already credited to counters_ (resident-byte gauge). */
     std::uint64_t accounted_ = 0;
-    /** Fallback traversal stack when no arena is attached. */
-    std::vector<Tid> ownScratch_;
+    /** Fallback walk scratch when no arena is attached. */
+    ScratchArena ownScratch_;
 };
 
 } // namespace tc

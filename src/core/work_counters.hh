@@ -96,9 +96,10 @@ struct WorkCounters
 
     /** Pre-lifecycle layout (seven fields, no clock-byte pair) —
      * used when restoring snapshots written before the format bump.
-     * The byte counters restart from zero; they are a live-footprint
-     * gauge, not a cumulative total, so a resume repopulates them
-     * as clocks regrow. */
+     * The byte counters read as zero here: restored clocks are
+     * already full size and never regrow, so
+     * AnalysisDriver::restoreState() sets the resident figure to the
+     * bytes they credit on load and restarts the peak there. */
     bool
     deserializeLegacy(ByteSource &in)
     {

@@ -226,6 +226,48 @@ TEST(ClockRoundTrip, TreeClockSerializesSixColumns)
     EXPECT_EQ(out.bytes(), expected.bytes());
 }
 
+TEST(ClockRoundTrip, TreeClockChecksParentColumnAgainstChildLists)
+{
+    // t0 (5) with children t2 (aclk 4) then t1 (aclk 2); t1 is not a
+    // first child, so no link of a loaded record names its parent.
+    // Its parent column must still match the child lists.
+    auto encode = [](std::vector<Tid> parent,
+                     std::vector<Tid> prev_sib) {
+        ByteSink out;
+        out.putI32(0);
+        out.putU64(0);
+        out.putVec(std::vector<Clk>{5, 1, 1});  // clk
+        out.putVec(std::vector<Clk>{0, 2, 4});  // aclk
+        out.putVec(parent);
+        out.putVec(std::vector<Tid>{2, -1, -1}); // firstChild
+        out.putVec(std::vector<Tid>{-1, -1, 1}); // nextSib
+        out.putVec(prev_sib);
+        return out.bytes();
+    };
+
+    const auto good = encode({-1, 0, 0}, {-1, 2, -1});
+    TreeClock clock;
+    ByteSource in(good);
+    ASSERT_TRUE(clock.deserialize(in));
+    EXPECT_EQ(clock.parentOf(1), 0);
+    EXPECT_EQ(clock.parentOf(2), 0);
+    ByteSink again;
+    clock.serialize(again);
+    EXPECT_EQ(again.bytes(), good);
+
+    const std::vector<std::uint8_t> bad[] = {
+        encode({-1, 2, 0}, {-1, 2, -1}),  // t1 claims parent t2
+        encode({-1, 0, 1}, {-1, 2, -1}),  // first child t2 under t1
+        encode({-1, 0, 0}, {-1, -1, -1}), // t1 lost its prevSib
+    };
+    for (const auto &bytes : bad) {
+        TreeClock loaded;
+        ByteSource src(bytes);
+        EXPECT_FALSE(loaded.deserialize(src));
+        EXPECT_TRUE(loaded.empty());
+    }
+}
+
 TEST(ClockRoundTrip, TreeClockRejectsTruncation)
 {
     rejectTruncations<TreeClock>(41);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Backward compatibility against committed pre-lifecycle (format
- * v1) fixtures in tests/fixtures/ — real files written by the
- * pre-bump binaries, never regenerated:
+ * Backward compatibility against committed fixtures in
+ * tests/fixtures/ — real files written by older binaries, never
+ * regenerated. Pre-lifecycle (format v1) ones:
  *
  *   golden_v1.tcb       binary trace, "TCTB1" magic
  *   golden_v1.tct       the same trace, v1 text
@@ -14,13 +14,22 @@
  *                       written by the retired two-worker sharded
  *                       analysis (--shard-analysis=2)
  *
- * The suite pins four contracts: every v1 container still decodes
+ * and one from the last build whose tree-clock records were 24
+ * bytes (with a parent field):
+ *
+ *   golden_v2.tcsnap    event-1500 checkpoint of the same matrix
+ *                       over golden_v1.tcb (`--stream
+ *                       --checkpoint-every=1500`): driver state
+ *                       version 2, tree-clock gauges at 24 B/slot
+ *
+ * The suite pins five contracts: every v1 container still decodes
  * to the identical event stream with the identical analysis
  * results (hardcoded from the pre-bump run), today's split still
- * writes the committed shard bytes, v1 snapshots still resume, and
- * version mismatches and stale sharded snapshots are rejected as
- * corrupt input — including by the CLIs, whose exit code 3 is
- * scripted against.
+ * writes the committed shard bytes, v1 and v2 snapshots still
+ * resume to the straight run's result, today's checkpoint keeps
+ * the v2 clock columns byte for byte, and version mismatches and
+ * stale sharded snapshots are rejected as corrupt input —
+ * including by the CLIs, whose exit code 3 is scripted against.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -224,55 +234,180 @@ TEST(FormatCompat, AnalysisResultsMatchThePreBumpRun)
     EXPECT_EQ(first[2].current, Epoch(3, 4));
 }
 
-TEST(FormatCompat, V1SnapshotResumesToTheFullRunResult)
+/** The CLI's consumer matrix in CLI order, as the committed
+ * snapshots hold it: po-major over (hb, shb, maz) × (tc, vc). */
+void
+addMatrix(AnalysisPipeline &pipeline)
+{
+    for (const char *po : {"hb", "shb", "maz"})
+        for (const char *clock : {"tc", "vc"})
+            pipeline.add(makeAnalysisConsumer(po, clock));
+}
+
+/** Resume the matrix from @p snapshot, finish the golden trace and
+ * check every consumer against a straight run: races, vtWork and
+ * the resident and peak clock bytes. */
+void
+expectResumeMatchesStraightRun(const std::string &snapshot,
+                               std::vector<AnalysisReport> *out)
 {
     const Trace golden = loadGoldenBinary();
-
-    // The committed snapshot holds the CLI's consumer matrix in
-    // CLI order: po-major over (hb, shb, maz) × (tc, vc).
-    auto add_matrix = [](AnalysisPipeline &pipeline) {
-        for (const char *po : {"hb", "shb", "maz"})
-            for (const char *clock : {"tc", "vc"})
-                pipeline.add(makeAnalysisConsumer(po, clock));
-    };
-
     AnalysisPipeline straight;
-    add_matrix(straight);
+    addMatrix(straight);
     TraceSource full(golden);
     const auto expected = straight.run(full);
 
     AnalysisPipeline resumed;
-    add_matrix(resumed);
+    addMatrix(resumed);
     SnapshotMeta meta;
     std::string error;
-    ASSERT_TRUE(loadSnapshot(kDir + "/golden_v1.tcsnap", resumed,
-                             &meta, &error))
+    ASSERT_TRUE(loadSnapshot(snapshot, resumed, &meta, &error))
         << error;
     ASSERT_GT(meta.position, 0u);
     ASSERT_LT(meta.position, golden.size());
 
     TraceSource tail(golden);
     ASSERT_TRUE(tail.seekToSequence(meta.position));
-    const auto reports = resumed.drain(tail);
-    ASSERT_EQ(reports.size(), expected.size());
-    for (std::size_t i = 0; i < reports.size(); i++) {
+    *out = resumed.drain(tail);
+    ASSERT_EQ(out->size(), expected.size());
+    for (std::size_t i = 0; i < out->size(); i++) {
         SCOPED_TRACE(expected[i].name);
-        EXPECT_EQ(reports[i].name, expected[i].name);
-        const RaceSummary &a = reports[i].result.races;
+        const AnalysisReport &got = (*out)[i];
+        EXPECT_EQ(got.name, expected[i].name);
+        const RaceSummary &a = got.result.races;
         const RaceSummary &e = expected[i].result.races;
         EXPECT_EQ(a.total(), e.total());
         EXPECT_EQ(a.writeWrite(), e.writeWrite());
         EXPECT_EQ(a.writeRead(), e.writeRead());
         EXPECT_EQ(a.readWrite(), e.readWrite());
         EXPECT_EQ(a.racyVars(), e.racyVars());
-        EXPECT_EQ(reports[i].result.work.vtWork,
-                  expected[i].result.work.vtWork);
+        const WorkCounters &w = got.result.work;
+        const WorkCounters &x = expected[i].result.work;
+        EXPECT_EQ(w.vtWork, x.vtWork);
+        EXPECT_EQ(w.clockBytes, x.clockBytes);
+        EXPECT_EQ(w.clockBytesPeak, x.clockBytesPeak);
     }
+}
+
+TEST(FormatCompat, V1SnapshotResumesToTheFullRunResult)
+{
+    // A v1 blob carries no clock-byte gauge: the restored clocks'
+    // own credit must stand in for it.
+    std::vector<AnalysisReport> reports;
+    expectResumeMatchesStraightRun(kDir + "/golden_v1.tcsnap",
+                                   &reports);
+    ASSERT_EQ(reports.size(), 6u);
 
     // And the totals are still the pre-bump ones.
     EXPECT_EQ(reports[0].result.races.total(), kGolden[0].total);
     EXPECT_EQ(reports[2].result.races.total(), kGolden[1].total);
     EXPECT_EQ(reports[4].result.races.total(), kGolden[2].total);
+}
+
+TEST(FormatCompat, V2SnapshotResumesToTheFullRunResult)
+{
+    // The fixture's tree-clock gauges count 24 bytes per slot, the
+    // restored clocks 20: the resident figure must be today's, and
+    // the peak restart from it.
+    std::vector<AnalysisReport> reports;
+    expectResumeMatchesStraightRun(kDir + "/golden_v2.tcsnap",
+                                   &reports);
+    EXPECT_EQ(reports.size(), 6u);
+}
+
+/** One .tcsnap section: its tag, and where its CRC32 and payload
+ * sit in the file (layout in trace/snapshot.hh). */
+struct SnapSection
+{
+    std::uint32_t tag;
+    std::size_t crcAt, payloadAt, size;
+};
+
+template <typename T>
+T
+podAt(const std::string &bytes, std::size_t at)
+{
+    T v{};
+    if (at + sizeof(T) <= bytes.size())
+        std::memcpy(&v, bytes.data() + at, sizeof(T));
+    return v;
+}
+
+std::vector<SnapSection>
+sectionsOf(const std::string &bytes)
+{
+    // Magic (8), version (u32) and finalized flag (u8), then the
+    // u32 section count and [u32 tag][u64 len][u32 crc][payload].
+    std::size_t at = 8 + 4 + 1;
+    const auto count = podAt<std::uint32_t>(bytes, at);
+    at += 4;
+    std::vector<SnapSection> out;
+    for (std::uint32_t i = 0; i < count && at < bytes.size(); i++) {
+        SnapSection s{};
+        s.tag = podAt<std::uint32_t>(bytes, at);
+        s.size = podAt<std::uint64_t>(bytes, at + 4);
+        s.crcAt = at + 12;
+        s.payloadAt = at + 16;
+        out.push_back(s);
+        at = s.payloadAt + s.size;
+    }
+    EXPECT_EQ(at, bytes.size());
+    return out;
+}
+
+TEST(FormatCompat, OwnCheckpointKeepsTheV2ClockColumns)
+{
+    // Today's checkpoint at the fixture's event, written the way the
+    // fixture was. Tree-clock records no longer hold a parent, yet
+    // the six clock columns come out byte for byte: the only bytes
+    // that differ are each tree-clock section's clock-byte gauges
+    // (the last two u64s of the driver state; 20 against 24 bytes
+    // per slot) and, with them, that section's CRC32.
+    const std::string dir = "/tmp/tc_compat_v2_snaps";
+    mkdir(dir.c_str(), 0755);
+    for (const std::string &stale : listSnapshots(dir, "snapshot"))
+        std::remove(stale.c_str());
+    ASSERT_EQ(runCli("./race_detector --trace=" + kDir +
+                     "/golden_v1.tcb --stream --po=hb,shb,maz "
+                     "--clock=tc,vc --checkpoint-every=1500 "
+                     "--snapshot-dir=" + dir),
+              2);
+    std::string own =
+        fileBytes(dir + "/snapshot.00000000000000001500.tcsnap");
+    for (const std::string &made : listSnapshots(dir, "snapshot"))
+        std::remove(made.c_str());
+    rmdir(dir.c_str());
+
+    const std::string fixture = fileBytes(kDir + "/golden_v2.tcsnap");
+    ASSERT_EQ(own.size(), fixture.size());
+    const auto sections = sectionsOf(fixture);
+    ASSERT_EQ(sections.size(), 7u); // META + six consumers
+    int tree_sections = 0;
+    for (const SnapSection &s : sections) {
+        const auto name_len = podAt<std::uint64_t>(fixture, s.payloadAt);
+        const std::string name =
+            s.tag == 0x534E4F43u // "CONS"
+                ? fixture.substr(s.payloadAt + 8, name_len)
+                : std::string();
+        if (name.size() < 3 || name.substr(name.size() - 3) != "/tc")
+            continue;
+        SCOPED_TRACE(name);
+        tree_sections++;
+        const std::size_t gauges = s.payloadAt + s.size - 16;
+        for (std::size_t at : {gauges, gauges + 8}) {
+            const auto theirs = podAt<std::uint64_t>(fixture, at);
+            const auto mine = podAt<std::uint64_t>(own, at);
+            EXPECT_GT(mine, 0u);
+            EXPECT_EQ(mine * 24, theirs * 20);
+        }
+        // Patch in the fixture's gauges and CRC32; what remains
+        // must be identical.
+        own.replace(gauges, 16, fixture, gauges, 16);
+        own.replace(s.crcAt, 4, fixture, s.crcAt, 4);
+    }
+    EXPECT_EQ(tree_sections, 3);
+    EXPECT_TRUE(own == fixture)
+        << "checkpoint bytes differ beyond the tree-clock gauges";
 }
 
 // ---------------------------------------------------------------

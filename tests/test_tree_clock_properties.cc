@@ -1,7 +1,9 @@
 /**
  * @file
  * Property tests for the tree clock: across a parameterized sweep of
- * random traces and all three partial-order algorithms,
+ * random traces plus the four Figure 10 topologies (chain-shaped
+ * trees from lock hand-offs, a wide root at the star's server), and
+ * all three partial-order algorithms,
  *  - tree clocks and vector clocks produce identical per-event
  *    vector timestamps (drop-in-replacement property),
  *  - every tree clock involved keeps its structural invariants after
@@ -14,6 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "gen/synthetic.hh"
 #include "test_helpers.hh"
 
 namespace tc {
@@ -23,10 +31,57 @@ using test::collectTimestamps;
 using test::runEngine;
 using test::SweepCase;
 
-class ClockProperty : public ::testing::TestWithParam<SweepCase>
+/** One property input: a labelled trace generator. */
+struct PropertyCase
+{
+    std::string label;
+    std::function<Trace()> generate;
+
+    friend std::ostream &
+    operator<<(std::ostream &os, const PropertyCase &c)
+    {
+        return os << c.label;
+    }
+};
+
+std::vector<PropertyCase>
+randomCases()
+{
+    std::vector<PropertyCase> out;
+    for (const SweepCase &c : test::standardSweep()) {
+        out.push_back({c.label, [params = c.params] {
+                           return generateRandomTrace(params);
+                       }});
+    }
+    return out;
+}
+
+std::vector<PropertyCase>
+topologyCases()
+{
+    ScenarioParams params;
+    params.threads = 32;
+    params.events = 4000;
+    params.seed = 17;
+    const std::pair<Scenario, const char *> kinds[] = {
+        {Scenario::SingleLock, "single_lock_32t"},
+        {Scenario::SkewedLocks, "skewed_locks_32t"},
+        {Scenario::StarTopology, "star_32t"},
+        {Scenario::Pairwise, "pairwise_32t"},
+    };
+    std::vector<PropertyCase> out;
+    for (const auto &[scenario, label] : kinds) {
+        out.push_back({label, [scenario = scenario, params] {
+                           return genScenario(scenario, params);
+                       }});
+    }
+    return out;
+}
+
+class ClockProperty : public ::testing::TestWithParam<PropertyCase>
 {
   protected:
-    Trace trace_ = generateRandomTrace(GetParam().params);
+    Trace trace_ = GetParam().generate();
 };
 
 TEST_P(ClockProperty, HbTimestampsMatchVectorClocks)
@@ -98,11 +153,16 @@ TEST_P(ClockProperty, MonotoneCopyFallbackNeverFires)
     EXPECT_EQ(w.fallbackCopies, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ClockProperty, ::testing::ValuesIn(test::standardSweep()),
-    [](const ::testing::TestParamInfo<SweepCase> &info) {
+const auto kCaseName =
+    [](const ::testing::TestParamInfo<PropertyCase> &info) {
         return info.param.label;
-    });
+    };
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ClockProperty,
+                         ::testing::ValuesIn(randomCases()), kCaseName);
+INSTANTIATE_TEST_SUITE_P(Topology, ClockProperty,
+                         ::testing::ValuesIn(topologyCases()),
+                         kCaseName);
 
 } // namespace
 } // namespace tc

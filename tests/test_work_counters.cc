@@ -8,7 +8,9 @@
  *  - vector clocks are not vt-optimal: on the star topology their
  *    work exceeds tree clocks' by a growing factor,
  *  - SHB's deep copies are exactly the write-write race count
- *    (the §5.1 bound on CopyCheckMonotone's linear path).
+ *    (the §5.1 bound on CopyCheckMonotone's linear path),
+ *  - the resident clock-byte gauge credits one record per
+ *    addressable slot: 20 bytes on a tree clock, 4 on a vector clock.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +176,31 @@ TEST(WorkScenarios, JoinFullTouchesMoreThanJoinOnStar)
     EXPECT_EQ(join_views, full_views);
     EXPECT_EQ(join_work.vtWork, full_work.vtWork);
     EXPECT_LT(join_work.dsWork, full_work.dsWork);
+}
+
+TEST(ClockBytes, OneRecordPerAddressableSlot)
+{
+    // A tree-clock slot is one node record {clk, aclk, firstChild,
+    // nextSib, link}; a vector-clock slot is its timestamp.
+    for (const std::size_t k : {1u, 8u, 300u}) {
+        SCOPED_TRACE(k);
+        WorkCounters tw, vw;
+        TreeClock tree(0, k);
+        VectorClock vec(0, k);
+        tree.setCounters(&tw);
+        vec.setCounters(&vw);
+        EXPECT_EQ(tw.clockBytes, 20 * k);
+        EXPECT_EQ(vw.clockBytes, 4 * k);
+
+        // Growing to an operand's width credits the new slots.
+        const auto last = static_cast<Tid>(2 * k - 1);
+        tree.deepCopy(TreeClock(last, 2 * k));
+        vec.deepCopy(VectorClock(last, 2 * k));
+        EXPECT_EQ(tw.clockBytes, 20 * 2 * k);
+        EXPECT_EQ(tw.clockBytesPeak, 20 * 2 * k);
+        EXPECT_EQ(vw.clockBytes, 4 * 2 * k);
+        EXPECT_EQ(vw.clockBytesPeak, 4 * 2 * k);
+    }
 }
 
 } // namespace
