@@ -15,9 +15,9 @@
 #           bounds-checked. Like job 1 it includes
 #           test_engine_allocs, the exact allocation checks.
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
-#           spawns threads (prefetch reader, window-bus ring,
-#           pipeline worker pool, concurrent capture appenders,
-#           scratch-arena regression) — under ThreadSanitizer.
+#           runs the fan-out's worker pool or its window-bus ring,
+#           the only threads src/ starts, plus the scratch-arena
+#           regression — under ThreadSanitizer.
 #           CMakeLists.txt owns the list
 #           (TC_THREADED_TESTS), so new threaded suites are covered
 #           by adding them there, not by editing CI regexes. Scoped

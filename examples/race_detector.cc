@@ -14,22 +14,23 @@
  * validated and summarized before the timed analysis. With --stream
  * the file is consumed through the chunked readers instead: the
  * full event vector is never built, so traces larger than memory
- * analyze in O(window) input memory; --prefetch moves decode + I/O
- * to a background thread that stays one window ahead.
+ * analyze in O(window) input memory.
  *
  * Examples:
  *   ./race_detector --generate --threads=16 --events=1000000
  *   ./race_detector --trace=run.tct --po=shb --clock=vc
- *   ./race_detector --trace=huge.tcb --stream --prefetch
  *   ./race_detector --trace=run.tcb --po=hb,shb,maz --clock=tc,vc
  *   ./race_detector --trace=cap.0.tcs --stream   # sharded capture
  *
  * With --parallel[=K] the fan-out runs on a worker pool (one worker
  * per analysis, or K workers round-robin over the analyses), all
- * borrowing the same zero-copy decode windows — results are
- * identical to the sequential pass:
+ * borrowing the same zero-copy decode windows, while the calling
+ * thread decodes (and, for a shard set, merges) the windows ahead
+ * of them. K=1 thus overlaps decode and merge with the analyses.
+ * Results are identical to the sequential pass:
  *
- *   ./race_detector --trace=huge.tcb --stream --prefetch \
+ *   ./race_detector --trace=huge.tcb --stream --parallel=1
+ *   ./race_detector --trace=huge.tcb --stream \
  *       --po=hb,shb,maz --clock=tc,vc --parallel
  */
 
@@ -133,6 +134,14 @@ main(int argc, char **argv)
                 "(0 = keep all)");
     if (!args.parse(argc, argv))
         return kExitUsage;
+    for (const char *flag :
+         {"max-reports", "checkpoint-every", "keep-snapshots"}) {
+        if (args.getInt(flag) < 0) {
+            std::fprintf(stderr,
+                         "error: --%s must be non-negative\n", flag);
+            return kExitUsage;
+        }
+    }
 
     // Deterministic fault injection (crash/kill sweeps drive the
     // CLI through TC_FAILPOINTS / TC_FAULT_SEED).
@@ -156,11 +165,8 @@ main(int argc, char **argv)
         return kExitUsage;
     }
 
-    const std::uint64_t checkpoint_every =
-        args.getInt("checkpoint-every") < 0
-            ? 0
-            : static_cast<std::uint64_t>(
-                  args.getInt("checkpoint-every"));
+    const auto checkpoint_every =
+        static_cast<std::uint64_t>(args.getInt("checkpoint-every"));
     const std::string snapshot_dir =
         args.getString("snapshot-dir");
     const std::string resume_from = args.getString("resume-from");
@@ -187,14 +193,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "error: --checkpoint-every on a trace file "
                      "requires --stream\n");
-        return kExitUsage;
-    }
-    if (args.getBool("prefetch") && !stream) {
-        // The default path materializes the whole trace before
-        // analysis; silently ignoring the flag would let users
-        // believe background decode was measured.
-        std::fprintf(stderr,
-                     "error: --prefetch requires --stream\n");
         return kExitUsage;
     }
     if (stream && !has_trace) {
@@ -228,23 +226,17 @@ main(int argc, char **argv)
             }
             trace = std::move(parsed.trace);
         } else if (pool) {
-            PoolWorkloadParams pparams;
-            pparams.poolSize =
-                static_cast<Tid>(args.getInt("pool-size"));
-            pparams.tasks =
-                static_cast<std::uint64_t>(args.getInt("tasks"));
-            pparams.taskEvents = static_cast<std::uint64_t>(
-                args.getInt("task-events"));
-            pparams.locks =
-                static_cast<LockId>(args.getInt("locks"));
-            pparams.vars = static_cast<VarId>(args.getInt("vars"));
-            pparams.syncRatio = args.getDouble("sync-ratio");
-            pparams.seed =
-                static_cast<std::uint64_t>(args.getInt("seed"));
-            trace = generatePoolWorkload(pparams);
+            PoolWorkloadParams params;
+            const std::string bad = poolParamsFromFlags(args, params);
+            if (!bad.empty())
+                return reportError(bad, 0, kExitUsage);
+            trace = generatePoolWorkload(params);
         } else {
-            trace =
-                generateRandomTrace(traceParamsFromFlags(args));
+            RandomTraceParams params;
+            const std::string bad = traceParamsFromFlags(args, params);
+            if (!bad.empty())
+                return reportError(bad, 0, kExitUsage);
+            trace = generateRandomTrace(params);
         }
         const ValidationResult valid = trace.validate();
         if (!valid.ok)
@@ -259,7 +251,7 @@ main(int argc, char **argv)
                     stats.syncPercent());
         source = std::make_unique<TraceSource>(std::move(trace));
     } else {
-        source = makeEventSource(args);
+        source = openTraceFile(args.getString("trace"));
         if (source->failed())
             return reportSourceError(*source);
         // With failpoints armed the stream goes through the
@@ -326,8 +318,9 @@ main(int argc, char **argv)
                 pipeline.size(), args.getString("po").c_str(),
                 args.getString("clock").c_str(),
                 stream ? " (streaming)" : "");
-    if (pool_size > 1)
-        std::printf(" (%zu workers)", pool_size);
+    if (pool_size > 0)
+        std::printf(" (%zu worker%s)", pool_size,
+                    pool_size == 1 ? "" : "s");
     std::printf("\n");
 
     Timer timer;
@@ -336,18 +329,16 @@ main(int argc, char **argv)
     std::vector<AnalysisReport> reports;
     try {
         if (checkpoint_every == 0 && !resume_requested) {
-            reports = pool_size > 1 ? pipeline.run(*source, popt)
+            reports = pool_size > 0 ? pipeline.run(*source, popt)
                                     : pipeline.run(*source);
         } else {
             CheckpointOptions copt;
             copt.every = checkpoint_every;
             copt.dir = snapshot_dir;
-            copt.keep = args.getInt("keep-snapshots") < 0
-                            ? 0
-                            : static_cast<std::size_t>(
-                                  args.getInt("keep-snapshots"));
+            copt.keep = static_cast<std::size_t>(
+                args.getInt("keep-snapshots"));
             copt.parallel = popt;
-            copt.useParallel = pool_size > 1;
+            copt.useParallel = pool_size > 0;
             std::uint64_t start = 0;
             bool resumed = false;
             if (resume_requested) {

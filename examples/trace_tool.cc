@@ -9,13 +9,6 @@
  *   trace_tool split    run.tct cap --shards=4   (cap.0.tcs ...)
  *   trace_tool merge    cap out.tcb           (any .tcs member or
  *                                              the set prefix)
- *   trace_tool capture  cap --shards=4 --threads=16 --events=1000000
- *                                             (generator-driven
- *                                              concurrent-capture
- *                                              simulation: one
- *                                              capturing thread per
- *                                              shard, one atomic
- *                                              sequence counter)
  *   trace_tool slice    run.tct out.tct --vars=3,17,42
  *   trace_tool project  run.tct out.tct --threads=0,1
  *   trace_tool prefix   run.tct out.tct --events=100000
@@ -32,8 +25,7 @@
  * readers and never materialize the trace, so they work on files
  * larger than memory; the structural commands
  * (slice/project/prefix/compact/validate) still load the full
- * event vector, and capture materializes its generated workload so
- * the capture threads can replay it.
+ * event vector.
  */
 
 #include <sys/stat.h>
@@ -48,6 +40,7 @@
 #include "gen/random_trace.hh"
 #include "support/cli.hh"
 #include "support/diagnostics.hh"
+#include "support/source_cli.hh"
 #include "support/strings.hh"
 #include "trace/event_source.hh"
 #include "trace/fault_injection.hh"
@@ -206,11 +199,11 @@ main(int argc, char **argv)
 {
     ArgParser args(
         "trace toolbox: stats | validate | convert | split | "
-        "merge | capture | slice | project | prefix | compact | "
-        "generate | pool");
+        "merge | slice | project | prefix | compact | generate | "
+        "pool");
     args.addInt("shards", static_cast<std::int64_t>(
                               kDefaultShardCount),
-                "shard count (split/capture)");
+                "shard count (split)");
     args.addString("vars", "", "comma-separated variable ids (slice)");
     args.addString("threads-list", "",
                    "comma-separated thread ids (project)");
@@ -227,7 +220,7 @@ main(int argc, char **argv)
         return kExitUsage;
 
     // Deterministic fault injection (the crash/kill sweeps drive
-    // split/capture through TC_FAILPOINTS / TC_FAULT_SEED).
+    // split through TC_FAILPOINTS / TC_FAULT_SEED).
     std::string failpoint_error;
     if (!FailpointRegistry::instance().armFromEnv(
             &failpoint_error))
@@ -337,47 +330,6 @@ main(int argc, char **argv)
                     humanCount(written).c_str());
         return 0;
     }
-    if (cmd == "capture" && pos.size() == 2) {
-        // Concurrent-capture simulation: generate a workload, then
-        // one capturing thread per shard replays its threads'
-        // events, stamping from the writer's atomic sequence
-        // counter (trace/shard.hh). The finalized set is
-        // byte-identical to `generate` + `split` of the same
-        // parameters — what this command demonstrates is the
-        // multi-writer capture path itself.
-        const std::int64_t shards_raw = args.getInt("shards");
-        if (shards_raw < 1 || shards_raw > 256) {
-            std::fprintf(stderr,
-                         "error: --shards must be in 1..256\n");
-            return 1;
-        }
-        RandomTraceParams params;
-        params.threads = static_cast<Tid>(args.getInt("threads"));
-        params.locks = static_cast<LockId>(args.getInt("locks"));
-        params.vars = static_cast<VarId>(args.getInt("gen-vars"));
-        params.events =
-            static_cast<std::uint64_t>(args.getInt("events"));
-        params.syncRatio = args.getDouble("sync-ratio");
-        params.seed =
-            static_cast<std::uint64_t>(args.getInt("seed"));
-        const Trace trace = generateRandomTrace(params);
-        std::string error;
-        const std::uint64_t written = captureTraceParallel(
-            trace, pos[1],
-            static_cast<std::uint32_t>(shards_raw), &error);
-        if (written == kUnknownEventCount) {
-            return reportError(error, 0,
-                               exitCodeForMessage(error));
-        }
-        std::printf(
-            "captured %s.{0..%u}.tcs (%s events, %u concurrent "
-            "writers)\n",
-            pos[1].c_str(),
-            static_cast<std::uint32_t>(shards_raw) - 1,
-            humanCount(written).c_str(),
-            static_cast<std::uint32_t>(shards_raw));
-        return 0;
-    }
     if (cmd == "merge" && pos.size() == 3) {
         // Streaming K-way merge back into the canonical total
         // order; accepts the set prefix or any .tcs member.
@@ -470,30 +422,19 @@ main(int argc, char **argv)
     }
     if (cmd == "generate" && pos.size() == 2) {
         RandomTraceParams params;
-        params.threads = static_cast<Tid>(args.getInt("threads"));
-        params.locks = static_cast<LockId>(args.getInt("locks"));
-        params.vars = static_cast<VarId>(args.getInt("gen-vars"));
-        params.events =
-            static_cast<std::uint64_t>(args.getInt("events"));
-        params.syncRatio = args.getDouble("sync-ratio");
-        params.seed =
-            static_cast<std::uint64_t>(args.getInt("seed"));
+        const std::string bad =
+            traceParamsFromFlags(args, params, "gen-vars");
+        if (!bad.empty())
+            return reportError(bad, 0, kExitUsage);
         saveOrDie(generateRandomTrace(params), pos[1]);
         return 0;
     }
     if (cmd == "pool" && pos.size() == 2) {
         PoolWorkloadParams params;
-        params.poolSize =
-            static_cast<Tid>(args.getInt("pool-size"));
-        params.tasks =
-            static_cast<std::uint64_t>(args.getInt("tasks"));
-        params.taskEvents =
-            static_cast<std::uint64_t>(args.getInt("task-events"));
-        params.locks = static_cast<LockId>(args.getInt("locks"));
-        params.vars = static_cast<VarId>(args.getInt("gen-vars"));
-        params.syncRatio = args.getDouble("sync-ratio");
-        params.seed =
-            static_cast<std::uint64_t>(args.getInt("seed"));
+        const std::string bad =
+            poolParamsFromFlags(args, params, "gen-vars");
+        if (!bad.empty())
+            return reportError(bad, 0, kExitUsage);
         saveOrDie(generatePoolWorkload(params), pos[1]);
         return 0;
     }

@@ -273,8 +273,7 @@ class AnalysisDriver
         begin(source.info());
         // Pull whole windows: one virtual call per window, and
         // zero-copy where the source can manage it (a view into a
-        // materialized trace, a swapped-out prefetch buffer — see
-        // EventSource::readWindow).
+        // materialized trace — see EventSource::readWindow).
         std::vector<Event> storage;
         EventWindow window;
         while (!(window = source.readWindow(

@@ -28,8 +28,8 @@ AnalysisPipeline::drainParallel(EventSource &source,
         options.workers == 0
             ? consumers_.size()
             : std::min(options.workers, consumers_.size());
-    if (workers <= 1)
-        return drain(source);
+    if (workers == 0)
+        return drain(source); // no consumers: nothing to fan out
 
     WindowBus bus(workers, options.depth);
     const std::size_t window_events =

@@ -156,12 +156,12 @@ struct AnalysisReport
 struct ParallelOptions
 {
     /** Worker threads; 0 = one per consumer. Always capped at the
-     * consumer count; an effective count of 1 falls back to the
-     * sequential drain (identical results either way). */
+     * consumer count. One worker still runs on the bus: it runs
+     * every consumer while the calling thread decodes (and merges)
+     * the next windows (identical results either way). */
     std::size_t workers = 0;
-    /** Events per published window. Matching the source's decode
-     * window (the default) lets prefetched buffers change hands by
-     * swap instead of copy. */
+    /** Events per published window (the producer's readWindow
+     * request). */
     std::size_t window = kDefaultSourceWindow;
     /** Windows in flight behind the ring (producer lead over the
      * slowest consumer). */
@@ -255,8 +255,8 @@ class AnalysisPipeline
      * i belongs to worker i mod K), so the N-analysis cross product
      * scales across cores while every consumer still observes the
      * exact stream order. Results are identical to the sequential
-     * overload; an effective worker count of 1 *is* the sequential
-     * overload.
+     * overload at every worker count, 1 included: one worker
+     * overlaps the calling thread's decode with the analyses.
      *
      * A consumer throwing on any worker stops the pool and the
      * producer, and the first such exception is rethrown here after

@@ -12,7 +12,8 @@ Trace
 generateRandomTrace(const RandomTraceParams &params)
 {
     TC_CHECK(params.threads >= 1, "need at least one thread");
-    TC_CHECK(params.vars >= 1 || params.syncRatio >= 1.0,
+    TC_CHECK(params.vars >= 1 ||
+                 (params.syncRatio >= 1.0 && params.locks >= 1),
              "need variables unless the trace is all-sync");
     TC_CHECK(!params.forkJoin || params.threads >= 2,
              "fork/join shape needs a worker thread");

@@ -1,20 +1,21 @@
 /**
  * @file
- * Shared CLI plumbing for tools that analyze an event stream: one
- * set of input flags (--trace / --generate and the generator knobs)
- * and one factory that turns parsed flags into an EventSource, so
- * every tool consumes trace files, synthetic workloads and future
- * source kinds through the same interface.
+ * Shared CLI plumbing for the tools that analyze or generate an
+ * event stream: one set of input flags (--trace / --generate and
+ * the generator knobs), the fan-out's --parallel flag, and the one
+ * check of the generator flags that both CLIs run before they
+ * generate, so a value the generators would abort on is a usage
+ * error instead.
  */
 
 #ifndef TC_SUPPORT_SOURCE_CLI_HH
 #define TC_SUPPORT_SOURCE_CLI_HH
 
-#include <memory>
+#include <string>
 
+#include "gen/pool_workload.hh"
 #include "gen/random_trace.hh"
 #include "support/cli.hh"
-#include "trace/event_source.hh"
 
 namespace tc {
 
@@ -22,8 +23,25 @@ namespace tc {
  * shared by the trace-consuming tools. */
 void addTraceSourceFlags(ArgParser &args);
 
-/** The generator parameters the flags describe. */
-RandomTraceParams traceParamsFromFlags(const ArgParser &args);
+/**
+ * Read the flat random generator's flags (--threads, --locks,
+ * @p vars_flag, --events, --sync-ratio, --seed) into @p params.
+ * Returns "" when generateRandomTrace accepts them, otherwise the
+ * usage error naming the first flag it would reject: a negative
+ * count, --threads below 1, or no variables in a trace that is not
+ * all sync. @p vars_flag is "vars" in race_detector and "gen-vars"
+ * in trace_tool.
+ */
+std::string traceParamsFromFlags(const ArgParser &args,
+                                 RandomTraceParams &params,
+                                 const std::string &vars_flag = "vars");
+
+/** The same for the task-pool workload (--pool-size, --tasks,
+ * --task-events, --locks, @p vars_flag, --sync-ratio, --seed):
+ * "" when generatePoolWorkload accepts them. */
+std::string poolParamsFromFlags(const ArgParser &args,
+                                PoolWorkloadParams &params,
+                                const std::string &vars_flag = "vars");
 
 /** Sentinel: --parallel given bare — one worker per consumer. */
 inline constexpr std::size_t kParallelAuto =
@@ -43,18 +61,6 @@ void addParallelFlag(ArgParser &args);
  * args.getInt("parallel") < -1 before calling (race_detector
  * does). */
 std::size_t parallelWorkersFromFlags(const ArgParser &args);
-
-/**
- * Build the EventSource the parsed flags describe:
- *  --trace=FILE     a chunked streaming file reader (text/binary/
- *                   shard set by extension; never materializes the
- *                   event vector), wrapped in an asynchronous
- *                   double-buffering decorator under --prefetch;
- *  --generate       a generated synthetic workload.
- * Returns a source in the failed() state on open/parse errors, and
- * null only when neither input flag was given.
- */
-std::unique_ptr<EventSource> makeEventSource(const ArgParser &args);
 
 } // namespace tc
 

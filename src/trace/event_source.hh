@@ -19,9 +19,6 @@
  *  - shard merge          — trace/shard.hh K-way-merges a sharded
  *                           capture (.tcs set) back into the total
  *                           order.
- *  - prefetch decorator   — trace/prefetch_source.hh wraps any
- *                           source with a background reader thread
- *                           (double-buffered windows).
  *  - generator sources    — src/gen/generator_source.hh wraps the
  *                           synthetic generators.
  */
@@ -138,9 +135,10 @@ class EventSource
      * were produced, 0 at end of stream or on error (check
      * failed()). Semantically identical to calling next() in a
      * loop — that is the default implementation — but overridable
-     * so buffered sources (prefetch, in particular) can hand out
-     * whole windows without a virtual call per event. Hot drains
-     * (AnalysisDriver::run, AnalysisPipeline) pull through this.
+     * so buffered sources (the chunked readers, the shard merge)
+     * can hand out whole windows without a virtual call per event.
+     * Hot drains (AnalysisDriver::run, AnalysisPipeline) pull
+     * through this.
      */
     virtual std::size_t
     read(Event *out, std::size_t max)
@@ -155,11 +153,9 @@ class EventSource
      * Produce the next window of up to @p max events without a
      * per-event copy where the source can avoid one. @p storage is
      * caller-recycled buffer capacity: the default implementation
-     * fills it through read() and returns a span over it, and
-     * buffered sources may swap a whole decoded buffer into it
-     * instead (prefetch). Sources whose events already sit in
-     * stable memory (TraceSource) may ignore @p storage and return
-     * a direct view.
+     * fills it through read() and returns a span over it. Sources
+     * whose events already sit in stable memory (TraceSource) may
+     * ignore @p storage and return a direct view.
      *
      * Lifetime contract: the returned span stays valid until
      * @p storage is next written, destroyed, or passed back into

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include <fcntl.h>
@@ -805,15 +802,6 @@ ShardWriter::Appender::fail(std::string message)
 }
 
 bool
-ShardWriter::Appender::append(const Event &e)
-{
-    if (failed_)
-        return false;
-    return appendStamped(
-        seq_->fetch_add(1, std::memory_order_acq_rel), e);
-}
-
-bool
 ShardWriter::Appender::appendStamped(std::uint64_t seq,
                                      const Event &e)
 {
@@ -957,7 +945,6 @@ ShardWriter::ShardWriter(const std::string &prefix,
         appenders_.push_back(
             std::unique_ptr<Appender>(new Appender()));
         Appender &a = *appenders_.back();
-        a.seq_ = &nextSeq_;
         a.finalized_ = &finalized_;
         a.segs_.resize(kAppendBatchSegments);
         const std::string path = shardPath(prefix, i);
@@ -1069,85 +1056,6 @@ splitTraceStream(EventSource &source, const std::string &prefix,
     // (and may have truncated) whatever set previously lived at
     // this prefix, and readers misreport them as a crashed
     // capture.
-    for (std::uint32_t i = 0; i < writer.shardCount(); i++)
-        std::remove(shardPath(prefix, i).c_str());
-    return kUnknownEventCount;
-}
-
-std::uint64_t
-captureTraceParallel(const Trace &trace, const std::string &prefix,
-                     std::uint32_t shards, std::string *error)
-{
-    if (shards == 0)
-        shards = 1;
-    if (shards > kMaxShardSetCount)
-        shards = kMaxShardSetCount;
-    SourceInfo info;
-    info.threads = trace.numThreads();
-    info.locks = trace.numLocks();
-    info.vars = trace.numVars();
-    info.events = trace.size();
-    info.lifecycle = trace.hasLifecycle();
-    ShardWriter writer(prefix, shards, info);
-    if (!writer.failed()) {
-        // Per-shard position lists: each capture thread must know
-        // which global stamps belong to it for the replay gate.
-        std::vector<std::vector<std::size_t>> positions(shards);
-        for (std::size_t p = 0; p < trace.size(); p++) {
-            positions[static_cast<std::size_t>(trace[p].tid) %
-                      shards]
-                .push_back(p);
-        }
-        std::atomic<bool> abort{false};
-        // Replay gate: simulate the original execution's timing by
-        // holding each thread until the global counter reaches its
-        // event's position — the fetch-add inside append() then
-        // stamps exactly that position, so the captured order is
-        // the input order. The hand-off is a condvar, not a yield
-        // spin: at most one thread is runnable at a time here, and
-        // spinning burned a core per shard on long traces.
-        std::mutex gate_m;
-        std::condition_variable gate_cv;
-        std::vector<std::thread> pool;
-        pool.reserve(shards);
-        for (std::uint32_t s = 0; s < shards; s++) {
-            pool.emplace_back([&, s] {
-                ShardWriter::Appender &app = writer.appender(s);
-                for (const std::size_t pos : positions[s]) {
-                    {
-                        std::unique_lock<std::mutex> lock(gate_m);
-                        gate_cv.wait(lock, [&] {
-                            return abort.load(
-                                       std::memory_order_relaxed) ||
-                                   writer.sequence() == pos;
-                        });
-                    }
-                    if (abort.load(std::memory_order_relaxed))
-                        return;
-                    // The stamp is consumed even on failure, so
-                    // other threads never wait on it; they see the
-                    // abort flag instead.
-                    const bool ok = app.append(trace[pos]);
-                    if (!ok)
-                        abort.store(true,
-                                    std::memory_order_relaxed);
-                    // Pair the state change with the lock so a
-                    // waiter between its predicate check and its
-                    // sleep cannot miss this wake.
-                    { std::lock_guard<std::mutex> lock(gate_m); }
-                    gate_cv.notify_all();
-                    if (!ok)
-                        return;
-                }
-            });
-        }
-        for (std::thread &t : pool)
-            t.join();
-        if (writer.finalize())
-            return writer.eventsWritten();
-    }
-    if (error != nullptr)
-        *error = writer.error();
     for (std::uint32_t i = 0; i < writer.shardCount(); i++)
         std::remove(shardPath(prefix, i).c_str());
     return kUnknownEventCount;

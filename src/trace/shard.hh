@@ -19,31 +19,22 @@
  * dense — merging a projection of a set is well defined).
  *
  * Layers on top:
- *  - ShardWriter          — K shard files, one buffered Appender
- *                           each. The caller stamps sequence numbers
- *                           itself (appendStamped) or takes them from
- *                           the writer's atomic counter (append), so
- *                           one capturing thread per shard needs no
- *                           lock on the hot path; the sentinel-until-
- *                           finalized header rejects torn captures.
- *  - splitTraceStream     — drain a stream into a shard set on the
- *                           calling thread.
- *  - captureTraceParallel — generator-driven capture simulation:
- *                           K capture threads race to stamp their
- *                           shards' events, gated so the captured
- *                           order reproduces the input trace
- *                           (byte-identical to a split). `trace_tool
- *                           capture` is the CLI.
- *  - openShardSet         — merge the set back into the total order
- *                           on the calling thread (loser tree over
- *                           the K shard heads).
- *  - trace_tool split/merge/capture — the CLI over all of it.
+ *  - ShardWriter      — K shard files, one buffered Appender each;
+ *                       the caller stamps every record's sequence
+ *                       number (appendStamped), and the sentinel-
+ *                       until-finalized header rejects torn
+ *                       captures.
+ *  - splitTraceStream — drain a stream into a shard set on the
+ *                       calling thread (its only writer).
+ *  - openShardSet     — merge the set back into the total order on
+ *                       the calling thread (loser tree over the K
+ *                       shard heads).
+ *  - trace_tool split/merge — the CLI over all of it.
  */
 
 #ifndef TC_TRACE_SHARD_HH
 #define TC_TRACE_SHARD_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,8 +45,8 @@
 
 namespace tc {
 
-/** Default shard count of `trace_tool split` (capture threads on a
- * typical production host, not a correctness knob). */
+/** Default shard count of `trace_tool split` (capturing threads on
+ * a typical production host, not a correctness knob). */
 inline constexpr std::uint32_t kDefaultShardCount = 4;
 
 /** Hard ceiling on a shard set's size, enforced by writers and —
@@ -95,26 +86,20 @@ std::uint32_t shardSetCount(const std::string &prefix);
  * crashed capture can not be mistaken for a (possibly empty)
  * complete one.
  *
- * Threading contract: each Appender belongs to exactly one thread at
- * a time (it buffers into private storage and writes its own file;
- * the only shared state on the hot path is the fetch-add on the
- * sequence counter, so appends never lock). finalize() may only run
- * after every appending thread has been joined; a capture that dies
- * before finalize() — or any subset of its appenders failing —
- * leaves torn shards every reader rejects.
+ * Threading contract: single-threaded. A writer and its appenders
+ * belong to one thread, which stamps every record itself
+ * (splitTraceStream stamps event i with i); nothing in them is
+ * synchronized. A
+ * capture that dies before finalize() — or any of its appenders
+ * failing — leaves torn shards every reader rejects.
  */
 class ShardWriter
 {
   public:
-    /** One capturing thread's handle on its shard file. */
+    /** The writer's handle on one shard file. */
     class Appender
     {
       public:
-        /** Stamp @p e with the next number of the writer's atomic
-         * sequence counter and buffer it for this shard. Lock-free:
-         * one fetch-add, then a private buffered write. */
-        bool append(const Event &e);
-
         /** Buffer @p e under a caller-assigned sequence number. The
          * caller must keep per-shard numbers strictly increasing —
          * readers reject anything else. Evaluates the
@@ -122,8 +107,8 @@ class ShardWriter
         bool appendStamped(std::uint64_t seq, const Event &e);
 
         /** Push staged records to the file in one gathered
-         * writev(). append() flushes automatically once a full
-         * batch of segments is staged; finalize() flushes every
+         * writev(). appendStamped() flushes automatically once a
+         * full batch of segments is staged; finalize() flushes every
          * appender a last time. Evaluates "shard.flush". */
         bool flush();
 
@@ -150,7 +135,6 @@ class ShardWriter
          * cache-sized copies per record. */
         std::vector<std::vector<unsigned char>> segs_;
         std::size_t active_ = 0;
-        std::atomic<std::uint64_t> *seq_ = nullptr;
         const bool *finalized_ = nullptr;
         std::uint64_t events_ = 0;
         bool failed_ = false;
@@ -171,18 +155,8 @@ class ShardWriter
     /** Shard @p shard's appender. */
     Appender &appender(std::uint32_t shard);
 
-    /** The next unclaimed number of the atomic sequence counter
-     * (what the next append() will stamp). Capture simulations use
-     * this to gate replay order. */
-    std::uint64_t
-    sequence() const
-    {
-        return nextSeq_.load(std::memory_order_acquire);
-    }
-
     /**
      * Patch every shard header with the final counts and flush.
-     * Only call after every appending thread has been joined.
      * Returns false when any appender failed or a header patch
      * failed; the files then keep their sentinel (torn) headers.
      */
@@ -190,8 +164,7 @@ class ShardWriter
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
-    /** Total records buffered across all appenders (stable only
-     * once the appending threads are joined). */
+    /** Total records buffered across all appenders. */
     std::uint64_t eventsWritten() const;
     std::uint32_t shardCount() const
     {
@@ -200,7 +173,6 @@ class ShardWriter
 
   private:
     std::vector<std::unique_ptr<Appender>> appenders_;
-    std::atomic<std::uint64_t> nextSeq_{0};
     bool failed_ = false;
     bool finalized_ = false;
     std::string error_;
@@ -208,8 +180,8 @@ class ShardWriter
 
 /**
  * Drain @p source into a K-shard set at @p prefix on the calling
- * thread (capture simulation / re-sharding of an existing trace):
- * event i gets sequence number i and goes to shard tid mod K.
+ * thread (sharding or re-sharding an existing trace): event i gets
+ * sequence number i and goes to shard tid mod K.
  * Returns the number of events written, or kUnknownEventCount on
  * failure (check source.failed() to tell a reader error from a
  * writer error). A failed split removes the shards it created.
@@ -218,23 +190,6 @@ std::uint64_t splitTraceStream(EventSource &source,
                                const std::string &prefix,
                                std::uint32_t shards,
                                std::string *error = nullptr);
-
-/**
- * Generator-driven capture simulation: K capture threads (one per
- * shard) replay @p trace concurrently, each appending its own
- * shard's events and stamping from the writer's atomic sequence
- * counter. A replay gate holds each thread until the counter
- * reaches its next event's trace position — the stamp the fetch-add
- * then hands out *is* that position, so the captured total order
- * reproduces the input execution and the finalized set is
- * byte-identical to a split of the same trace (the capture test
- * suite pins this). Returns the event count, or kUnknownEventCount
- * on failure.
- */
-std::uint64_t
-captureTraceParallel(const Trace &trace, const std::string &prefix,
-                     std::uint32_t shards,
-                     std::string *error = nullptr);
 
 /**
  * Open the shard set named by @p prefix as one EventSource that

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "gen/random_trace.hh"
 #include "trace/snapshot.hh"
@@ -128,6 +129,38 @@ TEST_F(CliDiagnostics, UsageErrorsExitOne)
                      "stats " +
                      goodPath()),
               1);
+    // Numeric flags the generators or the analysis would abort
+    // on, wrap or silently ignore are rejected up front.
+    const std::string out = std::string(kWorkDir) + "/rejected.tcb";
+    for (const std::string &command : std::vector<std::string>{
+             "./race_detector --generate --events=-1",
+             "./race_detector --generate --threads=0",
+             "./race_detector --generate --threads=-3",
+             "./race_detector --generate --locks=-1",
+             "./race_detector --generate --vars=0",
+             "./race_detector --generate --vars=0 --sync-ratio=1 "
+             "--locks=0",
+             "./race_detector --pool --pool-size=0",
+             "./race_detector --pool --pool-size=-1",
+             "./race_detector --pool --tasks=0",
+             "./race_detector --pool --tasks=-1",
+             "./race_detector --trace=" + goodPath() +
+                 " --max-reports=-1",
+             "./race_detector --trace=" + goodPath() +
+                 " --stream --checkpoint-every=-5 --snapshot-dir=" +
+                 kWorkDir,
+             "./trace_tool generate " + out + " --events=-1",
+             "./trace_tool generate " + out + " --threads=0",
+             "./trace_tool pool " + out + " --pool-size=0",
+         }) {
+        std::string err;
+        EXPECT_EQ(runCliStderr(command, err), 1) << command;
+        EXPECT_EQ(err.rfind("error: --", 0), 0u) << command << err;
+    }
+    // No variables is fine when every event is a lock operation.
+    EXPECT_EQ(runCli("./race_detector --generate --vars=0 "
+                     "--sync-ratio=1 --events=1000"),
+              0);
 }
 
 TEST_F(CliDiagnostics, RetiredFlagsAreUnknown)
@@ -138,7 +171,8 @@ TEST_F(CliDiagnostics, RetiredFlagsAreUnknown)
     const std::string input =
         " --trace=" + goodPath() + " --stream --";
     for (const char *flag : {"readers=2", "merge-workers=2",
-                             "shard-analysis=2", "io=stream"}) {
+                             "shard-analysis=2", "io=stream",
+                             "prefetch"}) {
         EXPECT_EQ(runCli("./race_detector" + input + flag), 1)
             << flag;
     }
@@ -151,6 +185,10 @@ TEST_F(CliDiagnostics, RetiredFlagsAreUnknown)
     const std::string stats =
         "./trace_tool stats " + goodPath() + " --";
     EXPECT_EQ(runCli(stats + "io=mmap"), 1);
+    // The threaded capture simulation went with them.
+    EXPECT_EQ(runCli("./trace_tool capture " + std::string(kWorkDir) +
+                     "/retired_capture --shards=2 --events=100"),
+              1);
 }
 
 TEST_F(CliDiagnostics, FindingsExitTwo)
@@ -231,10 +269,10 @@ TEST_F(CliDiagnostics, StreamedDisciplineViolationsExitTwoLikeMaterialized)
             std::to_string(c.event) + ": " + c.message + "\n";
         for (const char *mode :
              {"", " --po=hb,shb,maz --clock=tc,vc --parallel",
-              " --stream", " --stream --prefetch",
+              " --stream", " --stream --parallel=1",
               " --stream --parallel=2",
-              " --stream --prefetch --po=hb,shb,maz --clock=tc,vc "
-              "--parallel"}) {
+              " --stream --parallel=1 --po=hb,shb,maz --clock=tc,vc",
+              " --stream --po=hb,shb,maz --clock=tc,vc --parallel"}) {
             std::string err;
             EXPECT_EQ(runCliStderr(
                           "./race_detector --trace=" + path + mode,

@@ -246,53 +246,46 @@ TEST_F(CrashRecovery, TransientCheckpointWriteRecoversInPlace)
     EXPECT_EQ(reportSection(output), straightReports_);
 }
 
-/** Kill the sharded capture mid-append and mid-finalize: the
+/** Kill the shard split mid-append, mid-flush and mid-finalize: the
  * unfinalized set must be rejected as corrupt by the merge (exit
- * 3). Injected append errors instead fail the capture with the I/O
- * exit code and remove its shards. A clean re-capture then
+ * 3). Injected append errors instead fail the split with the I/O
+ * exit code and remove its shards. A clean re-split then
  * round-trips. */
 TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
 {
     const std::string prefix = std::string(kWorkDir) + "/cap";
     const std::string merged =
         std::string(kWorkDir) + "/merged.tcb";
-    const std::string gen =
-        " --threads=6 --locks=3 --gen-vars=16 --events=20000"
-        " --seed=77 --shards=4";
+    const std::string split = "./trace_tool split " + tracePath() +
+                              " " + prefix + " --shards=4";
 
-    // split and capture both drive ShardWriter's buffered
-    // appenders: "shard.append" fires per record, "shard.flush"
-    // per staged batch, "shard.finalize" once. A crash skips the
-    // writer's unfinalized-set cleanup, so the sentinel headers
-    // land on disk — the merge must refuse them.
+    // split drives ShardWriter's buffered appenders: "shard.append"
+    // fires per record, "shard.flush" per staged batch,
+    // "shard.finalize" once. A crash skips the writer's
+    // unfinalized-set cleanup, so the sentinel headers land on
+    // disk — the merge must refuse them.
     const struct
     {
         const char *failpoints;
-        const char *command;
         int exit;
     } kills[] = {
-        {"shard.append=crash@5000", "split", kFaultCrashExitCode},
-        {"shard.append=torn-write@5000", "split", 4},
-        {"shard.append=eio@5000", "split", 4},
-        {"shard.flush=crash@2", "capture", kFaultCrashExitCode},
-        {"shard.finalize=crash@1", "capture", kFaultCrashExitCode},
+        {"shard.append=crash@5000", kFaultCrashExitCode},
+        {"shard.append=torn-write@5000", 4},
+        {"shard.append=eio@5000", 4},
+        {"shard.flush=crash@2", kFaultCrashExitCode},
+        {"shard.finalize=crash@1", kFaultCrashExitCode},
     };
     for (const auto &kill : kills) {
         const std::string out =
             std::string(kWorkDir) + "/cap_crash.txt";
-        const std::string command =
-            std::string(kill.command) == "split"
-                ? "./trace_tool split " + tracePath() + " " +
-                      prefix + " --shards=4"
-                : "./trace_tool capture " + prefix + gen;
         const int code =
             runCli(std::string("TC_FAILPOINTS='") +
-                   kill.failpoints + "' " + command + " > " + out +
+                   kill.failpoints + "' " + split + " > " + out +
                    " 2>&1");
         ASSERT_EQ(code, kill.exit)
             << kill.failpoints << ": " << readFile(out);
         if (code != kFaultCrashExitCode) {
-            // A failed (not crashed) capture removes its shards.
+            // A failed (not crashed) split removes its shards.
             for (int i = 0; i < 4; i++) {
                 struct stat st;
                 const std::string shard =
@@ -311,11 +304,9 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
                                  << readFile(out);
     }
 
-    // Clean capture → merge → validate: full recovery.
+    // Clean split → merge → validate: full recovery.
     const std::string out = std::string(kWorkDir) + "/cap_ok.txt";
-    ASSERT_EQ(runCli("./trace_tool capture " + prefix + gen +
-                     " > " + out + " 2>&1"),
-              0)
+    ASSERT_EQ(runCli(split + " > " + out + " 2>&1"), 0)
         << readFile(out);
     ASSERT_EQ(runCli("./trace_tool merge " + prefix + " " + merged +
                      " > " + out + " 2>&1"),
@@ -325,6 +316,7 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
                      out + " 2>&1"),
               0)
         << readFile(out);
+    EXPECT_EQ(readFile(merged), readFile(tracePath()));
 }
 
 /** A resume pointed at a directory whose snapshots were all

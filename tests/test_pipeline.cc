@@ -2,26 +2,29 @@
  * @file
  * AnalysisPipeline fan-out tests: draining one EventSource through
  * N (partial order × clock) consumers — sequentially or over the
- * parallel worker pool — must give each consumer exactly the result
- * a dedicated run would: races, reports and work counters,
- * including through the full shard + prefetched stack. The
- * parallel pool's shutdown discipline is pinned too: a consumer
- * throwing mid-stream stops every worker and the producer,
- * propagates the first exception, and leaves the pipeline reusable
- * (ASan/TSan in CI verify no leaks and no races on these paths).
+ * parallel worker pool, one worker included — must give each
+ * consumer exactly the result a dedicated run would: races, reports
+ * and work counters, including through the full split + merge
+ * stack. A source failing mid-stream leaves every mode with the
+ * same prefix reports. The parallel pool's shutdown discipline is
+ * pinned too: a consumer throwing mid-stream stops every worker and
+ * the producer, propagates the first exception, and leaves the
+ * pipeline reusable (ASan/TSan in CI verify no leaks and no races
+ * on these paths).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "analysis/pipeline.hh"
 #include "support/rng.hh"
 #include "test_helpers.hh"
-#include "trace/prefetch_source.hh"
 #include "trace/shard.hh"
 #include "trace/trace_io.hh"
 
@@ -120,11 +123,11 @@ TEST_P(PipelineSweep, OnePassEqualsSixSeparateRuns)
     }
 }
 
-TEST_P(PipelineSweep, FullStackShardedPrefetchedFanOut)
+TEST_P(PipelineSweep, FullStackShardedOneWorkerFanOut)
 {
-    // The acceptance demo: sharded capture → K-way merge →
-    // background prefetch → six analyses, one pass, results
-    // identical to six dedicated batch runs.
+    // The acceptance demo: split → K-way merge on the calling
+    // thread → one worker running all six analyses behind it, one
+    // pass, results identical to six dedicated batch runs.
     const std::string prefix =
         "/tmp/tc_pipeline_" + GetParam().label;
     {
@@ -134,11 +137,14 @@ TEST_P(PipelineSweep, FullStackShardedPrefetchedFanOut)
                   trace_.size())
             << error;
     }
-    auto source = makePrefetchSource(openShardSet(prefix, 64), 64);
+    auto source = openShardSet(prefix, 64);
     ASSERT_FALSE(source->failed()) << source->error();
 
     AnalysisPipeline pipeline = fullPipeline();
-    const auto reports = pipeline.run(*source);
+    ParallelOptions opt;
+    opt.workers = 1;
+    opt.window = 64;
+    const auto reports = pipeline.run(*source, opt);
     ASSERT_FALSE(source->failed()) << source->error();
     ASSERT_EQ(reports.size(), 6u);
     for (const AnalysisReport &report : reports) {
@@ -155,20 +161,21 @@ TEST_P(PipelineSweep, FullStackShardedPrefetchedFanOut)
         std::remove(shardPath(prefix, i).c_str());
 }
 
-TEST_P(PipelineSweep, CapturedPrefetchedParallelFanOut)
+TEST_P(PipelineSweep, ShardedTwoWorkerFanOut)
 {
-    // The production stack end to end: concurrent capture → shard
-    // merge → prefetch hand-off → parallel 6-analysis fan-out.
-    // Results must equal six dedicated batch runs.
+    // The production stack end to end: split → shard merge →
+    // parallel 6-analysis fan-out on two workers. Results must
+    // equal six dedicated batch runs.
     const std::string prefix =
         "/tmp/tc_pipeline_stack_" + GetParam().label;
     {
+        TraceSource source(trace_);
         std::string error;
-        ASSERT_EQ(captureTraceParallel(trace_, prefix, 4, &error),
+        ASSERT_EQ(splitTraceStream(source, prefix, 4, &error),
                   trace_.size())
             << error;
     }
-    auto source = makePrefetchSource(openShardSet(prefix, 64), 64);
+    auto source = openShardSet(prefix, 64);
     ASSERT_FALSE(source->failed()) << source->error();
     AnalysisPipeline pipeline = fullPipeline();
     ParallelOptions opt;
@@ -201,8 +208,8 @@ TEST_P(PipelineSweep, ParallelEqualsSequentialEqualsDedicated)
     // windows returns, per consumer, results identical to the
     // sequential fan-out AND to a dedicated run — races, reports
     // and work counters — for every (po × clock) choice, over the
-    // full shard + prefetch stack, across worker counts that do
-    // (6) and don't (2, 4) divide the consumer count evenly.
+    // full split + merge stack, across worker counts that do (6)
+    // and don't (2, 4) divide the consumer count evenly.
     const std::string prefix =
         "/tmp/tc_pipeline_par_" + GetParam().label;
     {
@@ -213,13 +220,12 @@ TEST_P(PipelineSweep, ParallelEqualsSequentialEqualsDedicated)
             << error;
     }
     for (const std::size_t workers : {2u, 4u, 6u}) {
-        auto source =
-            makePrefetchSource(openShardSet(prefix, 64), 64);
+        auto source = openShardSet(prefix, 64);
         ASSERT_FALSE(source->failed()) << source->error();
         AnalysisPipeline pipeline = fullPipeline();
         ParallelOptions opt;
         opt.workers = workers;
-        opt.window = 64; // match the prefetch buffer: swap path
+        opt.window = 64;
         opt.depth = 3;
         const auto reports = pipeline.run(*source, opt);
         ASSERT_FALSE(source->failed()) << source->error();
@@ -260,8 +266,8 @@ TEST_P(PipelineSweep, ParallelEqualsSequentialEqualsDedicated)
 TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
 {
     // Randomized sweep over the (window, ring depth, workers)
-    // space — window sizes around/below/above the source window so
-    // both the zero-copy swap and the slice-copy paths run. The
+    // space, one worker included, with published windows
+    // around/below/above the chunked reader's own window. The
     // nightly CI job multiplies the round count by TC_TEST_DEPTH.
     RandomTraceParams params;
     params.threads = 8;
@@ -271,6 +277,8 @@ TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
     params.syncRatio = 0.25;
     params.seed = 20260730;
     const Trace trace = generateRandomTrace(params);
+    const std::string path = "/tmp/tc_pipeline_sweep.tcb";
+    ASSERT_TRUE(saveTrace(trace, path));
 
     AnalysisPipeline sequential = fullPipeline();
     TraceSource ref(trace);
@@ -280,7 +288,7 @@ TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
     const int rounds = 6 * test::depthScale();
     for (int round = 0; round < rounds; round++) {
         ParallelOptions opt;
-        opt.workers = static_cast<std::size_t>(rng.range(2, 6));
+        opt.workers = static_cast<std::size_t>(rng.range(1, 6));
         opt.window = static_cast<std::size_t>(rng.range(1, 700));
         opt.depth = static_cast<std::size_t>(rng.range(1, 6));
         const std::size_t source_window =
@@ -288,11 +296,12 @@ TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
         const std::string label =
             "workers=" + std::to_string(opt.workers) +
             " window=" + std::to_string(opt.window) +
-            " depth=" + std::to_string(opt.depth);
+            " depth=" + std::to_string(opt.depth) +
+            " source_window=" + std::to_string(source_window);
 
         AnalysisPipeline parallel = fullPipeline();
-        auto source = makePrefetchSource(
-            std::make_unique<TraceSource>(trace), source_window);
+        auto source = openTraceFile(path, source_window);
+        ASSERT_FALSE(source->failed()) << source->error();
         const auto reports = parallel.run(*source, opt);
         ASSERT_FALSE(source->failed()) << source->error();
         ASSERT_EQ(reports.size(), expected.size()) << label;
@@ -308,6 +317,86 @@ TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
                 << label << " " << reports[i].name;
         }
     }
+    std::remove(path.c_str());
+}
+
+/** @p path with its last @p bytes cut off: the final record is
+ * torn, so a reader fails after delivering the prefix. */
+void
+truncateFile(const std::string &path, std::size_t bytes)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    data.resize(data.size() - bytes);
+    std::ofstream(path, std::ios::binary) << data;
+}
+
+TEST(PipelineParallel, MidStreamErrorKeepsThePrefixReports)
+{
+    // A source that fails mid-stream stops the drain: at one and
+    // at three workers the reports cover exactly the prefix the
+    // sequential drain analyzed, and the source stays failed with
+    // its own message — for a torn .tcb and a torn shard set.
+    RandomTraceParams params;
+    params.threads = 8;
+    params.locks = 4;
+    params.vars = 64;
+    params.events = 20000;
+    params.forkJoin = true;
+    params.seed = 777;
+    const Trace trace = generateRandomTrace(params);
+    const std::string path = "/tmp/tc_pipeline_trunc.tcb";
+    const std::string prefix = "/tmp/tc_pipeline_trunc";
+    ASSERT_TRUE(saveTrace(trace, path));
+    {
+        TraceSource source(trace);
+        std::string error;
+        ASSERT_EQ(splitTraceStream(source, prefix, 3, &error),
+                  trace.size())
+            << error;
+    }
+    truncateFile(path, 5);
+    truncateFile(shardPath(prefix, 1), 5);
+
+    for (const std::string &input : {path, shardPath(prefix, 0)}) {
+        auto reference = openTraceFile(input);
+        ASSERT_FALSE(reference->failed()) << reference->error();
+        AnalysisPipeline sequential = fullPipeline();
+        const auto expected = sequential.run(*reference);
+        ASSERT_TRUE(reference->failed()) << input;
+        ASSERT_GT(expected[0].result.events, 0u) << input;
+        ASSERT_LT(expected[0].result.events, trace.size()) << input;
+
+        for (const std::size_t workers : {1u, 3u}) {
+            const std::string label =
+                input + " workers=" + std::to_string(workers);
+            auto source = openTraceFile(input);
+            ASSERT_FALSE(source->failed()) << source->error();
+            AnalysisPipeline parallel = fullPipeline();
+            ParallelOptions opt;
+            opt.workers = workers;
+            const auto reports = parallel.run(*source, opt);
+            EXPECT_TRUE(source->failed()) << label;
+            EXPECT_EQ(source->error(), reference->error()) << label;
+            ASSERT_EQ(reports.size(), expected.size()) << label;
+            for (std::size_t i = 0; i < reports.size(); i++) {
+                EXPECT_EQ(expected[i].result.events,
+                          reports[i].result.events)
+                    << label << " " << reports[i].name;
+                expectSameRaces(expected[i].result.races,
+                                reports[i].result.races,
+                                label + " " + reports[i].name);
+                EXPECT_EQ(expected[i].result.work.dsWork,
+                          reports[i].result.work.dsWork)
+                    << label << " " << reports[i].name;
+            }
+        }
+    }
+    std::remove(path.c_str());
+    for (std::uint32_t i = 0; i < 3; i++)
+        std::remove(shardPath(prefix, i).c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -443,18 +532,30 @@ TEST_F(PipelineFault, SequentialRunPropagatesConsumerFault)
     EXPECT_THROW(pipeline.run(source), std::runtime_error);
 }
 
-TEST_F(PipelineFault, ParallelFaultThroughPrefetchedStack)
+TEST_F(PipelineFault, OneWorkerFaultThroughShardMerge)
 {
-    // The producer side holds a background prefetch reader; the
-    // stop path must unwind that cleanly too (TSan/ASan jobs
-    // verify no leaked windows, threads or races on this path).
+    // The producer merges a shard set while a single worker runs
+    // every consumer; the stop path must unwind both cleanly
+    // (TSan/ASan jobs verify no leaked windows, threads or races
+    // on this path).
+    const std::string prefix = "/tmp/tc_pipeline_fault";
+    {
+        TraceSource source(trace_);
+        std::string error;
+        ASSERT_EQ(splitTraceStream(source, prefix, 3, &error),
+                  trace_.size())
+            << error;
+    }
     AnalysisPipeline pipeline = faultingPipeline(500);
-    auto source = makePrefetchSource(
-        std::make_unique<TraceSource>(trace_), 128);
+    auto source = openShardSet(prefix, 128);
+    ASSERT_FALSE(source->failed()) << source->error();
     ParallelOptions opt;
+    opt.workers = 1;
     opt.window = 128;
     opt.depth = 4;
     EXPECT_THROW(pipeline.run(*source, opt), std::runtime_error);
+    for (std::uint32_t i = 0; i < 3; i++)
+        std::remove(shardPath(prefix, i).c_str());
 }
 
 TEST_F(PipelineFault, PipelineIsReusableAfterParallelFault)
@@ -478,23 +579,52 @@ TEST_F(PipelineFault, PipelineIsReusableAfterParallelFault)
     EXPECT_EQ(reports[3].result.races.total(), 1u);
 }
 
-TEST(PipelineParallel, WorkerCapAndSequentialFallback)
+/** An hb/tc consumer that records the thread running it. */
+class ThreadProbe final : public AnalysisConsumer
 {
-    // workers > consumers is capped; workers == 1 and a
-    // single-consumer pool take the sequential path. All must
-    // agree with the dedicated reference.
+  public:
+    const std::string &name() const override { return inner_->name(); }
+    void begin(const SourceInfo &si) override { inner_->begin(si); }
+    void
+    consume(const Event &e) override
+    {
+        thread_ = std::this_thread::get_id();
+        inner_->consume(e);
+    }
+    EngineResult result() const override { return inner_->result(); }
+
+    std::thread::id thread() const { return thread_; }
+
+  private:
+    std::unique_ptr<AnalysisConsumer> inner_ =
+        makeAnalysisConsumer("hb", "tc");
+    std::thread::id thread_;
+};
+
+TEST(PipelineParallel, WorkerCapAndOneWorkerTakesTheBus)
+{
+    // workers > consumers is capped, so a single-consumer pipeline
+    // runs one worker whatever is asked. One worker is still a
+    // pool: the consumer runs behind the bus, off the calling
+    // thread. All must agree with the dedicated reference.
     Trace racy;
     for (Tid t = 0; t < 4; t++)
         racy.write(t, 0);
     for (const std::size_t workers : {1u, 2u, 16u}) {
         AnalysisPipeline pipeline;
-        pipeline.add(makeAnalysisConsumer("hb", "tc"));
+        auto probe = std::make_unique<ThreadProbe>();
+        const ThreadProbe &seen = *probe;
+        pipeline.add(std::move(probe));
         TraceSource source(racy);
         ParallelOptions opt;
         opt.workers = workers;
         const auto reports = pipeline.run(source, opt);
         ASSERT_EQ(reports.size(), 1u);
         EXPECT_EQ(reports[0].result.races.total(), 3u)
+            << "workers=" << workers;
+        EXPECT_NE(seen.thread(), std::thread::id())
+            << "workers=" << workers;
+        EXPECT_NE(seen.thread(), std::this_thread::get_id())
             << "workers=" << workers;
     }
 }

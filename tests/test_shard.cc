@@ -230,9 +230,10 @@ TEST(ShardErrors, UnfinalizedCaptureIsRejected)
         TraceSource source(trace);
         ShardWriter writer(prefix, 2, source.info());
         Event e;
+        std::uint64_t seq = 0;
         while (source.next(e))
             writer.appender(static_cast<std::uint32_t>(e.tid) % 2)
-                .append(e);
+                .appendStamped(seq++, e);
         // No finalize(): simulates a capture that died mid-run.
         writer.appender(0).flush();
         writer.appender(1).flush();
@@ -249,6 +250,36 @@ TEST(ShardErrors, UnfinalizedCaptureIsRejected)
     Event e;
     EXPECT_FALSE(merged->next(e));
     removeShards(prefix, 2);
+}
+
+TEST(ShardErrors, AppendAfterFinalizeFails)
+{
+    // finalize() patched the header counts; a later record would
+    // make the file disagree with them.
+    const std::string prefix = "/tmp/tc_shard_postfin";
+    SourceInfo info;
+    info.threads = 2;
+    ShardWriter writer(prefix, 2, info);
+    ASSERT_FALSE(writer.failed()) << writer.error();
+    ASSERT_TRUE(writer.appender(0).appendStamped(
+        0, Event(0, OpType::Write, 3)));
+    ASSERT_TRUE(writer.finalize()) << writer.error();
+    EXPECT_FALSE(writer.appender(1).appendStamped(
+        1, Event(1, OpType::Read, 3)));
+    EXPECT_TRUE(writer.appender(1).failed());
+    removeShards(prefix, 2);
+}
+
+TEST(ShardErrors, SplitIntoUnwritablePrefixReportsError)
+{
+    const Trace trace = sampleTrace(50);
+    TraceSource source(trace);
+    std::string error;
+    EXPECT_EQ(splitTraceStream(source, "/nonexistent-dir/tc_shard",
+                               2, &error),
+              kUnknownEventCount);
+    EXPECT_NE(error.find("cannot write"), std::string::npos)
+        << error;
 }
 
 TEST(ShardErrors, AbsurdShardCountIsRejectedUpFront)
