@@ -49,13 +49,11 @@ allPos()
     return {Po::MAZ, Po::SHB, Po::HB};
 }
 
-/** One timed engine run; validation is done once by the caller. */
+/** One timed engine run. */
 template <template <typename> class Engine, typename ClockT>
 double
-timeOne(const Trace &trace, const EngineConfig &base)
+timeOne(const Trace &trace, const EngineConfig &cfg)
 {
-    EngineConfig cfg = base;
-    cfg.validate = false;
     Engine<ClockT> engine(cfg);
     Timer timer;
     engine.run(trace);
@@ -99,7 +97,6 @@ workPo(Po po, const Trace &trace, bool analysis)
     WorkCounters work;
     EngineConfig cfg;
     cfg.analysis = analysis;
-    cfg.validate = false;
     cfg.counters = &work;
     switch (po) {
       case Po::MAZ: {

@@ -11,10 +11,12 @@
  * ride on it.
  *
  * By default file inputs are materialized once so the trace can be
- * validated and summarized before the timed analysis. With --stream
- * the file is consumed through the chunked readers instead: the
- * full event vector is never built, so traces larger than memory
- * analyze in O(window) input memory.
+ * summarized before the timed analysis. With --stream the file is
+ * consumed through the chunked readers instead: the full event
+ * vector is never built, so traces larger than memory analyze in
+ * O(window) input memory. Either way every analysis checks the
+ * lock, fork/join and lifecycle rules as it goes (TraceValidator):
+ * a broken rule exits 2 with the same line in every mode.
  *
  * Examples:
  *   ./race_detector --generate --threads=16 --events=1000000
@@ -97,10 +99,9 @@ main(int argc, char **argv)
     addTraceSourceFlags(args);
     args.addBool("stream", false,
                  "consume --trace through the chunked reader "
-                 "(out-of-core; whole-trace validation is skipped, "
-                 "but every lock, fork/join and lifecycle rule is "
-                 "checked event by event: a violation exits 2 with "
-                 "the materialized path's line)");
+                 "(out-of-core; the lock, fork/join and lifecycle "
+                 "rules are checked as in every mode: a violation "
+                 "exits 2 with the same line)");
     args.addString("po", "hb",
                    "partial orders, comma-separated: hb | shb | "
                    "maz");
@@ -197,8 +198,8 @@ main(int argc, char **argv)
     }
     if (stream && !has_trace) {
         // Generated workloads are materialized by construction, so
-        // streaming them would only skip validation while keeping
-        // O(events) memory — refuse rather than mislead.
+        // streaming them would keep O(events) memory anyway —
+        // refuse rather than mislead.
         std::fprintf(stderr,
                      "error: --stream requires --trace=FILE\n");
         return kExitUsage;
@@ -214,8 +215,8 @@ main(int argc, char **argv)
     }
     std::unique_ptr<EventSource> source;
     if (!stream) {
-        // Materialize once: whole-trace validation and the summary
-        // header need the full event vector.
+        // Materialize once: the summary header needs the full event
+        // vector.
         Trace trace;
         if (has_trace) {
             ParseResult parsed = loadTrace(args.getString("trace"));
@@ -238,10 +239,6 @@ main(int argc, char **argv)
                 return reportError(bad, 0, kExitUsage);
             trace = generateRandomTrace(params);
         }
-        const ValidationResult valid = trace.validate();
-        if (!valid.ok)
-            return reportMalformedTrace(valid.eventIndex,
-                                        valid.message);
         const TraceStats stats = computeStats(trace);
         std::printf("trace           : %s events, %d threads, "
                     "%s vars, %s locks, %.1f%% sync\n",
@@ -382,9 +379,8 @@ main(int argc, char **argv)
                 return reportError(err, 0, exitCodeForMessage(err));
         }
     } catch (const TraceInputError &err) {
-        // A streamed lock or thread-protocol violation: the same
-        // event and message validate() reports on the materialized
-        // path.
+        // A broken lock or thread rule, reported alike in every
+        // mode.
         return reportMalformedTrace(err.eventIndex, err.what());
     }
     const double seconds = timer.seconds();
@@ -393,7 +389,7 @@ main(int argc, char **argv)
 
     const std::uint64_t events =
         reports.empty() ? 0 : reports.front().result.events;
-    std::printf("analysis time   : %.3f s (%s events/s through "
+    std::printf("analysis time   : %.6f s (%s events/s through "
                 "%zu analyses)\n",
                 seconds,
                 humanCount(static_cast<std::uint64_t>(

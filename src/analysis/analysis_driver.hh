@@ -81,21 +81,19 @@ class AnalysisDriver
 
     /**
      * Process one event. Ids may exceed anything seen before; state
-     * grows on demand. Event well-formedness is always checked. A
-     * lock-discipline violation (acquiring a held lock, releasing a
-     * lock one does not hold) or a thread-protocol violation (see
-     * ThreadRule: a fork or tcreate of a thread that already ran, a
-     * second fork or join of one thread, a tjoin without tcreate, a
-     * thread acting after its join, ...) is an input error: feed
-     * throws TraceInputError with the event's index and the message
-     * Trace::validate() gives, and the run is over (begin() again
-     * before reuse).
+     * grows on demand. Every event first passes the lock and thread
+     * rules of TraceValidator: a broken one (acquiring a held lock,
+     * a second fork of one thread, a thread acting after its join,
+     * ...) throws TraceInputError with the event's index and the
+     * message Trace::validate() gives, and the run is over
+     * (begin() again before reuse).
      */
     void
     feed(const Event &e)
     {
         const std::size_t index =
             static_cast<std::size_t>(eventsProcessed_);
+        rules_.check(index, e);
         // Grow all id spaces before taking references: emplacing a
         // fork/join/lifecycle target would otherwise reallocate
         // threads_ from under `ct`.
@@ -103,10 +101,8 @@ class AnalysisDriver
         if (e.isFork() || e.isJoin() || e.isThreadJoin() ||
             e.isThreadRetire())
             ensureThread(e.targetTid());
-        if (joined(lifeState(e.tid)))
-            throwThreadRule(index, ThreadRule::ActsAfterJoin, e);
         if (e.isThreadCreate())
-            prepareCreate(index, e);
+            prepareCreate(e);
         ClockT &ct = threads_[slotIndex(e.tid)];
         const Clk c = ++local_[static_cast<std::size_t>(e.tid)];
         ct.increment(1);
@@ -121,56 +117,27 @@ class AnalysisDriver
             ensureVar(e.var());
             policy_.onWrite(e, c, ct, threadsSeen(), races_);
             break;
-          case OpType::Acquire: {
-            ensureLock(e.lock());
-            LockState &lock =
-                locks_[static_cast<std::size_t>(e.lock())];
-            if (lock.holder != kNoTid)
-                throwLockHeld(index, e.lock(), lock.holder);
-            lock.holder = e.tid;
-            detail::joinClock(ct, lock.clock, cfg_);
+          case OpType::Acquire:
+            detail::joinClock(ct, lock(e.lock()), cfg_);
             break;
-          }
           case OpType::Release: {
-            ensureLock(e.lock());
-            LockState &lock =
-                locks_[static_cast<std::size_t>(e.lock())];
-            if (lock.holder != e.tid)
-                throwLockNotHeld(index, e.lock(), e.tid, lock.holder);
-            lock.holder = kNoTid;
-            lock.clock.monotoneCopy(ct);
+            ClockT &lc = lock(e.lock());
+            lc.monotoneCopy(ct);
             if (cfg_.deepChecks)
-                detail::deepCheck(lock.clock);
+                detail::deepCheck(lc);
             break;
           }
           case OpType::Fork: {
-            const Tid child = e.targetTid();
-            if (child == e.tid)
-                throwThreadRule(index, ThreadRule::SelfTarget, e);
-            if (local_[static_cast<std::size_t>(child)] != 0)
-                throwThreadRule(index, ThreadRule::TargetStarted, e);
-            if (lifeState(child) & kForked)
-                throwThreadRule(index, ThreadRule::ForkedTwice, e);
-            if (managed(lifeState(child)))
-                throwThreadRule(index, ThreadRule::ForkOfManaged, e);
-            lifeState_[static_cast<std::size_t>(child)] |= kForked;
-            detail::joinClock(threads_[slotIndex(child)], ct, cfg_);
+            ClockT &cc = threads_[slotIndex(e.targetTid())];
+            detail::joinClock(cc, ct, cfg_);
             if (cfg_.deepChecks)
-                detail::deepCheck(threads_[slotIndex(child)]);
+                detail::deepCheck(cc);
             break;
           }
-          case OpType::Join: {
-            const Tid child = e.targetTid();
-            if (child == e.tid)
-                throwThreadRule(index, ThreadRule::SelfTarget, e);
-            std::uint8_t &state =
-                lifeState_[static_cast<std::size_t>(child)];
-            if (joined(state))
-                throwThreadRule(index, ThreadRule::JoinedTwice, e);
-            state = state == kLive ? kJoined : state | kJoinedPlain;
-            detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
+          case OpType::Join:
+            detail::joinClock(ct, threads_[slotIndex(e.targetTid())],
+                              cfg_);
             break;
-          }
           case OpType::ThreadCreate: {
             // prepareCreate() already assigned the child its slot
             // and reset its clock to the occupancy bias; what is
@@ -188,27 +155,12 @@ class AnalysisDriver
                 detail::deepCheck(cc);
             break;
           }
-          case OpType::ThreadJoin: {
-            const Tid child = e.targetTid();
-            if (child == e.tid)
-                throwThreadRule(index, ThreadRule::SelfTarget, e);
-            if (!managed(lifeState(child)))
-                throwThreadRule(index, ThreadRule::JoinWithoutCreate,
-                                e);
-            if (lifeState(child) != kLive)
-                throwThreadRule(index, ThreadRule::JoinedTwice, e);
-            lifeState_[static_cast<std::size_t>(child)] = kJoined;
-            detail::joinClock(ct, threads_[slotIndex(child)], cfg_);
+          case OpType::ThreadJoin:
+            detail::joinClock(ct, threads_[slotIndex(e.targetTid())],
+                              cfg_);
             break;
-          }
           case OpType::ThreadRetire: {
             const Tid child = e.targetTid();
-            if (lifeState(child) == kRetired)
-                throwThreadRule(index, ThreadRule::RetiredTwice, e);
-            if (lifeState(child) != kJoined)
-                throwThreadRule(index, ThreadRule::RetireWithoutJoin,
-                                e);
-            lifeState_[static_cast<std::size_t>(child)] = kRetired;
             if constexpr (kUsesIdMap) {
                 // The slot becomes reusable at the thread's final
                 // raw value; its clock object is recycled in place
@@ -235,13 +187,12 @@ class AnalysisDriver
     }
 
     /**
-     * Batch mode over a materialized trace: validate (per config),
-     * reserve the declared id spaces, feed every event.
+     * Batch mode over a materialized trace: reserve the declared id
+     * spaces, feed every event.
      */
     EngineResult
     run(const Trace &trace)
     {
-        detail::maybeValidate(trace, cfg_);
         begin({trace.numThreads(), trace.numLocks(),
                trace.numVars(), trace.size(),
                trace.hasLifecycle()});
@@ -260,12 +211,6 @@ class AnalysisDriver
      * the returned result covers the consumed prefix and the
      * caller must check source.failed() to distinguish that from a
      * clean end of stream.
-     *
-     * EngineConfig::validate is necessarily ignored here: whole-
-     * trace validation needs the full event vector. feed() checks
-     * the same lock-discipline and thread-protocol rules (plain
-     * fork/join and tcreate / tjoin / tretire) event by event and
-     * throws TraceInputError with validate()'s event and message.
      */
     EngineResult
     run(EventSource &source)
@@ -372,16 +317,21 @@ class AnalysisDriver
         out.putU64(eventsProcessed_);
         out.putU64(declaredThreads_);
         out.putVec(local_);
-        out.putVec(lifeState_);
+        // The rules' thread states: one byte per external id, so
+        // padded to the width of local_.
+        std::vector<std::uint8_t> saved(local_.size());
+        for (std::size_t t = 0; t < saved.size(); t++)
+            saved[t] = rules_.savedThread(static_cast<Tid>(t));
+        out.putVec(saved);
         out.putVec(seen_);
         idMap_.serialize(out);
         out.putU64(threads_.size());
         for (const ClockT &clock : threads_)
             clock.serialize(out);
         out.putU64(locks_.size());
-        for (const LockState &l : locks_) {
-            l.clock.serialize(out);
-            out.putI32(l.holder);
+        for (std::size_t l = 0; l < locks_.size(); l++) {
+            locks_[l].serialize(out);
+            out.putI32(rules_.holder(static_cast<LockId>(l)));
         }
         policy_.saveState(out);
         races_.serialize(out);
@@ -422,23 +372,30 @@ class AnalysisDriver
         if (!in.getU64(declared) || !in.getVec(local_))
             return false;
         declaredThreads_ = static_cast<std::size_t>(declared);
+        std::vector<std::uint8_t> saved;
         if (legacy) {
             // Pre-lifecycle blobs carry no seen bits; those runs
             // treated every id below the declared width as met,
             // which is what an activation after resume must mirror.
-            lifeState_.assign(local_.size(), kNone);
+            saved.assign(local_.size(), 0);
             seen_.assign(local_.size(), 1);
         } else {
-            if (!in.getVec(lifeState_) || !in.getVec(seen_) ||
+            if (!in.getVec(saved) || !in.getVec(seen_) ||
                 !idMap_.deserialize(in))
                 return false;
-            if (lifeState_.size() != local_.size() ||
+            if (saved.size() != local_.size() ||
                 seen_.size() != local_.size())
                 return in.fail();
             // The map grows per met/created id, so it can trail the
             // (possibly pre-sized) external width — never exceed it.
             if (idMap_.active() &&
                 idMap_.extCount() > local_.size())
+                return in.fail();
+        }
+        // A thread has events exactly when its local time moved.
+        for (std::size_t t = 0; t < saved.size(); t++) {
+            if (!rules_.restoreThread(static_cast<Tid>(t), saved[t],
+                                      local_[t] != 0))
                 return in.fail();
         }
         extSeen_ = seen_.size();
@@ -466,15 +423,14 @@ class AnalysisDriver
             return in.fail();
         for (std::uint64_t l = 0; l < lock_count; l++) {
             locks_.emplace_back();
-            detail::configureClock(locks_.back().clock, cfg_,
-                                   &arena_);
-            if (!locks_.back().clock.deserialize(in) ||
-                !in.getI32(locks_.back().holder))
+            detail::configureClock(locks_.back(), cfg_, &arena_);
+            Tid holder = kNoTid;
+            if (!locks_.back().deserialize(in) || !in.getI32(holder))
                 return false;
-            if (locks_.back().holder < kNoTid ||
-                locks_.back().holder >=
-                    static_cast<Tid>(local_.size()))
+            if (holder < kNoTid ||
+                holder >= static_cast<Tid>(local_.size()))
                 return in.fail();
+            rules_.restoreHolder(static_cast<LockId>(l), holder);
         }
         if (!policy_.restoreState(in) || !races_.deserialize(in))
             return false;
@@ -519,12 +475,6 @@ class AnalysisDriver
     }
 
   private:
-    struct LockState
-    {
-        ClockT clock;
-        Tid holder = kNoTid;
-    };
-
     /** First u64 of the lifecycle-aware (v2) saveState layout. Any
      * value ≥ 2^63 is unreachable as an event count, so a blob
      * starting with it cannot be a pre-lifecycle state (whose first
@@ -536,39 +486,6 @@ class AnalysisDriver
      * written by releases with --shard-analysis. */
     static constexpr std::uint64_t kShardedStateMarker =
         0x5443534841524431ull;
-
-    /** Thread protocol states (lifeState_, external-indexed), as
-     * Trace::validate() tracks them. A tcreated thread runs kLive →
-     * kJoined (by tjoin or a plain join) → kRetired. Any other
-     * thread is kNone, plus the kForked and kJoinedPlain flags once
-     * a plain fork or join names it. */
-    static constexpr std::uint8_t kNone = 0;
-    static constexpr std::uint8_t kLive = 1;
-    static constexpr std::uint8_t kJoined = 2;
-    static constexpr std::uint8_t kRetired = 3;
-    static constexpr std::uint8_t kForked = 4;
-    static constexpr std::uint8_t kJoinedPlain = 8;
-
-    /** Created by tcreate (and perhaps joined or retired since). */
-    static bool
-    managed(std::uint8_t state)
-    {
-        return state >= kLive && state <= kRetired;
-    }
-
-    /** Joined by tjoin or a plain join: it may not act again. */
-    static bool
-    joined(std::uint8_t state)
-    {
-        return state == kJoined || state == kRetired ||
-               (state & kJoinedPlain) != 0;
-    }
-
-    std::uint8_t
-    lifeState(Tid t) const
-    {
-        return lifeState_[static_cast<std::size_t>(t)];
-    }
 
     /** threads_ index of external thread @p t: the id-map slot when
      * the map is active, the id itself otherwise. */
@@ -602,7 +519,7 @@ class AnalysisDriver
     {
         threads_.clear();
         local_.clear();
-        lifeState_.clear();
+        rules_.clear();
         seen_.clear();
         extSeen_ = 0;
         idMap_ = ThreadIdMap{};
@@ -637,11 +554,10 @@ class AnalysisDriver
         // stay bounded by the live set once slots recycle; only the
         // cheap external-indexed metadata below is eager.
         local_.assign(k, 0);
-        lifeState_.assign(k, kNone);
         seen_.assign(k, 0);
         locks_.resize(static_cast<std::size_t>(si.locks));
-        for (LockState &l : locks_)
-            detail::configureClock(l.clock, cfg_, &arena_);
+        for (ClockT &l : locks_)
+            detail::configureClock(l, cfg_, &arena_);
         policy_.reserveVars(si.vars);
         races_.growVars(si.vars);
     }
@@ -652,7 +568,6 @@ class AnalysisDriver
     {
         while (local_.size() <= static_cast<std::size_t>(t)) {
             local_.push_back(0);
-            lifeState_.push_back(kNone);
             seen_.push_back(0);
         }
     }
@@ -692,26 +607,18 @@ class AnalysisDriver
     }
 
     /**
-     * Prologue of tcreate event @p e (number @p index): check the
-     * protocol, then assign the child its slot — recycling a retired
-     * one when the creating thread covers the previous occupant's
-     * final clock — and reset its clock to the occupancy bias. Runs
-     * before any reference into threads_ is taken (slot assignment
-     * may grow the bank).
+     * Prologue of tcreate event @p e: assign the child its slot —
+     * recycling a retired one when the creating thread covers the
+     * previous occupant's final clock — and reset its clock to the
+     * occupancy bias. Runs before any reference into threads_ is
+     * taken (slot assignment may grow the bank).
      */
     void
-    prepareCreate(std::size_t index, const Event &e)
+    prepareCreate(const Event &e)
     {
         const Tid parent = e.tid;
         const Tid child = e.targetTid();
-        TC_CHECK(child >= 0, "negative thread id");
-        if (child == parent)
-            throwThreadRule(index, ThreadRule::SelfTarget, e);
         growExternal(child);
-        if (local_[static_cast<std::size_t>(child)] != 0)
-            throwThreadRule(index, ThreadRule::TargetStarted, e);
-        if (lifeState(child) != kNone)
-            throwThreadRule(index, ThreadRule::CreatedTwice, e);
         if constexpr (kUsesIdMap) {
             // First lifecycle event: leave identity mode. Only ids
             // actually met keep identity slots (their clock
@@ -733,18 +640,17 @@ class AnalysisDriver
         } else {
             ensureSlotClock(child);
         }
-        lifeState_[static_cast<std::size_t>(child)] = kLive;
     }
 
-    void
-    ensureLock(LockId l)
+    /** The clock of lock @p l, growing the lock space to cover it. */
+    ClockT &
+    lock(LockId l)
     {
-        TC_CHECK(l >= 0, "negative lock id");
         while (locks_.size() <= static_cast<std::size_t>(l)) {
             locks_.emplace_back();
-            detail::configureClock(locks_.back().clock, cfg_,
-                                   &arena_);
+            detail::configureClock(locks_.back(), cfg_, &arena_);
         }
+        return locks_[static_cast<std::size_t>(l)];
     }
 
     void
@@ -768,8 +674,8 @@ class AnalysisDriver
     std::vector<ClockT> threads_;
     /** Local times by external id. */
     std::vector<Clk> local_;
-    /** Lifecycle protocol state by external id. */
-    std::vector<std::uint8_t> lifeState_;
+    /** The lock and thread rules every event passes first. */
+    TraceValidator rules_;
     /** 1 for every external id that has been met by feed() (acted,
      * or was a fork/join/tjoin/tretire target) — the ids whose
      * clock contents pin identity slots at id-map activation.
@@ -778,7 +684,8 @@ class AnalysisDriver
     std::vector<std::uint8_t> seen_;
     /** max met external id + 1 — the activation width. */
     std::size_t extSeen_ = 0;
-    std::vector<LockState> locks_;
+    /** Lock clocks L_l. */
+    std::vector<ClockT> locks_;
     Policy policy_;
     RaceSummary races_;
     std::uint64_t eventsProcessed_ = 0;

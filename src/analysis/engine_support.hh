@@ -36,10 +36,6 @@ struct EngineConfig
      * only. */
     bool analysis = true;
 
-    /** Validate the trace before running (cheap; disable in tight
-     * benchmark loops after the first run). */
-    bool validate = true;
-
     /** Cap on collected RacePair reports (counts are unaffected). */
     std::size_t maxReports = 64;
 
@@ -126,16 +122,6 @@ deepCheck(const ClockT &clock)
     } else {
         (void)clock;
     }
-}
-
-/** Validate a trace when the config requests it. */
-inline void
-maybeValidate(const Trace &trace, const EngineConfig &cfg)
-{
-    if (!cfg.validate)
-        return;
-    const ValidationResult v = trace.validate();
-    TC_CHECK(v.ok, v.message.c_str());
 }
 
 } // namespace detail

@@ -133,9 +133,6 @@ class alignas(64) DriverConsumer final : public AnalysisConsumer
         owns = cfg.counters == nullptr;
         if (owns)
             cfg.counters = own;
-        // Whole-trace validation needs the materialized event
-        // vector; the pipeline only ever sees a stream.
-        cfg.validate = false;
         return cfg;
     }
 

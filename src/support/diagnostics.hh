@@ -85,9 +85,8 @@ reportError(const std::string &message, std::size_t line,
     return exit_code;
 }
 
-/** The one spelling of a trace-validity failure, whether
- * Trace::validate() found it in a materialized trace or a streamed
- * analysis threw TraceInputError: a finding, exit 2. */
+/** The one spelling of a trace-validity failure (an analysis threw
+ * TraceInputError), in every input mode: a finding, exit 2. */
 inline int
 reportMalformedTrace(std::size_t event_index, const std::string &message)
 {

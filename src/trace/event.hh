@@ -53,6 +53,14 @@ inline constexpr std::uint8_t kMaxOpV1 =
 inline constexpr std::uint8_t kMaxOpV2 =
     static_cast<std::uint8_t>(OpType::ThreadRetire);
 
+/** Largest id an event may name (2^31 − 2), so that every id
+ * space — its largest id + 1 — fits the signed 32-bit id types.
+ * The trace readers reject larger ids as corrupt input. */
+inline constexpr std::uint32_t kMaxEventId = 0x7FFFFFFE;
+/** Largest id-space width a trace header may declare (2^31 − 1);
+ * the readers reject wider headers as corrupt input. */
+inline constexpr std::uint32_t kMaxIdWidth = 0x7FFFFFFF;
+
 /** Short mnemonic used by the text trace format ("r", "acq", ...). */
 const char *opName(OpType op);
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +14,7 @@ namespace tc {
 
 namespace {
 
+/** A non-negative decimal integer (saturating at INT64_MAX). */
 bool
 parseId(const std::string &text, std::int64_t &out)
 {
@@ -22,8 +22,7 @@ parseId(const std::string &text, std::int64_t &out)
         return false;
     char *end = nullptr;
     out = std::strtoll(text.c_str(), &end, 10);
-    return end != nullptr && *end == '\0' && out >= 0 &&
-           out <= std::numeric_limits<std::int32_t>::max();
+    return end != nullptr && *end == '\0' && out >= 0;
 }
 
 bool
@@ -140,6 +139,11 @@ class TextEventSource final : public EventSource
                      "vars <nv>");
                 return;
             }
+            if (k > kMaxIdWidth || nl > kMaxIdWidth ||
+                nv > kMaxIdWidth) {
+                fail(line_, "header width out of range");
+                return;
+            }
             info_.threads = static_cast<Tid>(k);
             info_.locks = static_cast<LockId>(nl);
             info_.vars = static_cast<VarId>(nv);
@@ -166,6 +170,10 @@ class TextEventSource final : public EventSource
         if (!parseId(tid_text, tid) ||
             !parseId(target_text, target)) {
             fail(line_, "ids must be non-negative integers");
+            return false;
+        }
+        if (tid > kMaxEventId || target > kMaxEventId) {
+            fail(line_, "event id out of range");
             return false;
         }
         OpType op;
@@ -321,6 +329,11 @@ class BinaryEventSource final : public EventSource
                     sizeof(bounds));
         std::memcpy(&n, header + sizeof(kMagicV1) + sizeof(bounds),
                     sizeof(n));
+        if (std::max({bounds[0], bounds[1], bounds[2]}) >
+            kMaxIdWidth) {
+            fail(0, "header width out of range");
+            return;
+        }
         info_.threads = static_cast<Tid>(bounds[0]);
         info_.locks = static_cast<LockId>(bounds[1]);
         info_.vars = static_cast<VarId>(bounds[2]);
@@ -410,14 +423,11 @@ class BinaryEventSource final : public EventSource
                 fail(0, "invalid op code");
                 return i;
             }
-            // Ids are int32 in the event model; reject records a
-            // valid writer cannot have produced before they reach
-            // consumers.
-            if (tid < 0 ||
-                target >
-                    static_cast<std::uint32_t>(
-                        std::numeric_limits<
-                            std::int32_t>::max())) {
+            // Reject ids no valid writer can have produced (a
+            // negative tid reads as one above kMaxEventId) before
+            // they reach consumers.
+            if (static_cast<std::uint32_t>(tid) > kMaxEventId ||
+                target > kMaxEventId) {
                 fail(0, "event id out of range");
                 return i;
             }

@@ -19,8 +19,6 @@
  *  - shard merge          — trace/shard.hh K-way-merges a sharded
  *                           capture (.tcs set) back into the total
  *                           order.
- *  - generator sources    — src/gen/generator_source.hh wraps the
- *                           synthetic generators.
  */
 
 #ifndef TC_TRACE_EVENT_SOURCE_HH

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <utility>
 
 #include <fcntl.h>
@@ -221,10 +220,8 @@ class ShardFileReader
             const std::uint64_t index = delivered_ + j;
             if (op > (header_.version >= 2 ? kMaxOpV2
                                            : kMaxOpV1) ||
-                tid < 0 ||
-                target >
-                    static_cast<std::uint32_t>(
-                        std::numeric_limits<std::int32_t>::max())) {
+                static_cast<std::uint32_t>(tid) > kMaxEventId ||
+                target > kMaxEventId) {
                 setError(strFormat(
                     "%s: corrupt record at event %llu",
                     path_.c_str(),
@@ -379,6 +376,11 @@ class ShardFileReader
             setError(strFormat("%s: invalid shard index %u of %u",
                                path_.c_str(), header_.index,
                                header_.count));
+        }
+        if (std::max({header_.threads, header_.locks,
+                      header_.vars}) > kMaxIdWidth) {
+            setError(strFormat("%s: header width out of range",
+                               path_.c_str()));
         }
     }
 

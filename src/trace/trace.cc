@@ -9,71 +9,148 @@ namespace tc {
 
 namespace {
 
-std::string
-lockHeldMessage(LockId lock, Tid holder)
-{
-    return strFormat("lock %d acquired while held by thread %d", lock,
-                     holder);
-}
+/** The checkpoint encoding of TraceValidator::savedThread(). */
+constexpr std::uint8_t kSavedCreated = 1;
+constexpr std::uint8_t kSavedJoined = 2;
+constexpr std::uint8_t kSavedRetired = 3;
+constexpr std::uint8_t kSavedForked = 4;
+constexpr std::uint8_t kSavedJoinedPlain = 8;
 
+/** "<what> N out of range" when @p e names an id outside @p t's
+ * declared widths, else "". */
 std::string
-lockNotHeldMessage(LockId lock, Tid releaser, Tid holder)
+rangeError(const Event &e, const Trace &t)
 {
-    return strFormat("lock %d released by thread %d but held by %d",
-                     lock, releaser, holder);
-}
-
-/** The message for event @p e breaking @p rule. */
-std::string
-threadRuleMessage(ThreadRule rule, const Event &e)
-{
-    const Tid child = e.targetTid();
-    switch (rule) {
-      case ThreadRule::ActsAfterJoin:
-        return strFormat("thread %d acts after being joined", e.tid);
-      case ThreadRule::SelfTarget:
-        return strFormat("thread %ss itself", opName(e.op));
-      case ThreadRule::TargetStarted:
-        return strFormat("%s target %d already has events",
-                         opName(e.op), child);
-      case ThreadRule::ForkedTwice:
-        return strFormat("thread %d forked twice", child);
-      case ThreadRule::ForkOfManaged:
-        return strFormat("fork target %d is lifecycle-managed", child);
-      case ThreadRule::CreatedTwice:
-        return strFormat("thread %d created twice", child);
-      case ThreadRule::JoinWithoutCreate:
-        return strFormat("tjoin of thread %d without tcreate", child);
-      case ThreadRule::JoinedTwice:
-        return strFormat("thread %d joined twice", child);
-      case ThreadRule::RetireWithoutJoin:
-        return strFormat("tretire of thread %d without tjoin", child);
-      case ThreadRule::RetiredTwice:
-        return strFormat("thread %d retired twice", child);
+    if (e.tid < 0 || e.tid >= t.numThreads())
+        return strFormat("thread id %d out of range", e.tid);
+    switch (e.op) {
+      case OpType::Read:
+      case OpType::Write:
+        if (e.var() < 0 || e.var() >= t.numVars())
+            return strFormat("variable id %d out of range", e.var());
+        return {};
+      case OpType::Acquire:
+      case OpType::Release:
+        if (e.lock() < 0 || e.lock() >= t.numLocks())
+            return strFormat("lock id %d out of range", e.lock());
+        return {};
+      default:
+        if (e.targetTid() < 0 || e.targetTid() >= t.numThreads())
+            return strFormat("%s target %d out of range",
+                             opName(e.op), e.targetTid());
+        return {};
     }
-    return "?";
 }
 
 } // namespace
 
 void
-throwLockHeld(std::size_t index, LockId lock, Tid holder)
+TraceValidator::growThreads(Tid t)
 {
-    throw TraceInputError(index, lockHeldMessage(lock, holder));
+    TC_CHECK(t >= 0, "negative thread id");
+    threads_.resize(static_cast<std::size_t>(t) + 1, 0);
 }
 
 void
-throwLockNotHeld(std::size_t index, LockId lock, Tid releaser,
-                 Tid holder)
+TraceValidator::growLocks(LockId l)
 {
-    throw TraceInputError(index,
-                          lockNotHeldMessage(lock, releaser, holder));
+    TC_CHECK(l >= 0, "negative lock id");
+    holders_.resize(static_cast<std::size_t>(l) + 1, kNoTid);
 }
 
 void
-throwThreadRule(std::size_t index, ThreadRule rule, const Event &e)
+TraceValidator::failThread(std::size_t index, Rule rule, const Event &e)
 {
-    throw TraceInputError(index, threadRuleMessage(rule, e));
+    const Tid child = e.targetTid();
+    std::string message;
+    switch (rule) {
+      case Rule::ActsAfterJoin:
+        message = strFormat("thread %d acts after being joined", e.tid);
+        break;
+      case Rule::SelfTarget:
+        message = strFormat("thread %ss itself", opName(e.op));
+        break;
+      case Rule::TargetStarted:
+        message = strFormat("%s target %d already has events",
+                            opName(e.op), child);
+        break;
+      case Rule::ForkedTwice:
+        message = strFormat("thread %d forked twice", child);
+        break;
+      case Rule::ForkOfManaged:
+        message =
+            strFormat("fork target %d is lifecycle-managed", child);
+        break;
+      case Rule::CreatedTwice:
+        message = strFormat("thread %d created twice", child);
+        break;
+      case Rule::JoinWithoutCreate:
+        message =
+            strFormat("tjoin of thread %d without tcreate", child);
+        break;
+      case Rule::JoinedTwice:
+        message = strFormat("thread %d joined twice", child);
+        break;
+      case Rule::RetireWithoutJoin:
+        message =
+            strFormat("tretire of thread %d without tjoin", child);
+        break;
+      case Rule::RetiredTwice:
+        message = strFormat("thread %d retired twice", child);
+        break;
+    }
+    throw TraceInputError(index, message);
+}
+
+void
+TraceValidator::failLockHeld(std::size_t index, LockId lock, Tid holder)
+{
+    throw TraceInputError(
+        index, strFormat("lock %d acquired while held by thread %d",
+                         lock, holder));
+}
+
+void
+TraceValidator::failLockNotHeld(std::size_t index, LockId lock,
+                                Tid releaser, Tid holder)
+{
+    throw TraceInputError(
+        index, strFormat("lock %d released by thread %d but held by %d",
+                         lock, releaser, holder));
+}
+
+std::uint8_t
+TraceValidator::savedThread(Tid t) const
+{
+    if (static_cast<std::size_t>(t) >= threads_.size())
+        return 0;
+    const std::uint8_t u = threads_[static_cast<std::size_t>(t)];
+    if (u & kCreated) {
+        return (u & kRetired)  ? kSavedRetired
+               : (u & kJoined) ? kSavedJoined
+                               : kSavedCreated;
+    }
+    return ((u & kForked) ? kSavedForked : 0) |
+           ((u & kJoined) ? kSavedJoinedPlain : 0);
+}
+
+bool
+TraceValidator::restoreThread(Tid t, std::uint8_t saved, bool started)
+{
+    std::uint8_t u = 0;
+    switch (saved) {
+      case kSavedCreated: u = kCreated; break;
+      case kSavedJoined: u = kCreated | kJoined; break;
+      case kSavedRetired: u = kCreated | kJoined | kRetired; break;
+      default:
+        if (saved & ~(kSavedForked | kSavedJoinedPlain))
+            return false;
+        u = ((saved & kSavedForked) ? kForked : 0) |
+            ((saved & kSavedJoinedPlain) ? kJoined : 0);
+        break;
+    }
+    thread(t) = started ? u | kStarted : u;
+    return true;
 }
 
 const char *
@@ -168,158 +245,16 @@ Trace::append(const Event *events, std::size_t n)
 ValidationResult
 Trace::validate() const
 {
-    // Holder of each lock; kNoTid when free.
-    std::vector<Tid> holder(static_cast<std::size_t>(numLocks_),
-                            kNoTid);
-    // Threads that have performed at least one event so far.
-    std::vector<bool> started(static_cast<std::size_t>(numThreads_),
-                              false);
-    // Threads that were the target of a fork / a join.
-    std::vector<bool> forked(static_cast<std::size_t>(numThreads_),
-                             false);
-    std::vector<bool> joined(static_cast<std::size_t>(numThreads_),
-                             false);
-    // Lifecycle protocol state: tcreate → tjoin → tretire. A
-    // lifecycle-managed thread is disjoint from fork targets, and
-    // tjoin reuses `joined` so "acts after being joined" covers it.
-    std::vector<bool> created(static_cast<std::size_t>(numThreads_),
-                              false);
-    std::vector<bool> retired(static_cast<std::size_t>(numThreads_),
-                              false);
-
-    for (std::size_t i = 0; i < events_.size(); i++) {
-        const Event &e = events_[i];
-        if (e.tid < 0 || e.tid >= numThreads_) {
-            return ValidationResult::failure(
-                i, strFormat("thread id %d out of range", e.tid));
+    TraceValidator rules;
+    try {
+        for (std::size_t i = 0; i < events_.size(); i++) {
+            const std::string bad = rangeError(events_[i], *this);
+            if (!bad.empty())
+                return ValidationResult::failure(i, bad);
+            rules.check(i, events_[i]);
         }
-        // A thread-protocol failure at this event, worded as a
-        // streamed run words it (threadRuleMessage).
-        const auto broken = [&](ThreadRule rule) {
-            return ValidationResult::failure(i,
-                                             threadRuleMessage(rule, e));
-        };
-        if (joined[static_cast<std::size_t>(e.tid)])
-            return broken(ThreadRule::ActsAfterJoin);
-        started[static_cast<std::size_t>(e.tid)] = true;
-
-        switch (e.op) {
-          case OpType::Read:
-          case OpType::Write:
-            if (e.var() < 0 || e.var() >= numVars_) {
-                return ValidationResult::failure(
-                    i, strFormat("variable id %d out of range",
-                                 e.var()));
-            }
-            break;
-          case OpType::Acquire: {
-            if (e.lock() < 0 || e.lock() >= numLocks_) {
-                return ValidationResult::failure(
-                    i, strFormat("lock id %d out of range", e.lock()));
-            }
-            Tid &h = holder[static_cast<std::size_t>(e.lock())];
-            if (h != kNoTid) {
-                return ValidationResult::failure(
-                    i, lockHeldMessage(e.lock(), h));
-            }
-            h = e.tid;
-            break;
-          }
-          case OpType::Release: {
-            if (e.lock() < 0 || e.lock() >= numLocks_) {
-                return ValidationResult::failure(
-                    i, strFormat("lock id %d out of range", e.lock()));
-            }
-            Tid &h = holder[static_cast<std::size_t>(e.lock())];
-            if (h != e.tid) {
-                return ValidationResult::failure(
-                    i, lockNotHeldMessage(e.lock(), e.tid, h));
-            }
-            h = kNoTid;
-            break;
-          }
-          case OpType::Fork: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("fork target %d out of range",
-                                 child));
-            }
-            if (child == e.tid)
-                return broken(ThreadRule::SelfTarget);
-            if (started[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::TargetStarted);
-            if (forked[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::ForkedTwice);
-            if (created[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::ForkOfManaged);
-            forked[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::Join: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("join target %d out of range",
-                                 child));
-            }
-            if (child == e.tid)
-                return broken(ThreadRule::SelfTarget);
-            if (joined[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::JoinedTwice);
-            joined[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadCreate: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tcreate target %d out of range",
-                                 child));
-            }
-            if (child == e.tid)
-                return broken(ThreadRule::SelfTarget);
-            if (started[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::TargetStarted);
-            if (forked[static_cast<std::size_t>(child)] ||
-                joined[static_cast<std::size_t>(child)] ||
-                created[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::CreatedTwice);
-            created[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadJoin: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tjoin target %d out of range",
-                                 child));
-            }
-            if (child == e.tid)
-                return broken(ThreadRule::SelfTarget);
-            if (!created[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::JoinWithoutCreate);
-            if (joined[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::JoinedTwice);
-            joined[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-          case OpType::ThreadRetire: {
-            const Tid child = e.targetTid();
-            if (child < 0 || child >= numThreads_) {
-                return ValidationResult::failure(
-                    i, strFormat("tretire target %d out of range",
-                                 child));
-            }
-            if (!created[static_cast<std::size_t>(child)] ||
-                !joined[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::RetireWithoutJoin);
-            if (retired[static_cast<std::size_t>(child)])
-                return broken(ThreadRule::RetiredTwice);
-            retired[static_cast<std::size_t>(child)] = true;
-            break;
-          }
-        }
+    } catch (const TraceInputError &err) {
+        return ValidationResult::failure(err.eventIndex, err.what());
     }
     return {};
 }

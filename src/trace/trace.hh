@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace container: a sequence of events over dense thread/lock/var id
- * spaces, with builder helpers, well-formedness validation and local
- * time computation (paper §2.1).
+ * spaces, with builder helpers, local time computation, and the one
+ * checker of well-formedness (paper §2.1) that every consumer runs.
  */
 
 #ifndef TC_TRACE_TRACE_HH
@@ -33,10 +33,10 @@ struct ValidationResult
 };
 
 /**
- * A validity violation found while streaming, where no whole-trace
- * validate() pass runs first: the offending event's index and the
- * message validate() gives for it, so streamed and materialized
- * runs report the same failure.
+ * A broken lock or thread rule (TraceValidator): the offending
+ * event's index and the rule's message. Trace::validate() returns
+ * the same pair as a ValidationResult, so every run mode reports
+ * the same failure.
  */
 class TraceInputError : public std::runtime_error
 {
@@ -48,34 +48,203 @@ class TraceInputError : public std::runtime_error
     std::size_t eventIndex;
 };
 
-/** Thread-protocol rules that both validate() and a streamed run
- * check; an event breaking one gets the same message from both
- * (throwThreadRule below). */
-enum class ThreadRule : std::uint8_t
+/**
+ * The lock and thread rules of a well-formed trace (paper §2.1),
+ * checked one event at a time: a lock is acquired only while free
+ * and released only by its holder; a fork or tcreate target has no
+ * events yet, a thread is forked and joined at most once, and does
+ * nothing after its join; a tcreated thread runs tcreate → tjoin →
+ * tretire, apart from fork targets. Trace::validate() and
+ * AnalysisDriver::feed() both check through this one object, so a
+ * materialized, streamed or parallel run rejects the same event
+ * with the same message.
+ *
+ * The state grows from the ids the events name, never from a
+ * header's declared widths.
+ */
+class TraceValidator
 {
-    ActsAfterJoin,     ///< the acting thread was joined already
-    SelfTarget,        ///< fork/join/tcreate/tjoin of itself
-    TargetStarted,     ///< fork/tcreate of a thread with events
-    ForkedTwice,       ///< second fork of the target
-    ForkOfManaged,     ///< fork of a tcreate-managed thread
-    CreatedTwice,      ///< tcreate of a forked/joined/created target
-    JoinWithoutCreate, ///< tjoin of a target never tcreated
-    JoinedTwice,       ///< second join/tjoin of the target
-    RetireWithoutJoin, ///< tretire of a target never tjoined
-    RetiredTwice,      ///< second tretire of the target
-};
+  public:
+    /**
+     * Check event @p e, number @p index of its trace, and record
+     * its effect. A broken rule throws TraceInputError with
+     * @p index and the rule's message; the validator is then spent
+     * until clear().
+     */
+    void
+    check(std::size_t index, const Event &e)
+    {
+        std::uint8_t &self = thread(e.tid);
+        if (self & kJoined)
+            failThread(index, Rule::ActsAfterJoin, e);
+        self |= kStarted;
+        if (!e.isAccess())
+            checkSync(index, e);
+    }
 
-/** @name Streamed discipline violations at event @p index
- * Throw TraceInputError with validate()'s message. Out of line, so
- * a per-event loop carries only the call.
- * @{ */
-[[noreturn]] void throwLockHeld(std::size_t index, LockId lock,
-                                Tid holder);
-[[noreturn]] void throwLockNotHeld(std::size_t index, LockId lock,
-                                   Tid releaser, Tid holder);
-[[noreturn]] void throwThreadRule(std::size_t index, ThreadRule rule,
-                                  const Event &e);
-/** @} */
+    /** Forget every event checked so far. */
+    void
+    clear()
+    {
+        threads_.clear();
+        holders_.clear();
+    }
+
+    /** @name Checkpoint form
+     * AnalysisDriver's snapshots store one byte per thread: 0 none,
+     * 1 created, 2 created and joined, 3 retired, else 4 for forked
+     * plus 8 for joined. Whether a thread has events is not stored;
+     * the driver restores it from its local times.
+     * @{ */
+    std::uint8_t savedThread(Tid t) const;
+    /** Holder of lock @p l, kNoTid when free. */
+    Tid
+    holder(LockId l) const
+    {
+        return static_cast<std::size_t>(l) < holders_.size()
+                   ? holders_[static_cast<std::size_t>(l)]
+                   : kNoTid;
+    }
+    /** False when @p saved is no savedThread() value. */
+    bool restoreThread(Tid t, std::uint8_t saved, bool started);
+    void restoreHolder(LockId l, Tid holder) { lock(l) = holder; }
+    /** @} */
+
+  private:
+    enum class Rule : std::uint8_t
+    {
+        ActsAfterJoin,     ///< the acting thread was joined already
+        SelfTarget,        ///< fork/join/tcreate/tjoin of itself
+        TargetStarted,     ///< fork/tcreate of a thread with events
+        ForkedTwice,       ///< second fork of the target
+        ForkOfManaged,     ///< fork of a tcreated thread
+        CreatedTwice,      ///< tcreate of a forked/joined/created target
+        JoinWithoutCreate, ///< tjoin of a target never tcreated
+        JoinedTwice,       ///< second join/tjoin of the target
+        RetireWithoutJoin, ///< tretire of a target never tjoined
+        RetiredTwice,      ///< second tretire of the target
+    };
+
+    /** Per-thread flags; kJoined covers join and tjoin alike. */
+    static constexpr std::uint8_t kStarted = 1;
+    static constexpr std::uint8_t kForked = 2;
+    static constexpr std::uint8_t kJoined = 4;
+    static constexpr std::uint8_t kCreated = 8;
+    static constexpr std::uint8_t kRetired = 16;
+
+    std::uint8_t &
+    thread(Tid t)
+    {
+        if (static_cast<std::size_t>(t) >= threads_.size())
+            growThreads(t);
+        return threads_[static_cast<std::size_t>(t)];
+    }
+
+    Tid &
+    lock(LockId l)
+    {
+        if (static_cast<std::size_t>(l) >= holders_.size())
+            growLocks(l);
+        return holders_[static_cast<std::size_t>(l)];
+    }
+
+    void
+    checkSync(std::size_t index, const Event &e)
+    {
+        switch (e.op) {
+          case OpType::Read:
+          case OpType::Write:
+            return;
+          case OpType::Acquire: {
+            Tid &h = lock(e.lock());
+            if (h != kNoTid)
+                failLockHeld(index, e.lock(), h);
+            h = e.tid;
+            return;
+          }
+          case OpType::Release: {
+            Tid &h = lock(e.lock());
+            if (h != e.tid)
+                failLockNotHeld(index, e.lock(), e.tid, h);
+            h = kNoTid;
+            return;
+          }
+          case OpType::Fork: {
+            std::uint8_t &u = target(index, e);
+            if (u & kStarted)
+                failThread(index, Rule::TargetStarted, e);
+            if (u & kForked)
+                failThread(index, Rule::ForkedTwice, e);
+            if (u & kCreated)
+                failThread(index, Rule::ForkOfManaged, e);
+            u |= kForked;
+            return;
+          }
+          case OpType::Join: {
+            std::uint8_t &u = target(index, e);
+            if (u & kJoined)
+                failThread(index, Rule::JoinedTwice, e);
+            u |= kJoined;
+            return;
+          }
+          case OpType::ThreadCreate: {
+            std::uint8_t &u = target(index, e);
+            if (u & kStarted)
+                failThread(index, Rule::TargetStarted, e);
+            if (u & (kForked | kJoined | kCreated))
+                failThread(index, Rule::CreatedTwice, e);
+            u |= kCreated;
+            return;
+          }
+          case OpType::ThreadJoin: {
+            std::uint8_t &u = target(index, e);
+            if (!(u & kCreated))
+                failThread(index, Rule::JoinWithoutCreate, e);
+            if (u & kJoined)
+                failThread(index, Rule::JoinedTwice, e);
+            u |= kJoined;
+            return;
+          }
+          case OpType::ThreadRetire: {
+            // A thread may name itself here: then it acts after
+            // its join, or it was never joined.
+            std::uint8_t &u = thread(e.targetTid());
+            if ((u & (kCreated | kJoined)) != (kCreated | kJoined))
+                failThread(index, Rule::RetireWithoutJoin, e);
+            if (u & kRetired)
+                failThread(index, Rule::RetiredTwice, e);
+            u |= kRetired;
+            return;
+          }
+        }
+    }
+
+    /** The state of the thread a fork, join, tcreate or tjoin
+     * names, which must not be the actor. */
+    std::uint8_t &
+    target(std::size_t index, const Event &e)
+    {
+        if (e.targetTid() == e.tid)
+            failThread(index, Rule::SelfTarget, e);
+        return thread(e.targetTid());
+    }
+
+    void growThreads(Tid t);
+    void growLocks(LockId l);
+    [[noreturn]] static void failThread(std::size_t index, Rule rule,
+                                        const Event &e);
+    [[noreturn]] static void failLockHeld(std::size_t index,
+                                          LockId lock, Tid holder);
+    [[noreturn]] static void failLockNotHeld(std::size_t index,
+                                             LockId lock,
+                                             Tid releaser,
+                                             Tid holder);
+
+    /** Flags by thread id. */
+    std::vector<std::uint8_t> threads_;
+    /** Holder by lock id; kNoTid when free. */
+    std::vector<Tid> holders_;
+};
 
 /**
  * A concrete execution trace. Events are appended in trace order;
@@ -150,10 +319,10 @@ class Trace
     void reserve(std::size_t n) { events_.reserve(n); }
 
     /**
-     * Check well-formedness: ids dense and in range; lock semantics
-     * (acquire only free locks, release only held locks, by the
-     * holder); fork targets have no earlier events and are forked at
-     * most once; join targets have no later events.
+     * Check well-formedness: every id lies within the declared
+     * widths, and every event passes TraceValidator's lock and
+     * thread rules. Reports the first offending event, with the
+     * message an analysis run throws for it.
      */
     ValidationResult validate() const;
 

@@ -99,82 +99,18 @@ writeTextHeader(std::ostream &os, Tid threads, LockId locks,
        << vars << "\n";
 }
 
-} // namespace
-
-void
-writeTraceText(const Trace &trace, std::ostream &os)
-{
-    writeTextHeader(os, trace.numThreads(), trace.numLocks(),
-                    trace.numVars(), trace.hasLifecycle());
-    for (const Event &e : trace)
-        os << e.tid << ' ' << opName(e.op) << ' ' << e.target
-           << '\n';
-}
-
-ParseResult
-readTraceText(std::istream &is)
-{
-    return drainSource(*makeTextEventSource(is));
-}
-
+/** The one writer of each format: drain @p source into @p os. When
+ * the source cannot announce its event count upfront (text inputs)
+ * the binary count slot is patched after the drain, which needs a
+ * seekable @p os. */
 bool
-writeTraceBinary(const Trace &trace, std::ostream &os)
+writeStream(EventSource &source, std::ostream &os, bool binary)
 {
-    writeBinaryHeader(os, trace.numThreads(), trace.numLocks(),
-                      trace.numVars(), trace.size(),
-                      trace.hasLifecycle());
-    for (const Event &e : trace)
-        writeBinaryEvent(os, e);
-    return static_cast<bool>(os);
-}
-
-ParseResult
-readTraceBinary(std::istream &is)
-{
-    return drainSource(*makeBinaryEventSource(is));
-}
-
-bool
-saveTrace(const Trace &trace, const std::string &path)
-{
-    // Shard sets are written only by trace/shard.hh; falling back
-    // to the text format would produce a .tcs no reader accepts.
-    if (isShardPath(path))
-        return false;
-    const bool binary = path.size() >= 4 &&
-                        path.compare(path.size() - 4, 4, ".tcb") == 0;
-    std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
-    if (!os)
-        return false;
-    if (binary)
-        return writeTraceBinary(trace, os);
-    writeTraceText(trace, os);
-    return static_cast<bool>(os);
-}
-
-ParseResult
-loadTrace(const std::string &path)
-{
-    return drainSource(*openTraceFile(path));
-}
-
-bool
-saveTraceStream(EventSource &source, const std::string &path)
-{
-    if (isShardPath(path))
-        return false;
-    const bool binary = path.size() >= 4 &&
-                        path.compare(path.size() - 4, 4, ".tcb") == 0;
-    std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
-    if (!os)
-        return false;
-
     const SourceInfo si = source.info();
     std::streampos count_pos{};
     if (binary) {
-        // The count slot is patched after the drain when the source
-        // cannot announce it upfront (text inputs); it is the last
-        // header field, so its offset is measured, not assumed.
+        // The count is the last header field, so its offset is
+        // measured, not assumed.
         writeBinaryHeader(os, si.threads, si.locks, si.vars,
                           si.eventCountKnown() ? si.events : 0,
                           si.lifecycle);
@@ -187,15 +123,19 @@ saveTraceStream(EventSource &source, const std::string &path)
     }
 
     std::uint64_t n = 0;
-    Event e;
-    while (source.next(e)) {
-        if (binary) {
-            writeBinaryEvent(os, e);
-        } else {
-            os << e.tid << ' ' << opName(e.op) << ' ' << e.target
-               << '\n';
+    std::vector<Event> storage;
+    EventWindow window;
+    while (!(window = source.readWindow(storage, kDefaultSourceWindow))
+                .empty()) {
+        for (const Event &e : window) {
+            if (binary) {
+                writeBinaryEvent(os, e);
+            } else {
+                os << e.tid << ' ' << opName(e.op) << ' ' << e.target
+                   << '\n';
+            }
         }
-        n++;
+        n += window.size;
     }
     if (source.failed() || !os)
         return false;
@@ -204,6 +144,60 @@ saveTraceStream(EventSource &source, const std::string &path)
         os.write(reinterpret_cast<const char *>(&n), sizeof(n));
     }
     return static_cast<bool>(os);
+}
+
+} // namespace
+
+void
+writeTraceText(const Trace &trace, std::ostream &os)
+{
+    TraceSource source(trace);
+    writeStream(source, os, false);
+}
+
+ParseResult
+readTraceText(std::istream &is)
+{
+    return drainSource(*makeTextEventSource(is));
+}
+
+bool
+writeTraceBinary(const Trace &trace, std::ostream &os)
+{
+    TraceSource source(trace);
+    return writeStream(source, os, true);
+}
+
+ParseResult
+readTraceBinary(std::istream &is)
+{
+    return drainSource(*makeBinaryEventSource(is));
+}
+
+bool
+saveTrace(const Trace &trace, const std::string &path)
+{
+    TraceSource source(trace);
+    return saveTraceStream(source, path);
+}
+
+ParseResult
+loadTrace(const std::string &path)
+{
+    return drainSource(*openTraceFile(path));
+}
+
+bool
+saveTraceStream(EventSource &source, const std::string &path)
+{
+    // Shard sets are written only by trace/shard.hh; falling back
+    // to the text format would produce a .tcs no reader accepts.
+    if (isShardPath(path))
+        return false;
+    const bool binary = path.size() >= 4 &&
+                        path.compare(path.size() - 4, 4, ".tcb") == 0;
+    std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
+    return os && writeStream(source, os, binary);
 }
 
 } // namespace tc

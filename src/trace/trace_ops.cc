@@ -160,38 +160,4 @@ renumberDense(const Trace &trace, IdRemap *remap)
     return out;
 }
 
-Trace
-appendShifted(const Trace &first, const Trace &second)
-{
-    Trace out(first.numThreads() + second.numThreads(),
-              first.numLocks() + second.numLocks(),
-              first.numVars() + second.numVars());
-    out.reserve(first.size() + second.size());
-    for (const Event &e : first)
-        out.push(e);
-    for (const Event &e : second) {
-        const Tid t = e.tid + first.numThreads();
-        std::uint32_t target = e.target;
-        switch (e.op) {
-          case OpType::Read:
-          case OpType::Write:
-            target += static_cast<std::uint32_t>(first.numVars());
-            break;
-          case OpType::Acquire:
-          case OpType::Release:
-            target += static_cast<std::uint32_t>(first.numLocks());
-            break;
-          case OpType::Fork:
-          case OpType::Join:
-          case OpType::ThreadCreate:
-          case OpType::ThreadJoin:
-          case OpType::ThreadRetire:
-            target += static_cast<std::uint32_t>(first.numThreads());
-            break;
-        }
-        out.push(Event(t, e.op, target));
-    }
-    return out;
-}
-
 } // namespace tc

@@ -2,7 +2,7 @@
  * @file
  * Trace transformation utilities: slicing an execution down to the
  * events relevant for a focused analysis, projecting onto thread
- * subsets, compacting identifier spaces and composing traces.
+ * subsets and compacting identifier spaces.
  *
  * The variable slice supports the lightweight-analysis use case the
  * paper highlights in §6 ("checking for data races on a specific
@@ -57,13 +57,6 @@ struct IdRemap
  * callers can translate reports back.
  */
 Trace renumberDense(const Trace &trace, IdRemap *remap = nullptr);
-
-/**
- * Concatenate two traces as independent populations: @p second's
- * thread/lock/var ids are shifted past @p first's id spaces. The
- * result interleaves nothing — first's events all precede second's.
- */
-Trace appendShifted(const Trace &first, const Trace &second);
 
 } // namespace tc
 

@@ -47,6 +47,21 @@ runCliStderr(const std::string &command, std::string &err)
     return WEXITSTATUS(status);
 }
 
+/** Exit code of @p command, keeping its stdout in @p out. */
+int
+runCliStdout(const std::string &command, std::string &out)
+{
+    const std::string path = std::string(kWorkDir) + "/stdout.txt";
+    const int status = std::system(
+        (command + " > " + path + " 2> /dev/null").c_str());
+    std::ifstream in(path);
+    out.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+    if (status == -1 || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
 int
 runCli(const std::string &command)
 {
@@ -425,6 +440,100 @@ TEST_F(CliDiagnostics, InflatedEventCountsExitThreeLikeStreamed)
             EXPECT_EQ(err, c.line) << command;
         }
     }
+}
+
+/** A 35-byte .tcb: the header's three u32 widths and one record. */
+std::string
+oneRecordTcb(const std::uint32_t (&widths)[3], std::int32_t tid,
+             std::uint32_t target)
+{
+    std::string out("TCTB1", 6);
+    auto put = [&out](const auto &value) {
+        out.append(reinterpret_cast<const char *>(&value),
+                   sizeof(value));
+    };
+    put(widths);
+    put(std::uint64_t{1});
+    put(tid);
+    put(target);
+    put(static_cast<std::uint8_t>(OpType::Read));
+    return out;
+}
+
+TEST_F(CliDiagnostics, OversizedIdSpacesExitThreeInEveryMode)
+{
+    // Widths above 2^31 - 1 used to wrap negative (an abort, or a
+    // split set that aborts later) or, from text, be read modulo
+    // 2^32; an id of 2^31 - 1 overflowed the width it implies.
+    // Both are corrupt input with one line in every mode.
+    const struct
+    {
+        const char *name;
+        std::string content;
+        const char *line;
+    } cases[] = {
+        {"threads_3e9.tct",
+         "threads 3000000000 locks 0 vars 1\n0 w 0\n",
+         "error: header width out of range (line 1)\n"},
+        {"vars_2p32.tct", "threads 1 locks 0 vars 4294967297\n0 w 0\n",
+         "error: header width out of range (line 1)\n"},
+        {"threads_2p32.tcb", oneRecordTcb({0xFFFFFFFF, 0, 1}, 0, 0),
+         "error: header width out of range\n"},
+        {"vars_2p31.tcb", oneRecordTcb({1, 0, 0x80000000}, 0, 0),
+         "error: header width out of range\n"},
+        {"tid_2p31.tct", "threads 1 locks 0 vars 1\n2147483647 w 0\n",
+         "error: event id out of range (line 2)\n"},
+        {"var_2p31.tct", "threads 1 locks 0 vars 1\n0 w 2147483647\n",
+         "error: event id out of range (line 2)\n"},
+    };
+    for (const auto &c : cases) {
+        const std::string path = std::string(kWorkDir) + "/" + c.name;
+        std::ofstream(path, std::ios::binary) << c.content;
+        for (const std::string &command :
+             {"./race_detector --trace=" + path,
+              "./race_detector --trace=" + path + " --stream",
+              "./trace_tool stats " + path,
+              "./trace_tool validate " + path,
+              "./trace_tool split " + path + " " + path + "_split"}) {
+            std::string err;
+            EXPECT_EQ(runCliStderr(command, err), 3) << command;
+            EXPECT_EQ(err, c.line) << command;
+        }
+    }
+}
+
+TEST_F(CliDiagnostics, ValidateSizesNothingByDeclaredWidths)
+{
+    // 2^31 - 1 declared locks and one read: the rules grow from
+    // the ids the events name, so this passes in a few bytes (the
+    // suite also runs under a 4 GiB address limit).
+    const std::string path = std::string(kWorkDir) + "/huge_locks.tcb";
+    const std::string tcb = oneRecordTcb({1, kMaxIdWidth, 1}, 0, 0);
+    ASSERT_EQ(tcb.size(), 35u);
+    std::ofstream(path, std::ios::binary) << tcb;
+    std::string out;
+    EXPECT_EQ(runCliStdout("./trace_tool validate " + path, out), 0);
+    EXPECT_EQ(out, "OK: 1 events, well-formed\n");
+}
+
+TEST_F(CliDiagnostics, AnalysisTimeIsPrintedInMicroseconds)
+{
+    std::string out;
+    runCliStdout("./race_detector --trace=" + goodPath(), out);
+    // "<digits>.<six digits> s" after the label.
+    const std::string label = "\nanalysis time   : ";
+    const std::size_t at = out.find(label);
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::size_t from = at + label.size();
+    const std::string value = out.substr(from, out.find(' ', from) - from);
+    const std::size_t dot = value.find('.');
+    ASSERT_NE(dot, std::string::npos) << value;
+    EXPECT_GT(dot, 0u) << value;
+    EXPECT_EQ(value.size() - dot - 1, 6u) << value;
+    EXPECT_EQ(value.find_first_not_of("0123456789."),
+              std::string::npos)
+        << value;
+    EXPECT_EQ(out.compare(from + value.size(), 3, " s "), 0) << out;
 }
 
 TEST_F(CliDiagnostics, CleanRunsExitZero)

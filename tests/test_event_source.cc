@@ -12,7 +12,6 @@
 #include <sstream>
 #include <string>
 
-#include "gen/generator_source.hh"
 #include "gen/pool_workload.hh"
 #include "gen/random_trace.hh"
 #include "test_helpers.hh"
@@ -324,6 +323,98 @@ TEST(EventSourceErrors, RejectsOutOfRangeTextIds)
     EXPECT_EQ(source->errorLine(), 2u);
 }
 
+/** A one-record .tcb: the header's three u32 widths, then the
+ * record (tid, target, op). */
+std::string
+tinyBinaryTrace(const std::uint32_t (&widths)[3], std::int32_t tid,
+                std::uint32_t target, OpType op)
+{
+    std::string out("TCTB1", 6);
+    auto put = [&out](const auto &value) {
+        out.append(reinterpret_cast<const char *>(&value),
+                   sizeof(value));
+    };
+    put(widths);
+    put(std::uint64_t{1});
+    put(tid);
+    put(target);
+    put(static_cast<std::uint8_t>(op));
+    return out;
+}
+
+TEST(EventSourceErrors, IdSpacesEndBelowTwoToTheThirtyOne)
+{
+    // Widths up to 2^31 - 1 and ids up to 2^31 - 2 read; one more
+    // is corrupt input in both formats, never a wrapped width.
+    const struct
+    {
+        const char *label;
+        std::string text;
+        std::string error; // "" when the trace reads
+    } text_cases[] = {
+        {"widest", "threads 2147483647 locks 2147483647 "
+                   "vars 2147483647\n2147483646 w 2147483646\n",
+         ""},
+        {"threads 3e9", "threads 3000000000 locks 0 vars 1\n0 w 0\n",
+         "header width out of range"},
+        {"vars 2^32+1", "threads 1 locks 0 vars 4294967297\n0 w 0\n",
+         "header width out of range"},
+        {"tid 2^31-1", "threads 1 locks 0 vars 1\n2147483647 w 0\n",
+         "event id out of range"},
+        {"var 2^31-1", "threads 1 locks 0 vars 1\n0 w 2147483647\n",
+         "event id out of range"},
+    };
+    for (const auto &c : text_cases) {
+        std::istringstream is(c.text);
+        auto source = makeTextEventSource(is);
+        Event e;
+        while (source->next(e)) {
+        }
+        EXPECT_EQ(source->error(), c.error) << c.label;
+        if (!c.error.empty()) {
+            EXPECT_EQ(source->errorKind(), SourceErrorKind::Corrupt)
+                << c.label;
+        }
+    }
+
+    const std::uint32_t max = kMaxIdWidth;
+    const struct
+    {
+        const char *label;
+        std::string bytes;
+        std::string error;
+    } binary_cases[] = {
+        {"widest",
+         tinyBinaryTrace({max, max, max}, 2147483646, 2147483646,
+                         OpType::Write),
+         ""},
+        {"threads 2^32-1",
+         tinyBinaryTrace({0xFFFFFFFF, 0, 1}, 0, 0, OpType::Write),
+         "header width out of range"},
+        {"vars 2^31",
+         tinyBinaryTrace({1, 0, 0x80000000}, 0, 0, OpType::Write),
+         "header width out of range"},
+        {"tid 2^31-1",
+         tinyBinaryTrace({1, 0, 1}, 2147483647, 0, OpType::Write),
+         "event id out of range"},
+        {"var 2^31-1",
+         tinyBinaryTrace({1, 0, 1}, 0, 2147483647, OpType::Write),
+         "event id out of range"},
+    };
+    for (const auto &c : binary_cases) {
+        std::istringstream is(c.bytes);
+        auto source = makeBinaryEventSource(is);
+        Event e;
+        while (source->next(e)) {
+        }
+        EXPECT_EQ(source->error(), c.error) << c.label;
+        if (!c.error.empty()) {
+            EXPECT_EQ(source->errorKind(), SourceErrorKind::Corrupt)
+                << c.label;
+        }
+    }
+}
+
 TEST(EventSourceErrors, BadTextLineReportsLine)
 {
     std::istringstream is(
@@ -361,20 +452,6 @@ TEST(EventSourceErrors, MissingHeaderFailsUpfront)
     std::istringstream is("0 r 0\n");
     const auto source = makeTextEventSource(is);
     EXPECT_TRUE(source->failed());
-}
-
-TEST(GeneratorSource, StreamsTheGeneratedWorkload)
-{
-    RandomTraceParams params;
-    params.threads = 4;
-    params.events = 1000;
-    params.seed = 7;
-    const Trace direct = generateRandomTrace(params);
-    auto source = makeRandomTraceSource(params);
-    expectSameEvents(direct, *source);
-    // Sources rewind, so one generated workload serves many runs.
-    ASSERT_TRUE(source->rewind());
-    expectSameEvents(direct, *source);
 }
 
 TEST(TraceSourceView, InfoAndIteration)

@@ -115,7 +115,14 @@ TEST(HbEngine, RejectsMalformedTraceWhenValidating)
     t.acquire(0, 0);
     t.acquire(1, 0);
     HbEngine<TreeClock> engine;
-    EXPECT_DEATH(engine.run(t), "acquired while held");
+    try {
+        engine.run(t);
+        ADD_FAILURE() << "double acquire accepted";
+    } catch (const TraceInputError &err) {
+        EXPECT_EQ(err.eventIndex, 1u);
+        EXPECT_STREQ(err.what(),
+                     "lock 0 acquired while held by thread 0");
+    }
 }
 
 TEST(HbEngine, ReportCapBoundsReportsNotCounts)

@@ -371,6 +371,54 @@ TEST(ShardErrors, AllOnesSequenceNumberIsRejected)
     removeShards(prefix, 1);
 }
 
+TEST(ShardErrors, IdSpacesEndBelowTwoToTheThirtyOne)
+{
+    // A header width above 2^31 - 1 or a record id above 2^31 - 2
+    // is corrupt input: the set fails with one message instead of
+    // handing a wrapped width or id to the analyses.
+    const Trace trace = sampleTrace(50);
+    const std::string prefix = "/tmp/tc_shard_idspace";
+    const std::string member = shardPath(prefix, 0);
+    // Header words: index, count, threads, locks, vars after the
+    // 6-byte magic; the 42-byte header is followed by 17-byte
+    // records (u64 seq, i32 tid, u32 target, u8 op).
+    const struct
+    {
+        const char *label;
+        std::size_t offset;
+        std::uint32_t value;
+        std::string error;
+    } cases[] = {
+        {"threads 2^32-1", 6 + 2 * 4, 0xFFFFFFFF,
+         member + ": header width out of range"},
+        {"vars 2^31", 6 + 4 * 4, 0x80000000,
+         member + ": header width out of range"},
+        {"tid 2^31-1", 42 + 8, 0x7FFFFFFF,
+         member + ": corrupt record at event 0"},
+        {"target 2^31-1", 42 + 12, 0x7FFFFFFF,
+         member + ": corrupt record at event 0"},
+    };
+    for (const auto &c : cases) {
+        split(trace, prefix, 1);
+        {
+            std::fstream f(member, std::ios::binary | std::ios::in |
+                                       std::ios::out);
+            f.seekp(static_cast<std::streamoff>(c.offset));
+            f.write(reinterpret_cast<const char *>(&c.value),
+                    sizeof(c.value));
+        }
+        auto merged = openShardSet(prefix);
+        Event e;
+        while (merged->next(e)) {
+        }
+        EXPECT_TRUE(merged->failed()) << c.label;
+        EXPECT_EQ(merged->error(), c.error) << c.label;
+        EXPECT_EQ(merged->errorKind(), SourceErrorKind::Corrupt)
+            << c.label;
+    }
+    removeShards(prefix, 1);
+}
+
 TEST(ShardErrors, TruncatedShardFailsAfterConsumedPrefix)
 {
     const Trace trace = sampleTrace(600);

@@ -1,14 +1,13 @@
 /**
  * @file
- * Trace transformation tests: slicing, projection, prefixes,
- * renumbering and composition — including the semantic guarantee
- * that a variable slice preserves the partial order and the races
- * on the kept variables.
+ * Trace transformation tests: slicing, projection, prefixes and
+ * renumbering — including the semantic guarantee that a variable
+ * slice preserves the partial order and the races on the kept
+ * variables.
  */
 
 #include <gtest/gtest.h>
 
-#include "analysis/oracle.hh"
 #include "test_helpers.hh"
 #include "trace/trace_ops.hh"
 
@@ -147,29 +146,6 @@ TEST(TraceOps, RenumberPreservesAnalysis)
     const auto before = runEngine<HbEngine, TreeClock>(t);
     const auto after = runEngine<HbEngine, TreeClock>(d);
     EXPECT_EQ(before.races.total(), after.races.total());
-}
-
-TEST(TraceOps, AppendShiftedComposesIndependentTraces)
-{
-    Trace a(2, 1, 1);
-    a.write(0, 0);
-    a.sync(1, 0);
-    Trace b(2, 1, 1);
-    b.write(0, 0);
-    b.write(1, 0); // race inside b
-
-    const Trace c = appendShifted(a, b);
-    EXPECT_TRUE(c.validate().ok);
-    EXPECT_EQ(c.numThreads(), 4);
-    EXPECT_EQ(c.numLocks(), 2);
-    EXPECT_EQ(c.numVars(), 2);
-    // b's race survives on the shifted variable; a contributes none.
-    const auto result = runEngine<HbEngine, TreeClock>(c);
-    EXPECT_EQ(result.races.total(), 1u);
-    EXPECT_TRUE(result.races.isVarRacy(1));
-    // The two populations stay causally unrelated.
-    const PoOracle oracle(c, PartialOrderKind::HB);
-    EXPECT_TRUE(oracle.concurrent(0, c.size() - 1));
 }
 
 TEST(TraceOps, SliceOutOfRangeVarDies)
