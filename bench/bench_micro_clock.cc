@@ -11,6 +11,14 @@
  * measured loop. The steady-state join/copy benchmarks must report
  * 0: the clock hot paths reuse their scratch and never allocate
  * once warmed.
+ *
+ * The Share* benchmarks time copyCheckMonotone between clocks of one
+ * ScratchArena, where it shares a frozen copy of the source instead
+ * of copying (tree_clock.hh, "Shared copies"): a share that reuses
+ * the source's frozen copy, one that makes the source freeze anew
+ * after a join, and a join whose operand shares. Below
+ * kShareMinBytes (26 tree-clock slots, 128 vector-clock entries)
+ * the same loops time copies.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +28,7 @@
 #include <vector>
 
 #include "alloc_hook.hh"
+#include "core/scratch_arena.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 #include "support/rng.hh"
@@ -171,6 +180,85 @@ BM_MonotoneCopy(benchmark::State &state)
     setAllocCounter(state, allocs);
 }
 
+/** A per-variable copy while the source changed only in its own
+ * entry: the target re-shares the source's frozen copy, O(1). */
+template <typename ClockT>
+void
+BM_ShareReuse(benchmark::State &state)
+{
+    ScratchArena arena;
+    const Tid k = static_cast<Tid>(state.range(0));
+    auto [a, b] = makeClockPair<ClockT>(k, 0);
+    ClockT var;
+    for (ClockT *c : {&a, &b, &var})
+        c->setArena(&arena);
+    var.copyCheckMonotone(b); // warm: b freezes, var's buffer exists
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        b.increment(1);
+        var.copyCheckMonotone(b);
+    }
+    benchmark::DoNotOptimize(var.get(1));
+    setAllocCounter(state, allocs);
+}
+
+/** A per-variable copy after the source learned something (a join
+ * with fresh progress, timed too): the source freezes anew — one
+ * flat copy of its entries into a free buffer. */
+template <typename ClockT>
+void
+BM_ShareFreeze(benchmark::State &state)
+{
+    ScratchArena arena;
+    const Tid k = static_cast<Tid>(state.range(0));
+    auto [a, b] = makeClockPair<ClockT>(k, 0);
+    ClockT var;
+    for (ClockT *c : {&a, &b, &var})
+        c->setArena(&arena);
+    for (int warm = 0; warm < 2; warm++) {
+        a.increment(1);
+        b.join(a);
+        var.copyCheckMonotone(b);
+    }
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        a.increment(1);
+        b.join(a);
+        var.copyCheckMonotone(b);
+    }
+    benchmark::DoNotOptimize(var.get(1));
+    setAllocCounter(state, allocs);
+}
+
+/** A write then a read of one variable by two threads: the writer's
+ * share (reused) and the reader's join of the sharing operand. */
+template <typename ClockT>
+void
+BM_JoinSharedOperand(benchmark::State &state)
+{
+    ScratchArena arena;
+    const Tid k = static_cast<Tid>(state.range(0));
+    auto [a, b] = makeClockPair<ClockT>(k, 0);
+    ClockT var;
+    for (ClockT *c : {&a, &b, &var})
+        c->setArena(&arena);
+    for (int warm = 0; warm < 2; warm++) {
+        b.increment(1);
+        var.copyCheckMonotone(b);
+        a.increment(1);
+        a.join(var);
+    }
+    const std::uint64_t allocs = bench::heapAllocCount();
+    for (auto _ : state) {
+        b.increment(1);
+        var.copyCheckMonotone(b);
+        a.increment(1);
+        a.join(var);
+    }
+    benchmark::DoNotOptimize(a.get(1));
+    setAllocCounter(state, allocs);
+}
+
 #define TC_BENCH_RANGE RangeMultiplier(4)->Range(8, 2048)
 
 BENCHMARK_TEMPLATE(BM_Get, VectorClock)->TC_BENCH_RANGE;
@@ -183,6 +271,12 @@ BENCHMARK_TEMPLATE(BM_SyncRoundTrip, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_SyncRoundTrip, TreeClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, VectorClock)->TC_BENCH_RANGE;
 BENCHMARK_TEMPLATE(BM_MonotoneCopy, TreeClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_ShareReuse, VectorClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_ShareReuse, TreeClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_ShareFreeze, VectorClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_ShareFreeze, TreeClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_JoinSharedOperand, VectorClock)->TC_BENCH_RANGE;
+BENCHMARK_TEMPLATE(BM_JoinSharedOperand, TreeClock)->TC_BENCH_RANGE;
 
 } // namespace
 } // namespace tc

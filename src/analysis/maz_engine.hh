@@ -8,9 +8,14 @@
  * R_{t,x} and the set LRDs_x of threads that read x since the last
  * write. A write joins LW_x and all R_{t',x} for t' in LRDs_x (only
  * the first read-to-write ordering needs explicit work; later ones
- * follow transitively via write-to-write orderings), then
- * monotone-copies into LW_x and clears LRDs_x. Synchronization
- * events are the driver's.
+ * follow transitively via write-to-write orderings), then copies
+ * into LW_x and clears LRDs_x. Synchronization events are the
+ * driver's. Both per-variable copies (R_{t,x} at reads, LW_x at
+ * writes) are copyCheckMonotone, the clocks' sharing copy: its O(1)
+ * monotone test always passes here (each target was just joined
+ * into, or copied from, the thread's clock), and the target shares
+ * the thread clock's frozen entries until that clock next changes
+ * beyond its own entry.
  *
  * The analysis phase counts *reversible* conflicting pairs — the
  * pairs a stateless model checker would try to reverse: a candidate
@@ -86,7 +91,7 @@ class MazPolicy
         }
         detail::joinClock(ct, v.lastWriteClock, *cfg_);
         ClockT &r = readClock(v, e.tid);
-        r.monotoneCopy(ct);
+        r.copyCheckMonotone(ct);
         if (std::find(v.lrds.begin(), v.lrds.end(), e.tid) ==
             v.lrds.end()) {
             v.lrds.push_back(e.tid);
@@ -121,7 +126,7 @@ class MazPolicy
         detail::joinClock(ct, v.lastWriteClock, *cfg_);
         for (Tid reader : v.lrds)
             detail::joinClock(ct, readClockOf(v, reader), *cfg_);
-        v.lastWriteClock.monotoneCopy(ct);
+        v.lastWriteClock.copyCheckMonotone(ct);
         v.lastWriteEpoch = Epoch(e.tid, c);
         v.lrds.clear();
         if (cfg_->deepChecks)

@@ -25,9 +25,14 @@ namespace tc {
  *  - get(t): current time of thread t (0 if unknown), O(1);
  *  - increment(d): advance the owning thread's entry;
  *  - join(o): pointwise maximum with o;
- *  - monotoneCopy(o): become o, given this ⊑ o;
- *  - copyCheckMonotone(o): become o with no precondition
- *    (SHB §5.1);
+ *  - monotoneCopy(o): become o, given this ⊑ o — the lock copy
+ *    (release events);
+ *  - copyCheckMonotone(o): become o with no precondition (SHB §5.1)
+ *    — the per-variable copy (last-write and read clocks). Between
+ *    clocks of one ScratchArena it shares a frozen copy of o's
+ *    entries, once they take kShareMinBytes, instead of copying
+ *    them (tree_clock.hh, "Shared copies"), so it is O(1) until o
+ *    next changes beyond its own entry;
  *  - toVector(k): materialized vector time;
  *  - setCounters(c): attach work accounting.
  */

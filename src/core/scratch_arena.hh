@@ -27,6 +27,10 @@
  *  - One arena serves one OS thread at a time. Clock operations
  *    never nest (join/copy read the operand without recursing into
  *    another join), so one set of buffers per analysis suffices.
+ *
+ * The arena also holds the analysis' frozen copies
+ * (frozen_pool.hh): copyCheckMonotone shares one between the clocks
+ * of one arena, so only clocks attached to the same arena share.
  */
 
 #ifndef TC_CORE_SCRATCH_ARENA_HH
@@ -34,9 +38,25 @@
 
 #include <vector>
 
+#include "core/frozen_pool.hh"
 #include "support/types.hh"
 
 namespace tc {
+
+/** A tree clock's per-thread node record (tree_clock.hh explains
+ * the fields); declared here so the arena can hold frozen copies of
+ * them. The default record is an absent thread. */
+struct TreeNode
+{
+    /** `link` of a thread never in the tree. */
+    static constexpr Tid kAbsent = -2;
+
+    Clk clk = 0;             ///< timestamp (Get reads this)
+    Clk aclk = 0;            ///< attachment time
+    Tid firstChild = kNoTid; ///< head of child list
+    Tid nextSib = kNoTid;    ///< next sibling (smaller aclk)
+    Tid link = kAbsent;      ///< previous sibling or parent tag
+};
 
 /** Shared traversal scratch; see the file comment for ownership. */
 struct ScratchArena
@@ -66,6 +86,27 @@ struct ScratchArena
     std::vector<Frame> frames;
     /** MonotoneCopy's gathered nodes, in operand pre-order. */
     std::vector<Transplant> gathered;
+
+    /** Frozen tree-clock records shared by per-variable clocks. */
+    FrozenPool<TreeNode> treeFrozen;
+    /** Frozen vector-clock entries shared by per-variable clocks. */
+    FrozenPool<Clk> vectorFrozen;
+
+    /** Every clock of this arena is about to be destroyed at once
+     * (FrozenPool::discard). */
+    void
+    discardFrozen()
+    {
+        treeFrozen.discard();
+        vectorFrozen.discard();
+    }
+    /** After those clocks are gone: free every frozen buffer. */
+    void
+    resetFrozen()
+    {
+        treeFrozen.reset();
+        vectorFrozen.reset();
+    }
 };
 
 } // namespace tc

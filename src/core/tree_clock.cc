@@ -1,6 +1,7 @@
 #include "core/tree_clock.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/assert.hh"
 #include "support/strings.hh"
@@ -14,6 +15,142 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
                                  static_cast<std::size_t>(owner) + 1));
     root_ = owner;
     node(owner).link = kNoTid;
+}
+
+TreeClock::TreeClock(const TreeClock &other)
+    : nodes_(other.shared_ ? other.ownRecords() : other.nodes_),
+      root_(other.root_), counters_(other.counters_),
+      arena_(other.arena_), idMap_(other.idMap_),
+      fallbackCopies_(other.fallbackCopies_),
+      accounted_(other.shared_ ? nodes_.size() * kBytesPerSlot
+                               : other.accounted_)
+{
+}
+
+TreeClock::TreeClock(TreeClock &&other) noexcept
+    : nodes_(std::move(other.nodes_)), root_(other.root_),
+      sharedClk_(other.sharedClk_), shared_(other.shared_),
+      sharedWidth_(other.sharedWidth_), counters_(other.counters_),
+      arena_(other.arena_), idMap_(other.idMap_),
+      frozen_(other.frozen_),
+      fallbackCopies_(other.fallbackCopies_),
+      accounted_(other.accounted_),
+      ownScratch_(std::move(other.ownScratch_))
+{
+    other.nodes_.clear();
+    other.root_ = kNoTid;
+    other.shared_ = nullptr;
+    other.frozen_ = nullptr;
+    other.accounted_ = 0;
+}
+
+TreeClock &
+TreeClock::operator=(const TreeClock &other)
+{
+    if (this != &other)
+        *this = TreeClock(other);
+    return *this;
+}
+
+TreeClock &
+TreeClock::operator=(TreeClock &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    if (shared_)
+        unshare(false);
+    nodes_ = std::move(other.nodes_);
+    root_ = other.root_;
+    sharedClk_ = other.sharedClk_;
+    shared_ = other.shared_;
+    sharedWidth_ = other.sharedWidth_;
+    counters_ = other.counters_;
+    arena_ = other.arena_;
+    idMap_ = other.idMap_;
+    frozen_ = other.frozen_;
+    fallbackCopies_ = other.fallbackCopies_;
+    accounted_ = other.accounted_;
+    ownScratch_ = std::move(other.ownScratch_);
+    other.nodes_.clear();
+    other.root_ = kNoTid;
+    other.shared_ = nullptr;
+    other.frozen_ = nullptr;
+    other.accounted_ = 0;
+    return *this;
+}
+
+TreeClock::~TreeClock()
+{
+    if (shared_ && !arena_->treeFrozen.discarding())
+        unshare(false);
+}
+
+void
+TreeClock::setArena(ScratchArena *arena)
+{
+    if (arena == arena_)
+        return;
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
+    arena_ = arena;
+}
+
+std::vector<TreeClock::Node>
+TreeClock::ownRecords() const
+{
+    if (!shared_)
+        return nodes_;
+    const Node *src = shared_->records.data();
+    std::vector<Node> out(src, src + shared_->width);
+    out.resize(sharedWidth_);
+    if (root_ != kNoTid)
+        out[static_cast<std::size_t>(root_)].clk = sharedClk_;
+    return out;
+}
+
+void
+TreeClock::materialize()
+{
+    std::vector<Node> own = ownRecords();
+    unshare(true);
+    nodes_ = std::move(own);
+    updateAccounting();
+}
+
+void
+TreeClock::unshare(bool account)
+{
+    FrozenPool<Node> &pool = arena_->treeFrozen;
+    pool.release(*shared_);
+    const std::size_t dropped = pool.dropBuffer();
+    if (account && counters_)
+        counters_->subClockBytes(dropped * kBytesPerSlot);
+    shared_ = nullptr;
+}
+
+void
+TreeClock::shareFrom(const TreeClock &other)
+{
+    FrozenPool<Node> &pool = arena_->treeFrozen;
+    const std::size_t width = std::max(size(), other.size());
+    std::size_t allocated = 0;
+    if (!shared_) {
+        // The first share since this clock held records of its own:
+        // they become its pool buffer (a restored clock's keep their
+        // credit), else a fresh one as wide as the source.
+        frozen_ = nullptr;
+        allocated = pool.addBuffer(nodes_, other.size());
+        accounted_ = 0;
+    }
+    std::size_t grown = 0;
+    shared_ = &pool.shareCopy(shared_, other.shared_, other.frozen_,
+                              other.nodes_, grown);
+    if (counters_ && allocated + grown != 0)
+        counters_->addClockBytes((allocated + grown) * kBytesPerSlot);
+    sharedClk_ = other.localClk();
+    sharedWidth_ = static_cast<std::uint32_t>(width);
+    root_ = other.root_;
 }
 
 void
@@ -31,6 +168,9 @@ void
 TreeClock::resetToRoot(Tid owner, Clk start)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
     std::fill(nodes_.begin(), nodes_.end(), Node{});
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
@@ -44,7 +184,11 @@ TreeClock::increment(Clk delta)
 {
     TC_CHECK(root_ != kNoTid,
              "increment() requires an initialized thread clock");
-    node(root_).clk += delta;
+    // Only the root's time moves, so a frozen copy stays valid.
+    if (shared_) [[unlikely]]
+        sharedClk_ += delta;
+    else
+        node(root_).clk += delta;
     if (counters_) {
         counters_->increments++;
         counters_->vtWork++;
@@ -55,8 +199,9 @@ TreeClock::increment(Clk delta)
 bool
 TreeClock::lessThanOrEqualExact(const TreeClock &other) const
 {
-    for (std::size_t i = 0; i < nodes_.size(); i++) {
-        if (nodes_[i].clk > other.rawGet(static_cast<Tid>(i)))
+    for (std::size_t i = 0; i < size(); i++) {
+        const auto t = static_cast<Tid>(i);
+        if (rawGet(t) > other.rawGet(t))
             return false;
     }
     return true;
@@ -125,7 +270,7 @@ TreeClock::gatherCopy(const TreeClock &other,
     // timestamps, never our links, so unlinking S afterwards
     // (unlinkGathered) is equivalent to unlinking each node as it is
     // met.
-    const Node *theirs = other.nodes_.data();
+    const Node *theirs = other.records();
     const Node *mine = nodes_.data();
 
     // The level being scanned lives in locals: its operand parent,
@@ -136,7 +281,7 @@ TreeClock::gatherCopy(const TreeClock &other,
     Tid cur = theirs[static_cast<std::size_t>(parent)].firstChild;
     S.push_back({parent, kNoTid});
     frames.clear();
-    frames.reserve(other.nodes_.size());
+    frames.reserve(other.recordCount());
     std::uint64_t scans = 0;
     while (true) {
         if (cur == kNoTid) {
@@ -198,15 +343,18 @@ TreeClock::attachNodes(const TreeClock &other,
     // Iterate back-to-front: S is in pre-order, so later siblings
     // attach first and pushChild's front insertion restores the
     // operand's child order.
-    const Node *theirs = other.nodes_.data();
+    const Node *theirs = other.records();
     Node *mine = nodes_.data();
     std::uint64_t changed = 0;
     for (std::size_t idx = S.size(); idx-- > 0;) {
         const auto [t, parent] = S[idx];
         const Node &o = theirs[static_cast<std::size_t>(t)];
         Node &m = mine[static_cast<std::size_t>(t)];
-        changed += m.clk != o.clk;
-        m.clk = o.clk;
+        // The operand root's time is localClk(): a sharing operand's
+        // root record is stale.
+        const Clk clk = parent == kNoTid ? other.localClk() : o.clk;
+        changed += m.clk != clk;
+        m.clk = clk;
         if (parent != kNoTid) {
             m.aclk = o.aclk;
             pushChild(t, parent);
@@ -230,7 +378,7 @@ TreeClock::joinImpl(const TreeClock &other)
              "join() requires an initialized thread clock");
 
     const Tid z = other.root_;
-    const Clk other_root_clk = other.node(z).clk;
+    const Clk other_root_clk = other.localClk();
     if (rawGet(z) >= other_root_clk) {
         // Root already covered: by direct monotonicity the whole
         // operand is covered (Algorithm 2, line 18).
@@ -242,7 +390,10 @@ TreeClock::joinImpl(const TreeClock &other)
     }
     TC_CHECK(other.rawGet(root_) <= localClk(),
              "join operand claims to know this thread's future");
-    ensure(other.nodes_.size());
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
+    ensure(other.size());
 
     // Fast path: only the operand's root thread progressed. Its
     // first child is not ahead of us and was attached no later than
@@ -280,7 +431,7 @@ TreeClock::joinImpl(const TreeClock &other)
     // is still the pre-join one when it is tested; its parent's is
     // already updated, which is why the level keeps the parent's
     // pre-join time (parent_before) for the indirect cut.
-    const Node *theirs = other.nodes_.data();
+    const Node *theirs = other.records();
     Node *mine = nodes_.data();
     Node &zn = mine[static_cast<std::size_t>(z)];
     if (zn.link != kAbsent)
@@ -292,7 +443,7 @@ TreeClock::joinImpl(const TreeClock &other)
     zn.clk = other_root_clk;
     std::vector<ScratchArena::Frame> &frames = scratch().frames;
     frames.clear();
-    frames.reserve(other.nodes_.size());
+    frames.reserve(other.recordCount());
 
     std::uint64_t examined = 0;
     std::uint64_t transplanted = 1;
@@ -376,6 +527,9 @@ TreeClock::monotoneCopy(const TreeClock &other)
                  "one violates this ⊑ other");
         return;
     }
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
     if (root_ == kNoTid) {
         // First population of an auxiliary clock: plain linear copy.
         deepCopy(other);
@@ -383,21 +537,21 @@ TreeClock::monotoneCopy(const TreeClock &other)
     }
     TC_ASSERT(lessThanOrEqualExact(other),
               "monotoneCopy requires this ⊑ other");
-    ensure(other.nodes_.size());
+    ensure(other.size());
 
     // Fast path: same root thread and only its time progressed
     // (the common shape for last-write and read clocks refreshed by
     // the same thread). By indirect monotonicity the first child's
     // coverage extends to all siblings, so the copy is one store.
     if (other.root_ == root_) {
-        const Node &o = other.node(root_);
-        const Tid c = o.firstChild;
+        const Tid c = other.node(root_).firstChild;
+        const Clk other_clk = other.localClk();
         Node &r = node(root_);
         if (c == kNoTid ||
             (rawGet(c) >= other.node(c).clk &&
              other.node(c).aclk <= r.clk)) {
-            const std::uint64_t changed = r.clk != o.clk;
-            r.clk = o.clk;
+            const std::uint64_t changed = r.clk != other_clk;
+            r.clk = other_clk;
             if (counters_) {
                 // Same accounting as the generic path: children
                 // examined (0 or 1) + the root transplant.
@@ -466,31 +620,59 @@ TreeClock::monotoneCopy(const TreeClock &other)
 bool
 TreeClock::copyCheckMonotone(const TreeClock &other)
 {
-    if (lessThanOrEqual(other)) {
-        monotoneCopy(other);
-        return true;
-    }
-    if (counters_)
+    const bool monotone = lessThanOrEqual(other);
+    if (!monotone && counters_)
         counters_->deepCopies++;
-    deepCopy(other);
-    return false;
+    if (arena_ && other.arena_ == arena_ && &other != this &&
+        other.size() * kBytesPerSlot >= kShareMinBytes) {
+        shareFrom(other);
+        if (counters_) {
+            counters_->copies++;
+            counters_->dsWork++;
+        }
+        return monotone;
+    }
+    // A copy, like a share, moves no vector time of its own: the
+    // entries are the source's.
+    const std::uint64_t vt_work = counters_ ? counters_->vtWork : 0;
+    if (monotone)
+        monotoneCopy(other);
+    else
+        deepCopy(other);
+    if (counters_)
+        counters_->vtWork = vt_work;
+    return monotone;
 }
 
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    ensure(other.nodes_.size());
-    const std::size_t n = other.nodes_.size();
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
+    ensure(other.size());
+    const Node *src = other.records();
+    const std::size_t n = other.recordCount();
     std::uint64_t changed = 0;
     for (std::size_t i = 0; i < n; i++)
-        changed += nodes_[i].clk != other.nodes_[i].clk;
+        changed += nodes_[i].clk != src[i].clk;
     for (std::size_t i = n; i < nodes_.size(); i++)
         changed += nodes_[i].clk != 0;
+    // A sharing operand's root time is its own, not the record's.
+    const auto r = static_cast<std::size_t>(other.root_);
+    const bool patch_root = other.shared_ && other.root_ != kNoTid;
+    const Clk root_clk = other.localClk();
+    if (patch_root) {
+        changed -= nodes_[r].clk != src[r].clk;
+        changed += nodes_[r].clk != root_clk;
+    }
     // One bulk record copy, then absent records past the operand's
     // width.
-    std::copy(other.nodes_.begin(), other.nodes_.end(), nodes_.begin());
+    std::copy(src, src + n, nodes_.begin());
     std::fill(nodes_.begin() + static_cast<std::ptrdiff_t>(n),
               nodes_.end(), Node{});
+    if (patch_root)
+        nodes_[r].clk = root_clk;
     root_ = other.root_;
     if (counters_) {
         counters_->copies++;
@@ -512,9 +694,9 @@ TreeClock::toVector(std::size_t min_threads) const
             out[t] = get(static_cast<Tid>(t));
         return out;
     }
-    std::vector<Clk> out(std::max(nodes_.size(), min_threads), 0);
-    for (std::size_t i = 0; i < nodes_.size(); i++)
-        out[i] = nodes_[i].clk;
+    std::vector<Clk> out(std::max(size(), min_threads), 0);
+    for (std::size_t i = 0; i < size(); i++)
+        out[i] = rawGet(static_cast<Tid>(i));
     return out;
 }
 
@@ -522,7 +704,7 @@ std::size_t
 TreeClock::nodeCount() const
 {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < nodes_.size(); i++)
+    for (std::size_t i = 0; i < recordCount(); i++)
         n += hasThread(static_cast<Tid>(i));
     return n;
 }
@@ -562,6 +744,8 @@ TreeClock::childrenOf(Tid t) const
 std::string
 TreeClock::checkInvariants() const
 {
+    if (shared_)
+        return TreeClock(*this).checkInvariants();
     const std::size_t present = nodeCount();
     if (root_ == kNoTid) {
         if (present != 0)
@@ -645,6 +829,10 @@ TreeClock::parentColumn() const
 void
 TreeClock::serialize(ByteSink &out) const
 {
+    if (shared_) {
+        TreeClock(*this).serialize(out);
+        return;
+    }
     out.putI32(root_);
     out.putU64(fallbackCopies_);
     // One length-prefixed column per field of the six-array clock
@@ -672,6 +860,9 @@ TreeClock::deserialize(ByteSource &in)
     std::uint64_t fallback = 0;
     std::vector<Clk> clk, aclk;
     std::vector<Tid> parent, first_child, next_sib, prev_sib;
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
     if (!in.getI32(root) || !in.getU64(fallback) ||
         !in.getVec(clk) || !in.getVec(aclk) ||
         !in.getVec(parent) || !in.getVec(first_child) ||
@@ -732,6 +923,8 @@ TreeClock::deserialize(ByteSource &in)
 std::string
 TreeClock::toString() const
 {
+    if (shared_)
+        return TreeClock(*this).toString();
     if (root_ == kNoTid)
         return "(empty tree clock)\n";
     std::string out;

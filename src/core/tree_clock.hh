@@ -54,16 +54,33 @@
  * frame) keeps the parent's pre-join time for the indirect cut,
  * since the parent's record is already updated by then.
  *
- * Dense copies. MonotoneCopy gathers the operand's progressed nodes,
- * each with its operand parent, and only then decides how to move
- * them. When more than half of the clock's width
+ * Dense copies. MonotoneCopy — the lock copy — gathers the operand's
+ * progressed nodes, each with its operand parent, and only then
+ * decides how to move them. When more than half of the clock's width
  * (kDenseCopyDivisor) would be transplanted, relinking node by node
  * costs more than copying every record, so the copy finishes flat
  * with deepCopy (dsWork = examined + width, still within ~3× the
  * entries moved). Sparse copies — HB's lock copies, the case the
- * paper targets — keep the O(changed) relink. The stale
- * per-variable clocks of SHB and MAZ (last writes, read clocks) are
- * where the flat path pays.
+ * paper targets — keep the O(changed) relink.
+ *
+ * Shared copies. copyCheckMonotone is the per-variable copy (SHB's
+ * and MAZ's last-write clocks, MAZ's read clocks). Between two
+ * content-changing joins a thread clock changes only in its own
+ * entry, so instead of copying, the target shares a frozen copy of
+ * the source's records (frozen_pool.hh, held by the run's
+ * ScratchArena) and keeps the source's root time of its own. The
+ * source freezes itself — one flat record copy — only on the first
+ * share after a join, reset or copy changed it beyond its root.
+ * A sharing clock has no records of its own: every read but the
+ * root's goes to the frozen copy, including its operand side of a
+ * join, and any mutation but increment takes its own records first.
+ * Serialized, it is the standalone clock a copy would have left.
+ * Sources narrower than kShareMinBytes, and clocks without a common
+ * arena, are copied as the paper does. Either way copyCheckMonotone
+ * counts one copy with vtWork 0 — its entries are the source's — and
+ * a share dsWork 1: the accounting a resumed run, whose restored
+ * clocks share nothing, reproduces. A failed O(1) monotone test
+ * still counts deepCopies.
  *
  * Scratch ownership. The frame stack and the copy's gathered nodes
  * live in a ScratchArena (scratch_arena.hh): engines attach one
@@ -81,6 +98,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,8 +115,8 @@ namespace tc {
  *
  * Usage discipline (all asserted where affordable):
  *  - Thread clocks are built with the owning constructor; auxiliary
- *    clocks (locks, last-writes, per-thread reads) are default
- *    constructed and populated by monotoneCopy/copyCheckMonotone.
+ *    clocks are default constructed and populated by monotoneCopy
+ *    (locks) or copyCheckMonotone (last-writes, per-thread reads).
  *  - join(o) requires an initialized clock and must not be handed an
  *    operand claiming to know this clock's root thread beyond the
  *    root's own time ("a thread cannot learn its own future").
@@ -118,6 +136,15 @@ class TreeClock
     /** Init(t): thread clock rooted at (t, 0, ⊥). */
     explicit TreeClock(Tid owner, std::size_t capacity = 0);
 
+    /** A copy holds records of its own, even of a sharing clock;
+     * it keeps the wiring (counters, arena, id map). */
+    TreeClock(const TreeClock &other);
+    TreeClock(TreeClock &&other) noexcept;
+    TreeClock &operator=(const TreeClock &other);
+    TreeClock &operator=(TreeClock &&other) noexcept;
+    /** Stops sharing: the arena must still be alive. */
+    ~TreeClock();
+
     /** Attach a work-counter sink (nullptr detaches). Storage
      * already held is credited to the new sink's resident-byte
      * gauge; growth and release account incrementally from there
@@ -133,9 +160,10 @@ class TreeClock
     /**
      * Share a traversal scratch arena (nullptr reverts to the
      * private per-clock buffer). The arena must outlive this clock;
-     * see scratch_arena.hh for the ownership rules.
+     * see scratch_arena.hh for the ownership rules. Clocks of one
+     * arena share frozen copies (copyCheckMonotone).
      */
-    void setArena(ScratchArena *arena) { arena_ = arena; }
+    void setArena(ScratchArena *arena);
 
     /**
      * Attach the analysis-wide external-id map (nullptr detaches).
@@ -180,7 +208,9 @@ class TreeClock
     rawGet(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < nodes_.size() ? nodes_[i].clk : 0;
+        if (i < nodes_.size())
+            return nodes_[i].clk;
+        return shared_ ? sharedGet(t) : 0;
     }
 
     /** Root's thread id (kNoTid when empty). */
@@ -190,7 +220,10 @@ class TreeClock
     Clk
     localClk() const
     {
-        return root_ == kNoTid ? 0 : node(root_).clk;
+        const auto r = static_cast<std::size_t>(root_);
+        if (r < nodes_.size())
+            return nodes_[r].clk;
+        return shared_ ? sharedClk_ : 0;
     }
 
     bool empty() const { return root_ == kNoTid; }
@@ -237,10 +270,13 @@ class TreeClock
     void monotoneCopy(const TreeClock &other);
 
     /**
-     * CopyCheckMonotone (§5.1): O(1) monotonicity test, then either
-     * a sublinear MonotoneCopy or a linear deep copy. Returns true
-     * when the monotone (cheap) path was taken — SHB uses the false
-     * case as its write-read race witness.
+     * CopyCheckMonotone (§5.1), the per-variable copy: O(1)
+     * monotonicity test, then — between clocks of one arena, from a
+     * source of at least kShareMinBytes — a share of @p other's
+     * frozen records (see the file comment), else a sublinear
+     * MonotoneCopy or a linear deep copy. Returns the test's outcome
+     * and counts deepCopies when it fails — SHB uses the false case
+     * as its write-write race witness.
      */
     bool copyCheckMonotone(const TreeClock &other);
 
@@ -264,7 +300,11 @@ class TreeClock
     std::vector<Clk> toVector(std::size_t min_threads = 0) const;
 
     /** Number of addressable thread ids. */
-    std::size_t size() const { return nodes_.size(); }
+    std::size_t
+    size() const
+    {
+        return shared_ ? sharedWidth_ : nodes_.size();
+    }
 
     /** Number of threads present in the tree. O(k). */
     std::size_t nodeCount() const;
@@ -275,7 +315,7 @@ class TreeClock
     hasThread(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < nodes_.size() && nodes_[i].link != kAbsent;
+        return i < recordCount() && records()[i].link != kAbsent;
     }
     /** Parent thread of @p t's node (kNoTid for root/absent); walks
      * back over @p t's older siblings to the first child's tag. */
@@ -287,6 +327,9 @@ class TreeClock
     /** Safety-net deep copies taken by this instance (see class
      * comment); 0 under algorithm usage. */
     std::uint64_t fallbackCopies() const { return fallbackCopies_; }
+    /** Identity of the frozen copy this clock shares (nullptr while
+     * it holds records of its own): equal for clocks sharing one. */
+    const void *sharedCopy() const { return shared_; }
     /**
      * Validate all structural invariants: single root, consistent
      * parent-tag/sibling links, descending-aclk child lists,
@@ -310,7 +353,9 @@ class TreeClock
      * checks the parent column against the child lists, returning
      * false (and failing @p in, leaving this clock empty) on any
      * malformed input, so a corrupted snapshot can never produce a
-     * structurally broken clock.
+     * structurally broken clock. A sharing clock writes the records
+     * a copy would have left, so the layout is unchanged and a
+     * restored clock shares nothing.
      * @{ */
     void serialize(ByteSink &out) const;
     bool deserialize(ByteSource &in);
@@ -319,12 +364,18 @@ class TreeClock
     static constexpr const char *kName = "TC";
 
   private:
+    /** One thread's node; the default record is an absent thread. */
+    using Node = TreeNode;
+    static_assert(sizeof(Node) == 5 * sizeof(Clk),
+                  "node records are five packed 32-bit fields");
+    using Frozen = FrozenPool<Node>::Frozen;
+
     /** @name Node links
      * A record's `link` is its previous sibling (≥ 0), kNoTid for
      * the root, kAbsent for a thread never in the tree, or, for a
      * first child, the tag kParentTag - parent (≤ kParentTag).
      * @{ */
-    static constexpr Tid kAbsent = -2;
+    static constexpr Tid kAbsent = Node::kAbsent;
     static constexpr Tid kParentTag = -3;
     static constexpr Tid
     parentTag(Tid parent)
@@ -345,30 +396,57 @@ class TreeClock
     /**
      * Dense-copy cutover: a monotone copy that would transplant more
      * than width / kDenseCopyDivisor nodes finishes as a flat
-     * deepCopy. On the corpus one half ties one quarter on time and
-     * touches fewer entries; three quarters and never are slower
-     * (docs/ARCHITECTURE.md, Measured verdicts).
+     * deepCopy. Measured on the corpus when per-variable clocks
+     * still copied: one half tied one quarter on time and touched
+     * fewer entries; three quarters and never were slower
+     * (docs/ARCHITECTURE.md, Measured verdicts). It now serves lock
+     * copies only.
      */
     static constexpr std::size_t kDenseCopyDivisor = 2;
 
-    /** One thread's node; the default record is an absent thread. */
-    struct Node
+    /** The records this clock reads: its own, or the shared frozen
+     * copy's (whose root record holds a stale time). */
+    const Node *
+    records() const
     {
-        Clk clk = 0;             ///< timestamp (Get reads this)
-        Clk aclk = 0;            ///< attachment time
-        Tid firstChild = kNoTid; ///< head of child list
-        Tid nextSib = kNoTid;    ///< next sibling (smaller aclk)
-        Tid link = kAbsent;      ///< previous sibling or parent tag
-    };
-    static_assert(sizeof(Node) == 5 * sizeof(Clk),
-                  "node records are five packed 32-bit fields");
+        return shared_ ? shared_->records.data() : nodes_.data();
+    }
+    /** Number of records(); a shared copy's may trail size(). */
+    std::size_t
+    recordCount() const
+    {
+        return shared_ ? shared_->width : nodes_.size();
+    }
+    /** rawGet() of a sharing clock past its own records. */
+    Clk
+    sharedGet(Tid t) const
+    {
+        if (t == root_)
+            return sharedClk_;
+        const auto i = static_cast<std::size_t>(t);
+        return i < shared_->width ? shared_->records[i].clk : 0;
+    }
 
+    /** Mutable records: a mutation takes its own ones first. */
     Node &node(Tid t) { return nodes_[static_cast<std::size_t>(t)]; }
+    /** Read records; a sharing clock's root record holds a stale
+     * time (use localClk()). */
     const Node &
     node(Tid t) const
     {
-        return nodes_[static_cast<std::size_t>(t)];
+        return records()[static_cast<std::size_t>(t)];
     }
+
+    /** The records a standalone clock with this vector time and
+     * shape would hold. */
+    std::vector<Node> ownRecords() const;
+    /** Stop sharing and hold those records of its own. */
+    void materialize();
+    /** Drop the shared copy and this clock's pool buffer; the
+     * buffer's bytes leave the resident gauge when @p account. */
+    void unshare(bool account);
+    /** copyCheckMonotone between clocks of one arena. */
+    void shareFrom(const TreeClock &other);
 
     /** Grow to @p n slots; refuses widths past kMaxWidth. */
     void ensure(std::size_t n);
@@ -412,7 +490,15 @@ class TreeClock
     std::vector<Tid> parentColumn() const;
 
     /** Walk scratch: shared arena when attached, else private. */
-    ScratchArena &scratch() { return arena_ ? *arena_ : ownScratch_; }
+    ScratchArena &
+    scratch()
+    {
+        if (arena_)
+            return *arena_;
+        if (!ownScratch_)
+            ownScratch_ = std::make_unique<ScratchArena>();
+        return *ownScratch_;
+    }
 
     /** Bytes per addressable slot: one node record. */
     static constexpr std::uint64_t kBytesPerSlot = sizeof(Node);
@@ -431,18 +517,32 @@ class TreeClock
         }
     }
 
-    /** Node records indexed by thread id (see the file comment). */
+    /** Node records indexed by thread id (see the file comment);
+     * empty while the clock shares a frozen copy. */
     std::vector<Node> nodes_;
 
     Tid root_ = kNoTid;
+    /** Sharing: the root's time, which the frozen copy does not
+     * hold. */
+    Clk sharedClk_ = 0;
+    /** The frozen copy this clock shares, or nullptr. */
+    Frozen *shared_ = nullptr;
+    /** Sharing: size() — the width a copy would have left. */
+    std::uint32_t sharedWidth_ = 0;
     WorkCounters *counters_ = nullptr;
     ScratchArena *arena_ = nullptr;
     const ThreadIdMap *idMap_ = nullptr;
+    /** This clock's own frozen copy while Frozen::frozenFrom() says
+     * so (it is freed once no clock shares it); cleared when the
+     * records change beyond the root's time, and always null while
+     * the clock shares. */
+    mutable Frozen *frozen_ = nullptr;
     std::uint64_t fallbackCopies_ = 0;
     /** Bytes already credited to counters_ (resident-byte gauge). */
     std::uint64_t accounted_ = 0;
-    /** Fallback walk scratch when no arena is attached. */
-    ScratchArena ownScratch_;
+    /** Fallback walk scratch when no arena is attached, made on
+     * first use. */
+    std::unique_ptr<ScratchArena> ownScratch_;
 };
 
 } // namespace tc

@@ -1,10 +1,29 @@
 #include "core/vector_clock.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/assert.hh"
 
 namespace tc {
+
+namespace {
+
+/** dst ← dst ⊔ src over @p n entries; returns the entries changed. */
+std::uint64_t
+joinEntries(Clk *dst, const Clk *src, std::size_t n)
+{
+    std::uint64_t changed = 0;
+    for (std::size_t i = 0; i < n; i++) {
+        if (src[i] > dst[i]) {
+            dst[i] = src[i];
+            changed++;
+        }
+    }
+    return changed;
+}
+
+} // namespace
 
 VectorClock::VectorClock(Tid owner, std::size_t capacity)
     : owner_(owner)
@@ -12,6 +31,132 @@ VectorClock::VectorClock(Tid owner, std::size_t capacity)
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
     ensure(std::max<std::size_t>(capacity,
                                  static_cast<std::size_t>(owner) + 1));
+}
+
+VectorClock::VectorClock(const VectorClock &other)
+    : times_(other.ownEntries()), owner_(other.owner_),
+      counters_(other.counters_), arena_(other.arena_),
+      accounted_(other.shared_ ? times_.size() * sizeof(Clk)
+                               : other.accounted_)
+{
+}
+
+VectorClock::VectorClock(VectorClock &&other) noexcept
+    : times_(std::move(other.times_)), owner_(other.owner_),
+      sharedClk_(other.sharedClk_), shared_(other.shared_),
+      sharedWidth_(other.sharedWidth_),
+      sharedOwner_(other.sharedOwner_), counters_(other.counters_),
+      arena_(other.arena_), frozen_(other.frozen_),
+      accounted_(other.accounted_)
+{
+    other.times_.clear();
+    other.shared_ = nullptr;
+    other.frozen_ = nullptr;
+    other.accounted_ = 0;
+}
+
+VectorClock &
+VectorClock::operator=(const VectorClock &other)
+{
+    if (this != &other)
+        *this = VectorClock(other);
+    return *this;
+}
+
+VectorClock &
+VectorClock::operator=(VectorClock &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    if (shared_)
+        unshare(false);
+    times_ = std::move(other.times_);
+    owner_ = other.owner_;
+    sharedClk_ = other.sharedClk_;
+    shared_ = other.shared_;
+    counters_ = other.counters_;
+    arena_ = other.arena_;
+    frozen_ = other.frozen_;
+    accounted_ = other.accounted_;
+    sharedWidth_ = other.sharedWidth_;
+    sharedOwner_ = other.sharedOwner_;
+    other.times_.clear();
+    other.shared_ = nullptr;
+    other.frozen_ = nullptr;
+    other.accounted_ = 0;
+    return *this;
+}
+
+VectorClock::~VectorClock()
+{
+    if (shared_ && !arena_->vectorFrozen.discarding())
+        unshare(false);
+}
+
+void
+VectorClock::setArena(ScratchArena *arena)
+{
+    if (arena == arena_)
+        return;
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
+    arena_ = arena;
+}
+
+std::vector<Clk>
+VectorClock::ownEntries() const
+{
+    if (!shared_)
+        return times_;
+    std::vector<Clk> out(sharedWidth_, 0);
+    for (std::size_t i = 0; i < out.size(); i++)
+        out[i] = sharedGet(static_cast<Tid>(i));
+    return out;
+}
+
+void
+VectorClock::materialize()
+{
+    std::vector<Clk> own = ownEntries();
+    unshare(true);
+    times_ = std::move(own);
+    updateAccounting();
+}
+
+void
+VectorClock::unshare(bool account)
+{
+    FrozenPool<Clk> &pool = arena_->vectorFrozen;
+    pool.release(*shared_);
+    const std::size_t dropped = pool.dropBuffer();
+    if (account && counters_)
+        counters_->subClockBytes(dropped * sizeof(Clk));
+    shared_ = nullptr;
+}
+
+void
+VectorClock::shareFrom(const VectorClock &other)
+{
+    FrozenPool<Clk> &pool = arena_->vectorFrozen;
+    const std::size_t width = std::max(size(), other.size());
+    std::size_t allocated = 0;
+    if (!shared_) {
+        // The first share since this clock held entries of its own:
+        // they become its pool buffer (a restored clock's keep their
+        // credit), else a fresh one as wide as the source.
+        frozen_ = nullptr;
+        allocated = pool.addBuffer(times_, other.size());
+        accounted_ = 0;
+    }
+    std::size_t grown = 0;
+    shared_ = &pool.shareCopy(shared_, other.shared_, other.frozen_,
+                              other.times_, grown);
+    if (counters_ && allocated + grown != 0)
+        counters_->addClockBytes((allocated + grown) * sizeof(Clk));
+    sharedClk_ = other.localClk();
+    sharedWidth_ = static_cast<std::uint32_t>(width);
+    sharedOwner_ = other.shared_ ? other.sharedOwner_ : other.owner_;
 }
 
 void
@@ -23,9 +168,23 @@ VectorClock::ensure(std::size_t n)
     }
 }
 
+bool
+VectorClock::empty() const
+{
+    if (owner_ != kNoTid)
+        return false;
+    for (std::size_t i = 0; i < size(); i++)
+        if (get(static_cast<Tid>(i)) != 0)
+            return false;
+    return true;
+}
+
 void
 VectorClock::release()
 {
+    if (shared_)
+        unshare(true);
+    frozen_ = nullptr;
     if (counters_)
         counters_->subClockBytes(accounted_);
     accounted_ = 0;
@@ -38,6 +197,9 @@ VectorClock::increment(Clk delta)
 {
     TC_CHECK(owner_ != kNoTid,
              "increment() requires an owning thread clock");
+    if (shared_) [[unlikely]]
+        materialize();
+    // Only the owner's entry moves, so a frozen copy stays valid.
     times_[static_cast<std::size_t>(owner_)] += delta;
     if (counters_) {
         counters_->increments++;
@@ -49,35 +211,67 @@ VectorClock::increment(Clk delta)
 void
 VectorClock::join(const VectorClock &other)
 {
-    ensure(other.times_.size());
+    if (shared_)
+        materialize();
+    const std::size_t n = other.size();
+    ensure(n);
     std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < other.times_.size(); i++) {
-        if (other.times_[i] > times_[i]) {
-            times_[i] = other.times_[i];
+    if (other.shared_) {
+        // The frozen copy, except the source owner's entry, which is
+        // the operand's own.
+        const Frozen &f = *other.shared_;
+        const auto o = static_cast<std::size_t>(other.sharedOwner_);
+        if (o < f.width) {
+            changed = joinEntries(times_.data(), f.records.data(), o) +
+                      joinEntries(times_.data() + o + 1,
+                                  f.records.data() + o + 1,
+                                  f.width - o - 1);
+        } else {
+            changed = joinEntries(times_.data(), f.records.data(),
+                                  f.width);
+        }
+        if (o < n && other.sharedClk_ > times_[o]) {
+            times_[o] = other.sharedClk_;
             changed++;
         }
+    } else {
+        changed = joinEntries(times_.data(), other.times_.data(),
+                              other.times_.size());
     }
+    if (changed != 0)
+        frozen_ = nullptr;
     if (counters_) {
         counters_->joins++;
         counters_->vtWork += changed;
         // The flat join examines every entry of the operand
         // unconditionally; this is the Θ(k) the paper measures as
         // VCWork.
-        counters_->dsWork += other.times_.size();
+        counters_->dsWork += n;
     }
 }
 
 void
 VectorClock::copyFrom(const VectorClock &other)
 {
-    ensure(other.times_.size());
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
+    ensure(other.size());
     std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < times_.size(); i++) {
-        const Clk next =
-            i < other.times_.size() ? other.times_[i] : 0;
-        if (times_[i] != next) {
+    if (other.shared_) {
+        for (std::size_t i = 0; i < times_.size(); i++) {
+            const Clk next = other.get(static_cast<Tid>(i));
+            changed += times_[i] != next;
             times_[i] = next;
-            changed++;
+        }
+    } else {
+        for (std::size_t i = 0; i < times_.size(); i++) {
+            const Clk next =
+                i < other.times_.size() ? other.times_[i] : 0;
+            if (times_[i] != next) {
+                times_[i] = next;
+                changed++;
+            }
         }
     }
     if (counters_) {
@@ -87,20 +281,43 @@ VectorClock::copyFrom(const VectorClock &other)
     }
 }
 
+void
+VectorClock::copyCheckMonotone(const VectorClock &other)
+{
+    if (arena_ && other.arena_ == arena_ && &other != this &&
+        other.size() * sizeof(Clk) >= kShareMinBytes) {
+        shareFrom(other);
+        if (counters_) {
+            counters_->copies++;
+            counters_->dsWork++;
+        }
+        return;
+    }
+    // A copy, like a share, moves no vector time of its own: the
+    // entries are the source's.
+    const std::uint64_t vt_work = counters_ ? counters_->vtWork : 0;
+    copyFrom(other);
+    if (counters_)
+        counters_->vtWork = vt_work;
+}
+
 bool
 VectorClock::lessThanOrEqual(const VectorClock &other) const
 {
-    for (std::size_t i = 0; i < times_.size(); i++)
-        if (times_[i] > other.get(static_cast<Tid>(i)))
+    for (std::size_t i = 0; i < size(); i++) {
+        const auto t = static_cast<Tid>(i);
+        if (get(t) > other.get(t))
             return false;
+    }
     return true;
 }
 
 std::vector<Clk>
 VectorClock::toVector(std::size_t min_threads) const
 {
-    std::vector<Clk> out(std::max(times_.size(), min_threads), 0);
-    std::copy(times_.begin(), times_.end(), out.begin());
+    std::vector<Clk> out = ownEntries();
+    if (out.size() < min_threads)
+        out.resize(min_threads, 0);
     return out;
 }
 
@@ -108,12 +325,18 @@ void
 VectorClock::serialize(ByteSink &out) const
 {
     out.putI32(owner_);
-    out.putVec(times_);
+    if (shared_)
+        out.putVec(ownEntries());
+    else
+        out.putVec(times_);
 }
 
 bool
 VectorClock::deserialize(ByteSource &in)
 {
+    if (shared_)
+        materialize();
+    frozen_ = nullptr;
     Tid owner = kNoTid;
     std::vector<Clk> times;
     if (!in.getI32(owner) || !in.getVec(times))

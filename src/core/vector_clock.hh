@@ -3,6 +3,19 @@
  * The classic flat vector clock (paper §2.2) — the baseline data
  * structure tree clocks are measured against. Join, copy and
  * comparison are Θ(k); get and increment are O(1).
+ *
+ * monotoneCopy is the lock copy, a flat Θ(k) copy. copyCheckMonotone
+ * is the per-variable copy (SHB's and MAZ's last-write clocks, MAZ's
+ * read clocks) and, between clocks of one ScratchArena and from a
+ * source of at least kShareMinBytes, shares instead of copying,
+ * exactly as TreeClock does (tree_clock.hh, "Shared copies"): the
+ * target reads a frozen copy of the source's entries
+ * (frozen_pool.hh) and keeps the source owner's time of its own,
+ * and the source freezes itself — one flat copy — only on the first
+ * share after a join, copy or release changed it beyond its owner's
+ * entry. Shared or copied, it counts one copy with vtWork 0, a share
+ * dsWork 1; the vector clock has no O(1) monotone test, so it never
+ * counts deepCopies.
  */
 
 #ifndef TC_CORE_VECTOR_CLOCK_HH
@@ -11,6 +24,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/frozen_pool.hh"
+#include "core/scratch_arena.hh"
 #include "core/serial.hh"
 #include "core/work_counters.hh"
 #include "support/types.hh"
@@ -34,6 +49,15 @@ class VectorClock
     /** Thread clock for @p owner, pre-sized to @p capacity entries. */
     explicit VectorClock(Tid owner, std::size_t capacity = 0);
 
+    /** A copy holds entries of its own, even of a sharing clock; it
+     * keeps the wiring (counters, arena). */
+    VectorClock(const VectorClock &other);
+    VectorClock(VectorClock &&other) noexcept;
+    VectorClock &operator=(const VectorClock &other);
+    VectorClock &operator=(VectorClock &&other) noexcept;
+    /** Stops sharing: the arena must still be alive. */
+    ~VectorClock();
+
     /** Attach a work-counter sink (nullptr detaches). Storage
      * already held is credited to the new sink's resident-byte
      * gauge. */
@@ -45,6 +69,10 @@ class VectorClock
         updateAccounting();
     }
 
+    /** Share the analysis' arena (nullptr detaches): clocks of one
+     * arena share frozen copies. The arena must outlive this clock. */
+    void setArena(ScratchArena *arena);
+
     Tid ownerTid() const { return owner_; }
 
     /** Time of thread @p t (0 when unknown). O(1). */
@@ -52,23 +80,16 @@ class VectorClock
     get(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < times_.size() ? times_[i] : 0;
+        if (i < times_.size())
+            return times_[i];
+        return shared_ ? sharedGet(t) : 0;
     }
 
     /** Owner's own time. */
     Clk localClk() const { return get(owner_); }
 
     /** True when every entry is 0 and no owner was set. */
-    bool
-    empty() const
-    {
-        if (owner_ != kNoTid)
-            return false;
-        for (Clk c : times_)
-            if (c != 0)
-                return false;
-        return true;
-    }
+    bool empty() const;
 
     /** Bump the owner's entry by @p delta. */
     void increment(Clk delta);
@@ -80,17 +101,16 @@ class VectorClock
     void copyFrom(const VectorClock &other);
 
     /**
-     * For vector clocks a monotone copy has no cheaper
-     * implementation than a plain copy; provided so engines can be
-     * written against one clock interface.
+     * The lock copy. For vector clocks a monotone copy has no
+     * cheaper implementation than a plain copy; provided so engines
+     * can be written against one clock interface.
      */
     void monotoneCopy(const VectorClock &other) { copyFrom(other); }
 
-    /** Ditto (SHB's CopyCheckMonotone, §5.1). */
-    void copyCheckMonotone(const VectorClock &other)
-    {
-        copyFrom(other);
-    }
+    /** The per-variable copy (SHB's CopyCheckMonotone, §5.1): a
+     * share between clocks of one arena from a source of at least
+     * kShareMinBytes (see the file comment), else a plain copy. */
+    void copyCheckMonotone(const VectorClock &other);
 
     /** Ditto (TreeClock's linear fallback; a flat copy already is
      * one). */
@@ -123,13 +143,24 @@ class VectorClock
      */
     void release();
 
-    /** Number of stored entries. */
-    std::size_t size() const { return times_.size(); }
+    /** Number of entries (a sharing clock's: the width a copy would
+     * have left). */
+    std::size_t
+    size() const
+    {
+        return shared_ ? sharedWidth_ : times_.size();
+    }
+
+    /** Identity of the frozen copy this clock shares (nullptr while
+     * it holds entries of its own): equal for clocks sharing one.
+     * Tests and debugging. */
+    const void *sharedCopy() const { return shared_; }
 
     /** @name Checkpoint serialization (core/serial.hh)
-     * Logical state only (owner + entries); the counters sink is
-     * wiring and survives deserialize(). deserialize() returns
-     * false (failing @p in) on malformed input.
+     * Logical state only (owner + entries; a sharing clock writes
+     * the entries a copy would have left); the counters sink and
+     * arena are wiring and survive deserialize(). deserialize()
+     * returns false (failing @p in) on malformed input.
      * @{ */
     void serialize(ByteSink &out) const;
     bool deserialize(ByteSource &in);
@@ -138,7 +169,30 @@ class VectorClock
     static constexpr const char *kName = "VC";
 
   private:
+    using Frozen = FrozenPool<Clk>::Frozen;
+
     void ensure(std::size_t n);
+
+    /** get() of a sharing clock: the source owner's entry is this
+     * clock's, every other one the frozen copy's. */
+    Clk
+    sharedGet(Tid t) const
+    {
+        if (t == sharedOwner_)
+            return sharedClk_;
+        const auto i = static_cast<std::size_t>(t);
+        return i < shared_->width ? shared_->records[i] : 0;
+    }
+
+    /** The entries a standalone clock with this vector time holds. */
+    std::vector<Clk> ownEntries() const;
+    /** Stop sharing and hold those entries of its own. */
+    void materialize();
+    /** Drop the shared copy and this clock's pool buffer; the
+     * buffer's bytes leave the resident gauge when @p account. */
+    void unshare(bool account);
+    /** copyCheckMonotone between clocks of one arena. */
+    void shareFrom(const VectorClock &other);
 
     /** Sync the counter sink's resident-byte gauge with the current
      * entry count (growth-only; release() handles the shrink). */
@@ -154,9 +208,25 @@ class VectorClock
         }
     }
 
+    /** Entries by thread id; empty while the clock shares a frozen
+     * copy. */
     std::vector<Clk> times_;
     Tid owner_ = kNoTid;
+    /** Sharing: the source owner's time, which the frozen copy does
+     * not hold. */
+    Clk sharedClk_ = 0;
+    /** The frozen copy this clock shares, or nullptr. */
+    Frozen *shared_ = nullptr;
+    /** Sharing: size(). */
+    std::uint32_t sharedWidth_ = 0;
+    /** Sharing: the source's owner, whose entry is sharedClk_. */
+    Tid sharedOwner_ = kNoTid;
     WorkCounters *counters_ = nullptr;
+    ScratchArena *arena_ = nullptr;
+    /** This clock's own frozen copy while Frozen::frozenFrom() says
+     * so; cleared when an entry but the owner's changes, and always
+     * null while the clock shares. */
+    mutable Frozen *frozen_ = nullptr;
     /** Bytes already credited to counters_ (resident-byte gauge). */
     std::uint64_t accounted_ = 0;
 };

@@ -2,13 +2,25 @@
  * @file
  * Work accounting for the paper's §4 optimality study.
  *
- * - vtWork: number of vector-time entries whose *value* changed.
- *   This is VTWork(σ) when summed over a run — independent of the
- *   data structure (the tests assert VC and TC runs agree on it).
+ * - vtWork: number of vector-time entries whose *value* changed by
+ *   increments, joins and lock copies. This is VTWork(σ) when summed
+ *   over a run — independent of the data structure (the tests assert
+ *   VC and TC runs agree on static-membership traces). Per-variable
+ *   copies (copyCheckMonotone) count 0 whether they share or copy:
+ *   their entries are a thread clock's, and whether a copy shares
+ *   depends on the clock type's record size, so any other rule
+ *   would tell the two structures apart.
  * - dsWork: number of entries the data structure touched. For vector
  *   clocks this is Θ(k) per join/copy (VCWork); for tree clocks it is
  *   the traversal iterations plus updated nodes (TCWork), which
- *   Theorem 1 bounds by 3·VTWork.
+ *   Theorem 1 bounds by 3·VTWork for HB. A shared copy counts 1 on
+ *   both, and freezing a source for sharing counts nothing: the
+ *   accounting a resumed run, whose restored clocks share nothing,
+ *   reproduces.
+ *
+ * SHB and MAZ counters in snapshots written before per-variable
+ * clocks shared were accumulated with those copies counted as
+ * copies (docs/TRACE_FORMAT.md).
  */
 
 #ifndef TC_CORE_WORK_COUNTERS_HH
@@ -29,7 +41,9 @@ struct WorkCounters
     std::uint64_t increments = 0;
     std::uint64_t joins = 0;
     std::uint64_t copies = 0;
-    /** Deep copies taken by CopyCheckMonotone (the SHB race path). */
+    /** CopyCheckMonotone calls whose O(1) monotone test failed (the
+     * SHB write-write race witness; tree clocks only), whether they
+     * then deep-copied or shared. */
     std::uint64_t deepCopies = 0;
     /** Safety-net deep copies in MonotoneCopy (see TreeClock docs);
      * must stay 0 under HB/SHB/MAZ usage. */

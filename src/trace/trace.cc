@@ -189,27 +189,7 @@ Trace::Trace(Tid num_threads, LockId num_locks, VarId num_vars)
 void
 Trace::push(const Event &e)
 {
-    TC_CHECK(e.tid >= 0, "event thread id must be non-negative");
-    numThreads_ = std::max(numThreads_, e.tid + 1);
-    switch (e.op) {
-      case OpType::Read:
-      case OpType::Write:
-        numVars_ = std::max(numVars_, e.var() + 1);
-        break;
-      case OpType::Acquire:
-      case OpType::Release:
-        numLocks_ = std::max(numLocks_, e.lock() + 1);
-        break;
-      case OpType::Fork:
-      case OpType::Join:
-      case OpType::ThreadCreate:
-      case OpType::ThreadJoin:
-      case OpType::ThreadRetire:
-        numThreads_ = std::max(numThreads_, e.targetTid() + 1);
-        break;
-    }
-    hasLifecycle_ = hasLifecycle_ || e.isLifecycle();
-    events_.push_back(e);
+    append(&e, 1);
 }
 
 void
@@ -217,8 +197,12 @@ Trace::append(const Event *events, std::size_t n)
 {
     for (std::size_t i = 0; i < n; i++) {
         const Event &e = events[i];
-        TC_CHECK(e.tid >= 0,
-                 "event thread id must be non-negative");
+        // Every id an event names is one the readers accept, so the
+        // id spaces below (largest id + 1) fit the signed id types.
+        TC_CHECK(e.tid >= 0 &&
+                     static_cast<std::uint32_t>(e.tid) <= kMaxEventId &&
+                     e.target <= kMaxEventId,
+                 "event id out of range (0 .. 2^31-2)");
         numThreads_ = std::max(numThreads_, e.tid + 1);
         switch (e.op) {
           case OpType::Read:

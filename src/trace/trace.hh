@@ -292,10 +292,13 @@ class Trace
     /** sync(l) of the paper's examples: acq(l) directly followed by
      * rel(l). */
     void sync(Tid t, LockId l) { acquire(t, l); release(t, l); }
+    /** append(&e, 1). */
     void push(const Event &e);
     /** Append @p n already-decoded events in one insert — the bulk
-     * twin of push() for streaming loaders, folding the id-space
-     * maxima without a per-event push_back. */
+     * form of push() for streaming loaders, folding the id-space
+     * maxima without a per-event push_back. Every id an event names
+     * must lie in 0 .. kMaxEventId (2^31 − 2), the range the readers
+     * accept; TC_CHECK enforces it. */
     void append(const Event *events, std::size_t n);
     /** @} */
 

@@ -53,6 +53,39 @@ TEST(Trace, BuilderGrowsIdSpaces)
     EXPECT_EQ(t.size(), 3u);
 }
 
+TEST(Trace, BuilderAcceptsTheLargestReaderId)
+{
+    constexpr auto kLast = static_cast<Tid>(kMaxEventId);
+    Trace t;
+    t.read(kLast, static_cast<VarId>(kMaxEventId));
+    t.fork(0, kLast);
+    EXPECT_EQ(t.numThreads(), kLast + 1);
+    EXPECT_EQ(t.numVars(), static_cast<VarId>(kMaxEventId) + 1);
+}
+
+TEST(TraceDeathTest, BuilderRejectsIdsTheReadersReject)
+{
+    // 2^31 - 1 is one past kMaxEventId: its id space would not fit a
+    // signed 32-bit width.
+    constexpr Tid kPast = 0x7FFFFFFF;
+    const char *msg = "event id out of range";
+    EXPECT_DEATH({ Trace t; t.read(kPast, 0); }, msg);
+    EXPECT_DEATH({ Trace t; t.write(0, kPast); }, msg);
+    EXPECT_DEATH({ Trace t; t.acquire(0, kPast); }, msg);
+    EXPECT_DEATH({ Trace t; t.fork(0, kPast); }, msg);
+    EXPECT_DEATH({ Trace t; t.tcreate(0, kPast); }, msg);
+    // A variable id of 2^31 or more reads back as a negative VarId.
+    EXPECT_DEATH(
+        {
+            Trace t;
+            t.push(Event(0, OpType::Read, 0x80000000u));
+        },
+        msg);
+    const Event bulk[] = {Event(0, OpType::Read, 0),
+                          Event(1, OpType::Release, 0xFFFFFFFFu)};
+    EXPECT_DEATH({ Trace t; t.append(bulk, 2); }, msg);
+}
+
 TEST(Trace, LocalTimesCountPerThread)
 {
     Trace t;

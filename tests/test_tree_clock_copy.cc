@@ -5,13 +5,17 @@
  * (Figure 11): 16 events over 5 threads and 3 locks, asserting the
  * exact tree shapes the algorithm must produce after each step, and
  * the dense-copy cutover (flat copy once more than half the width
- * moves) pinned at its boundary and against vector clocks.
+ * moves) pinned at its boundary and against vector clocks, and the
+ * shared copies copyCheckMonotone makes between clocks of one arena.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
+#include "core/scratch_arena.hh"
+#include "core/serial.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 #include "support/rng.hh"
@@ -404,6 +408,176 @@ TEST(TreeClockCopy, StaleTargetSweepMatchesVectorClock)
         EXPECT_EQ(tc_threads[t].toVector(k),
                   vc_threads[t].toVector(k));
     }
+}
+
+/** Clocks sharing one arena and one counter set, as an engine's. */
+struct ShareRig
+{
+    /** Wide enough to share: 32 slots of 20 bytes (kShareMinBytes). */
+    static constexpr std::size_t kWidth = 32;
+
+    ScratchArena arena;
+    WorkCounters work;
+
+    void
+    wire(std::initializer_list<TreeClock *> clocks)
+    {
+        for (TreeClock *c : clocks) {
+            c->setArena(&arena);
+            c->setCounters(&work);
+        }
+    }
+
+    /** A kWidth-wide vector time starting with @p head. */
+    static std::vector<Clk>
+    vt(std::initializer_list<Clk> head)
+    {
+        std::vector<Clk> out(head);
+        out.resize(kWidth, 0);
+        return out;
+    }
+};
+
+TEST(TreeClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
+{
+    constexpr std::size_t k = ShareRig::kWidth;
+    ShareRig rig;
+    TreeClock t0(0, k), t1(1, k), t2(2, k);
+    TreeClock x, y, z;
+    rig.wire({&t0, &t1, &t2, &x, &y, &z});
+    t1.increment(4);
+    t0.increment(1);
+    t0.join(t1); // content change: t0 learns t1@4
+
+    EXPECT_TRUE(x.copyCheckMonotone(t0)); // t0@1
+    t0.increment(1);
+    const WorkCounters before = rig.work;
+    EXPECT_TRUE(y.copyCheckMonotone(t0)); // t0@2, same entries
+    // A share is one copy touching one entry and changing none.
+    EXPECT_EQ(rig.work.copies, before.copies + 1);
+    EXPECT_EQ(rig.work.dsWork, before.dsWork + 1);
+    EXPECT_EQ(rig.work.vtWork, before.vtWork);
+    EXPECT_NE(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.sharedCopy(), y.sharedCopy());
+    // Each reads its own owner time, not the owner's current one.
+    EXPECT_EQ(x.localClk(), 1u);
+    EXPECT_EQ(y.get(0), 2u);
+    EXPECT_EQ(x.toVector(k), ShareRig::vt({1, 4}));
+    EXPECT_EQ(y.toVector(k), ShareRig::vt({2, 4}));
+
+    // The owner's next content-changing join leaves both intact.
+    t1.increment(3);
+    t0.increment(1);
+    t0.join(t1); // t0@3 learns t1@7
+    EXPECT_EQ(x.toVector(k), ShareRig::vt({1, 4}));
+    EXPECT_EQ(y.toVector(k), ShareRig::vt({2, 4}));
+    EXPECT_EQ(x.checkInvariants(), "");
+    EXPECT_EQ(y.rootTid(), 0);
+    EXPECT_EQ(y.parentOf(1), 0);
+
+    // A copy taken after that join freezes t0 anew.
+    EXPECT_TRUE(z.copyCheckMonotone(t0));
+    EXPECT_NE(z.sharedCopy(), nullptr);
+    EXPECT_NE(z.sharedCopy(), x.sharedCopy());
+    EXPECT_EQ(z.toVector(k), ShareRig::vt({3, 7}));
+    EXPECT_EQ(x.get(1), 4u);
+
+    // A join whose operand shares reads it as of its copy.
+    t2.increment(1);
+    t2.join(y);
+    EXPECT_EQ(t2.toVector(k), ShareRig::vt({2, 4, 1}));
+    EXPECT_EQ(t2.checkInvariants(), "");
+
+    // Serialized, a sharing clock is the clock a copy leaves.
+    TreeClock copied;
+    copied.deepCopy(y);
+    ByteSink shared_bytes, copied_bytes;
+    y.serialize(shared_bytes);
+    copied.serialize(copied_bytes);
+    EXPECT_EQ(shared_bytes.bytes(), copied_bytes.bytes());
+}
+
+TEST(TreeClockShare, NarrowSourcesAreCopied)
+{
+    // Below kShareMinBytes a copy costs less than the state a share
+    // keeps; it counts like a share all the same.
+    ShareRig rig;
+    TreeClock t0(0, 8), lw;
+    rig.wire({&t0, &lw});
+    t0.increment(3);
+    const WorkCounters before = rig.work;
+    EXPECT_TRUE(lw.copyCheckMonotone(t0));
+    EXPECT_EQ(lw.sharedCopy(), nullptr);
+    EXPECT_EQ(lw.toVector(8), t0.toVector(8));
+    EXPECT_EQ(rig.work.copies, before.copies + 1);
+    EXPECT_EQ(rig.work.vtWork, before.vtWork);
+}
+
+TEST(TreeClockShare, FailedMonotoneTestCountsADeepCopyAndShares)
+{
+    ShareRig rig;
+    TreeClock c0(0, ShareRig::kWidth), c1(1, ShareRig::kWidth), lw;
+    rig.wire({&c0, &c1, &lw});
+    c0.increment(1);
+    lw.copyCheckMonotone(c0);
+    c1.increment(1);
+    EXPECT_FALSE(lw.copyCheckMonotone(c1)); // SHB's w-w witness
+    EXPECT_EQ(rig.work.deepCopies, 1u);
+    EXPECT_NE(lw.sharedCopy(), nullptr);
+    EXPECT_EQ(lw.rootTid(), 1);
+    EXPECT_EQ(lw.get(0), 0u);
+    EXPECT_EQ(lw.get(1), 1u);
+}
+
+TEST(TreeClockShare, MutationsTakeOwnRecordsFirst)
+{
+    constexpr std::size_t k = ShareRig::kWidth;
+    ShareRig rig;
+    TreeClock t0(0, k), t1(1, k), aux;
+    rig.wire({&t0, &t1, &aux});
+    t0.increment(2);
+    t1.increment(5);
+    aux.copyCheckMonotone(t0);
+    ASSERT_NE(aux.sharedCopy(), nullptr);
+    aux.join(t1); // a join into a sharing clock
+    EXPECT_EQ(aux.sharedCopy(), nullptr);
+    EXPECT_EQ(aux.toVector(k), ShareRig::vt({2, 5}));
+    EXPECT_EQ(aux.checkInvariants(), "");
+    // t0's frozen copy is gone with its last sharer: the next share
+    // freezes t0 again, into a free buffer.
+    aux.copyCheckMonotone(t0);
+    EXPECT_NE(aux.sharedCopy(), nullptr);
+    EXPECT_EQ(aux.toVector(k), ShareRig::vt({2}));
+    aux.monotoneCopy(t0);
+    EXPECT_EQ(aux.sharedCopy(), nullptr);
+    EXPECT_EQ(aux.toVector(k), ShareRig::vt({2}));
+}
+
+TEST(TreeClockShare, RestoredRecordsBecomeTheSharedBuffer)
+{
+    constexpr std::size_t k = ShareRig::kWidth;
+    ShareRig rig;
+    TreeClock t0(0, k), lw;
+    rig.wire({&t0, &lw});
+    t0.increment(1);
+    lw.copyCheckMonotone(t0);
+    ByteSink bytes;
+    lw.serialize(bytes);
+
+    // A resumed run's last-write clock: restored with records of
+    // its own, credited as it loads; its next share makes those its
+    // pool buffer instead of allocating one beside them.
+    TreeClock restored;
+    rig.wire({&restored});
+    ByteSource in(bytes.bytes());
+    ASSERT_TRUE(restored.deserialize(in));
+    EXPECT_EQ(restored.sharedCopy(), nullptr);
+    const std::uint64_t resident = rig.work.clockBytes;
+    t0.increment(1);
+    restored.copyCheckMonotone(t0);
+    EXPECT_NE(restored.sharedCopy(), nullptr);
+    EXPECT_EQ(rig.work.clockBytes, resident);
+    EXPECT_EQ(restored.toVector(k), t0.toVector(k));
 }
 
 TEST(TreeClockCopy, RootSwapBetweenEqualViews)

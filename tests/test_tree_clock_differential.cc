@@ -8,13 +8,23 @@
  * throughout. This pins the node-record storage, the dense-copy
  * cutover, the scratch-arena traversals and joinFull's unpruned
  * descent to the flat reference semantics, operation by operation.
+ *
+ * Every clock of a fleet shares one arena, so copyCheckMonotone
+ * shares frozen copies on both sides; the mix then joins those
+ * targets into thread clocks after their source moved on,
+ * overwrites them with monotoneCopy and deepCopy and round-trips
+ * them through serialize/deserialize, and the two fleets' work
+ * counters must agree on vtWork after every operation.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/scratch_arena.hh"
+#include "core/serial.hh"
 #include "core/tree_clock.hh"
 #include "core/vector_clock.hh"
 #include "support/rng.hh"
@@ -27,19 +37,31 @@ namespace {
 class MirrorFleet
 {
   public:
-    MirrorFleet(Tid threads, std::size_t locks, std::size_t aux)
+    /** @p capacity: initial clock width; a small one makes growth
+     * through ensure() part of what the run covers. */
+    MirrorFleet(Tid threads, std::size_t locks, std::size_t aux,
+                std::size_t capacity)
         : numThreads_(threads)
     {
         for (Tid t = 0; t < threads; t++) {
-            // Deliberately small initial capacity: growth through
-            // ensure() is part of what the differential run covers.
-            tc_.emplace_back(t, 1);
-            vc_.emplace_back(t, 1);
+            tc_.emplace_back(t, capacity);
+            vc_.emplace_back(t, capacity);
         }
         tcLocks_.resize(locks);
         vcLocks_.resize(locks);
         tcAux_.resize(aux);
         vcAux_.resize(aux);
+        auxSource_.assign(aux, kNoSource);
+        for (TreeClock &c : tc_)
+            wire(c);
+        for (VectorClock &c : vc_)
+            wire(c);
+        for (auto *fleet : {&tcLocks_, &tcAux_})
+            for (TreeClock &c : *fleet)
+                wire(c);
+        for (auto *fleet : {&vcLocks_, &vcAux_})
+            for (VectorClock &c : *fleet)
+                wire(c);
     }
 
     void
@@ -84,21 +106,92 @@ class MirrorFleet
                    full ? "thread-join-full" : "thread-join");
     }
 
-    /** SHB's CopyCheckMonotone into an auxiliary clock. */
+    /** SHB's CopyCheckMonotone into an auxiliary clock: a share. */
     void
     copyCheck(std::size_t a, std::size_t t)
     {
         tcAux_[a].copyCheckMonotone(tc_[t]);
         vcAux_[a].copyCheckMonotone(vc_[t]);
+        auxSource_[a] = t;
+        shares_ += tcAux_[a].sharedCopy() != nullptr;
+        shares_ += vcAux_[a].sharedCopy() != nullptr;
         checkClock(tcAux_[a], vcAux_[a], "copy-check-monotone");
     }
+
+    /** copyCheckMonotone calls that left their target sharing. */
+    std::uint64_t shares() const { return shares_; }
 
     void
     deepCopy(std::size_t a, std::size_t t)
     {
         tcAux_[a].deepCopy(tc_[t]);
         vcAux_[a].deepCopy(vc_[t]);
+        auxSource_[a] = t;
         checkClock(tcAux_[a], vcAux_[a], "deep-copy");
+    }
+
+    /** Join an auxiliary clock into thread @p t: a shared copy is
+     * read as of its copy, whatever its source did since. */
+    void
+    joinAux(std::size_t t, std::size_t a)
+    {
+        tc_[t].increment(1);
+        vc_[t].increment(1);
+        tc_[t].join(tcAux_[a]);
+        vc_[t].join(vcAux_[a]);
+        checkClock(tc_[t], vc_[t], "aux-join");
+        checkClock(tcAux_[a], vcAux_[a], "aux-join operand");
+    }
+
+    /** Overwrite an auxiliary clock with its source's current time
+     * through monotoneCopy (its precondition holds: thread clocks
+     * only grow). */
+    void
+    refreshAux(std::size_t a)
+    {
+        const std::size_t t = auxSource_[a];
+        if (t == kNoSource)
+            return;
+        tcAux_[a].monotoneCopy(tc_[t]);
+        vcAux_[a].monotoneCopy(vc_[t]);
+        checkClock(tcAux_[a], vcAux_[a], "aux-monotone-copy");
+    }
+
+    /** Serialize an auxiliary clock and restore it, into itself or
+     * into a fresh clock moved into its place. */
+    void
+    roundTripAux(std::size_t a, bool in_place)
+    {
+        ByteSink tbytes, vbytes;
+        tcAux_[a].serialize(tbytes);
+        vcAux_[a].serialize(vbytes);
+        ByteSource tin(tbytes.bytes()), vin(vbytes.bytes());
+        if (in_place) {
+            ASSERT_TRUE(tcAux_[a].deserialize(tin));
+            ASSERT_TRUE(vcAux_[a].deserialize(vin));
+        } else {
+            TreeClock tree;
+            VectorClock flat;
+            wire(tree);
+            wire(flat);
+            ASSERT_TRUE(tree.deserialize(tin));
+            ASSERT_TRUE(flat.deserialize(vin));
+            tcAux_[a] = std::move(tree);
+            vcAux_[a] = std::move(flat);
+        }
+        checkClock(tcAux_[a], vcAux_[a], "aux-round-trip");
+        // The restored clock serializes to the same bytes.
+        ByteSink again;
+        tcAux_[a].serialize(again);
+        ASSERT_EQ(again.bytes(), tbytes.bytes()) << "aux-round-trip";
+    }
+
+    /** Both fleets did the same vector-time work so far. */
+    void
+    checkWork(const char *where) const
+    {
+        ASSERT_EQ(tcWork_.vtWork, vcWork_.vtWork) << where;
+        ASSERT_EQ(tcWork_.copies, vcWork_.copies) << where;
     }
 
     void
@@ -113,6 +206,17 @@ class MirrorFleet
     }
 
   private:
+    static constexpr std::size_t kNoSource = ~std::size_t{0};
+
+    template <typename ClockT>
+    void
+    wire(ClockT &clock)
+    {
+        clock.setArena(&arena_);
+        clock.setCounters(std::is_same_v<ClockT, TreeClock> ? &tcWork_
+                                                             : &vcWork_);
+    }
+
     void
     checkClock(const TreeClock &tree, const VectorClock &flat,
                const char *where) const
@@ -123,27 +227,31 @@ class MirrorFleet
     }
 
     Tid numThreads_;
+    /** Declared before the clocks, which point into it. */
+    ScratchArena arena_;
+    WorkCounters tcWork_, vcWork_;
     std::vector<TreeClock> tc_;
     std::vector<VectorClock> vc_;
     std::vector<TreeClock> tcLocks_;
     std::vector<VectorClock> vcLocks_;
     std::vector<TreeClock> tcAux_;
     std::vector<VectorClock> vcAux_;
+    /** The thread each auxiliary clock was last copied from. */
+    std::vector<std::size_t> auxSource_;
+    std::uint64_t shares_ = 0;
 };
 
-TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
+/** Drive @p fleet through @p steps random operations. */
+void
+randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
+          std::size_t aux, int steps)
 {
-    const Tid threads = 11;
-    const std::size_t locks = 5;
-    const std::size_t aux = 3;
-    MirrorFleet fleet(threads, locks, aux);
-
     Rng rng(0xd1ffULL);
-    const int steps = 4000 * test::depthScale();
     for (int step = 0; step < steps; step++) {
         const auto t = static_cast<std::size_t>(
             rng.below(static_cast<std::uint64_t>(threads)));
-        const std::uint64_t op = rng.below(11);
+        const std::uint64_t op = rng.below(16);
+        const auto a = static_cast<std::size_t>(rng.below(aux));
         switch (op) {
           case 0:
           case 1:
@@ -167,18 +275,45 @@ TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
                 op == 10);
             break;
           case 8:
-            fleet.copyCheck(
-                static_cast<std::size_t>(rng.below(aux)), t);
+          case 11:
+            fleet.copyCheck(a, t);
             break;
           case 9:
-            fleet.deepCopy(
-                static_cast<std::size_t>(rng.below(aux)), t);
+            fleet.deepCopy(a, t);
+            break;
+          case 12:
+          case 13:
+            fleet.joinAux(t, a);
+            break;
+          case 14:
+            fleet.refreshAux(a);
+            break;
+          case 15:
+            fleet.roundTripAux(a, rng.below(2) == 0);
             break;
         }
+        if (!::testing::Test::HasFatalFailure())
+            fleet.checkWork("after the step");
         if (::testing::Test::HasFatalFailure())
             return;
     }
     fleet.checkAll();
+}
+
+TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
+{
+    // Narrow clocks grown from width 1: copyCheckMonotone copies.
+    MirrorFleet fleet(11, 5, 4, 1);
+    randomMix(fleet, 11, 5, 4, 4000 * test::depthScale());
+}
+
+TEST(TreeClockDifferential, SharedCopiesAgreeWithVectorClock)
+{
+    // 130 threads: both clock types are wide enough to share.
+    const Tid threads = 130;
+    MirrorFleet fleet(threads, 5, 6, static_cast<std::size_t>(threads));
+    randomMix(fleet, threads, 5, 6, 3000 * test::depthScale());
+    EXPECT_GT(fleet.shares(), 0u);
 }
 
 } // namespace

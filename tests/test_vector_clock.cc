@@ -1,11 +1,17 @@
 /**
  * @file
  * Vector clock baseline tests: the §2.2 operations plus work
- * accounting semantics.
+ * accounting semantics, and the shared copies copyCheckMonotone
+ * makes between clocks of one arena.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
+#include "core/scratch_arena.hh"
+#include "core/serial.hh"
 #include "core/vector_clock.hh"
 
 namespace tc {
@@ -115,6 +121,96 @@ TEST(VectorClock, WorkCountersCopy)
     lock.copyFrom(a);
     EXPECT_EQ(w.copies, 1u);
     EXPECT_EQ(w.vtWork, 2u); // increment + 1 changed entry
+}
+
+/** A @p k-wide vector time starting with @p head. */
+std::vector<Clk>
+vt(std::initializer_list<Clk> head, std::size_t k)
+{
+    std::vector<Clk> out(head);
+    out.resize(k, 0);
+    return out;
+}
+
+TEST(VectorClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
+{
+    // Wide enough to share: 128 entries of 4 bytes (kShareMinBytes).
+    constexpr std::size_t k = 128;
+    ScratchArena arena;
+    WorkCounters w;
+    VectorClock t0(0, k), t1(1, k), t2(2, k);
+    VectorClock x, y, z;
+    for (VectorClock *c : {&t0, &t1, &t2, &x, &y, &z}) {
+        c->setArena(&arena);
+        c->setCounters(&w);
+    }
+    t1.increment(4);
+    t0.increment(1);
+    t0.join(t1); // content change: t0 learns t1@4
+
+    x.copyCheckMonotone(t0); // t0@1
+    t0.increment(1);
+    const WorkCounters before = w;
+    y.copyCheckMonotone(t0); // t0@2, same entries
+    EXPECT_EQ(w.copies, before.copies + 1);
+    EXPECT_EQ(w.dsWork, before.dsWork + 1);
+    EXPECT_EQ(w.vtWork, before.vtWork);
+    EXPECT_EQ(w.deepCopies, 0u);
+    EXPECT_NE(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.sharedCopy(), y.sharedCopy());
+    EXPECT_EQ(x.get(0), 1u);
+    EXPECT_EQ(y.get(0), 2u);
+    EXPECT_EQ(x.toVector(k), vt({1, 4}, k));
+
+    // The owner's next content-changing join leaves both intact.
+    t1.increment(3);
+    t0.increment(1);
+    t0.join(t1); // t0@3 learns t1@7
+    EXPECT_EQ(x.toVector(k), vt({1, 4}, k));
+    EXPECT_EQ(y.toVector(k), vt({2, 4}, k));
+    EXPECT_TRUE(y.lessThanOrEqual(t0));
+    EXPECT_FALSE(t0.lessThanOrEqual(y));
+
+    // A copy taken after that join freezes t0 anew.
+    z.copyCheckMonotone(t0);
+    EXPECT_NE(z.sharedCopy(), nullptr);
+    EXPECT_NE(z.sharedCopy(), x.sharedCopy());
+    EXPECT_EQ(z.toVector(k), vt({3, 7}, k));
+
+    // A join whose operand shares reads it as of its copy; joining
+    // into a sharing clock takes its own entries first.
+    t2.increment(1);
+    t2.join(y);
+    EXPECT_EQ(t2.toVector(k), vt({2, 4, 1}, k));
+    x.join(t2);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.toVector(k), vt({2, 4, 1}, k));
+
+    // Serialized, a sharing clock is the clock a copy leaves.
+    VectorClock copied;
+    copied.copyFrom(y);
+    ByteSink shared_bytes, copied_bytes;
+    y.serialize(shared_bytes);
+    copied.serialize(copied_bytes);
+    EXPECT_EQ(shared_bytes.bytes(), copied_bytes.bytes());
+}
+
+TEST(VectorClockShare, NarrowSourcesAreCopied)
+{
+    ScratchArena arena;
+    WorkCounters w;
+    VectorClock t0(0, 64), lw;
+    for (VectorClock *c : {&t0, &lw}) {
+        c->setArena(&arena);
+        c->setCounters(&w);
+    }
+    t0.increment(3);
+    const WorkCounters before = w;
+    lw.copyCheckMonotone(t0); // 256 bytes: below kShareMinBytes
+    EXPECT_EQ(lw.sharedCopy(), nullptr);
+    EXPECT_EQ(lw.toVector(64), t0.toVector(64));
+    EXPECT_EQ(w.copies, before.copies + 1);
+    EXPECT_EQ(w.vtWork, before.vtWork);
 }
 
 TEST(VectorClock, ToVectorPadsToRequestedWidth)
