@@ -62,10 +62,6 @@ class AnalysisDriver
     AnalysisDriver(const AnalysisDriver &) = delete;
     AnalysisDriver &operator=(const AnalysisDriver &) = delete;
 
-    /** Every clock goes with the driver: none hands its frozen copy
-     * back one by one. */
-    ~AnalysisDriver() { arena_.discardFrozen(); }
-
     const EngineConfig &config() const { return cfg_; }
 
     /**
@@ -521,9 +517,6 @@ class AnalysisDriver
     void
     resetState()
     {
-        // Every clock goes: the frozen copies they share are freed
-        // in one pass afterwards.
-        arena_.discardFrozen();
         threads_.clear();
         local_.clear();
         rules_.clear();
@@ -532,7 +525,6 @@ class AnalysisDriver
         idMap_ = ThreadIdMap{};
         locks_.clear();
         policy_.reset();
-        arena_.resetFrozen();
         races_ = RaceSummary(0, cfg_.maxReports);
         eventsProcessed_ = 0;
         declaredThreads_ = 0;

@@ -91,22 +91,6 @@ struct ScratchArena
     FrozenPool<TreeNode> treeFrozen;
     /** Frozen vector-clock entries shared by per-variable clocks. */
     FrozenPool<Clk> vectorFrozen;
-
-    /** Every clock of this arena is about to be destroyed at once
-     * (FrozenPool::discard). */
-    void
-    discardFrozen()
-    {
-        treeFrozen.discard();
-        vectorFrozen.discard();
-    }
-    /** After those clocks are gone: free every frozen buffer. */
-    void
-    resetFrozen()
-    {
-        treeFrozen.reset();
-        vectorFrozen.reset();
-    }
 };
 
 } // namespace tc

@@ -1,12 +1,17 @@
 #include "core/tree_clock.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "support/assert.hh"
 #include "support/strings.hh"
 
 namespace tc {
+
+// Growing a vector of clocks must move them: a copy would make a
+// sharing clock take records of its own.
+static_assert(std::is_nothrow_move_constructible_v<TreeClock>);
 
 TreeClock::TreeClock(Tid owner, std::size_t capacity)
 {
@@ -17,150 +22,20 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
     node(owner).link = kNoTid;
 }
 
-TreeClock::TreeClock(const TreeClock &other)
-    : nodes_(other.shared_ ? other.ownRecords() : other.nodes_),
-      root_(other.root_), counters_(other.counters_),
-      arena_(other.arena_), idMap_(other.idMap_),
-      fallbackCopies_(other.fallbackCopies_),
-      accounted_(other.shared_ ? nodes_.size() * kBytesPerSlot
-                               : other.accounted_)
-{
-}
-
-TreeClock::TreeClock(TreeClock &&other) noexcept
-    : nodes_(std::move(other.nodes_)), root_(other.root_),
-      sharedClk_(other.sharedClk_), shared_(other.shared_),
-      sharedWidth_(other.sharedWidth_), counters_(other.counters_),
-      arena_(other.arena_), idMap_(other.idMap_),
-      frozen_(other.frozen_),
-      fallbackCopies_(other.fallbackCopies_),
-      accounted_(other.accounted_),
-      ownScratch_(std::move(other.ownScratch_))
-{
-    other.nodes_.clear();
-    other.root_ = kNoTid;
-    other.shared_ = nullptr;
-    other.frozen_ = nullptr;
-    other.accounted_ = 0;
-}
-
-TreeClock &
-TreeClock::operator=(const TreeClock &other)
-{
-    if (this != &other)
-        *this = TreeClock(other);
-    return *this;
-}
-
-TreeClock &
-TreeClock::operator=(TreeClock &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    if (shared_)
-        unshare(false);
-    nodes_ = std::move(other.nodes_);
-    root_ = other.root_;
-    sharedClk_ = other.sharedClk_;
-    shared_ = other.shared_;
-    sharedWidth_ = other.sharedWidth_;
-    counters_ = other.counters_;
-    arena_ = other.arena_;
-    idMap_ = other.idMap_;
-    frozen_ = other.frozen_;
-    fallbackCopies_ = other.fallbackCopies_;
-    accounted_ = other.accounted_;
-    ownScratch_ = std::move(other.ownScratch_);
-    other.nodes_.clear();
-    other.root_ = kNoTid;
-    other.shared_ = nullptr;
-    other.frozen_ = nullptr;
-    other.accounted_ = 0;
-    return *this;
-}
-
-TreeClock::~TreeClock()
-{
-    if (shared_ && !arena_->treeFrozen.discarding())
-        unshare(false);
-}
-
 void
 TreeClock::setArena(ScratchArena *arena)
 {
-    if (arena == arena_)
-        return;
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
+    nodes_.setPool(arena ? &arena->treeFrozen : nullptr, counters_);
     arena_ = arena;
-}
-
-std::vector<TreeClock::Node>
-TreeClock::ownRecords() const
-{
-    if (!shared_)
-        return nodes_;
-    const Node *src = shared_->records.data();
-    std::vector<Node> out(src, src + shared_->width);
-    out.resize(sharedWidth_);
-    if (root_ != kNoTid)
-        out[static_cast<std::size_t>(root_)].clk = sharedClk_;
-    return out;
-}
-
-void
-TreeClock::materialize()
-{
-    std::vector<Node> own = ownRecords();
-    unshare(true);
-    nodes_ = std::move(own);
-    updateAccounting();
-}
-
-void
-TreeClock::unshare(bool account)
-{
-    FrozenPool<Node> &pool = arena_->treeFrozen;
-    pool.release(*shared_);
-    const std::size_t dropped = pool.dropBuffer();
-    if (account && counters_)
-        counters_->subClockBytes(dropped * kBytesPerSlot);
-    shared_ = nullptr;
-}
-
-void
-TreeClock::shareFrom(const TreeClock &other)
-{
-    FrozenPool<Node> &pool = arena_->treeFrozen;
-    const std::size_t width = std::max(size(), other.size());
-    std::size_t allocated = 0;
-    if (!shared_) {
-        // The first share since this clock held records of its own:
-        // they become its pool buffer (a restored clock's keep their
-        // credit), else a fresh one as wide as the source.
-        frozen_ = nullptr;
-        allocated = pool.addBuffer(nodes_, other.size());
-        accounted_ = 0;
-    }
-    std::size_t grown = 0;
-    shared_ = &pool.shareCopy(shared_, other.shared_, other.frozen_,
-                              other.nodes_, grown);
-    if (counters_ && allocated + grown != 0)
-        counters_->addClockBytes((allocated + grown) * kBytesPerSlot);
-    sharedClk_ = other.localClk();
-    sharedWidth_ = static_cast<std::uint32_t>(width);
-    root_ = other.root_;
 }
 
 void
 TreeClock::ensure(std::size_t n)
 {
-    if (nodes_.size() < n) {
+    if (nodes_.own().size() < n) {
         TC_CHECK(n <= kMaxWidth,
                  "tree clock wider than its parent tags can encode");
-        nodes_.resize(n);
-        updateAccounting();
+        nodes_.grow(n, counters_);
     }
 }
 
@@ -168,10 +43,8 @@ void
 TreeClock::resetToRoot(Tid owner, Clk start)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
-    std::fill(nodes_.begin(), nodes_.end(), Node{});
+    std::vector<Node> &own = nodes_.change(counters_);
+    std::fill(own.begin(), own.end(), Node{});
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
     Node &r = node(owner);
@@ -185,8 +58,8 @@ TreeClock::increment(Clk delta)
     TC_CHECK(root_ != kNoTid,
              "increment() requires an initialized thread clock");
     // Only the root's time moves, so a frozen copy stays valid.
-    if (shared_) [[unlikely]]
-        sharedClk_ += delta;
+    if (nodes_.sharing()) [[unlikely]]
+        nodes_.bumpSharedTime(delta);
     else
         node(root_).clk += delta;
     if (counters_) {
@@ -271,7 +144,7 @@ TreeClock::gatherCopy(const TreeClock &other,
     // (unlinkGathered) is equivalent to unlinking each node as it is
     // met.
     const Node *theirs = other.records();
-    const Node *mine = nodes_.data();
+    const Node *mine = nodes_.own().data();
 
     // The level being scanned lives in locals: its operand parent,
     // our time of that parent, and the child at hand. Descending
@@ -281,7 +154,7 @@ TreeClock::gatherCopy(const TreeClock &other,
     Tid cur = theirs[static_cast<std::size_t>(parent)].firstChild;
     S.push_back({parent, kNoTid});
     frames.clear();
-    frames.reserve(other.recordCount());
+    frames.reserve(other.size());
     std::uint64_t scans = 0;
     while (true) {
         if (cur == kNoTid) {
@@ -344,7 +217,7 @@ TreeClock::attachNodes(const TreeClock &other,
     // attach first and pushChild's front insertion restores the
     // operand's child order.
     const Node *theirs = other.records();
-    Node *mine = nodes_.data();
+    Node *mine = nodes_.mut().data();
     std::uint64_t changed = 0;
     for (std::size_t idx = S.size(); idx-- > 0;) {
         const auto [t, parent] = S[idx];
@@ -390,9 +263,7 @@ TreeClock::joinImpl(const TreeClock &other)
     }
     TC_CHECK(other.rawGet(root_) <= localClk(),
              "join operand claims to know this thread's future");
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
+    nodes_.change(counters_);
     ensure(other.size());
 
     // Fast path: only the operand's root thread progressed. Its
@@ -432,7 +303,7 @@ TreeClock::joinImpl(const TreeClock &other)
     // already updated, which is why the level keeps the parent's
     // pre-join time (parent_before) for the indirect cut.
     const Node *theirs = other.records();
-    Node *mine = nodes_.data();
+    Node *mine = nodes_.mut().data();
     Node &zn = mine[static_cast<std::size_t>(z)];
     if (zn.link != kAbsent)
         detachFromParent(z);
@@ -443,7 +314,7 @@ TreeClock::joinImpl(const TreeClock &other)
     zn.clk = other_root_clk;
     std::vector<ScratchArena::Frame> &frames = scratch().frames;
     frames.clear();
-    frames.reserve(other.recordCount());
+    frames.reserve(other.size());
 
     std::uint64_t examined = 0;
     std::uint64_t transplanted = 1;
@@ -527,9 +398,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
                  "one violates this ⊑ other");
         return;
     }
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
+    nodes_.change(counters_);
     if (root_ == kNoTid) {
         // First population of an auxiliary clock: plain linear copy.
         deepCopy(other);
@@ -588,7 +457,7 @@ TreeClock::monotoneCopy(const TreeClock &other)
         return;
     }
 
-    if (S.size() > nodes_.size() / kDenseCopyDivisor) {
+    if (S.size() > nodes_.own().size() / kDenseCopyDivisor) {
         // Dense copy: most of the tree moves, so one flat copy of
         // every record beats relinking node by node. The vector time
         // and vtWork are the relink's (nodes outside S already hold
@@ -623,9 +492,9 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
     const bool monotone = lessThanOrEqual(other);
     if (!monotone && counters_)
         counters_->deepCopies++;
-    if (arena_ && other.arena_ == arena_ && &other != this &&
-        other.size() * kBytesPerSlot >= kShareMinBytes) {
-        shareFrom(other);
+    if (nodes_.canShare(other.nodes_)) {
+        nodes_.share(other.nodes_, other.root_, counters_);
+        root_ = other.root_;
         if (counters_) {
             counters_->copies++;
             counters_->dsWork++;
@@ -647,37 +516,37 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
+    nodes_.change(counters_);
     ensure(other.size());
+    std::vector<Node> &mine = nodes_.mut();
     const Node *src = other.records();
-    const std::size_t n = other.recordCount();
+    const std::size_t n = other.size();
     std::uint64_t changed = 0;
     for (std::size_t i = 0; i < n; i++)
-        changed += nodes_[i].clk != src[i].clk;
-    for (std::size_t i = n; i < nodes_.size(); i++)
-        changed += nodes_[i].clk != 0;
+        changed += mine[i].clk != src[i].clk;
+    for (std::size_t i = n; i < mine.size(); i++)
+        changed += mine[i].clk != 0;
     // A sharing operand's root time is its own, not the record's.
     const auto r = static_cast<std::size_t>(other.root_);
-    const bool patch_root = other.shared_ && other.root_ != kNoTid;
+    const bool patch_root =
+        other.nodes_.sharing() && other.root_ != kNoTid;
     const Clk root_clk = other.localClk();
     if (patch_root) {
-        changed -= nodes_[r].clk != src[r].clk;
-        changed += nodes_[r].clk != root_clk;
+        changed -= mine[r].clk != src[r].clk;
+        changed += mine[r].clk != root_clk;
     }
     // One bulk record copy, then absent records past the operand's
     // width.
-    std::copy(src, src + n, nodes_.begin());
-    std::fill(nodes_.begin() + static_cast<std::ptrdiff_t>(n),
-              nodes_.end(), Node{});
+    std::copy(src, src + n, mine.begin());
+    std::fill(mine.begin() + static_cast<std::ptrdiff_t>(n),
+              mine.end(), Node{});
     if (patch_root)
-        nodes_[r].clk = root_clk;
+        mine[r].clk = root_clk;
     root_ = other.root_;
     if (counters_) {
         counters_->copies++;
         counters_->vtWork += changed;
-        counters_->dsWork += nodes_.size();
+        counters_->dsWork += mine.size();
     }
 }
 
@@ -704,7 +573,7 @@ std::size_t
 TreeClock::nodeCount() const
 {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < recordCount(); i++)
+    for (std::size_t i = 0; i < size(); i++)
         n += hasThread(static_cast<Tid>(i));
     return n;
 }
@@ -744,7 +613,7 @@ TreeClock::childrenOf(Tid t) const
 std::string
 TreeClock::checkInvariants() const
 {
-    if (shared_)
+    if (nodes_.sharing())
         return TreeClock(*this).checkInvariants();
     const std::size_t present = nodeCount();
     if (root_ == kNoTid) {
@@ -761,7 +630,7 @@ TreeClock::checkInvariants() const
     // the descending-aclk child order on the way.
     std::vector<Tid> stack{root_};
     std::size_t reached = 0;
-    std::vector<bool> seen(nodes_.size(), false);
+    std::vector<bool> seen(nodes_.own().size(), false);
     while (!stack.empty()) {
         const Tid u = stack.back();
         stack.pop_back();
@@ -811,15 +680,16 @@ TreeClock::checkInvariants() const
 std::vector<Tid>
 TreeClock::parentColumn() const
 {
-    std::vector<Tid> parent(nodes_.size(), kAbsent);
+    const std::vector<Node> &own = nodes_.own();
+    std::vector<Tid> parent(own.size(), kAbsent);
     if (root_ != kNoTid)
         parent[static_cast<std::size_t>(root_)] = kNoTid;
-    for (std::size_t i = 0; i < nodes_.size(); i++) {
+    for (std::size_t i = 0; i < own.size(); i++) {
         // Only present nodes' child lists are links; an absent
         // record's are whatever a snapshot held.
-        if (nodes_[i].link == kAbsent)
+        if (own[i].link == kAbsent)
             continue;
-        for (Tid c = nodes_[i].firstChild; c != kNoTid;
+        for (Tid c = own[i].firstChild; c != kNoTid;
              c = node(c).nextSib)
             parent[static_cast<std::size_t>(c)] = static_cast<Tid>(i);
     }
@@ -829,7 +699,7 @@ TreeClock::parentColumn() const
 void
 TreeClock::serialize(ByteSink &out) const
 {
-    if (shared_) {
+    if (nodes_.sharing()) {
         TreeClock(*this).serialize(out);
         return;
     }
@@ -838,9 +708,10 @@ TreeClock::serialize(ByteSink &out) const
     // One length-prefixed column per field of the six-array clock
     // layout checkpoints keep, whatever the in-memory records hold:
     // parent and prevSib are rebuilt from the links.
+    const std::vector<Node> &own = nodes_.own();
     auto column = [&](auto value) {
-        out.putU64(nodes_.size());
-        for (const Node &n : nodes_) {
+        out.putU64(own.size());
+        for (const Node &n : own) {
             const auto v = value(n);
             out.putBytes(&v, sizeof(v));
         }
@@ -860,9 +731,6 @@ TreeClock::deserialize(ByteSource &in)
     std::uint64_t fallback = 0;
     std::vector<Clk> clk, aclk;
     std::vector<Tid> parent, first_child, next_sib, prev_sib;
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
     if (!in.getI32(root) || !in.getU64(fallback) ||
         !in.getVec(clk) || !in.getVec(aclk) ||
         !in.getVec(parent) || !in.getVec(first_child) ||
@@ -895,17 +763,17 @@ TreeClock::deserialize(ByteSource &in)
             return in.fail();
     }
 
-    root_ = root;
-    fallbackCopies_ = fallback;
-    nodes_.resize(n);
+    std::vector<Node> records(n);
     for (std::size_t i = 0; i < n; i++) {
         const Tid link = prev_sib[i] != kNoTid ? prev_sib[i]
                          : parent[i] < 0      ? parent[i]
                                               : parentTag(parent[i]);
-        nodes_[i] = Node{clk[i], aclk[i], first_child[i], next_sib[i],
-                         link};
+        records[i] = Node{clk[i], aclk[i], first_child[i], next_sib[i],
+                          link};
     }
-    updateAccounting();
+    root_ = root;
+    fallbackCopies_ = fallback;
+    nodes_.assign(std::move(records), counters_);
     // checkInvariants() follows the links, which carry every prevSib
     // entry and a first child's parent. A non-first child's parent
     // entry is in no record, so check the column against the child
@@ -914,7 +782,7 @@ TreeClock::deserialize(ByteSource &in)
         // Leave a rejected clock empty rather than structurally
         // broken; the configured sinks stay attached.
         root_ = kNoTid;
-        nodes_.clear();
+        nodes_.assign({}, counters_);
         return in.fail();
     }
     return true;
@@ -923,7 +791,7 @@ TreeClock::deserialize(ByteSource &in)
 std::string
 TreeClock::toString() const
 {
-    if (shared_)
+    if (nodes_.sharing())
         return TreeClock(*this).toString();
     if (root_ == kNoTid)
         return "(empty tree clock)\n";

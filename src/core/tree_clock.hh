@@ -70,24 +70,25 @@
  * the source's records (frozen_pool.hh, held by the run's
  * ScratchArena) and keeps the source's root time of its own. The
  * source freezes itself — one flat record copy — only on the first
- * share after a join, reset or copy changed it beyond its root.
- * A sharing clock has no records of its own: every read but the
- * root's goes to the frozen copy, including its operand side of a
- * join, and any mutation but increment takes its own records first.
- * Serialized, it is the standalone clock a copy would have left.
- * Sources narrower than kShareMinBytes, and clocks without a common
- * arena, are copied as the paper does. Either way copyCheckMonotone
- * counts one copy with vtWork 0 — its entries are the source's — and
- * a share dsWork 1: the accounting a resumed run, whose restored
- * clocks share nothing, reproduces. A failed O(1) monotone test
- * still counts deepCopies.
+ * share after a join, reset or copy changed it beyond its root; a
+ * source that itself shares passes its copy on. A sharing clock has
+ * no records of its own: every read but the root's goes to the
+ * frozen copy, including its operand side of a join, and any
+ * mutation but increment takes its own records first. Serialized,
+ * it is the standalone clock a copy would have left. Sources
+ * narrower than kShareMinBytes or than the target, and clocks
+ * without a common arena, are copied as the paper does. Either way
+ * copyCheckMonotone counts one copy with vtWork 0 — its entries are
+ * the source's — and a share dsWork 1: the accounting a resumed run,
+ * whose restored clocks share nothing, reproduces. A failed O(1)
+ * monotone test still counts deepCopies.
  *
  * Scratch ownership. The frame stack and the copy's gathered nodes
  * live in a ScratchArena (scratch_arena.hh): engines attach one
  * shared arena to all their clocks via setArena(); a clock without
- * an arena uses a private per-instance one. Either way the buffers
- * are reused across operations, so steady-state join/copy never
- * allocates. There is deliberately no process-global or
+ * an arena makes a private one on its first walk. Either way the
+ * buffers are reused across operations, so steady-state join/copy
+ * never allocates. There is deliberately no process-global or
  * thread_local scratch: clocks of unrelated analyses share no
  * mutable state.
  */
@@ -136,15 +137,6 @@ class TreeClock
     /** Init(t): thread clock rooted at (t, 0, ⊥). */
     explicit TreeClock(Tid owner, std::size_t capacity = 0);
 
-    /** A copy holds records of its own, even of a sharing clock;
-     * it keeps the wiring (counters, arena, id map). */
-    TreeClock(const TreeClock &other);
-    TreeClock(TreeClock &&other) noexcept;
-    TreeClock &operator=(const TreeClock &other);
-    TreeClock &operator=(TreeClock &&other) noexcept;
-    /** Stops sharing: the arena must still be alive. */
-    ~TreeClock();
-
     /** Attach a work-counter sink (nullptr detaches). Storage
      * already held is credited to the new sink's resident-byte
      * gauge; growth and release account incrementally from there
@@ -153,8 +145,7 @@ class TreeClock
     setCounters(WorkCounters *counters)
     {
         counters_ = counters;
-        accounted_ = 0;
-        updateAccounting();
+        nodes_.recredit(counters);
     }
 
     /**
@@ -208,23 +199,17 @@ class TreeClock
     rawGet(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        if (i < nodes_.size())
-            return nodes_[i].clk;
-        return shared_ ? sharedGet(t) : 0;
+        const std::vector<Node> &own = nodes_.own();
+        if (i < own.size())
+            return own[i].clk;
+        return nodes_.sharedTime(t);
     }
 
     /** Root's thread id (kNoTid when empty). */
     Tid rootTid() const { return root_; }
 
     /** Root's own time (the owner's local clock for thread clocks). */
-    Clk
-    localClk() const
-    {
-        const auto r = static_cast<std::size_t>(root_);
-        if (r < nodes_.size())
-            return nodes_[r].clk;
-        return shared_ ? sharedClk_ : 0;
-    }
+    Clk localClk() const { return rawGet(root_); }
 
     bool empty() const { return root_ == kNoTid; }
 
@@ -300,11 +285,7 @@ class TreeClock
     std::vector<Clk> toVector(std::size_t min_threads = 0) const;
 
     /** Number of addressable thread ids. */
-    std::size_t
-    size() const
-    {
-        return shared_ ? sharedWidth_ : nodes_.size();
-    }
+    std::size_t size() const { return nodes_.size(); }
 
     /** Number of threads present in the tree. O(k). */
     std::size_t nodeCount() const;
@@ -315,7 +296,7 @@ class TreeClock
     hasThread(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        return i < recordCount() && records()[i].link != kAbsent;
+        return i < size() && records()[i].link != kAbsent;
     }
     /** Parent thread of @p t's node (kNoTid for root/absent); walks
      * back over @p t's older siblings to the first child's tag. */
@@ -329,7 +310,7 @@ class TreeClock
     std::uint64_t fallbackCopies() const { return fallbackCopies_; }
     /** Identity of the frozen copy this clock shares (nullptr while
      * it holds records of its own): equal for clocks sharing one. */
-    const void *sharedCopy() const { return shared_; }
+    const void *sharedCopy() const { return nodes_.sharedCopy(); }
     /**
      * Validate all structural invariants: single root, consistent
      * parent-tag/sibling links, descending-aclk child lists,
@@ -368,7 +349,6 @@ class TreeClock
     using Node = TreeNode;
     static_assert(sizeof(Node) == 5 * sizeof(Clk),
                   "node records are five packed 32-bit fields");
-    using Frozen = FrozenPool<Node>::Frozen;
 
     /** @name Node links
      * A record's `link` is its previous sibling (≥ 0), kNoTid for
@@ -404,31 +384,16 @@ class TreeClock
      */
     static constexpr std::size_t kDenseCopyDivisor = 2;
 
-    /** The records this clock reads: its own, or the shared frozen
-     * copy's (whose root record holds a stale time). */
-    const Node *
-    records() const
-    {
-        return shared_ ? shared_->records.data() : nodes_.data();
-    }
-    /** Number of records(); a shared copy's may trail size(). */
-    std::size_t
-    recordCount() const
-    {
-        return shared_ ? shared_->width : nodes_.size();
-    }
-    /** rawGet() of a sharing clock past its own records. */
-    Clk
-    sharedGet(Tid t) const
-    {
-        if (t == root_)
-            return sharedClk_;
-        const auto i = static_cast<std::size_t>(t);
-        return i < shared_->width ? shared_->records[i].clk : 0;
-    }
+    /** The size() records this clock reads: its own, or the shared
+     * frozen copy's (whose root record holds a stale time). */
+    const Node *records() const { return nodes_.data(); }
 
     /** Mutable records: a mutation takes its own ones first. */
-    Node &node(Tid t) { return nodes_[static_cast<std::size_t>(t)]; }
+    Node &
+    node(Tid t)
+    {
+        return nodes_.mut()[static_cast<std::size_t>(t)];
+    }
     /** Read records; a sharing clock's root record holds a stale
      * time (use localClk()). */
     const Node &
@@ -436,17 +401,6 @@ class TreeClock
     {
         return records()[static_cast<std::size_t>(t)];
     }
-
-    /** The records a standalone clock with this vector time and
-     * shape would hold. */
-    std::vector<Node> ownRecords() const;
-    /** Stop sharing and hold those records of its own. */
-    void materialize();
-    /** Drop the shared copy and this clock's pool buffer; the
-     * buffer's bytes leave the resident gauge when @p account. */
-    void unshare(bool account);
-    /** copyCheckMonotone between clocks of one arena. */
-    void shareFrom(const TreeClock &other);
 
     /** Grow to @p n slots; refuses widths past kMaxWidth. */
     void ensure(std::size_t n);
@@ -489,60 +443,40 @@ class TreeClock
      * lists. */
     std::vector<Tid> parentColumn() const;
 
+    /** Fallback walk scratch for a clock without an arena, made on
+     * first use; a copy starts without one. */
+    struct OwnScratch
+    {
+        std::unique_ptr<ScratchArena> arena;
+
+        OwnScratch() = default;
+        OwnScratch(const OwnScratch &) {}
+        OwnScratch(OwnScratch &&) noexcept = default;
+        OwnScratch &operator=(const OwnScratch &) { return *this; }
+        OwnScratch &operator=(OwnScratch &&) noexcept = default;
+    };
+
     /** Walk scratch: shared arena when attached, else private. */
     ScratchArena &
     scratch()
     {
         if (arena_)
             return *arena_;
-        if (!ownScratch_)
-            ownScratch_ = std::make_unique<ScratchArena>();
-        return *ownScratch_;
+        if (!ownScratch_.arena)
+            ownScratch_.arena = std::make_unique<ScratchArena>();
+        return *ownScratch_.arena;
     }
 
-    /** Bytes per addressable slot: one node record. */
-    static constexpr std::uint64_t kBytesPerSlot = sizeof(Node);
-
-    /** Sync the counter sink's resident-byte gauge with the current
-     * array size (growth-only; shrinking never happens). */
-    void
-    updateAccounting()
-    {
-        if (!counters_)
-            return;
-        const std::uint64_t now = nodes_.size() * kBytesPerSlot;
-        if (now > accounted_) {
-            counters_->addClockBytes(now - accounted_);
-            accounted_ = now;
-        }
-    }
-
-    /** Node records indexed by thread id (see the file comment);
-     * empty while the clock shares a frozen copy. */
-    std::vector<Node> nodes_;
+    /** Node records indexed by thread id (see the file comment), or
+     * the frozen copy this clock shares (frozen_pool.hh). */
+    SharedRecords<Node> nodes_;
 
     Tid root_ = kNoTid;
-    /** Sharing: the root's time, which the frozen copy does not
-     * hold. */
-    Clk sharedClk_ = 0;
-    /** The frozen copy this clock shares, or nullptr. */
-    Frozen *shared_ = nullptr;
-    /** Sharing: size() — the width a copy would have left. */
-    std::uint32_t sharedWidth_ = 0;
     WorkCounters *counters_ = nullptr;
     ScratchArena *arena_ = nullptr;
     const ThreadIdMap *idMap_ = nullptr;
-    /** This clock's own frozen copy while Frozen::frozenFrom() says
-     * so (it is freed once no clock shares it); cleared when the
-     * records change beyond the root's time, and always null while
-     * the clock shares. */
-    mutable Frozen *frozen_ = nullptr;
     std::uint64_t fallbackCopies_ = 0;
-    /** Bytes already credited to counters_ (resident-byte gauge). */
-    std::uint64_t accounted_ = 0;
-    /** Fallback walk scratch when no arena is attached, made on
-     * first use. */
-    std::unique_ptr<ScratchArena> ownScratch_;
+    OwnScratch ownScratch_;
 };
 
 } // namespace tc

@@ -1,11 +1,16 @@
 #include "core/vector_clock.hh"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "support/assert.hh"
 
 namespace tc {
+
+// Growing a vector of clocks must move them: a copy would make a
+// sharing clock take records of its own.
+static_assert(std::is_nothrow_move_constructible_v<VectorClock>);
 
 namespace {
 
@@ -29,143 +34,9 @@ VectorClock::VectorClock(Tid owner, std::size_t capacity)
     : owner_(owner)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
-    ensure(std::max<std::size_t>(capacity,
-                                 static_cast<std::size_t>(owner) + 1));
-}
-
-VectorClock::VectorClock(const VectorClock &other)
-    : times_(other.ownEntries()), owner_(other.owner_),
-      counters_(other.counters_), arena_(other.arena_),
-      accounted_(other.shared_ ? times_.size() * sizeof(Clk)
-                               : other.accounted_)
-{
-}
-
-VectorClock::VectorClock(VectorClock &&other) noexcept
-    : times_(std::move(other.times_)), owner_(other.owner_),
-      sharedClk_(other.sharedClk_), shared_(other.shared_),
-      sharedWidth_(other.sharedWidth_),
-      sharedOwner_(other.sharedOwner_), counters_(other.counters_),
-      arena_(other.arena_), frozen_(other.frozen_),
-      accounted_(other.accounted_)
-{
-    other.times_.clear();
-    other.shared_ = nullptr;
-    other.frozen_ = nullptr;
-    other.accounted_ = 0;
-}
-
-VectorClock &
-VectorClock::operator=(const VectorClock &other)
-{
-    if (this != &other)
-        *this = VectorClock(other);
-    return *this;
-}
-
-VectorClock &
-VectorClock::operator=(VectorClock &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    if (shared_)
-        unshare(false);
-    times_ = std::move(other.times_);
-    owner_ = other.owner_;
-    sharedClk_ = other.sharedClk_;
-    shared_ = other.shared_;
-    counters_ = other.counters_;
-    arena_ = other.arena_;
-    frozen_ = other.frozen_;
-    accounted_ = other.accounted_;
-    sharedWidth_ = other.sharedWidth_;
-    sharedOwner_ = other.sharedOwner_;
-    other.times_.clear();
-    other.shared_ = nullptr;
-    other.frozen_ = nullptr;
-    other.accounted_ = 0;
-    return *this;
-}
-
-VectorClock::~VectorClock()
-{
-    if (shared_ && !arena_->vectorFrozen.discarding())
-        unshare(false);
-}
-
-void
-VectorClock::setArena(ScratchArena *arena)
-{
-    if (arena == arena_)
-        return;
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
-    arena_ = arena;
-}
-
-std::vector<Clk>
-VectorClock::ownEntries() const
-{
-    if (!shared_)
-        return times_;
-    std::vector<Clk> out(sharedWidth_, 0);
-    for (std::size_t i = 0; i < out.size(); i++)
-        out[i] = sharedGet(static_cast<Tid>(i));
-    return out;
-}
-
-void
-VectorClock::materialize()
-{
-    std::vector<Clk> own = ownEntries();
-    unshare(true);
-    times_ = std::move(own);
-    updateAccounting();
-}
-
-void
-VectorClock::unshare(bool account)
-{
-    FrozenPool<Clk> &pool = arena_->vectorFrozen;
-    pool.release(*shared_);
-    const std::size_t dropped = pool.dropBuffer();
-    if (account && counters_)
-        counters_->subClockBytes(dropped * sizeof(Clk));
-    shared_ = nullptr;
-}
-
-void
-VectorClock::shareFrom(const VectorClock &other)
-{
-    FrozenPool<Clk> &pool = arena_->vectorFrozen;
-    const std::size_t width = std::max(size(), other.size());
-    std::size_t allocated = 0;
-    if (!shared_) {
-        // The first share since this clock held entries of its own:
-        // they become its pool buffer (a restored clock's keep their
-        // credit), else a fresh one as wide as the source.
-        frozen_ = nullptr;
-        allocated = pool.addBuffer(times_, other.size());
-        accounted_ = 0;
-    }
-    std::size_t grown = 0;
-    shared_ = &pool.shareCopy(shared_, other.shared_, other.frozen_,
-                              other.times_, grown);
-    if (counters_ && allocated + grown != 0)
-        counters_->addClockBytes((allocated + grown) * sizeof(Clk));
-    sharedClk_ = other.localClk();
-    sharedWidth_ = static_cast<std::uint32_t>(width);
-    sharedOwner_ = other.shared_ ? other.sharedOwner_ : other.owner_;
-}
-
-void
-VectorClock::ensure(std::size_t n)
-{
-    if (times_.size() < n) {
-        times_.resize(n, 0);
-        updateAccounting();
-    }
+    times_.grow(std::max<std::size_t>(capacity,
+                                      static_cast<std::size_t>(owner) + 1),
+                counters_);
 }
 
 bool
@@ -180,27 +51,12 @@ VectorClock::empty() const
 }
 
 void
-VectorClock::release()
-{
-    if (shared_)
-        unshare(true);
-    frozen_ = nullptr;
-    if (counters_)
-        counters_->subClockBytes(accounted_);
-    accounted_ = 0;
-    times_.clear();
-    times_.shrink_to_fit();
-}
-
-void
 VectorClock::increment(Clk delta)
 {
     TC_CHECK(owner_ != kNoTid,
              "increment() requires an owning thread clock");
-    if (shared_) [[unlikely]]
-        materialize();
     // Only the owner's entry moves, so a frozen copy stays valid.
-    times_[static_cast<std::size_t>(owner_)] += delta;
+    times_.take(counters_)[static_cast<std::size_t>(owner_)] += delta;
     if (counters_) {
         counters_->increments++;
         counters_->vtWork++;
@@ -211,35 +67,33 @@ VectorClock::increment(Clk delta)
 void
 VectorClock::join(const VectorClock &other)
 {
-    if (shared_)
-        materialize();
     const std::size_t n = other.size();
-    ensure(n);
+    times_.grow(n, counters_);
+    Clk *mine = times_.mut().data();
     std::uint64_t changed = 0;
-    if (other.shared_) {
+    if (other.times_.sharing()) {
         // The frozen copy, except the source owner's entry, which is
         // the operand's own.
-        const Frozen &f = *other.shared_;
-        const auto o = static_cast<std::size_t>(other.sharedOwner_);
-        if (o < f.width) {
-            changed = joinEntries(times_.data(), f.records.data(), o) +
-                      joinEntries(times_.data() + o + 1,
-                                  f.records.data() + o + 1,
-                                  f.width - o - 1);
+        const Clk *src = other.times_.data();
+        const Tid owner = other.times_.sharedOwner();
+        const auto o = static_cast<std::size_t>(owner);
+        if (owner != kNoTid && o < n) {
+            changed = joinEntries(mine, src, o) +
+                      joinEntries(mine + o + 1, src + o + 1, n - o - 1);
+            const Clk clk = other.times_.sharedTime(owner);
+            if (clk > mine[o]) {
+                mine[o] = clk;
+                changed++;
+            }
         } else {
-            changed = joinEntries(times_.data(), f.records.data(),
-                                  f.width);
-        }
-        if (o < n && other.sharedClk_ > times_[o]) {
-            times_[o] = other.sharedClk_;
-            changed++;
+            changed = joinEntries(mine, src, n);
         }
     } else {
-        changed = joinEntries(times_.data(), other.times_.data(),
-                              other.times_.size());
+        const std::vector<Clk> &src = other.times_.own();
+        changed = joinEntries(mine, src.data(), src.size());
     }
     if (changed != 0)
-        frozen_ = nullptr;
+        times_.forget();
     if (counters_) {
         counters_->joins++;
         counters_->vtWork += changed;
@@ -250,43 +104,48 @@ VectorClock::join(const VectorClock &other)
     }
 }
 
-void
-VectorClock::copyFrom(const VectorClock &other)
+std::uint64_t
+VectorClock::assignFrom(const VectorClock &other)
 {
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
-    ensure(other.size());
+    times_.change(counters_);
+    times_.grow(other.size(), counters_);
+    std::vector<Clk> &mine = times_.mut();
     std::uint64_t changed = 0;
-    if (other.shared_) {
-        for (std::size_t i = 0; i < times_.size(); i++) {
+    if (other.times_.sharing()) {
+        for (std::size_t i = 0; i < mine.size(); i++) {
             const Clk next = other.get(static_cast<Tid>(i));
-            changed += times_[i] != next;
-            times_[i] = next;
+            changed += mine[i] != next;
+            mine[i] = next;
         }
     } else {
-        for (std::size_t i = 0; i < times_.size(); i++) {
-            const Clk next =
-                i < other.times_.size() ? other.times_[i] : 0;
-            if (times_[i] != next) {
-                times_[i] = next;
+        const std::vector<Clk> &src = other.times_.own();
+        for (std::size_t i = 0; i < mine.size(); i++) {
+            const Clk next = i < src.size() ? src[i] : 0;
+            if (mine[i] != next) {
+                mine[i] = next;
                 changed++;
             }
         }
     }
+    return changed;
+}
+
+void
+VectorClock::copyFrom(const VectorClock &other)
+{
+    const std::uint64_t changed = assignFrom(other);
     if (counters_) {
         counters_->copies++;
         counters_->vtWork += changed;
-        counters_->dsWork += times_.size();
+        counters_->dsWork += size();
     }
 }
 
 void
 VectorClock::copyCheckMonotone(const VectorClock &other)
 {
-    if (arena_ && other.arena_ == arena_ && &other != this &&
-        other.size() * sizeof(Clk) >= kShareMinBytes) {
-        shareFrom(other);
+    if (times_.canShare(other.times_)) {
+        times_.share(other.times_, other.owner_, counters_);
         if (counters_) {
             counters_->copies++;
             counters_->dsWork++;
@@ -295,10 +154,11 @@ VectorClock::copyCheckMonotone(const VectorClock &other)
     }
     // A copy, like a share, moves no vector time of its own: the
     // entries are the source's.
-    const std::uint64_t vt_work = counters_ ? counters_->vtWork : 0;
-    copyFrom(other);
-    if (counters_)
-        counters_->vtWork = vt_work;
+    assignFrom(other);
+    if (counters_) {
+        counters_->copies++;
+        counters_->dsWork += size();
+    }
 }
 
 bool
@@ -315,7 +175,7 @@ VectorClock::lessThanOrEqual(const VectorClock &other) const
 std::vector<Clk>
 VectorClock::toVector(std::size_t min_threads) const
 {
-    std::vector<Clk> out = ownEntries();
+    std::vector<Clk> out = times_.records();
     if (out.size() < min_threads)
         out.resize(min_threads, 0);
     return out;
@@ -325,18 +185,15 @@ void
 VectorClock::serialize(ByteSink &out) const
 {
     out.putI32(owner_);
-    if (shared_)
-        out.putVec(ownEntries());
+    if (times_.sharing())
+        out.putVec(times_.records());
     else
-        out.putVec(times_);
+        out.putVec(times_.own());
 }
 
 bool
 VectorClock::deserialize(ByteSource &in)
 {
-    if (shared_)
-        materialize();
-    frozen_ = nullptr;
     Tid owner = kNoTid;
     std::vector<Clk> times;
     if (!in.getI32(owner) || !in.getVec(times))
@@ -352,8 +209,7 @@ VectorClock::deserialize(ByteSource &in)
         static_cast<std::size_t>(owner) >= times.size())
         return in.fail();
     owner_ = owner;
-    times_ = std::move(times);
-    updateAccounting();
+    times_.assign(std::move(times), counters_);
     return true;
 }
 

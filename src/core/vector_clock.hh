@@ -13,7 +13,8 @@
  * (frozen_pool.hh) and keeps the source owner's time of its own,
  * and the source freezes itself — one flat copy — only on the first
  * share after a join, copy or release changed it beyond its owner's
- * entry. Shared or copied, it counts one copy with vtWork 0, a share
+ * entry (a sharing source passes its copy on, with the owner time it
+ * keeps). Shared or copied, it counts one copy with vtWork 0, a share
  * dsWork 1; the vector clock has no O(1) monotone test, so it never
  * counts deepCopies.
  */
@@ -22,6 +23,7 @@
 #define TC_CORE_VECTOR_CLOCK_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/frozen_pool.hh"
@@ -49,15 +51,6 @@ class VectorClock
     /** Thread clock for @p owner, pre-sized to @p capacity entries. */
     explicit VectorClock(Tid owner, std::size_t capacity = 0);
 
-    /** A copy holds entries of its own, even of a sharing clock; it
-     * keeps the wiring (counters, arena). */
-    VectorClock(const VectorClock &other);
-    VectorClock(VectorClock &&other) noexcept;
-    VectorClock &operator=(const VectorClock &other);
-    VectorClock &operator=(VectorClock &&other) noexcept;
-    /** Stops sharing: the arena must still be alive. */
-    ~VectorClock();
-
     /** Attach a work-counter sink (nullptr detaches). Storage
      * already held is credited to the new sink's resident-byte
      * gauge. */
@@ -65,13 +58,16 @@ class VectorClock
     setCounters(WorkCounters *counters)
     {
         counters_ = counters;
-        accounted_ = 0;
-        updateAccounting();
+        times_.recredit(counters);
     }
 
     /** Share the analysis' arena (nullptr detaches): clocks of one
      * arena share frozen copies. The arena must outlive this clock. */
-    void setArena(ScratchArena *arena);
+    void
+    setArena(ScratchArena *arena)
+    {
+        times_.setPool(arena ? &arena->vectorFrozen : nullptr, counters_);
+    }
 
     Tid ownerTid() const { return owner_; }
 
@@ -80,9 +76,10 @@ class VectorClock
     get(Tid t) const
     {
         const auto i = static_cast<std::size_t>(t);
-        if (i < times_.size())
-            return times_[i];
-        return shared_ ? sharedGet(t) : 0;
+        const std::vector<Clk> &own = times_.own();
+        if (i < own.size())
+            return own[i];
+        return times_.sharedTime(t);
     }
 
     /** Owner's own time. */
@@ -141,20 +138,16 @@ class VectorClock
      * tree clock's slot recycling closes. The clock reads as all-0
      * afterwards and must not be incremented again.
      */
-    void release();
+    void release() { times_.release(counters_); }
 
     /** Number of entries (a sharing clock's: the width a copy would
      * have left). */
-    std::size_t
-    size() const
-    {
-        return shared_ ? sharedWidth_ : times_.size();
-    }
+    std::size_t size() const { return times_.size(); }
 
     /** Identity of the frozen copy this clock shares (nullptr while
      * it holds entries of its own): equal for clocks sharing one.
      * Tests and debugging. */
-    const void *sharedCopy() const { return shared_; }
+    const void *sharedCopy() const { return times_.sharedCopy(); }
 
     /** @name Checkpoint serialization (core/serial.hh)
      * Logical state only (owner + entries; a sharing clock writes
@@ -169,66 +162,14 @@ class VectorClock
     static constexpr const char *kName = "VC";
 
   private:
-    using Frozen = FrozenPool<Clk>::Frozen;
+    /** Take @p other's entries; returns the entries changed. */
+    std::uint64_t assignFrom(const VectorClock &other);
 
-    void ensure(std::size_t n);
-
-    /** get() of a sharing clock: the source owner's entry is this
-     * clock's, every other one the frozen copy's. */
-    Clk
-    sharedGet(Tid t) const
-    {
-        if (t == sharedOwner_)
-            return sharedClk_;
-        const auto i = static_cast<std::size_t>(t);
-        return i < shared_->width ? shared_->records[i] : 0;
-    }
-
-    /** The entries a standalone clock with this vector time holds. */
-    std::vector<Clk> ownEntries() const;
-    /** Stop sharing and hold those entries of its own. */
-    void materialize();
-    /** Drop the shared copy and this clock's pool buffer; the
-     * buffer's bytes leave the resident gauge when @p account. */
-    void unshare(bool account);
-    /** copyCheckMonotone between clocks of one arena. */
-    void shareFrom(const VectorClock &other);
-
-    /** Sync the counter sink's resident-byte gauge with the current
-     * entry count (growth-only; release() handles the shrink). */
-    void
-    updateAccounting()
-    {
-        if (!counters_)
-            return;
-        const std::uint64_t now = times_.size() * sizeof(Clk);
-        if (now > accounted_) {
-            counters_->addClockBytes(now - accounted_);
-            accounted_ = now;
-        }
-    }
-
-    /** Entries by thread id; empty while the clock shares a frozen
-     * copy. */
-    std::vector<Clk> times_;
+    /** Entries by thread id, or the frozen copy this clock shares
+     * (frozen_pool.hh). */
+    SharedRecords<Clk> times_;
     Tid owner_ = kNoTid;
-    /** Sharing: the source owner's time, which the frozen copy does
-     * not hold. */
-    Clk sharedClk_ = 0;
-    /** The frozen copy this clock shares, or nullptr. */
-    Frozen *shared_ = nullptr;
-    /** Sharing: size(). */
-    std::uint32_t sharedWidth_ = 0;
-    /** Sharing: the source's owner, whose entry is sharedClk_. */
-    Tid sharedOwner_ = kNoTid;
     WorkCounters *counters_ = nullptr;
-    ScratchArena *arena_ = nullptr;
-    /** This clock's own frozen copy while Frozen::frozenFrom() says
-     * so; cleared when an entry but the owner's changes, and always
-     * null while the clock shares. */
-    mutable Frozen *frozen_ = nullptr;
-    /** Bytes already credited to counters_ (resident-byte gauge). */
-    std::uint64_t accounted_ = 0;
 };
 
 } // namespace tc

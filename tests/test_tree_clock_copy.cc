@@ -497,6 +497,40 @@ TEST(TreeClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
     EXPECT_EQ(shared_bytes.bytes(), copied_bytes.bytes());
 }
 
+TEST(TreeClockShare, CopiesFromASharingClockReadItsTime)
+{
+    constexpr std::size_t k = ShareRig::kWidth;
+    ShareRig rig;
+    TreeClock t0(0, k), t1(1, k), x, y;
+    rig.wire({&t0, &t1, &x, &y});
+    t1.increment(4);
+    t0.increment(2);
+    t0.join(t1); // t0@2 learns t1@4
+    EXPECT_TRUE(x.copyCheckMonotone(t0));
+    t0.increment(5); // t0@7; x keeps t0@2
+
+    // A copy of a sharing clock shares the same frozen copy and
+    // reads the time that clock holds, not its source's current one.
+    const WorkCounters before = rig.work;
+    EXPECT_TRUE(y.copyCheckMonotone(x));
+    EXPECT_EQ(rig.work.copies, before.copies + 1);
+    EXPECT_EQ(rig.work.vtWork, before.vtWork);
+    EXPECT_NE(y.sharedCopy(), nullptr);
+    EXPECT_EQ(y.sharedCopy(), x.sharedCopy());
+    EXPECT_EQ(y.rootTid(), 0);
+    EXPECT_EQ(y.localClk(), 2u);
+    EXPECT_EQ(y.toVector(k), ShareRig::vt({2, 4}));
+    EXPECT_EQ(y.checkInvariants(), "");
+
+    // It outlives the clock it copied from taking records back.
+    x.monotoneCopy(t0);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.toVector(k), ShareRig::vt({7, 4}));
+    EXPECT_EQ(y.toVector(k), ShareRig::vt({2, 4}));
+    EXPECT_TRUE(y.copyCheckMonotone(x));
+    EXPECT_EQ(y.toVector(k), ShareRig::vt({7, 4}));
+}
+
 TEST(TreeClockShare, NarrowSourcesAreCopied)
 {
     // Below kShareMinBytes a copy costs less than the state a share

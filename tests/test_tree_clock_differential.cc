@@ -9,12 +9,15 @@
  * cutover, the scratch-arena traversals and joinFull's unpruned
  * descent to the flat reference semantics, operation by operation.
  *
- * Every clock of a fleet shares one arena, so copyCheckMonotone
- * shares frozen copies on both sides; the mix then joins those
- * targets into thread clocks after their source moved on,
- * overwrites them with monotoneCopy and deepCopy and round-trips
- * them through serialize/deserialize, and the two fleets' work
- * counters must agree on vtWork after every operation.
+ * The mix also copies auxiliary (last-write-like) clocks with
+ * copyCheckMonotone, from thread clocks and from each other, joins
+ * them into thread clocks after their source moved on, overwrites
+ * them with monotoneCopy and deepCopy and round-trips them through
+ * serialize/deserialize; the two fleets' work counters must agree
+ * on vtWork after every operation. A narrow fleet runs without an
+ * arena (each tree clock walks with its private scratch); a wide one
+ * attaches every clock to one arena, so copyCheckMonotone shares
+ * frozen copies on both sides.
  */
 
 #include <gtest/gtest.h>
@@ -38,10 +41,11 @@ class MirrorFleet
 {
   public:
     /** @p capacity: initial clock width; a small one makes growth
-     * through ensure() part of what the run covers. */
+     * through ensure() part of what the run covers. @p share_arena
+     * attaches every clock to one arena. */
     MirrorFleet(Tid threads, std::size_t locks, std::size_t aux,
-                std::size_t capacity)
-        : numThreads_(threads)
+                std::size_t capacity, bool share_arena)
+        : numThreads_(threads), shareArena_(share_arena)
     {
         for (Tid t = 0; t < threads; t++) {
             tc_.emplace_back(t, capacity);
@@ -116,6 +120,22 @@ class MirrorFleet
         shares_ += tcAux_[a].sharedCopy() != nullptr;
         shares_ += vcAux_[a].sharedCopy() != nullptr;
         checkClock(tcAux_[a], vcAux_[a], "copy-check-monotone");
+    }
+
+    /** copyCheckMonotone from another auxiliary clock, which may
+     * itself share; like an engine's sources, it holds some thread's
+     * time (the O(1) monotone test misjudges an empty source). */
+    void
+    auxCopyCheck(std::size_t a, std::size_t b)
+    {
+        if (a == b || auxSource_[b] == kNoSource)
+            return;
+        tcAux_[a].copyCheckMonotone(tcAux_[b]);
+        vcAux_[a].copyCheckMonotone(vcAux_[b]);
+        auxSource_[a] = auxSource_[b];
+        shares_ += tcAux_[a].sharedCopy() != nullptr;
+        shares_ += vcAux_[a].sharedCopy() != nullptr;
+        checkClock(tcAux_[a], vcAux_[a], "aux-copy-check-monotone");
     }
 
     /** copyCheckMonotone calls that left their target sharing. */
@@ -212,7 +232,8 @@ class MirrorFleet
     void
     wire(ClockT &clock)
     {
-        clock.setArena(&arena_);
+        if (shareArena_)
+            clock.setArena(&arena_);
         clock.setCounters(std::is_same_v<ClockT, TreeClock> ? &tcWork_
                                                              : &vcWork_);
     }
@@ -227,6 +248,7 @@ class MirrorFleet
     }
 
     Tid numThreads_;
+    bool shareArena_;
     /** Declared before the clocks, which point into it. */
     ScratchArena arena_;
     WorkCounters tcWork_, vcWork_;
@@ -250,7 +272,7 @@ randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
     for (int step = 0; step < steps; step++) {
         const auto t = static_cast<std::size_t>(
             rng.below(static_cast<std::uint64_t>(threads)));
-        const std::uint64_t op = rng.below(16);
+        const std::uint64_t op = rng.below(17);
         const auto a = static_cast<std::size_t>(rng.below(aux));
         switch (op) {
           case 0:
@@ -291,6 +313,10 @@ randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
           case 15:
             fleet.roundTripAux(a, rng.below(2) == 0);
             break;
+          case 16:
+            fleet.auxCopyCheck(
+                a, static_cast<std::size_t>(rng.below(aux)));
+            break;
         }
         if (!::testing::Test::HasFatalFailure())
             fleet.checkWork("after the step");
@@ -302,8 +328,9 @@ randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
 
 TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
 {
-    // Narrow clocks grown from width 1: copyCheckMonotone copies.
-    MirrorFleet fleet(11, 5, 4, 1);
+    // Narrow clocks grown from width 1, without an arena:
+    // copyCheckMonotone copies.
+    MirrorFleet fleet(11, 5, 4, 1, false);
     randomMix(fleet, 11, 5, 4, 4000 * test::depthScale());
 }
 
@@ -311,7 +338,8 @@ TEST(TreeClockDifferential, SharedCopiesAgreeWithVectorClock)
 {
     // 130 threads: both clock types are wide enough to share.
     const Tid threads = 130;
-    MirrorFleet fleet(threads, 5, 6, static_cast<std::size_t>(threads));
+    MirrorFleet fleet(threads, 5, 6, static_cast<std::size_t>(threads),
+                      true);
     randomMix(fleet, threads, 5, 6, 3000 * test::depthScale());
     EXPECT_GT(fleet.shares(), 0u);
 }

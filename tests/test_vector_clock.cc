@@ -195,6 +195,45 @@ TEST(VectorClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
     EXPECT_EQ(shared_bytes.bytes(), copied_bytes.bytes());
 }
 
+TEST(VectorClockShare, CopiesFromASharingClockReadItsTime)
+{
+    constexpr std::size_t k = 128;
+    ScratchArena arena;
+    WorkCounters w;
+    VectorClock t0(0, k), t1(1, k), x, y;
+    for (VectorClock *c : {&t0, &t1, &x, &y}) {
+        c->setArena(&arena);
+        c->setCounters(&w);
+    }
+    t1.increment(4);
+    t0.increment(2);
+    t0.join(t1); // t0@2 learns t1@4
+    x.copyCheckMonotone(t0);
+    t0.increment(5); // t0@7; x keeps t0@2
+
+    // A copy of a sharing (ownerless) clock shares the same frozen
+    // copy and reads the owner time that clock holds.
+    const WorkCounters before = w;
+    y.copyCheckMonotone(x);
+    EXPECT_EQ(w.copies, before.copies + 1);
+    EXPECT_EQ(w.vtWork, before.vtWork);
+    EXPECT_NE(y.sharedCopy(), nullptr);
+    EXPECT_EQ(y.sharedCopy(), x.sharedCopy());
+    EXPECT_EQ(y.get(0), 2u);
+    EXPECT_EQ(y.toVector(k), vt({2, 4}, k));
+    EXPECT_TRUE(y.lessThanOrEqual(x));
+    EXPECT_TRUE(x.lessThanOrEqual(y));
+
+    // It outlives the clock it copied from taking entries back.
+    x.copyFrom(t0);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(y.toVector(k), vt({2, 4}, k));
+    VectorClock t2(2, k);
+    t2.setArena(&arena);
+    t2.join(y);
+    EXPECT_EQ(t2.toVector(k), vt({2, 4}, k));
+}
+
 TEST(VectorClockShare, NarrowSourcesAreCopied)
 {
     ScratchArena arena;
