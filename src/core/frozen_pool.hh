@@ -498,7 +498,7 @@ class SharedRecords
     }
 
     /** Stop sharing and hold the records a copy leaves. */
-    void
+    [[gnu::noinline]] void
     materialize(WorkCounters *c)
     {
         std::vector<Record> own = records();

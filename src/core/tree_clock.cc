@@ -270,11 +270,12 @@ TreeClock::joinImpl(const TreeClock &other)
     // first child is not ahead of us and was attached no later than
     // our knowledge of the root, so by indirect monotonicity the
     // whole remainder is covered; transplant just the root node.
+    const Node *theirs = other.records();
     if constexpr (kPrune) {
-        const Tid c = other.node(z).firstChild;
+        const Tid c = theirs[static_cast<std::size_t>(z)].firstChild;
         if (c == kNoTid ||
-            (rawGet(c) >= other.node(c).clk &&
-             other.node(c).aclk <= rawGet(z))) {
+            (rawGet(c) >= theirs[static_cast<std::size_t>(c)].clk &&
+             theirs[static_cast<std::size_t>(c)].aclk <= rawGet(z))) {
             Node &n = node(z);
             if (n.link != kAbsent)
                 detachFromParent(z);
@@ -302,7 +303,6 @@ TreeClock::joinImpl(const TreeClock &other)
     // is still the pre-join one when it is tested; its parent's is
     // already updated, which is why the level keeps the parent's
     // pre-join time (parent_before) for the indirect cut.
-    const Node *theirs = other.records();
     Node *mine = nodes_.mut().data();
     Node &zn = mine[static_cast<std::size_t>(z)];
     if (zn.link != kAbsent)
@@ -310,7 +310,7 @@ TreeClock::joinImpl(const TreeClock &other)
     Tid parent = z;
     Clk parent_before = zn.clk;
     Tid tail = kNoTid;
-    Tid cur = other.node(z).firstChild;
+    Tid cur = theirs[static_cast<std::size_t>(z)].firstChild;
     zn.clk = other_root_clk;
     std::vector<ScratchArena::Frame> &frames = scratch().frames;
     frames.clear();
@@ -413,12 +413,13 @@ TreeClock::monotoneCopy(const TreeClock &other)
     // the same thread). By indirect monotonicity the first child's
     // coverage extends to all siblings, so the copy is one store.
     if (other.root_ == root_) {
-        const Tid c = other.node(root_).firstChild;
+        const Node *theirs = other.records();
+        const Tid c = theirs[static_cast<std::size_t>(root_)].firstChild;
         const Clk other_clk = other.localClk();
         Node &r = node(root_);
         if (c == kNoTid ||
-            (rawGet(c) >= other.node(c).clk &&
-             other.node(c).aclk <= r.clk)) {
+            (rawGet(c) >= theirs[static_cast<std::size_t>(c)].clk &&
+             theirs[static_cast<std::size_t>(c)].aclk <= r.clk)) {
             const std::uint64_t changed = r.clk != other_clk;
             r.clk = other_clk;
             if (counters_) {

@@ -200,7 +200,7 @@ class TreeClock
     {
         const auto i = static_cast<std::size_t>(t);
         const std::vector<Node> &own = nodes_.own();
-        if (i < own.size())
+        if (i < own.size()) [[likely]]
             return own[i].clk;
         return nodes_.sharedTime(t);
     }

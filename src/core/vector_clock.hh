@@ -77,7 +77,7 @@ class VectorClock
     {
         const auto i = static_cast<std::size_t>(t);
         const std::vector<Clk> &own = times_.own();
-        if (i < own.size())
+        if (i < own.size()) [[likely]]
             return own[i];
         return times_.sharedTime(t);
     }
@@ -162,9 +162,6 @@ class VectorClock
     static constexpr const char *kName = "VC";
 
   private:
-    /** Take @p other's entries; returns the entries changed. */
-    std::uint64_t assignFrom(const VectorClock &other);
-
     /** Entries by thread id, or the frozen copy this clock shares
      * (frozen_pool.hh). */
     SharedRecords<Clk> times_;
