@@ -104,8 +104,8 @@ VectorClock::join(const VectorClock &other)
     }
 }
 
-void
-VectorClock::copyFrom(const VectorClock &other)
+std::uint64_t
+VectorClock::assignFrom(const VectorClock &other)
 {
     std::vector<Clk> &mine = times_.change(counters_);
     times_.grow(other.size(), counters_);
@@ -126,10 +126,17 @@ VectorClock::copyFrom(const VectorClock &other)
             }
         }
     }
+    return changed;
+}
+
+void
+VectorClock::copyFrom(const VectorClock &other)
+{
+    const std::uint64_t changed = assignFrom(other);
     if (counters_) {
         counters_->copies++;
         counters_->vtWork += changed;
-        counters_->dsWork += mine.size();
+        counters_->dsWork += size();
     }
 }
 
@@ -144,22 +151,14 @@ VectorClock::copyCheckMonotone(const VectorClock &other)
         }
         return;
     }
-    // A copy, like a share, moves no vector time of its own (the
-    // entries are the source's), so it needs no count of changes.
-    std::vector<Clk> &mine = times_.change(counters_);
-    times_.grow(other.size(), counters_);
-    if (other.times_.sharing()) [[unlikely]] {
-        for (std::size_t i = 0; i < mine.size(); i++)
-            mine[i] = other.get(static_cast<Tid>(i));
-    } else if (&other != this) {
-        const std::vector<Clk> &src = other.times_.own();
-        const auto n = static_cast<std::ptrdiff_t>(src.size());
-        std::copy(src.begin(), src.end(), mine.begin());
-        std::fill(mine.begin() + n, mine.end(), 0);
-    }
+    // A copy, like a share, moves no vector time of its own: the
+    // entries are the source's. It still runs the counting copy of
+    // copyFrom, so tree clocks are measured against the vector
+    // clock's usual copy.
+    assignFrom(other);
     if (counters_) {
         counters_->copies++;
-        counters_->dsWork += mine.size();
+        counters_->dsWork += size();
     }
 }
 

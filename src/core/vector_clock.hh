@@ -162,6 +162,9 @@ class VectorClock
     static constexpr const char *kName = "VC";
 
   private:
+    /** Take @p other's entries; returns the entries changed. */
+    std::uint64_t assignFrom(const VectorClock &other);
+
     /** Entries by thread id, or the frozen copy this clock shares
      * (frozen_pool.hh). */
     SharedRecords<Clk> times_;
