@@ -380,7 +380,8 @@ class TreeClock
      * still copied: one half tied one quarter on time and touched
      * fewer entries; three quarters and never were slower
      * (docs/ARCHITECTURE.md, Measured verdicts). It now serves lock
-     * copies only.
+     * copies and the per-variable copies of clocks too narrow to
+     * share.
      */
     static constexpr std::size_t kDenseCopyDivisor = 2;
 
