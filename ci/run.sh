@@ -4,7 +4,10 @@
 #
 #   Job 1 — Release with -Werror: the measured configuration must
 #           build warning-clean; the fuzz, crash and reader suites
-#           then rerun under a 4 GiB address-space limit (ulimit -v).
+#           then rerun under a 4 GiB address-space limit (ulimit -v),
+#           and perfbench/selftest.py builds the benchmark's own
+#           CMake tree (its programs call into src/ too) and checks
+#           every workload's output schema at tiny scale.
 #   Job 2 — ASan + UBSan: the full test suite under both sanitizers
 #           (catches scratch-arena lifetime bugs, OOB node-record
 #           indexing, signed overflow in the traversals and the
@@ -73,6 +76,12 @@ echo "=== fuzz/crash/reader suites under a 4 GiB address-space limit ==="
     ctest --test-dir build-ci-werror --output-on-failure -j "${JOBS}" \
         -R 'test_(snapshot_fuzz|crash_recovery|format_compat|cli_diagnostics|event_source|shard|trace_io)$'
 )
+# The benchmark compiles the repository's sources in its own CMake
+# tree (.bench_build/), outside the builds above: a change that
+# breaks it would otherwise surface only when the benchmark runs.
+echo "=== benchmark build + self-test ==="
+python3 perfbench/selftest.py
+
 run_job "ASan/UBSan" build-ci-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTC_WERROR=ON \
     -DTC_SANITIZE=ON

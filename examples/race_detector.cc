@@ -335,7 +335,6 @@ main(int argc, char **argv)
             copt.keep = static_cast<std::size_t>(
                 args.getInt("keep-snapshots"));
             copt.parallel = popt;
-            copt.useParallel = pool_size > 0;
             std::uint64_t start = 0;
             bool resumed = false;
             if (resume_requested) {

@@ -5,10 +5,10 @@
  *
  *   trace_tool stats    run.tct
  *   trace_tool validate run.tct
- *   trace_tool convert  run.tct run.tcb       (format by extension)
+ *   trace_tool convert  run.tct run.tcb       (format by extension;
+ *                                              a .tcs member input
+ *                                              reads its whole set)
  *   trace_tool split    run.tct cap --shards=4   (cap.0.tcs ...)
- *   trace_tool merge    cap out.tcb           (any .tcs member or
- *                                              the set prefix)
  *   trace_tool slice    run.tct out.tct --vars=3,17,42
  *   trace_tool project  run.tct out.tct --threads=0,1
  *   trace_tool prefix   run.tct out.tct --events=100000
@@ -21,7 +21,7 @@
  *                                              threads, unbounded
  *                                              logical thread ids)
  *
- * stats, convert, split and merge consume the chunked streaming
+ * stats, convert and split consume the chunked streaming
  * readers and never materialize the trace, so they work on files
  * larger than memory; the structural commands
  * (slice/project/prefix/compact/validate) still load the full
@@ -199,8 +199,7 @@ main(int argc, char **argv)
 {
     ArgParser args(
         "trace toolbox: stats | validate | convert | split | "
-        "merge | slice | project | prefix | compact | generate | "
-        "pool");
+        "slice | project | prefix | compact | generate | pool");
     args.addInt("shards", static_cast<std::int64_t>(
                               kDefaultShardCount),
                 "shard count (split)");
@@ -328,53 +327,6 @@ main(int argc, char **argv)
         std::printf("wrote %s.{0..%u}.tcs (%s events)\n",
                     pos[2].c_str(), shards - 1,
                     humanCount(written).c_str());
-        return 0;
-    }
-    if (cmd == "merge" && pos.size() == 3) {
-        // Streaming K-way merge back into the canonical total
-        // order; accepts the set prefix or any .tcs member.
-        std::string prefix = pos[1];
-        std::uint32_t index = 0;
-        const bool named_member =
-            parseShardPath(pos[1], prefix, index);
-        // The output must not alias ANY member of the set being
-        // merged — whatever the output path is spelled or
-        // symlinked as — or saveTraceStream's truncating open
-        // destroys a shard mid-read; compared by inode, like
-        // convert.
-        if (aliasesAny(pos[2],
-                       inputFilesOf(shardPath(prefix, 0)))) {
-            std::fprintf(stderr,
-                         "error: merge output aliases a member "
-                         "of the input shard set\n");
-            return 1;
-        }
-        if (isShardOutput(pos[2]))
-            return 1;
-        // A named member goes through openShardMember so the
-        // stale-member check applies (merging "cap.7.tcs" must not
-        // silently produce a merge of a narrower re-split that
-        // excludes it).
-        auto source = named_member ? openShardMember(pos[1])
-                                   : openShardSet(prefix);
-        if (source->failed())
-            return reportSourceError(*source);
-        // Probe only after the set opened: the append-mode probe
-        // creates a missing output file, which must not be left
-        // behind when the input was bad all along.
-        if (!std::ofstream(pos[2], std::ios::app)) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         pos[2].c_str());
-            return kExitIo;
-        }
-        if (!saveTraceStream(*source, pos[2])) {
-            std::remove(pos[2].c_str());
-            checkDrained(*source, prefix);
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         pos[2].c_str());
-            return kExitIo;
-        }
-        std::printf("wrote %s\n", pos[2].c_str());
         return 0;
     }
     if (cmd == "slice" && pos.size() == 3) {

@@ -60,16 +60,12 @@ class AnalysisConsumer
 
     /** @name Checkpoint save/restore (trace/snapshot.hh)
      *
-     * Consumers that can checkpoint override all three; the
-     * defaults make a consumer visibly non-checkpointable (the
-     * snapshot writer refuses the pipeline with a diagnostic
-     * rather than silently dropping its state). restoreState()
-     * is called after begin() and must leave the consumer exactly
-     * as it stood when saveState() ran.
+     * Every consumer checkpoints, so a snapshot never drops one's
+     * state. restoreState() is called after begin() and must leave
+     * the consumer exactly as it stood when saveState() ran.
      * @{ */
-    virtual bool supportsCheckpoint() const { return false; }
-    virtual void saveState(ByteSink & /*out*/) const {}
-    virtual bool restoreState(ByteSource &in) { return in.fail(); }
+    virtual void saveState(ByteSink &out) const = 0;
+    virtual bool restoreState(ByteSource &in) = 0;
     /** @} */
 };
 
@@ -112,7 +108,6 @@ class alignas(64) DriverConsumer final : public AnalysisConsumer
         return driver_.result();
     }
 
-    bool supportsCheckpoint() const override { return true; }
     void
     saveState(ByteSink &out) const override
     {

@@ -493,7 +493,7 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
     const bool monotone = lessThanOrEqual(other);
     if (!monotone && counters_)
         counters_->deepCopies++;
-    if (nodes_.canShare(other.nodes_)) {
+    if (!other.empty() && nodes_.canShare(other.nodes_)) {
         nodes_.share(other.nodes_, other.root_, counters_);
         root_ = other.root_;
         if (counters_) {
@@ -503,9 +503,11 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
         return monotone;
     }
     // A copy, like a share, moves no vector time of its own: the
-    // entries are the source's.
+    // entries are the source's. An empty source is copied and
+    // leaves the target empty: the O(1) test passes it for a target
+    // whose root time is 0, but monotoneCopy cannot empty a clock.
     const std::uint64_t vt_work = counters_ ? counters_->vtWork : 0;
-    if (monotone)
+    if (monotone && !other.empty())
         monotoneCopy(other);
     else
         deepCopy(other);

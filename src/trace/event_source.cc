@@ -73,8 +73,34 @@ class TextEventSource final : public EventSource
 
     SourceInfo info() const override { return info_; }
 
+    std::size_t
+    read(Event *out, std::size_t max) override
+    {
+        std::size_t n = 0;
+        while (n < max && nextLine(out[n]))
+            n++;
+        return n;
+    }
+
     bool
-    next(Event &out) override
+    rewind() override
+    {
+        // Back to where the stream stood at construction (byte 0
+        // for files; borrowed streams may start mid-stream).
+        is_->clear();
+        if (!is_->seekg(start_))
+            return false;
+        line_ = 0;
+        clearError();
+        parseHeader();
+        return !failed();
+    }
+
+  private:
+    /** Parse the next event line into @p out; false at end of
+     * stream or on error. */
+    bool
+    nextLine(Event &out)
     {
         if (failed())
             return false;
@@ -95,21 +121,6 @@ class TextEventSource final : public EventSource
         return false;
     }
 
-    bool
-    rewind() override
-    {
-        // Back to where the stream stood at construction (byte 0
-        // for files; borrowed streams may start mid-stream).
-        is_->clear();
-        if (!is_->seekg(start_))
-            return false;
-        line_ = 0;
-        clearError();
-        parseHeader();
-        return !failed();
-    }
-
-  private:
     void
     parseHeader()
     {
@@ -235,18 +246,8 @@ class BinaryEventSource final : public EventSource
 
     SourceInfo info() const override { return info_; }
 
-    bool
-    next(Event &out) override
-    {
-        if (failed())
-            return false;
-        if (bufPos_ >= bufCount_ && !refill())
-            return false;
-        return decodeRun(&out, 1) == 1;
-    }
-
-    /** The batched hot drain: decode and validate the rest of the
-     * current window in one pass per iteration. */
+    /** Decode and validate the rest of the current window in one
+     * pass per iteration. */
     std::size_t
     read(Event *out, std::size_t max) override
     {
@@ -460,7 +461,7 @@ class FailedSource final : public EventSource
         fail(0, std::move(message), kind);
     }
     SourceInfo info() const override { return {}; }
-    bool next(Event &) override { return false; }
+    std::size_t read(Event *, std::size_t) override { return 0; }
     bool rewind() override { return false; }
 };
 

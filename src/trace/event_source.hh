@@ -3,8 +3,12 @@
  * Event streams: the input side of the streaming analysis core.
  *
  * An EventSource produces the events of one execution in trace
- * order, one at a time, together with the id-space bounds declared
- * by its header. Every analysis consumes this interface through
+ * order, together with the id-space bounds declared by its header.
+ * Every source implements one pull, `read(out, max)`, which fills a
+ * caller's buffer with the next events; `next()` is one-event
+ * `read()`, and `readWindow()` a read into recycled storage that
+ * only the in-memory TraceSource answers with a zero-copy view.
+ * Every analysis consumes this interface through
  * `AnalysisDriver::run(EventSource&)`, so any engine × any clock can
  * analyze traces far larger than memory: the file-backed sources
  * below never hold more than a fixed window of events.
@@ -110,9 +114,9 @@ struct EventWindow
  * A pull-based stream of trace events.
  *
  * Usage: check failed() after construction (a source that could not
- * open or parse its header starts failed), then call next() until it
- * returns false, then check failed() again to distinguish a clean
- * end of stream from a mid-stream error.
+ * open or parse its header starts failed), then call read() until it
+ * returns 0 (or next() until it returns false), then check failed()
+ * again to distinguish a clean end of stream from a mid-stream error.
  */
 class EventSource
 {
@@ -124,28 +128,20 @@ class EventSource
      * consumers grow on demand. */
     virtual SourceInfo info() const = 0;
 
-    /** Produce the next event. Returns false at end of stream or on
-     * error (check failed()). */
-    virtual bool next(Event &out) = 0;
-
     /**
      * Produce up to @p max events into @p out; returns how many
      * were produced, 0 at end of stream or on error (check
-     * failed()). Semantically identical to calling next() in a
-     * loop — that is the default implementation — but overridable
-     * so buffered sources (the chunked readers, the shard merge)
-     * can hand out whole windows without a virtual call per event.
-     * Hot drains (AnalysisDriver::run, AnalysisPipeline) pull
-     * through this.
+     * failed()). A source that fails mid-batch delivers the events
+     * before the bad one first and returns 0 on the next call. The
+     * one pull every source implements: buffered sources (the
+     * chunked readers, the shard merge) hand out whole windows
+     * without a virtual call per event.
      */
-    virtual std::size_t
-    read(Event *out, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            n++;
-        return n;
-    }
+    virtual std::size_t read(Event *out, std::size_t max) = 0;
+
+    /** Produce the next event. Returns false at end of stream or on
+     * error (check failed()). */
+    bool next(Event &out) { return read(&out, 1) == 1; }
 
     /**
      * Produce the next window of up to @p max events without a
@@ -261,13 +257,12 @@ class TraceSource final : public EventSource
                 trace_->hasLifecycle()};
     }
 
-    bool
-    next(Event &out) override
+    std::size_t
+    read(Event *out, std::size_t max) override
     {
-        if (pos_ >= trace_->size())
-            return false;
-        out = (*trace_)[pos_++];
-        return true;
+        const EventWindow window = take(max);
+        std::copy(window.begin(), window.end(), out);
+        return window.size;
     }
 
     /** Pure view: the trace is materialized and outlives the run,
@@ -275,12 +270,7 @@ class TraceSource final : public EventSource
     EventWindow
     readWindow(std::vector<Event> &, std::size_t max) override
     {
-        const std::size_t take =
-            std::min(max, trace_->size() - pos_);
-        const EventWindow window{
-            take == 0 ? nullptr : &(*trace_)[pos_], take};
-        pos_ += take;
-        return window;
+        return take(max);
     }
 
     bool
@@ -301,6 +291,16 @@ class TraceSource final : public EventSource
     const Trace &trace() const { return *trace_; }
 
   private:
+    /** The next up to @p max events, consumed. */
+    EventWindow
+    take(std::size_t max)
+    {
+        const std::size_t n = std::min(max, trace_->size() - pos_);
+        const EventWindow window{trace_->events().data() + pos_, n};
+        pos_ += n;
+        return window;
+    }
+
     std::unique_ptr<Trace> owned_;
     const Trace *trace_;
     std::size_t pos_ = 0;

@@ -234,8 +234,38 @@ class FaultInjectingEventSource final : public EventSource
 
     SourceInfo info() const override { return inner_->info(); }
 
+    /** One failpoint evaluation per event pulled, so hit numbers
+     * count events whatever the caller's batch size. */
+    std::size_t
+    read(Event *out, std::size_t max) override
+    {
+        std::size_t n = 0;
+        while (n < max && nextFaulted(out[n]))
+            n++;
+        return n;
+    }
+
     bool
-    next(Event &out) override
+    rewind() override
+    {
+        if (!inner_->rewind())
+            return false;
+        clearError();
+        return true;
+    }
+
+    bool
+    seekToSequence(std::uint64_t n) override
+    {
+        if (!inner_->seekToSequence(n))
+            return false;
+        clearError();
+        return true;
+    }
+
+  private:
+    bool
+    nextFaulted(Event &out)
     {
         if (failed())
             return false;
@@ -280,25 +310,6 @@ class FaultInjectingEventSource final : public EventSource
         return pull(out);
     }
 
-    bool
-    rewind() override
-    {
-        if (!inner_->rewind())
-            return false;
-        clearError();
-        return true;
-    }
-
-    bool
-    seekToSequence(std::uint64_t n) override
-    {
-        if (!inner_->seekToSequence(n))
-            return false;
-        clearError();
-        return true;
-    }
-
-  private:
     bool
     pull(Event &out)
     {

@@ -11,10 +11,8 @@
 #include <utility>
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include "support/assert.hh"
 #include "support/strings.hh"
 #include "trace/fault_injection.hh"
 #include "trace/loser_tree.hh"
@@ -43,13 +41,9 @@ constexpr std::size_t kShardHeaderBytes =
  * the binary event encoding (i32 tid, u32 target, u8 op). */
 constexpr std::size_t kShardRecordBytes = 17;
 
-/** Appender staging segment: one contiguous memcpy target sized to
- * stay cache-friendly on the hot path. */
-constexpr std::size_t kAppendFlushBytes = 1 << 16;
-/** Segments staged per appender before one gathered writev()
- * submits them all — a quarter of the syscalls of flushing each
- * segment on its own, without a single huge staging copy. */
-constexpr std::size_t kAppendBatchSegments = 4;
+/** Staged bytes at which a shard's buffer goes to its file: one
+ * write() per 256 KiB of records. */
+constexpr std::size_t kFlushBytes = 256 << 10;
 
 struct ShardHeader
 {
@@ -535,29 +529,6 @@ class MergingEventSource final : public EventSource
 
     SourceInfo info() const override { return info_; }
 
-    bool
-    next(Event &out) override
-    {
-        if (failed())
-            return false;
-        if (!pendingError_.empty()) {
-            // A reader broke while advancing past the previously
-            // delivered event; that event was still valid, so the
-            // failure surfaces here, one call later.
-            failPending();
-            return false;
-        }
-        if (tree_.winnerKey() == kLoserTreeInfKey)
-            return false; // every shard cleanly exhausted
-        const std::size_t w = tree_.winner();
-        Shard &s = shards_[w];
-        out = s.batch[s.pos].event;
-        s.pos++;
-        advanceKey(w);
-        return true;
-    }
-
-    /** The hot drain: same merge, one virtual call per batch. */
     std::size_t
     read(Event *out, std::size_t max) override
     {
@@ -566,12 +537,15 @@ class MergingEventSource final : public EventSource
         std::size_t n = 0;
         while (n < max) {
             if (!pendingError_.empty()) {
+                // A reader broke while advancing past the last
+                // delivered event; that event was still valid, so
+                // the failure surfaces on the next call.
                 if (n == 0)
                     failPending();
                 break;
             }
             if (tree_.winnerKey() == kLoserTreeInfKey)
-                break;
+                break; // every shard cleanly exhausted
             const std::size_t w = tree_.winner();
             Shard &s = shards_[w];
             out[n++] = s.batch[s.pos].event;
@@ -790,139 +764,6 @@ parseShardPath(const std::string &path, std::string &prefix,
     return true;
 }
 
-ShardWriter::Appender::~Appender()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-ShardWriter::Appender::fail(std::string message)
-{
-    failed_ = true;
-    error_ = std::move(message);
-}
-
-bool
-ShardWriter::Appender::appendStamped(std::uint64_t seq,
-                                     const Event &e)
-{
-    if (failed_)
-        return false;
-    if (*finalized_) {
-        // finalize() patched the header counts; writing a record
-        // now would corrupt the file.
-        fail("append after finalize");
-        return false;
-    }
-    unsigned char rec[kShardRecordBytes];
-    const std::int32_t tid = e.tid;
-    const std::uint32_t target = e.target;
-    std::memcpy(rec, &seq, sizeof(seq));
-    std::memcpy(rec + 8, &tid, sizeof(tid));
-    std::memcpy(rec + 12, &target, sizeof(target));
-    rec[16] = static_cast<unsigned char>(e.op);
-    std::vector<unsigned char> &seg = segs_[active_];
-    if (const FaultDecision f = failpoint("shard.append")) {
-        if (f.action == FaultAction::Crash)
-            faultCrash("shard.append");
-        if (f.action == FaultAction::TornWrite) {
-            // Persist everything staged plus half of this record,
-            // then fail: the torn tail the reader's truncation check
-            // must catch.
-            seg.insert(seg.end(), rec, rec + sizeof(seq));
-            writeStaged();
-            fail("shard write failed: injected torn write");
-            return false;
-        }
-        fail("injected I/O error while writing shard");
-        return false;
-    }
-    seg.insert(seg.end(), rec, rec + kShardRecordBytes);
-    events_++;
-    if (seg.size() >= kAppendFlushBytes) {
-        active_++;
-        if (active_ >= segs_.size())
-            return flush();
-    }
-    return true;
-}
-
-bool
-ShardWriter::Appender::flush()
-{
-    if (failed_)
-        return false;
-    std::size_t total = 0;
-    for (const auto &seg : segs_)
-        total += seg.size();
-    if (total == 0)
-        return true;
-    if (const FaultDecision f = failpoint("shard.flush")) {
-        if (f.action == FaultAction::Crash)
-            faultCrash("shard.flush");
-        if (f.action == FaultAction::TornWrite) {
-            // Persist half the staged bytes, then fail: the torn
-            // tail the reader's truncation check must catch.
-            std::size_t left = total / 2;
-            for (const auto &seg : segs_) {
-                const std::size_t take =
-                    std::min(left, seg.size());
-                if (take > 0)
-                    writeAll(fd_, seg.data(), take);
-                left -= take;
-                if (left == 0)
-                    break;
-            }
-            fail("shard write failed: injected torn write");
-            return false;
-        }
-        fail("injected I/O error while flushing shard");
-        return false;
-    }
-    return writeStaged();
-}
-
-bool
-ShardWriter::Appender::writeStaged()
-{
-    struct iovec iov[kAppendBatchSegments];
-    int iovcnt = 0;
-    for (auto &seg : segs_) {
-        if (seg.empty())
-            continue;
-        iov[iovcnt].iov_base = seg.data();
-        iov[iovcnt].iov_len = seg.size();
-        iovcnt++;
-    }
-    struct iovec *p = iov;
-    while (iovcnt > 0) {
-        const ssize_t wrote = ::writev(fd_, p, iovcnt);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            fail("I/O error while writing shard");
-            return false;
-        }
-        // Skip past fully written segments; trim a partial one.
-        std::size_t skip = static_cast<std::size_t>(wrote);
-        while (iovcnt > 0 && skip >= p->iov_len) {
-            skip -= p->iov_len;
-            p++;
-            iovcnt--;
-        }
-        if (iovcnt > 0) {
-            p->iov_base =
-                static_cast<unsigned char *>(p->iov_base) + skip;
-            p->iov_len -= skip;
-        }
-    }
-    for (auto &seg : segs_)
-        seg.clear();
-    active_ = 0;
-    return true;
-}
-
 ShardWriter::ShardWriter(const std::string &prefix,
                          std::uint32_t shards,
                          const SourceInfo &info)
@@ -942,49 +783,104 @@ ShardWriter::ShardWriter(const std::string &prefix,
     h.vars = static_cast<std::uint32_t>(info.vars);
     h.shardEvents = kUnknownEventCount;
     h.totalEvents = kUnknownEventCount;
-    appenders_.reserve(shards);
+    shards_.reserve(shards);
     for (std::uint32_t i = 0; i < shards; i++) {
-        appenders_.push_back(
-            std::unique_ptr<Appender>(new Appender()));
-        Appender &a = *appenders_.back();
-        a.finalized_ = &finalized_;
-        a.segs_.resize(kAppendBatchSegments);
+        Shard &s = shards_.emplace_back();
+        s.staged.reserve(kFlushBytes + kShardRecordBytes);
         const std::string path = shardPath(prefix, i);
-        a.fd_ = ::open(path.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (a.fd_ < 0) {
-            failed_ = true;
-            error_ = strFormat("cannot write '%s'", path.c_str());
-            return;
-        }
+        s.fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                      0644);
         h.index = i;
         unsigned char hdr[kShardHeaderBytes];
         encodeShardHeader(hdr, h);
-        if (!writeAll(a.fd_, hdr, sizeof(hdr))) {
-            failed_ = true;
-            error_ = strFormat("cannot write '%s'", path.c_str());
+        if (s.fd < 0 || !writeAll(s.fd, hdr, sizeof(hdr))) {
+            fail(strFormat("cannot write '%s'", path.c_str()));
             return;
         }
     }
 }
 
-ShardWriter::~ShardWriter() = default;
-
-ShardWriter::Appender &
-ShardWriter::appender(std::uint32_t shard)
+ShardWriter::~ShardWriter()
 {
-    TC_CHECK(shard < appenders_.size(),
-             "appender index outside the shard set");
-    return *appenders_[shard];
+    for (const Shard &s : shards_) {
+        if (s.fd >= 0)
+            ::close(s.fd);
+    }
 }
 
-std::uint64_t
-ShardWriter::eventsWritten() const
+void
+ShardWriter::fail(std::string message)
 {
-    std::uint64_t total = 0;
-    for (const auto &a : appenders_)
-        total += a->events_;
-    return total;
+    failed_ = true;
+    error_ = std::move(message);
+}
+
+bool
+ShardWriter::append(const Event &e)
+{
+    if (failed_)
+        return false;
+    if (finalized_) {
+        // finalize() patched the header counts; writing a record
+        // now would corrupt the file.
+        fail("append after finalize");
+        return false;
+    }
+    Shard &s = shards_[static_cast<std::uint32_t>(e.tid) %
+                       shardCount()];
+    unsigned char rec[kShardRecordBytes];
+    const std::uint64_t seq = events_;
+    const std::int32_t tid = e.tid;
+    const std::uint32_t target = e.target;
+    std::memcpy(rec, &seq, sizeof(seq));
+    std::memcpy(rec + 8, &tid, sizeof(tid));
+    std::memcpy(rec + 12, &target, sizeof(target));
+    rec[16] = static_cast<unsigned char>(e.op);
+    if (const FaultDecision f = failpoint("shard.append")) {
+        if (f.action == FaultAction::Crash)
+            faultCrash("shard.append");
+        if (f.action == FaultAction::TornWrite) {
+            // Persist everything staged plus half of this record,
+            // then fail: the torn tail the reader's truncation check
+            // must catch.
+            s.staged.insert(s.staged.end(), rec, rec + sizeof(seq));
+            writeAll(s.fd, s.staged.data(), s.staged.size());
+            fail("shard write failed: injected torn write");
+            return false;
+        }
+        fail("injected I/O error while writing shard");
+        return false;
+    }
+    s.staged.insert(s.staged.end(), rec, rec + kShardRecordBytes);
+    s.events++;
+    events_++;
+    return s.staged.size() < kFlushBytes || flush(s);
+}
+
+bool
+ShardWriter::flush(Shard &s)
+{
+    if (s.staged.empty())
+        return true;
+    if (const FaultDecision f = failpoint("shard.flush")) {
+        if (f.action == FaultAction::Crash)
+            faultCrash("shard.flush");
+        if (f.action == FaultAction::TornWrite) {
+            // Persist half the staged bytes, then fail: the torn
+            // tail the reader's truncation check must catch.
+            writeAll(s.fd, s.staged.data(), s.staged.size() / 2);
+            fail("shard write failed: injected torn write");
+            return false;
+        }
+        fail("injected I/O error while flushing shard");
+        return false;
+    }
+    if (!writeAll(s.fd, s.staged.data(), s.staged.size())) {
+        fail("I/O error while writing shard");
+        return false;
+    }
+    s.staged.clear();
+    return true;
 }
 
 bool
@@ -998,27 +894,19 @@ ShardWriter::finalize()
         // capture.
         if (f.action == FaultAction::Crash)
             faultCrash("shard.finalize");
-        failed_ = true;
-        error_ = "injected I/O error while finalizing shard";
+        fail("injected I/O error while finalizing shard");
         return false;
     }
-    std::uint64_t total = 0;
-    for (auto &a : appenders_) {
-        if (!a->flush()) {
-            failed_ = true;
-            error_ = a->error();
+    for (Shard &s : shards_) {
+        if (!flush(s))
             return false;
-        }
-        total += a->events_;
     }
-    for (auto &a : appenders_) {
-        const std::uint64_t counts[2] = {a->events_, total};
+    for (const Shard &s : shards_) {
+        const std::uint64_t counts[2] = {s.events, events_};
         unsigned char patch[sizeof(counts)];
         std::memcpy(patch, counts, sizeof(counts));
-        if (!pwriteAll(a->fd_, patch, sizeof(patch),
-                       kCountsOffset)) {
-            failed_ = true;
-            error_ = "I/O error while finalizing shard";
+        if (!pwriteAll(s.fd, patch, sizeof(patch), kCountsOffset)) {
+            fail("I/O error while finalizing shard");
             return false;
         }
     }
@@ -1031,29 +919,17 @@ splitTraceStream(EventSource &source, const std::string &prefix,
                  std::uint32_t shards, std::string *error)
 {
     ShardWriter writer(prefix, shards, source.info());
-    std::string failure = writer.error();
-    if (!writer.failed()) {
-        const std::uint32_t k = writer.shardCount();
-        std::uint64_t seq = 0;
-        Event buf[256];
-        std::size_t n;
-        while (failure.empty() &&
-               (n = source.read(buf, std::size(buf))) != 0) {
-            for (std::size_t i = 0; i < n && failure.empty(); i++) {
-                ShardWriter::Appender &a = writer.appender(
-                    static_cast<std::uint32_t>(buf[i].tid) % k);
-                if (!a.appendStamped(seq++, buf[i]))
-                    failure = a.error();
-            }
-        }
-        if (failure.empty() && !source.failed()) {
-            if (writer.finalize())
-                return writer.eventsWritten();
-            failure = writer.error();
-        }
+    bool ok = !writer.failed();
+    Event buf[256];
+    std::size_t n;
+    while (ok && (n = source.read(buf, std::size(buf))) != 0) {
+        for (std::size_t i = 0; ok && i < n; i++)
+            ok = writer.append(buf[i]);
     }
+    if (ok && !source.failed() && writer.finalize())
+        return writer.eventsWritten();
     if (error != nullptr)
-        *error = source.failed() ? source.error() : failure;
+        *error = source.failed() ? source.error() : writer.error();
     // Never leave unfinalized sentinel shards behind: they shadow
     // (and may have truncated) whatever set previously lived at
     // this prefix, and readers misreport them as a crashed

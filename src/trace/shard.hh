@@ -19,17 +19,18 @@
  * dense — merging a projection of a set is well defined).
  *
  * Layers on top:
- *  - ShardWriter      — K shard files, one buffered Appender each;
- *                       the caller stamps every record's sequence
- *                       number (appendStamped), and the sentinel-
- *                       until-finalized header rejects torn
- *                       captures.
+ *  - ShardWriter      — K shard files behind one append(): event i
+ *                       gets stamp i and goes to shard tid mod K,
+ *                       through one staging buffer per shard, and
+ *                       the sentinel-until-finalized header rejects
+ *                       torn captures.
  *  - splitTraceStream — drain a stream into a shard set on the
- *                       calling thread (its only writer).
+ *                       calling thread (the writer's one caller).
  *  - openShardSet     — merge the set back into the total order on
  *                       the calling thread (loser tree over the K
  *                       shard heads).
- *  - trace_tool split/merge — the CLI over all of it.
+ *  - trace_tool split/convert — the CLI over all of it (convert
+ *                       reads a set through any of its members).
  */
 
 #ifndef TC_TRACE_SHARD_HH
@@ -78,73 +79,26 @@ bool parseShardPath(const std::string &path, std::string &prefix,
 std::uint32_t shardSetCount(const std::string &prefix);
 
 /**
- * Capture side of the shard format: K shard files, one Appender
- * each, every record stamped with its global sequence number.
- * Headers carry sentinel counts until finalize() patches in the
- * real ones — a writer that is destroyed without a successful
- * finalize() leaves the sentinel behind, which readers reject, so a
- * crashed capture can not be mistaken for a (possibly empty)
- * complete one.
+ * Capture side of the shard format: K shard files, written through
+ * one append() that stamps each event with the count written before
+ * it and routes it to shard tid mod K. Each shard stages its records
+ * in one buffer, which goes to the file in one write() per 256 KiB
+ * and at finalize(). Headers carry sentinel counts until finalize()
+ * patches in the real ones — a writer that is destroyed without a
+ * successful finalize() leaves the sentinel behind, which readers
+ * reject, so a crashed capture can not be mistaken for a (possibly
+ * empty) complete one.
  *
- * Threading contract: single-threaded. A writer and its appenders
- * belong to one thread, which stamps every record itself
- * (splitTraceStream stamps event i with i); nothing in them is
- * synchronized. A
- * capture that dies before finalize() — or any of its appenders
- * failing — leaves torn shards every reader rejects.
+ * Threading contract: single-threaded; nothing in it is
+ * synchronized.
  */
 class ShardWriter
 {
   public:
-    /** The writer's handle on one shard file. */
-    class Appender
-    {
-      public:
-        /** Buffer @p e under a caller-assigned sequence number. The
-         * caller must keep per-shard numbers strictly increasing —
-         * readers reject anything else. Evaluates the
-         * "shard.append" failpoint. */
-        bool appendStamped(std::uint64_t seq, const Event &e);
-
-        /** Push staged records to the file in one gathered
-         * writev(). appendStamped() flushes automatically once a
-         * full batch of segments is staged; finalize() flushes every
-         * appender a last time. Evaluates "shard.flush". */
-        bool flush();
-
-        bool failed() const { return failed_; }
-        const std::string &error() const { return error_; }
-        std::uint64_t eventsWritten() const { return events_; }
-
-        ~Appender();
-        Appender(const Appender &) = delete;
-        Appender &operator=(const Appender &) = delete;
-
-      private:
-        friend class ShardWriter;
-        Appender() = default;
-
-        /** The write half of flush(), without its failpoint. */
-        bool writeStaged();
-        void fail(std::string message);
-
-        int fd_ = -1;
-        /** Staging segments: appends memcpy into segs_[active_]; a
-         * full segment advances active_, and a full set of segments
-         * goes to the file as one writev() — one syscall per batch,
-         * cache-sized copies per record. */
-        std::vector<std::vector<unsigned char>> segs_;
-        std::size_t active_ = 0;
-        const bool *finalized_ = nullptr;
-        std::uint64_t events_ = 0;
-        bool failed_ = false;
-        std::string error_;
-    };
-
     /** Open `<prefix>.<i>.tcs` for i in [0, shards) with sentinel
      * headers; id-space bounds come from @p info (the event count
      * is ignored — the writer counts for itself). Check failed()
-     * before handing out appenders. */
+     * before appending. */
     ShardWriter(const std::string &prefix, std::uint32_t shards,
                 const SourceInfo &info);
     ~ShardWriter();
@@ -152,27 +106,45 @@ class ShardWriter
     ShardWriter(const ShardWriter &) = delete;
     ShardWriter &operator=(const ShardWriter &) = delete;
 
-    /** Shard @p shard's appender. */
-    Appender &appender(std::uint32_t shard);
+    /** Stamp @p e with eventsWritten() and stage it for shard
+     * tid mod K. Evaluates the "shard.append" failpoint, and
+     * "shard.flush" when the shard's buffer goes to its file. False
+     * once the writer failed (error()), and after finalize(). */
+    bool append(const Event &e);
 
     /**
-     * Patch every shard header with the final counts and flush.
-     * Returns false when any appender failed or a header patch
-     * failed; the files then keep their sentinel (torn) headers.
+     * Write every staged record, then patch every shard header with
+     * the final counts. Returns false when the writer failed or a
+     * write or header patch failed; the files then keep their
+     * sentinel (torn) headers.
      */
     bool finalize();
 
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
-    /** Total records buffered across all appenders. */
-    std::uint64_t eventsWritten() const;
+    /** Records appended across all shards. */
+    std::uint64_t eventsWritten() const { return events_; }
     std::uint32_t shardCount() const
     {
-        return static_cast<std::uint32_t>(appenders_.size());
+        return static_cast<std::uint32_t>(shards_.size());
     }
 
   private:
-    std::vector<std::unique_ptr<Appender>> appenders_;
+    struct Shard
+    {
+        int fd = -1;
+        /** Records staged since the last write to the file. */
+        std::vector<unsigned char> staged;
+        std::uint64_t events = 0;
+    };
+
+    /** Write @p s's staged records to its file. Evaluates
+     * "shard.flush". */
+    bool flush(Shard &s);
+    void fail(std::string message);
+
+    std::vector<Shard> shards_;
+    std::uint64_t events_ = 0;
     bool failed_ = false;
     bool finalized_ = false;
     std::string error_;

@@ -272,19 +272,6 @@ class LimitedSource final : public EventSource
 
     SourceInfo info() const override { return inner_.info(); }
 
-    bool
-    next(Event &out) override
-    {
-        if (delivered_ >= limit_)
-            return false;
-        if (!inner_.next(out)) {
-            mirrorError();
-            return false;
-        }
-        delivered_++;
-        return true;
-    }
-
     std::size_t
     read(Event *out, std::size_t max) override
     {
@@ -295,22 +282,6 @@ class LimitedSource final : public EventSource
         if (n == 0)
             mirrorError();
         return n;
-    }
-
-    EventWindow
-    readWindow(std::vector<Event> &storage,
-               std::size_t max) override
-    {
-        max = static_cast<std::size_t>(std::min<std::uint64_t>(
-            max, limit_ - delivered_));
-        if (max == 0)
-            return {};
-        const EventWindow window =
-            inner_.readWindow(storage, max);
-        delivered_ += window.size;
-        if (window.empty())
-            mirrorError();
-        return window;
     }
 
     bool rewind() override { return false; }
@@ -356,17 +327,6 @@ writeSnapshot(const std::string &path,
               std::uint64_t position, const SourceInfo &info,
               std::string *error)
 {
-    for (std::size_t i = 0; i < pipeline.size(); i++) {
-        if (!pipeline.consumer(i).supportsCheckpoint()) {
-            setError(error,
-                     strFormat("consumer '%s' does not support "
-                               "checkpointing",
-                               pipeline.consumer(i).name()
-                                   .c_str()));
-            return false;
-        }
-    }
-
     // Build the whole container in memory, finalized flag 0.
     ByteSink image;
     image.putBytes(kSnapMagic, sizeof(kSnapMagic));
@@ -514,14 +474,6 @@ loadSnapshot(const std::string &path, AnalysisPipeline &pipeline,
                           pipeline.consumer(i).name().c_str()));
             return false;
         }
-        if (!pipeline.consumer(i).supportsCheckpoint()) {
-            setError(error,
-                     strFormat("consumer '%s' does not support "
-                               "checkpointing",
-                               pipeline.consumer(i).name()
-                                   .c_str()));
-            return false;
-        }
     }
 
     pipeline.beginAll(decoded.info);
@@ -647,7 +599,7 @@ runWithCheckpoints(AnalysisPipeline &pipeline, EventSource &source,
         const std::uint64_t budget =
             checkpointing ? options.every : kUnknownEventCount;
         LimitedSource segment(source, budget);
-        result = options.useParallel
+        result = options.parallel.workers > 0
                      ? pipeline.drainParallel(segment,
                                               options.parallel)
                      : pipeline.drain(segment);

@@ -82,8 +82,8 @@ bool isSnapshotPath(const std::string &path);
 /**
  * Atomically write the pipeline's state to @p path (see the file
  * comment for the durability protocol). Fails — with a diagnostic
- * in @p error — when any consumer does not supportsCheckpoint(),
- * or on I/O errors after bounded retries of transient ones.
+ * in @p error — on I/O errors after bounded retries of transient
+ * ones.
  */
 bool writeSnapshot(const std::string &path,
                    const AnalysisPipeline &pipeline,
@@ -148,10 +148,9 @@ struct CheckpointOptions
      * successful write. 0 keeps everything. */
     std::size_t keep = 3;
     /** Parallel fan-out (AnalysisPipeline::drainParallel) when
-     * workers > 1; checkpoints then land on segment barriers so
+     * workers > 0; checkpoints then land on segment barriers so
      * all consumers are quiesced at one window boundary. */
     ParallelOptions parallel;
-    bool useParallel = false;
 };
 
 /**

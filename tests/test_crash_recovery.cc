@@ -259,8 +259,8 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
     const std::string split = "./trace_tool split " + tracePath() +
                               " " + prefix + " --shards=4";
 
-    // split drives ShardWriter's buffered appenders: "shard.append"
-    // fires per record, "shard.flush" per staged batch,
+    // split drives ShardWriter's append: "shard.append" fires per
+    // record, "shard.flush" per staged buffer written,
     // "shard.finalize" once. A crash skips the writer's
     // unfinalized-set cleanup, so the sentinel headers land on
     // disk — the merge must refuse them.
@@ -298,8 +298,8 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
 
         // The crashed set must never merge into an answer.
         const int merge_code =
-            runCli("./trace_tool merge " + prefix + " " + merged +
-                   " > " + out + " 2>&1");
+            runCli("./trace_tool convert " + prefix + ".0.tcs " +
+                   merged + " > " + out + " 2>&1");
         EXPECT_EQ(merge_code, 3) << kill.failpoints << ": "
                                  << readFile(out);
     }
@@ -308,8 +308,8 @@ TEST_F(CrashRecovery, ShardCaptureCrashLeavesRejectableSet)
     const std::string out = std::string(kWorkDir) + "/cap_ok.txt";
     ASSERT_EQ(runCli(split + " > " + out + " 2>&1"), 0)
         << readFile(out);
-    ASSERT_EQ(runCli("./trace_tool merge " + prefix + " " + merged +
-                     " > " + out + " 2>&1"),
+    ASSERT_EQ(runCli("./trace_tool convert " + prefix + ".0.tcs " +
+                     merged + " > " + out + " 2>&1"),
               0)
         << readFile(out);
     EXPECT_EQ(runCli("./trace_tool validate " + merged + " > " +

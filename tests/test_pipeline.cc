@@ -474,6 +474,10 @@ class FaultingConsumer final : public AnalysisConsumer
         return r;
     }
 
+    // Never checkpointed: these tests drain without snapshots.
+    void saveState(ByteSink &) const override {}
+    bool restoreState(ByteSource &) override { return false; }
+
   private:
     std::string name_ = "faulting";
     std::uint64_t fuse_;
@@ -592,6 +596,16 @@ class ThreadProbe final : public AnalysisConsumer
         inner_->consume(e);
     }
     EngineResult result() const override { return inner_->result(); }
+    void
+    saveState(ByteSink &out) const override
+    {
+        inner_->saveState(out);
+    }
+    bool
+    restoreState(ByteSource &in) override
+    {
+        return inner_->restoreState(in);
+    }
 
     std::thread::id thread() const { return thread_; }
 

@@ -108,6 +108,44 @@ TEST(ShardRoundTrip, RandomizedShardCountsAndWindows)
     }
 }
 
+TEST(ShardRoundTrip, ShardsWrittenInSeveralFlushesRoundTrip)
+{
+    // The other splits here stage each shard in one buffer; this
+    // one writes every shard in at least four 256 KiB flushes.
+    RandomTraceParams params;
+    params.threads = 6;
+    params.locks = 3;
+    params.vars = 32;
+    params.events = 240000;
+    params.seed = 5;
+    const Trace trace = generateRandomTrace(params);
+    const std::string prefix = "/tmp/tc_shard_flushes";
+    split(trace, prefix, 3);
+    std::uint64_t records[3] = {};
+    for (const Event &e : trace.events())
+        records[e.tid % 3]++;
+    for (std::uint32_t i = 0; i < 3; i++) {
+        // A 42-byte header whose two u64 counts start at byte 26,
+        // then 17-byte records.
+        std::ifstream in(shardPath(prefix, i),
+                         std::ios::binary | std::ios::ate);
+        ASSERT_TRUE(in) << "shard " << i;
+        ASSERT_GE(records[i] * 17, 4u * (256u << 10)) << "shard " << i;
+        EXPECT_EQ(static_cast<std::uint64_t>(in.tellg()),
+                  42 + 17 * records[i])
+            << "shard " << i;
+        std::uint64_t counts[2] = {};
+        in.seekg(26);
+        in.read(reinterpret_cast<char *>(counts), sizeof(counts));
+        EXPECT_EQ(counts[0], records[i]) << "shard " << i;
+        EXPECT_EQ(counts[1], trace.size()) << "shard " << i;
+    }
+    auto merged = openShardSet(prefix);
+    ASSERT_FALSE(merged->failed()) << merged->error();
+    expectSameEvents(trace, *merged, "several flushes");
+    removeShards(prefix, 3);
+}
+
 TEST(ShardRoundTrip, MoreShardsThanThreadsLeavesEmptyShards)
 {
     const Trace trace = sampleTrace(400);
@@ -224,19 +262,16 @@ TEST(ShardErrors, StaleMemberFromWiderSplitIsRejected)
 
 TEST(ShardErrors, UnfinalizedCaptureIsRejected)
 {
-    const Trace trace = sampleTrace(100);
+    // Enough events that both shards wrote records to their files.
+    const Trace trace = sampleTrace(40000);
     const std::string prefix = "/tmp/tc_shard_crash";
     {
         TraceSource source(trace);
         ShardWriter writer(prefix, 2, source.info());
         Event e;
-        std::uint64_t seq = 0;
         while (source.next(e))
-            writer.appender(static_cast<std::uint32_t>(e.tid) % 2)
-                .appendStamped(seq++, e);
+            ASSERT_TRUE(writer.append(e)) << writer.error();
         // No finalize(): simulates a capture that died mid-run.
-        writer.appender(0).flush();
-        writer.appender(1).flush();
     }
     auto merged = openShardSet(prefix);
     EXPECT_TRUE(merged->failed());
@@ -261,12 +296,11 @@ TEST(ShardErrors, AppendAfterFinalizeFails)
     info.threads = 2;
     ShardWriter writer(prefix, 2, info);
     ASSERT_FALSE(writer.failed()) << writer.error();
-    ASSERT_TRUE(writer.appender(0).appendStamped(
-        0, Event(0, OpType::Write, 3)));
+    ASSERT_TRUE(writer.append(Event(0, OpType::Write, 3)));
     ASSERT_TRUE(writer.finalize()) << writer.error();
-    EXPECT_FALSE(writer.appender(1).appendStamped(
-        1, Event(1, OpType::Read, 3)));
-    EXPECT_TRUE(writer.appender(1).failed());
+    EXPECT_FALSE(writer.append(Event(1, OpType::Read, 3)));
+    EXPECT_TRUE(writer.failed());
+    EXPECT_EQ(writer.error(), "append after finalize");
     removeShards(prefix, 2);
 }
 

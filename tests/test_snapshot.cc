@@ -18,6 +18,7 @@
 #include <dirent.h>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/pipeline.hh"
@@ -205,7 +206,9 @@ TEST(Snapshot, WriteLoadContinueMatchesStraightThrough)
 
 TEST(Snapshot, RefusesNonCheckpointableConsumer)
 {
-    class Opaque final : public AnalysisConsumer
+    // A consumer without saveState/restoreState cannot be built, so
+    // no pipeline can hold one whose state a snapshot would drop.
+    class Opaque : public AnalysisConsumer
     {
       public:
         const std::string &name() const override { return name_; }
@@ -216,17 +219,7 @@ TEST(Snapshot, RefusesNonCheckpointableConsumer)
       private:
         std::string name_ = "opaque";
     };
-
-    AnalysisPipeline pipeline;
-    pipeline.add(std::make_unique<Opaque>());
-    const Trace trace = sampleTrace(100);
-    TraceSource source(trace);
-    pipeline.beginAll(source.info());
-    std::string error;
-    EXPECT_FALSE(writeSnapshot("/tmp/tc_snapshot_refuse.tcsnap",
-                               pipeline, 0, source.info(),
-                               &error));
-    EXPECT_NE(error.find("opaque"), std::string::npos) << error;
+    static_assert(std::is_abstract_v<Opaque>);
 }
 
 TEST(Snapshot, ListOrdersNewestFirstAndIgnoresJunk)

@@ -157,8 +157,7 @@ differentialSweep(const std::string &dir, std::uint64_t seed,
     options.every = every;
     options.dir = dir;
     options.keep = 0; // keep every snapshot for the sweep
-    options.useParallel = parallel;
-    options.parallel.workers = 2;
+    options.parallel.workers = parallel ? 2 : 0;
 
     AnalysisPipeline first;
     addMatrix(first);

@@ -123,12 +123,12 @@ class MirrorFleet
     }
 
     /** copyCheckMonotone from another auxiliary clock, which may
-     * itself share; like an engine's sources, it holds some thread's
-     * time (the O(1) monotone test misjudges an empty source). */
+     * itself share, or may never have been copied into and so be
+     * empty. */
     void
     auxCopyCheck(std::size_t a, std::size_t b)
     {
-        if (a == b || auxSource_[b] == kNoSource)
+        if (a == b)
             return;
         tcAux_[a].copyCheckMonotone(tcAux_[b]);
         vcAux_[a].copyCheckMonotone(vcAux_[b]);
