@@ -15,8 +15,10 @@
 #           fault paths). TC_SANITIZE makes every UBSan report fail
 #           its test (-fno-sanitize-recover=undefined) and turns on
 #           _GLIBCXX_ASSERTIONS, so each container index is
-#           bounds-checked. Like job 1 it includes
-#           test_engine_allocs, the exact allocation checks.
+#           bounds-checked, and TC_ENABLE_ASSERTS, so every TC_ASSERT
+#           invariant check runs although the build defines NDEBUG.
+#           Like job 1 it includes test_engine_allocs, the exact
+#           allocation checks.
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           runs the fan-out's worker pool or its window-bus ring,
 #           the only threads src/ starts, plus the scratch-arena

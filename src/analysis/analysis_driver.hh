@@ -45,16 +45,17 @@ class AnalysisDriver
   public:
     using Policy = PolicyT<ClockT>;
 
-    /** Does ClockT translate external ids through a ThreadIdMap?
-     * True for TreeClock (slot recycling); flat clocks stay
+    /** Does ClockT recycle thread slots through the arena's
+     * ThreadIdMap? True for clocks that can restart a slot for a new
+     * occupant (TreeClock::resetToRoot); flat clocks stay
      * external-indexed and never activate the map. */
     static constexpr bool kUsesIdMap =
-        requires(ClockT c, const ThreadIdMap *m) { c.setIdMap(m); };
+        requires(ClockT c, Tid t, Clk s) { c.resetToRoot(t, s); };
 
     explicit AnalysisDriver(EngineConfig cfg = {})
         : cfg_(std::move(cfg)), races_(0, cfg_.maxReports)
     {
-        cfg_.idMap = &idMap_;
+        arena_.counters = cfg_.counters;
         policy_.configure(&cfg_, &arena_);
     }
 
@@ -91,9 +92,7 @@ class AnalysisDriver
     void
     feed(const Event &e)
     {
-        const std::size_t index =
-            static_cast<std::size_t>(eventsProcessed_);
-        rules_.check(index, e);
+        rules_.check(static_cast<std::size_t>(eventsProcessed_), e);
         // Grow all id spaces before taking references: emplacing a
         // fork/join/lifecycle target would otherwise reallocate
         // threads_ from under `ct`.
@@ -165,7 +164,7 @@ class AnalysisDriver
                 // The slot becomes reusable at the thread's final
                 // raw value; its clock object is recycled in place
                 // by a later create's resetToRoot.
-                idMap_.retireExt(
+                arena_.idMap.retireExt(
                     child, local_[static_cast<std::size_t>(child)]);
             } else if constexpr (requires(ClockT &cl) {
                                      cl.release();
@@ -181,9 +180,6 @@ class AnalysisDriver
 
         if (cfg_.deepChecks)
             detail::deepCheck(ct);
-        if (cfg_.onTimestamp)
-            cfg_.onTimestamp(index, e,
-                             ct.toVector(timestampWidth()));
     }
 
     /**
@@ -324,7 +320,7 @@ class AnalysisDriver
             saved[t] = rules_.savedThread(static_cast<Tid>(t));
         out.putVec(saved);
         out.putVec(seen_);
-        idMap_.serialize(out);
+        arena_.idMap.serialize(out);
         out.putU64(threads_.size());
         for (const ClockT &clock : threads_)
             clock.serialize(out);
@@ -381,15 +377,15 @@ class AnalysisDriver
             seen_.assign(local_.size(), 1);
         } else {
             if (!in.getVec(saved) || !in.getVec(seen_) ||
-                !idMap_.deserialize(in))
+                !arena_.idMap.deserialize(in))
                 return false;
             if (saved.size() != local_.size() ||
                 seen_.size() != local_.size())
                 return in.fail();
             // The map grows per met/created id, so it can trail the
             // (possibly pre-sized) external width — never exceed it.
-            if (idMap_.active() &&
-                idMap_.extCount() > local_.size())
+            if (arena_.idMap.active() &&
+                arena_.idMap.extCount() > local_.size())
                 return in.fail();
         }
         // A thread has events exactly when its local time moved.
@@ -408,14 +404,14 @@ class AnalysisDriver
         // clocks — an eagerly built bank — are harmless). Inactive:
         // the bank is identity-indexed, at most the external width
         // (smaller when clocks were built lazily).
-        if (idMap_.active()
-                ? thread_count < idMap_.slotCount()
+        if (arena_.idMap.active()
+                ? thread_count < arena_.idMap.slotCount()
                 : thread_count > local_.size())
             return in.fail();
         threads_.reserve(static_cast<std::size_t>(thread_count));
         for (std::uint64_t t = 0; t < thread_count; t++) {
             threads_.emplace_back();
-            detail::configureClock(threads_.back(), cfg_, &arena_);
+            threads_.back().setArena(&arena_);
             if (!threads_.back().deserialize(in))
                 return false;
         }
@@ -423,7 +419,7 @@ class AnalysisDriver
             return in.fail();
         for (std::uint64_t l = 0; l < lock_count; l++) {
             locks_.emplace_back();
-            detail::configureClock(locks_.back(), cfg_, &arena_);
+            locks_.back().setArena(&arena_);
             Tid holder = kNoTid;
             if (!locks_.back().deserialize(in) || !in.getI32(holder))
                 return false;
@@ -493,23 +489,13 @@ class AnalysisDriver
     slotIndex(Tid t) const
     {
         if constexpr (kUsesIdMap) {
-            if (idMap_.active()) {
-                const Tid s = idMap_.lookup(t).slot;
+            if (arena_.idMap.active()) {
+                const Tid s = arena_.idMap.lookup(t).slot;
                 TC_CHECK(s != kNoTid, "unmapped thread id");
                 return static_cast<std::size_t>(s);
             }
         }
         return static_cast<std::size_t>(t);
-    }
-
-    /** Width of materialized timestamps handed to onTimestamp: the
-     * declared thread count in batch/stream runs, else whatever has
-     * been seen. */
-    std::size_t
-    timestampWidth() const
-    {
-        return declaredThreads_ > local_.size() ? declaredThreads_
-                                                : local_.size();
     }
 
     /** Drop per-run state so run() can be called repeatedly on one
@@ -522,7 +508,7 @@ class AnalysisDriver
         rules_.clear();
         seen_.clear();
         extSeen_ = 0;
-        idMap_ = ThreadIdMap{};
+        arena_.idMap = ThreadIdMap{};
         locks_.clear();
         policy_.reset();
         races_ = RaceSummary(0, cfg_.maxReports);
@@ -544,8 +530,7 @@ class AnalysisDriver
             threads_.reserve(k);
             for (std::size_t t = 0; t < k; t++) {
                 threads_.emplace_back(static_cast<Tid>(t), k);
-                detail::configureClock(threads_.back(), cfg_,
-                                       &arena_);
+                threads_.back().setArena(&arena_);
             }
         }
         // Dynamic membership: `k` counts logical ids over the whole
@@ -557,7 +542,7 @@ class AnalysisDriver
         seen_.assign(k, 0);
         locks_.resize(static_cast<std::size_t>(si.locks));
         for (ClockT &l : locks_)
-            detail::configureClock(l, cfg_, &arena_);
+            l.setArena(&arena_);
         policy_.reserveVars(si.vars);
         races_.growVars(si.vars);
     }
@@ -584,7 +569,7 @@ class AnalysisDriver
             threads_.emplace_back(
                 static_cast<Tid>(threads_.size()),
                 static_cast<std::size_t>(slot) + 1);
-            detail::configureClock(threads_.back(), cfg_, &arena_);
+            threads_.back().setArena(&arena_);
         }
     }
 
@@ -601,7 +586,7 @@ class AnalysisDriver
         if (static_cast<std::size_t>(t) + 1 > extSeen_)
             extSeen_ = static_cast<std::size_t>(t) + 1;
         if constexpr (kUsesIdMap)
-            ensureSlotClock(idMap_.ensureExt(t));
+            ensureSlotClock(arena_.idMap.ensureExt(t));
         else
             ensureSlotClock(t);
     }
@@ -626,14 +611,15 @@ class AnalysisDriver
             // unmapped — local_ may be pre-sized far beyond what
             // has run, and mapping those ids here would make them
             // illegal create targets.
-            if (!idMap_.active())
-                idMap_.activate(extSeen_, seen_.data());
+            ThreadIdMap &map = arena_.idMap;
+            if (!map.active())
+                map.activate(extSeen_, seen_.data());
             ClockT &pc = threads_[slotIndex(parent)];
-            const Tid slot = idMap_.createExt(
+            const Tid slot = map.createExt(
                 child, [&pc](Tid s, Clk base) {
                     return pc.rawGet(s) >= base;
                 });
-            const Clk bias = idMap_.lookup(child).bias;
+            const Clk bias = map.lookup(child).bias;
             ensureSlotClock(slot);
             threads_[static_cast<std::size_t>(slot)].resetToRoot(
                 slot, bias);
@@ -648,7 +634,7 @@ class AnalysisDriver
     {
         while (locks_.size() <= static_cast<std::size_t>(l)) {
             locks_.emplace_back();
-            detail::configureClock(locks_.back(), cfg_, &arena_);
+            locks_.back().setArena(&arena_);
         }
         return locks_[static_cast<std::size_t>(l)];
     }
@@ -662,13 +648,11 @@ class AnalysisDriver
     }
 
     EngineConfig cfg_;
-    /** Traversal scratch shared by all of this driver's clocks;
-     * declared before them so it outlives every pointer. */
+    /** The clock context of every clock made here: walk scratch,
+     * frozen copies, cfg_.counters and the external-id map
+     * (identity, inactive, until the first tcreate). Declared before
+     * the clocks so it outlives every pointer into it. */
     ScratchArena arena_;
-    /** External-id compaction map; cfg_.idMap points here so every
-     * clock the driver configures shares it. Identity (inactive)
-     * until the first tcreate. */
-    ThreadIdMap idMap_;
     /** Clock bank, indexed by internal slot (== external id until
      * the id map activates). */
     std::vector<ClockT> threads_;

@@ -2,31 +2,24 @@
  * @file
  * Shared configuration, result types and clock helpers for the
  * analysis driver and its engine policies (analysis_driver.hh).
+ * Clocks take their wiring from AnalysisDriver's ScratchArena
+ * through one setArena() call: the arena points at
+ * EngineConfig::counters and holds the run's id map, so the
+ * configuration is four plain settings.
  */
 
 #ifndef TC_ANALYSIS_ENGINE_SUPPORT_HH
 #define TC_ANALYSIS_ENGINE_SUPPORT_HH
 
-#include <functional>
 #include <vector>
 
 #include "core/clock_traits.hh"
-#include "core/scratch_arena.hh"
 #include "core/tree_clock.hh"
 #include "analysis/race.hh"
 #include "support/assert.hh"
 #include "trace/trace.hh"
 
 namespace tc {
-
-/**
- * Per-event observer: (event index, event, materialized vector time
- * of the performing thread right after the event was processed).
- * Used by tests to compare against the oracle; expensive, leave
- * unset in production runs.
- */
-using TimestampObserver = std::function<void(
-    std::size_t, const Event &, const std::vector<Clk> &)>;
 
 /** Configuration shared by all engines. */
 struct EngineConfig
@@ -39,23 +32,13 @@ struct EngineConfig
     /** Cap on collected RacePair reports (counts are unaffected). */
     std::size_t maxReports = 64;
 
-    /** Work-accounting sink shared by every clock of the run. */
+    /** Work-accounting sink shared by every clock of the run:
+     * AnalysisDriver's ScratchArena points every clock at it. */
     WorkCounters *counters = nullptr;
-
-    /** Optional per-event timestamp observer (tests). */
-    TimestampObserver onTimestamp;
 
     /** Verify every touched tree clock's structural invariants after
      * each event (tests; very slow). No-op for vector clocks. */
     bool deepChecks = false;
-
-    /**
-     * Analysis-wide external-id compaction map (thread_id_map.hh),
-     * owned by the driver; attached to every clock that understands
-     * it (TreeClock). nullptr — and inactive until the first
-     * lifecycle event — for clock types that stay external-indexed.
-     */
-    const ThreadIdMap *idMap = nullptr;
 };
 
 /** Outcome of an engine run. */
@@ -69,24 +52,6 @@ struct EngineResult
 };
 
 namespace detail {
-
-/**
- * Attach the run's counters, and share the analysis' scratch arena
- * and id map with clocks that can use them. The arena (when given)
- * must outlive the clock — engines keep it next to their clock
- * storage.
- */
-template <ClockLike ClockT>
-void
-configureClock(ClockT &clock, const EngineConfig &cfg,
-               ScratchArena *arena = nullptr)
-{
-    clock.setCounters(cfg.counters);
-    if constexpr (requires { clock.setArena(arena); })
-        clock.setArena(arena);
-    if constexpr (requires { clock.setIdMap(cfg.idMap); })
-        clock.setIdMap(cfg.idMap);
-}
 
 /**
  * dst ← dst ⊔ src with the O(1) "operand already covered" shortcut

@@ -75,8 +75,7 @@ class MazPolicy
     {
         while (vars_.size() <= static_cast<std::size_t>(x)) {
             vars_.emplace_back();
-            detail::configureClock(vars_.back().lastWriteClock,
-                                   *cfg_, arena_);
+            vars_.back().lastWriteClock.setArena(arena_);
         }
     }
 
@@ -163,7 +162,7 @@ class MazPolicy
         pool_.clear();
         for (std::uint64_t i = 0; i < pool_size; i++) {
             pool_.emplace_back();
-            detail::configureClock(pool_.back(), *cfg_, arena_);
+            pool_.back().setArena(arena_);
             if (!pool_.back().deserialize(in))
                 return false;
         }
@@ -174,8 +173,7 @@ class MazPolicy
         for (std::uint64_t i = 0; i < n; i++) {
             vars_.emplace_back();
             VarState &v = vars_.back();
-            detail::configureClock(v.lastWriteClock, *cfg_,
-                                   arena_);
+            v.lastWriteClock.setArena(arena_);
             if (!v.lastWriteClock.deserialize(in) ||
                 !in.getI32(v.lastWriteEpoch.tid) ||
                 !in.getU32(v.lastWriteEpoch.clk) ||
@@ -217,7 +215,7 @@ class MazPolicy
         std::uint32_t &slot = v.readSlots[idx];
         if (slot == 0) {
             pool_.emplace_back();
-            detail::configureClock(pool_.back(), *cfg_, arena_);
+            pool_.back().setArena(arena_);
             slot = static_cast<std::uint32_t>(pool_.size());
         }
         return pool_[slot - 1];

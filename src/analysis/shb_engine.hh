@@ -55,8 +55,7 @@ class ShbPolicy
     {
         while (vars_.size() <= static_cast<std::size_t>(x)) {
             vars_.emplace_back();
-            detail::configureClock(vars_.back().lastWriteClock,
-                                   *cfg_, arena_);
+            vars_.back().lastWriteClock.setArena(arena_);
         }
     }
 
@@ -120,8 +119,7 @@ class ShbPolicy
         for (std::uint64_t i = 0; i < n; i++) {
             vars_.emplace_back();
             VarState &v = vars_.back();
-            detail::configureClock(v.lastWriteClock, *cfg_,
-                                   arena_);
+            v.lastWriteClock.setArena(arena_);
             if (!v.lastWriteClock.deserialize(in) ||
                 !v.history.deserialize(in))
                 return false;

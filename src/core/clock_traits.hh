@@ -3,7 +3,10 @@
  * The compile-time interface the analysis engines require from a
  * clock implementation. TreeClock and VectorClock both model it;
  * the engines are templates over any model, which is how the paper's
- * "drop-in replacement" claim is realized in code.
+ * "drop-in replacement" claim is realized in code. A model is a
+ * value plus one wiring call, setArena: everything a run's clocks
+ * share (walk scratch, frozen copies, work counters, id map) lives
+ * in the run's ScratchArena.
  */
 
 #ifndef TC_CORE_CLOCK_TRAITS_HH
@@ -13,7 +16,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/work_counters.hh"
+#include "core/scratch_arena.hh"
 #include "support/types.hh"
 
 namespace tc {
@@ -34,13 +37,14 @@ namespace tc {
  *    them (tree_clock.hh, "Shared copies"), so it is O(1) until o
  *    next changes beyond its own entry;
  *  - toVector(k): materialized vector time;
- *  - setCounters(c): attach work accounting.
+ *  - setArena(a): attach the run's clock context (scratch_arena.hh),
+ *    whose work counters the clock then credits.
  */
 template <typename C>
 concept ClockLike =
     std::default_initializable<C> &&
     std::constructible_from<C, Tid, std::size_t> &&
-    requires(C c, const C cc, Tid t, Clk d, WorkCounters *w,
+    requires(C c, const C cc, Tid t, Clk d, ScratchArena *a,
              std::size_t n) {
         { cc.get(t) } -> std::same_as<Clk>;
         { cc.localClk() } -> std::same_as<Clk>;
@@ -50,7 +54,7 @@ concept ClockLike =
         { c.copyCheckMonotone(cc) };
         { cc.lessThanOrEqual(cc) } -> std::same_as<bool>;
         { cc.toVector(n) } -> std::same_as<std::vector<Clk>>;
-        { c.setCounters(w) };
+        { c.setArena(a) };
         { C::kName } -> std::convertible_to<const char *>;
     };
 

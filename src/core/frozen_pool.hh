@@ -22,7 +22,8 @@
  *    copy is needed, and its buffers never outnumber the sharing
  *    clocks.
  *  - Buffer records are never destroyed before the pool, so a stale
- *    source pointer stays safe to read. A buffer names its source by
+ *    source pointer stays safe to read. Each names its pool, which
+ *    a sharer hands its share back to. A buffer names its source by
  *    the source's record storage, which a clock keeps while its
  *    entries stay the same (moves included) and no two live clocks
  *    share; a clock forgets its copy whenever that storage may
@@ -55,7 +56,7 @@ namespace tc {
  * copyCheckMonotone shares only a source whose entries take at least
  * this many bytes (26 tree-clock slots, 128 vector-clock entries);
  * narrower ones it copies. Each sharing clock adds a buffer record
- * to the pool (48 bytes) besides its share of the copies, which
+ * to the pool (56 bytes) besides its share of the copies, which
  * outweighs copying a few hundred bytes: sharing every copy raised
  * the peak RSS of perfbench's six-way fan-out by 25% on the ingest
  * workload (8 threads) and by 7% on the fanout workload (64
@@ -85,6 +86,8 @@ class FrozenPool
         Tid owner = kNoTid;
         /** Record storage of the clock frozen into the buffer. */
         const void *source = nullptr;
+        /** The pool holding the buffer. */
+        FrozenPool *pool = nullptr;
 
         /** Whether this is the live copy of the clock whose record
          * storage is @p storage. */
@@ -112,6 +115,7 @@ class FrozenPool
         if (spare_.empty()) {
             all_.emplace_back();
             f = &all_.back();
+            f->pool = this;
         } else {
             f = spare_.back();
             spare_.pop_back();
@@ -186,8 +190,9 @@ class FrozenPool
  * and keeps the clock's credit on a resident-byte gauge
  * (WorkCounters::clockBytes, sizeof(Record) per record held; growth
  * is credited, destruction and moves never touch the gauge). It
- * takes 48 bytes, 16 more than a vector and an 8-byte credit: the
- * pool and the copy, which clocks that never share pay for too.
+ * takes 40 bytes, 8 more than a vector and an 8-byte credit: the
+ * copy pointer, which clocks that never share pay for too. The pool
+ * is the arena's, passed to share() and named by the shared buffer.
  *
  * A copy holds records of its own, even of a sharing one; moving
  * hands the share over; destruction hands it back to the pool, which
@@ -203,13 +208,13 @@ class SharedRecords
 
     SharedRecords() = default;
     SharedRecords(const SharedRecords &o)
-        : own_(o.records()), pool_(o.pool_), accounted_(o.accounted_)
+        : own_(o.records()), accounted_(o.accounted_)
     {
         if (o.sharing())
             accounted_ = static_cast<std::uint32_t>(own_.size());
     }
     SharedRecords(SharedRecords &&o) noexcept
-        : own_(std::move(o.own_)), pool_(o.pool_),
+        : own_(std::move(o.own_)),
           copy_(std::exchange(o.copy_, nullptr)),
           accounted_(std::exchange(o.accounted_, 0)), clk_(o.clk_)
     {
@@ -229,7 +234,6 @@ class SharedRecords
                 unshare();
             own_ = std::move(o.own_);
             o.own_.clear();
-            pool_ = o.pool_;
             copy_ = std::exchange(o.copy_, nullptr);
             accounted_ = std::exchange(o.accounted_, 0);
             clk_ = o.clk_;
@@ -378,48 +382,41 @@ class SharedRecords
         std::vector<Record>().swap(own_);
     }
 
-    /** Attach the pool of a new arena (nullptr detaches): a sharing
-     * clock takes its records back first. */
+    /** Move to another arena: a sharing clock takes its records back
+     * (into sink @p from), the copy in the old pool is forgotten, and
+     * the records held are credited to sink @p to afresh. */
     void
-    setPool(Pool *pool, WorkCounters *c)
+    rewire(WorkCounters *from, WorkCounters *to)
     {
-        if (pool == pool_)
-            return;
         if (sharing())
-            materialize(c);
+            materialize(from);
         copy_ = nullptr;
-        pool_ = pool;
-    }
-
-    /** A new counter sink: records held are credited to it afresh. */
-    void
-    recredit(WorkCounters *c)
-    {
         accounted_ = 0;
-        credit(c);
+        credit(to);
     }
 
-    /** Whether share(@p src) may share: one pool, and a source of at
-     * least kShareMinBytes and no narrower than this clock (a copy
+    /** Whether share(@p src) may share, given one pool: a source of
+     * at least kShareMinBytes and no narrower than this clock (a copy
      * would keep the wider width). */
     bool
     canShare(const SharedRecords &src) const
     {
         const std::size_t n = src.size();
         return n * sizeof(Record) >= kShareMinBytes && size() <= n &&
-               pool_ && src.pool_ == pool_ && &src != this;
+               &src != this;
     }
 
     /**
      * copyCheckMonotone's share: read @p src's entries from now on,
-     * keeping its owner's (@p src_owner) time. A sharing source
-     * passes on its copy; a plain one hands out the copy it
-     * remembers while that is still its live copy, else freezes its
-     * records now and remembers that. Buffers allocated or grown are
-     * credited to @p c.
+     * keeping its owner's (@p src_owner) time, through the arena's
+     * @p pool. A sharing source passes on its copy; a plain one
+     * hands out the copy it remembers while that is still its live
+     * copy, else freezes its records now and remembers that. Buffers
+     * allocated or grown are credited to @p c.
      */
     void
-    share(const SharedRecords &src, Tid src_owner, WorkCounters *c)
+    share(const SharedRecords &src, Tid src_owner, Pool &pool,
+          WorkCounters *c)
     {
         std::size_t added = 0;
         if (!sharing()) {
@@ -428,7 +425,7 @@ class SharedRecords
             // keep their credit), else a fresh one as wide as the
             // source.
             copy_ = nullptr;
-            added = pool_->addBuffer(own_, src.size());
+            added = pool.addBuffer(own_, src.size());
             accounted_ = 0;
         }
         Frozen *next = nullptr;
@@ -447,15 +444,15 @@ class SharedRecords
             if (next != copy_) {
                 next->refs++;
                 if (copy_)
-                    pool_->release(*copy_);
+                    pool.release(*copy_);
             }
         } else {
             // Release first: this clock's old copy may free the
             // buffer the freeze needs.
             if (copy_)
-                pool_->release(*copy_);
+                pool.release(*copy_);
             std::size_t grown = 0;
-            next = &pool_->freeze(src.own_, src_owner, grown);
+            next = &pool.freeze(src.own_, src_owner, grown);
             added += grown;
             src.copy_ = next;
         }
@@ -507,13 +504,14 @@ class SharedRecords
         credit(c);
     }
 
-    /** Drop the shared copy and this clock's pool buffer; the
-     * buffer's bytes leave @p c's gauge when given. */
+    /** Drop the shared copy and this clock's buffer, both in the
+     * copy's pool; the buffer's bytes leave @p c's gauge if given. */
     void
     unshare(WorkCounters *c = nullptr)
     {
-        pool_->release(*copy_);
-        const std::size_t dropped = pool_->dropBuffer();
+        Pool &pool = *copy_->pool;
+        pool.release(*copy_);
+        const std::size_t dropped = pool.dropBuffer();
         if (c)
             c->subClockBytes(dropped * sizeof(Record));
         copy_ = nullptr;
@@ -522,7 +520,6 @@ class SharedRecords
     /** Own records; empty while sharing. Never emptied while copy_
      * remembers a frozen copy of them. */
     std::vector<Record> own_;
-    Pool *pool_ = nullptr;
     /** With no own records: the copy shared, or nullptr. Otherwise
      * this clock's own frozen copy while Frozen::frozenFrom(
      * own_.data()) says so. */

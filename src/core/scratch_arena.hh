@@ -1,36 +1,35 @@
 /**
  * @file
- * Reusable traversal scratch shared by the clocks of one analysis.
+ * The clock context of one analysis run. A clock is a value (its
+ * records and its root or owner) plus one wiring pointer, to the
+ * run's ScratchArena, which holds what the run's clocks share: the
+ * walk scratch of TreeClock's iterative Join/MonotoneCopy (a frame
+ * stack, as node records keep no parent pointer to backtrack
+ * through, and MonotoneCopy's gathered nodes), the frozen copies
+ * copyCheckMonotone shares (frozen_pool.hh), the work-counter sink
+ * and the external-id map tree clocks translate ids through.
  *
- * TreeClock's iterative Join/MonotoneCopy walk the operand tree in
- * pre-order with an explicit frame stack (node records keep no
- * parent pointer to backtrack through), and MonotoneCopy collects
- * the nodes to transplant before deciding how to move them.
- * Allocating those buffers per operation would put malloc on the
+ * Allocating walk buffers per operation would put malloc on the
  * hottest path of every engine; a process-wide thread_local buffer
- * (the previous design) is allocation-free but couples unrelated
- * clocks through hidden shared-mutable state. Instead, each
- * analysis (engine run, online detector) owns one ScratchArena and
- * attaches it to every clock it creates, so the steady state is
- * allocation-free and concurrent analyses in different OS threads
- * stay fully independent.
+ * is allocation-free but couples unrelated clocks through hidden
+ * shared-mutable state. Instead, each analysis owns one arena and
+ * attaches it to every clock it creates with setArena(), so the
+ * steady state is allocation-free and concurrent analyses in
+ * different OS threads stay fully independent.
  *
  * Ownership rules:
- *  - The arena must outlive every clock holding a pointer to it.
- *    Engines keep the arena next to their clock bank; the online
- *    detector keeps it as a member alongside its clock vectors.
+ *  - The arena must outlive every clock holding a pointer to it;
+ *    AnalysisDriver declares it before its clock bank.
  *  - Copying a clock copies the arena pointer: clocks of one
  *    analysis share one arena by construction.
- *  - Standalone clocks (no setArena call) fall back to a private
- *    per-clock arena — library users need not know arenas exist,
- *    and independent clocks never share traversal state.
+ *  - Standalone clocks (no setArena call) count nothing, translate
+ *    no ids and share no copies; a tree clock walks with a private
+ *    scratch. Library users need not know arenas exist.
+ *  - Moving a clock to another arena takes back the records it
+ *    shares and credits those it holds to the new arena's counters.
  *  - One arena serves one OS thread at a time. Clock operations
  *    never nest (join/copy read the operand without recursing into
  *    another join), so one set of buffers per analysis suffices.
- *
- * The arena also holds the analysis' frozen copies
- * (frozen_pool.hh): copyCheckMonotone shares one between the clocks
- * of one arena, so only clocks attached to the same arena share.
  */
 
 #ifndef TC_CORE_SCRATCH_ARENA_HH
@@ -39,6 +38,8 @@
 #include <vector>
 
 #include "core/frozen_pool.hh"
+#include "core/thread_id_map.hh"
+#include "core/work_counters.hh"
 #include "support/types.hh"
 
 namespace tc {
@@ -58,7 +59,7 @@ struct TreeNode
     Tid link = kAbsent;      ///< previous sibling or parent tag
 };
 
-/** Shared traversal scratch; see the file comment for ownership. */
+/** The run's clock context; see the file comment for ownership. */
 struct ScratchArena
 {
     /** A level of a pre-order walk over an operand tree, suspended
@@ -78,6 +79,12 @@ struct ScratchArena
         Tid node;
         Tid parent;
     };
+
+    /** Work-accounting sink of every clock of the arena (nullptr:
+     * nothing counts); set it before setArena, which credits it. */
+    WorkCounters *counters = nullptr;
+    /** External-id map; identity until the first lifecycle event. */
+    ThreadIdMap idMap;
 
     /** Walk stack: the suspended levels, innermost last. A walk
      * suspends fewer levels than the operand has nodes, so walks

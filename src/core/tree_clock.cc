@@ -12,6 +12,9 @@ namespace tc {
 // Growing a vector of clocks must move them: a copy would make a
 // sharing clock take records of its own.
 static_assert(std::is_nothrow_move_constructible_v<TreeClock>);
+// Header bytes cost time: 16 more (48 -> 64) made HB on vector clocks
+// 5-10% slower with nothing shared (perfbench, 4-vCPU Intel Xeon VM).
+static_assert(sizeof(TreeClock) <= 64);
 
 TreeClock::TreeClock(Tid owner, std::size_t capacity)
 {
@@ -25,7 +28,9 @@ TreeClock::TreeClock(Tid owner, std::size_t capacity)
 void
 TreeClock::setArena(ScratchArena *arena)
 {
-    nodes_.setPool(arena ? &arena->treeFrozen : nullptr, counters_);
+    if (arena == arena_)
+        return;
+    nodes_.rewire(counters(), arena ? arena->counters : nullptr);
     arena_ = arena;
 }
 
@@ -35,7 +40,7 @@ TreeClock::ensure(std::size_t n)
     if (nodes_.own().size() < n) {
         TC_CHECK(n <= kMaxWidth,
                  "tree clock wider than its parent tags can encode");
-        nodes_.grow(n, counters_);
+        nodes_.grow(n, counters());
     }
 }
 
@@ -43,7 +48,7 @@ void
 TreeClock::resetToRoot(Tid owner, Clk start)
 {
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
-    std::vector<Node> &own = nodes_.change(counters_);
+    std::vector<Node> &own = nodes_.change(counters());
     std::fill(own.begin(), own.end(), Node{});
     ensure(static_cast<std::size_t>(owner) + 1);
     root_ = owner;
@@ -62,10 +67,10 @@ TreeClock::increment(Clk delta)
         nodes_.bumpSharedTime(delta);
     else
         node(root_).clk += delta;
-    if (counters_) {
-        counters_->increments++;
-        counters_->vtWork++;
-        counters_->dsWork++;
+    if (WorkCounters *const counters = this->counters()) {
+        counters->increments++;
+        counters->vtWork++;
+        counters->dsWork++;
     }
 }
 
@@ -240,11 +245,12 @@ template <bool kPrune>
 void
 TreeClock::joinImpl(const TreeClock &other)
 {
+    WorkCounters *const counters = this->counters();
     if (other.root_ == kNoTid) {
         // Nothing to learn from an empty clock; still an operation
         // (vector clocks count it too, over zero stored entries).
-        if (counters_)
-            counters_->joins++;
+        if (counters)
+            counters->joins++;
         return;
     }
     TC_CHECK(root_ != kNoTid,
@@ -255,15 +261,15 @@ TreeClock::joinImpl(const TreeClock &other)
     if (rawGet(z) >= other_root_clk) {
         // Root already covered: by direct monotonicity the whole
         // operand is covered (Algorithm 2, line 18).
-        if (counters_) {
-            counters_->joins++;
-            counters_->dsWork++;
+        if (counters) {
+            counters->joins++;
+            counters->dsWork++;
         }
         return;
     }
     TC_CHECK(other.rawGet(root_) <= localClk(),
              "join operand claims to know this thread's future");
-    nodes_.change(counters_);
+    nodes_.change(counters);
     ensure(other.size());
 
     // Fast path: only the operand's root thread progressed. Its
@@ -282,12 +288,12 @@ TreeClock::joinImpl(const TreeClock &other)
             n.clk = other_root_clk;
             n.aclk = localClk();
             pushChild(z, root_);
-            if (counters_) {
+            if (counters) {
                 // Same accounting as the generic path: root compare
                 // + children examined (0 or 1) + one transplant.
-                counters_->joins++;
-                counters_->vtWork += 1;
-                counters_->dsWork += 2 + (c != kNoTid);
+                counters->joins++;
+                counters->vtWork += 1;
+                counters->dsWork += 2 + (c != kNoTid);
             }
             return;
         }
@@ -368,12 +374,12 @@ TreeClock::joinImpl(const TreeClock &other)
     zn.aclk = localClk();
     pushChild(z, root_);
 
-    if (counters_) {
+    if (counters) {
         // Every transplanted node progressed, so each one changed
         // exactly one entry of the vector time.
-        counters_->joins++;
-        counters_->vtWork += transplanted;
-        counters_->dsWork += 1 + examined + transplanted;
+        counters->joins++;
+        counters->vtWork += transplanted;
+        counters->dsWork += 1 + examined + transplanted;
     }
 }
 
@@ -398,7 +404,8 @@ TreeClock::monotoneCopy(const TreeClock &other)
                  "one violates this ⊑ other");
         return;
     }
-    nodes_.change(counters_);
+    WorkCounters *const counters = this->counters();
+    nodes_.change(counters);
     if (root_ == kNoTid) {
         // First population of an auxiliary clock: plain linear copy.
         deepCopy(other);
@@ -422,12 +429,12 @@ TreeClock::monotoneCopy(const TreeClock &other)
              theirs[static_cast<std::size_t>(c)].aclk <= r.clk)) {
             const std::uint64_t changed = r.clk != other_clk;
             r.clk = other_clk;
-            if (counters_) {
+            if (counters) {
                 // Same accounting as the generic path: children
                 // examined (0 or 1) + the root transplant.
-                counters_->copies++;
-                counters_->vtWork += changed;
-                counters_->dsWork += 1 + (c != kNoTid);
+                counters->copies++;
+                counters->vtWork += changed;
+                counters->dsWork += 1 + (c != kNoTid);
             }
             return;
         }
@@ -449,10 +456,9 @@ TreeClock::monotoneCopy(const TreeClock &other)
         // is impossible without breaking reachability. This cannot
         // happen under the HB/SHB/MAZ usage discipline (Lemma 5);
         // stay correct for ad-hoc users via the linear path.
-        fallbackCopies_++;
-        if (counters_) {
-            counters_->fallbackCopies++;
-            counters_->dsWork += examined;
+        if (counters) {
+            counters->fallbackCopies++;
+            counters->dsWork += examined;
         }
         deepCopy(other);
         return;
@@ -464,8 +470,8 @@ TreeClock::monotoneCopy(const TreeClock &other)
         // and vtWork are the relink's (nodes outside S already hold
         // the operand's time); dsWork pays the width instead of the
         // transplants.
-        if (counters_)
-            counters_->dsWork += examined;
+        if (counters)
+            counters->dsWork += examined;
         deepCopy(other);
         return;
     }
@@ -480,25 +486,28 @@ TreeClock::monotoneCopy(const TreeClock &other)
     r.aclk = 0;
     r.nextSib = kNoTid;
 
-    if (counters_) {
-        counters_->copies++;
-        counters_->vtWork += changed;
-        counters_->dsWork += examined + transplanted;
+    if (counters) {
+        counters->copies++;
+        counters->vtWork += changed;
+        counters->dsWork += examined + transplanted;
     }
 }
 
 bool
 TreeClock::copyCheckMonotone(const TreeClock &other)
 {
+    WorkCounters *const counters = this->counters();
     const bool monotone = lessThanOrEqual(other);
-    if (!monotone && counters_)
-        counters_->deepCopies++;
-    if (!other.empty() && nodes_.canShare(other.nodes_)) {
-        nodes_.share(other.nodes_, other.root_, counters_);
+    if (!monotone && counters)
+        counters->deepCopies++;
+    if (arena_ && other.arena_ == arena_ && !other.empty() &&
+        nodes_.canShare(other.nodes_)) {
+        nodes_.share(other.nodes_, other.root_, arena_->treeFrozen,
+                     counters);
         root_ = other.root_;
-        if (counters_) {
-            counters_->copies++;
-            counters_->dsWork++;
+        if (counters) {
+            counters->copies++;
+            counters->dsWork++;
         }
         return monotone;
     }
@@ -506,20 +515,21 @@ TreeClock::copyCheckMonotone(const TreeClock &other)
     // entries are the source's. An empty source is copied and
     // leaves the target empty: the O(1) test passes it for a target
     // whose root time is 0, but monotoneCopy cannot empty a clock.
-    const std::uint64_t vt_work = counters_ ? counters_->vtWork : 0;
+    const std::uint64_t vt_work = counters ? counters->vtWork : 0;
     if (monotone && !other.empty())
         monotoneCopy(other);
     else
         deepCopy(other);
-    if (counters_)
-        counters_->vtWork = vt_work;
+    if (counters)
+        counters->vtWork = vt_work;
     return monotone;
 }
 
 void
 TreeClock::deepCopy(const TreeClock &other)
 {
-    nodes_.change(counters_);
+    WorkCounters *const counters = this->counters();
+    nodes_.change(counters);
     ensure(other.size());
     std::vector<Node> &mine = nodes_.mut();
     const Node *src = other.records();
@@ -546,21 +556,21 @@ TreeClock::deepCopy(const TreeClock &other)
     if (patch_root)
         mine[r].clk = root_clk;
     root_ = other.root_;
-    if (counters_) {
-        counters_->copies++;
-        counters_->vtWork += changed;
-        counters_->dsWork += mine.size();
+    if (counters) {
+        counters->copies++;
+        counters->vtWork += changed;
+        counters->dsWork += mine.size();
     }
 }
 
 std::vector<Clk>
 TreeClock::toVector(std::size_t min_threads) const
 {
-    if (idMap_ && idMap_->active()) {
+    if (arena_ && arena_->idMap.active()) {
         // External index space: project each mapped id through its
         // slot/bias/cap record so the vector time reads in trace
         // ids, exactly like a flat vector clock's.
-        const std::size_t exts = idMap_->extCount();
+        const std::size_t exts = arena_->idMap.extCount();
         std::vector<Clk> out(std::max(exts, min_threads), 0);
         for (std::size_t t = 0; t < exts; t++)
             out[t] = get(static_cast<Tid>(t));
@@ -707,7 +717,9 @@ TreeClock::serialize(ByteSink &out) const
         return;
     }
     out.putI32(root_);
-    out.putU64(fallbackCopies_);
+    // The retired per-clock fallback-copy count: always 0 under
+    // HB/SHB/MAZ (Lemma 5), kept so the layout stays the same.
+    out.putU64(0);
     // One length-prefixed column per field of the six-array clock
     // layout checkpoints keep, whatever the in-memory records hold:
     // parent and prevSib are rebuilt from the links.
@@ -731,7 +743,7 @@ bool
 TreeClock::deserialize(ByteSource &in)
 {
     Tid root = kNoTid;
-    std::uint64_t fallback = 0;
+    std::uint64_t fallback = 0; // read and dropped (serialize())
     std::vector<Clk> clk, aclk;
     std::vector<Tid> parent, first_child, next_sib, prev_sib;
     if (!in.getI32(root) || !in.getU64(fallback) ||
@@ -775,8 +787,7 @@ TreeClock::deserialize(ByteSource &in)
                           link};
     }
     root_ = root;
-    fallbackCopies_ = fallback;
-    nodes_.assign(std::move(records), counters_);
+    nodes_.assign(std::move(records), counters());
     // checkInvariants() follows the links, which carry every prevSib
     // entry and a first child's parent. A non-first child's parent
     // entry is in no record, so check the column against the child
@@ -785,7 +796,7 @@ TreeClock::deserialize(ByteSource &in)
         // Leave a rejected clock empty rather than structurally
         // broken; the configured sinks stay attached.
         root_ = kNoTid;
-        nodes_.assign({}, counters_);
+        nodes_.assign({}, counters());
         return in.fail();
     }
     return true;

@@ -83,12 +83,15 @@
  * whose restored clocks share nothing, reproduces. A failed O(1)
  * monotone test still counts deepCopies.
  *
- * Scratch ownership. The frame stack and the copy's gathered nodes
- * live in a ScratchArena (scratch_arena.hh): engines attach one
- * shared arena to all their clocks via setArena(); a clock without
- * an arena makes a private one on its first walk. Either way the
- * buffers are reused across operations, so steady-state join/copy
- * never allocates. There is deliberately no process-global or
+ * Value and wiring. A clock's state is its records and its root;
+ * everything it shares with the other clocks of a run — the walk
+ * scratch, the frozen copies, the work counters and the external-id
+ * map — lives in the run's ScratchArena (scratch_arena.hh), which
+ * setArena() attaches through one pointer. A clock without an arena
+ * counts nothing, translates no ids, shares no copies and makes a
+ * private walk scratch on its first walk. Either way the buffers
+ * are reused across operations, so steady-state join/copy never
+ * allocates. There is deliberately no process-global or
  * thread_local scratch: clocks of unrelated analyses share no
  * mutable state.
  */
@@ -105,8 +108,6 @@
 
 #include "core/scratch_arena.hh"
 #include "core/serial.hh"
-#include "core/thread_id_map.hh"
-#include "core/work_counters.hh"
 #include "support/types.hh"
 
 namespace tc {
@@ -118,6 +119,10 @@ namespace tc {
  *  - Thread clocks are built with the owning constructor; auxiliary
  *    clocks are default constructed and populated by monotoneCopy
  *    (locks) or copyCheckMonotone (last-writes, per-thread reads).
+ *  - A thread clock ticks before it learns, as the engines increment
+ *    it at each of its events before the event's joins. The aclk cut
+ *    relies on it: a clock that joins again at a time another clock
+ *    already read makes later joins from it miss entries.
  *  - join(o) requires an initialized clock and must not be handed an
  *    operand claiming to know this clock's root thread beyond the
  *    root's own time ("a thread cannot learn its own future").
@@ -137,47 +142,29 @@ class TreeClock
     /** Init(t): thread clock rooted at (t, 0, ⊥). */
     explicit TreeClock(Tid owner, std::size_t capacity = 0);
 
-    /** Attach a work-counter sink (nullptr detaches). Storage
-     * already held is credited to the new sink's resident-byte
-     * gauge; growth and release account incrementally from there
-     * (never in destructors, so moves cannot double-count). */
-    void
-    setCounters(WorkCounters *counters)
-    {
-        counters_ = counters;
-        nodes_.recredit(counters);
-    }
-
     /**
-     * Share a traversal scratch arena (nullptr reverts to the
-     * private per-clock buffer). The arena must outlive this clock;
-     * see scratch_arena.hh for the ownership rules. Clocks of one
-     * arena share frozen copies (copyCheckMonotone).
+     * Attach the run's clock context (scratch_arena.hh; nullptr
+     * detaches), which must outlive this clock. The records held are
+     * credited to its counters afresh; growth and release account
+     * incrementally from there (never in destructors, so moves
+     * cannot double-count).
      */
     void setArena(ScratchArena *arena);
 
     /**
-     * Attach the analysis-wide external-id map (nullptr detaches).
-     * While the map is inactive (no lifecycle event yet) every read
-     * takes the plain single-load path; once active, get() and
-     * toVector() translate external ids through it (thread_id_map.hh
-     * explains the slot/bias/cap scheme). The map must outlive this
-     * clock; structural operations (join/copy/increment) are
-     * unaffected — they work in slot space either way.
-     */
-    void setIdMap(const ThreadIdMap *map) { idMap_ = map; }
-
-    /**
      * Get(t): time of external thread @p t, 0 when unknown. Without
-     * an active id map this is a single indexed load, as for a
+     * an active id map (the arena's; inactive until the run's first
+     * lifecycle event) this is a single indexed load, as for a
      * vector clock (absent threads' records hold time 0); with one
-     * it is a record lookup plus a clamp.
+     * it is a record lookup plus a clamp (thread_id_map.hh explains
+     * the slot/bias/cap scheme). Structural operations
+     * (join/copy/increment) work in slot space either way.
      */
     Clk
     get(Tid t) const
     {
-        if (idMap_ && idMap_->active()) {
-            const ThreadIdMap::Record r = idMap_->lookup(t);
+        if (arena_ && arena_->idMap.active()) {
+            const ThreadIdMap::Record r = arena_->idMap.lookup(t);
             if (r.slot == kNoTid)
                 return 0;
             const Clk raw = rawGet(r.slot);
@@ -274,9 +261,9 @@ class TreeClock
      * clock (owner, @p start, ⊥). @p start is the occupancy bias —
      * the raw value at which the new thread's time begins (see
      * thread_id_map.hh). With start == 0 this is equivalent to
-     * constructing a fresh thread clock. Counters/arena/map wiring
-     * is preserved; no memory is returned (the node array is
-     * about to be repopulated).
+     * constructing a fresh thread clock. The arena stays attached;
+     * no memory is returned (the node array is about to be
+     * repopulated).
      */
     void resetToRoot(Tid owner, Clk start);
 
@@ -305,9 +292,6 @@ class TreeClock
     Clk aclkOf(Tid t) const;
     /** Children of @p t's node, in stored (descending aclk) order. */
     std::vector<Tid> childrenOf(Tid t) const;
-    /** Safety-net deep copies taken by this instance (see class
-     * comment); 0 under algorithm usage. */
-    std::uint64_t fallbackCopies() const { return fallbackCopies_; }
     /** Identity of the frozen copy this clock shares (nullptr while
      * it holds records of its own): equal for clocks sharing one. */
     const void *sharedCopy() const { return nodes_.sharedCopy(); }
@@ -327,8 +311,10 @@ class TreeClock
      * serialize() writes the logical clock state: root, tree shape
      * and timestamps, as six columns {clk, aclk, parent, firstChild,
      * nextSib, prevSib}; the parent and prevSib columns are rebuilt
-     * from the links. The attached counters, arena and id map are
-     * wiring, not state; deserialize() leaves them untouched.
+     * from the links. A u64 column before them, once a per-clock
+     * fallback-copy count, is written as 0 and skipped on read. The
+     * attached arena is wiring, not state; deserialize() leaves it
+     * untouched.
      * deserialize() validates sizes, derives each link from the
      * parent and prevSib columns, re-runs checkInvariants() and
      * checks the parent column against the child lists, returning
@@ -457,6 +443,13 @@ class TreeClock
         OwnScratch &operator=(OwnScratch &&) noexcept = default;
     };
 
+    /** The arena's work-counter sink (nullptr: nothing counts). */
+    WorkCounters *
+    counters() const
+    {
+        return arena_ ? arena_->counters : nullptr;
+    }
+
     /** Walk scratch: shared arena when attached, else private. */
     ScratchArena &
     scratch()
@@ -473,10 +466,8 @@ class TreeClock
     SharedRecords<Node> nodes_;
 
     Tid root_ = kNoTid;
-    WorkCounters *counters_ = nullptr;
+    /** The run's clock context, or nullptr (see setArena). */
     ScratchArena *arena_ = nullptr;
-    const ThreadIdMap *idMap_ = nullptr;
-    std::uint64_t fallbackCopies_ = 0;
     OwnScratch ownScratch_;
 };
 

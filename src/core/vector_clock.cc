@@ -11,6 +11,8 @@ namespace tc {
 // Growing a vector of clocks must move them: a copy would make a
 // sharing clock take records of its own.
 static_assert(std::is_nothrow_move_constructible_v<VectorClock>);
+// Header bytes cost time (tree_clock.cc).
+static_assert(sizeof(VectorClock) <= 56);
 
 namespace {
 
@@ -36,7 +38,7 @@ VectorClock::VectorClock(Tid owner, std::size_t capacity)
     TC_CHECK(owner >= 0, "thread clock owner must be a valid tid");
     times_.grow(std::max<std::size_t>(capacity,
                                       static_cast<std::size_t>(owner) + 1),
-                counters_);
+                nullptr);
 }
 
 bool
@@ -56,19 +58,21 @@ VectorClock::increment(Clk delta)
     TC_CHECK(owner_ != kNoTid,
              "increment() requires an owning thread clock");
     // Only the owner's entry moves, so a frozen copy stays valid.
-    times_.take(counters_)[static_cast<std::size_t>(owner_)] += delta;
-    if (counters_) {
-        counters_->increments++;
-        counters_->vtWork++;
-        counters_->dsWork++;
+    WorkCounters *const counters = this->counters();
+    times_.take(counters)[static_cast<std::size_t>(owner_)] += delta;
+    if (counters) {
+        counters->increments++;
+        counters->vtWork++;
+        counters->dsWork++;
     }
 }
 
 void
 VectorClock::join(const VectorClock &other)
 {
+    WorkCounters *const counters = this->counters();
     const std::size_t n = other.size();
-    times_.grow(n, counters_);
+    times_.grow(n, counters);
     Clk *mine = times_.mut().data();
     std::uint64_t changed = 0;
     if (other.times_.sharing()) {
@@ -94,21 +98,22 @@ VectorClock::join(const VectorClock &other)
     }
     if (changed != 0)
         times_.forget();
-    if (counters_) {
-        counters_->joins++;
-        counters_->vtWork += changed;
+    if (counters) {
+        counters->joins++;
+        counters->vtWork += changed;
         // The flat join examines every entry of the operand
         // unconditionally; this is the Θ(k) the paper measures as
         // VCWork.
-        counters_->dsWork += n;
+        counters->dsWork += n;
     }
 }
 
 std::uint64_t
 VectorClock::assignFrom(const VectorClock &other)
 {
-    std::vector<Clk> &mine = times_.change(counters_);
-    times_.grow(other.size(), counters_);
+    WorkCounters *const counters = this->counters();
+    std::vector<Clk> &mine = times_.change(counters);
+    times_.grow(other.size(), counters);
     std::uint64_t changed = 0;
     if (other.times_.sharing()) [[unlikely]] {
         for (std::size_t i = 0; i < mine.size(); i++) {
@@ -133,21 +138,24 @@ void
 VectorClock::copyFrom(const VectorClock &other)
 {
     const std::uint64_t changed = assignFrom(other);
-    if (counters_) {
-        counters_->copies++;
-        counters_->vtWork += changed;
-        counters_->dsWork += size();
+    if (WorkCounters *const counters = this->counters()) {
+        counters->copies++;
+        counters->vtWork += changed;
+        counters->dsWork += size();
     }
 }
 
 void
 VectorClock::copyCheckMonotone(const VectorClock &other)
 {
-    if (times_.canShare(other.times_)) {
-        times_.share(other.times_, other.owner_, counters_);
-        if (counters_) {
-            counters_->copies++;
-            counters_->dsWork++;
+    WorkCounters *const counters = this->counters();
+    if (arena_ && other.arena_ == arena_ &&
+        times_.canShare(other.times_)) {
+        times_.share(other.times_, other.owner_, arena_->vectorFrozen,
+                     counters);
+        if (counters) {
+            counters->copies++;
+            counters->dsWork++;
         }
         return;
     }
@@ -156,9 +164,9 @@ VectorClock::copyCheckMonotone(const VectorClock &other)
     // copyFrom, so tree clocks are measured against the vector
     // clock's usual copy.
     assignFrom(other);
-    if (counters_) {
-        counters_->copies++;
-        counters_->dsWork += size();
+    if (counters) {
+        counters->copies++;
+        counters->dsWork += size();
     }
 }
 
@@ -210,7 +218,7 @@ VectorClock::deserialize(ByteSource &in)
         static_cast<std::size_t>(owner) >= times.size())
         return in.fail();
     owner_ = owner;
-    times_.assign(std::move(times), counters_);
+    times_.assign(std::move(times), counters());
     return true;
 }
 

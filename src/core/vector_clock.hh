@@ -17,6 +17,11 @@
  * keeps). Shared or copied, it counts one copy with vtWork 0, a share
  * dsWork 1; the vector clock has no O(1) monotone test, so it never
  * counts deepCopies.
+ *
+ * A clock's state is its entries and its owner; its one wiring
+ * pointer names the run's ScratchArena (scratch_arena.hh), which
+ * holds the frozen copies and the work counters. A vector clock
+ * stays externally indexed, so it never reads the arena's id map.
  */
 
 #ifndef TC_CORE_VECTOR_CLOCK_HH
@@ -29,7 +34,6 @@
 #include "core/frozen_pool.hh"
 #include "core/scratch_arena.hh"
 #include "core/serial.hh"
-#include "core/work_counters.hh"
 #include "support/types.hh"
 
 namespace tc {
@@ -51,22 +55,17 @@ class VectorClock
     /** Thread clock for @p owner, pre-sized to @p capacity entries. */
     explicit VectorClock(Tid owner, std::size_t capacity = 0);
 
-    /** Attach a work-counter sink (nullptr detaches). Storage
-     * already held is credited to the new sink's resident-byte
-     * gauge. */
-    void
-    setCounters(WorkCounters *counters)
-    {
-        counters_ = counters;
-        times_.recredit(counters);
-    }
-
-    /** Share the analysis' arena (nullptr detaches): clocks of one
-     * arena share frozen copies. The arena must outlive this clock. */
+    /** Attach the run's clock context (nullptr detaches): clocks of
+     * one arena share frozen copies, and count into its work
+     * counters, to which the entries held are credited afresh. The
+     * arena must outlive this clock. */
     void
     setArena(ScratchArena *arena)
     {
-        times_.setPool(arena ? &arena->vectorFrozen : nullptr, counters_);
+        if (arena == arena_)
+            return;
+        times_.rewire(counters(), arena ? arena->counters : nullptr);
+        arena_ = arena;
     }
 
     Tid ownerTid() const { return owner_; }
@@ -138,7 +137,7 @@ class VectorClock
      * tree clock's slot recycling closes. The clock reads as all-0
      * afterwards and must not be incremented again.
      */
-    void release() { times_.release(counters_); }
+    void release() { times_.release(counters()); }
 
     /** Number of entries (a sharing clock's: the width a copy would
      * have left). */
@@ -151,8 +150,8 @@ class VectorClock
 
     /** @name Checkpoint serialization (core/serial.hh)
      * Logical state only (owner + entries; a sharing clock writes
-     * the entries a copy would have left); the counters sink and
-     * arena are wiring and survive deserialize(). deserialize()
+     * the entries a copy would have left); the arena is wiring and
+     * survives deserialize(). deserialize()
      * returns false (failing @p in) on malformed input.
      * @{ */
     void serialize(ByteSink &out) const;
@@ -165,11 +164,19 @@ class VectorClock
     /** Take @p other's entries; returns the entries changed. */
     std::uint64_t assignFrom(const VectorClock &other);
 
+    /** The arena's work-counter sink (nullptr: nothing counts). */
+    WorkCounters *
+    counters() const
+    {
+        return arena_ ? arena_->counters : nullptr;
+    }
+
     /** Entries by thread id, or the frozen copy this clock shares
      * (frozen_pool.hh). */
     SharedRecords<Clk> times_;
     Tid owner_ = kNoTid;
-    WorkCounters *counters_ = nullptr;
+    /** The run's clock context, or nullptr (see setArena). */
+    ScratchArena *arena_ = nullptr;
 };
 
 } // namespace tc

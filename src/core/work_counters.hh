@@ -32,7 +32,8 @@
 
 namespace tc {
 
-/** Accumulated operation/work statistics for a set of clocks. */
+/** Accumulated operation/work statistics for the clocks of one
+ * ScratchArena, whose `counters` points here (scratch_arena.hh). */
 struct WorkCounters
 {
     std::uint64_t vtWork = 0;   ///< entries whose value changed

@@ -3,11 +3,11 @@
  * Assertion macros.
  *
  * TC_ASSERT guards internal invariants; it compiles away in release
- * builds unless TC_ENABLE_ASSERTS is defined (CMake option
- * TREECLOCK_ENABLE_ASSERTS). TC_CHECK is always on and is used for
- * user-facing precondition violations (the moral equivalent of gem5's
- * fatal()), while TC_ASSERT corresponds to panic(): it should never
- * fire regardless of what the user does.
+ * builds (NDEBUG) unless TC_ENABLE_ASSERTS is defined, as the
+ * sanitizer build (CMake option TC_SANITIZE) does. TC_CHECK is always
+ * on and is used for user-facing precondition violations (the moral
+ * equivalent of gem5's fatal()), while TC_ASSERT corresponds to
+ * panic(): it should never fire regardless of what the user does.
  */
 
 #ifndef TC_SUPPORT_ASSERT_HH

@@ -30,7 +30,8 @@ constexpr std::size_t kLocks = 4;
  * The clock population of one simulated execution: per-thread
  * clocks plus auxiliary (lock-release) clocks. The walk follows
  * the engines' usage discipline — thread clocks only increment
- * and join, auxiliary clocks only receive monotoneCopy from a
+ * and join, and tick before each join, as every event ticks its
+ * thread first; auxiliary clocks only receive monotoneCopy from a
  * thread that just joined them — because TreeClock's
  * join/monotoneCopy preconditions (the operand never knows the
  * owner's future; this ⊑ other) are guaranteed by exactly that
@@ -79,17 +80,21 @@ randomWalk(WalkState<ClockT> &state, Rng &rng, int steps)
             break;
           case 1:
             // Fork/join edge: b's knowledge of a is a's past, so
-            // the join precondition holds inductively.
-            if (a != b)
+            // the join precondition holds inductively. The join is
+            // an event of a's, which ticks first.
+            if (a != b) {
+                state.threads[a].increment(1);
                 state.threads[a].join(state.threads[b]);
+            }
             break;
           default: {
-            // Critical section on a random lock: acquire (join
-            // the release clock) then release (publish the
-            // acquirer's clock). The acquire establishes
+            // Critical section on a random lock: acquire (tick,
+            // then join the release clock) then release (publish
+            // the acquirer's clock). The acquire establishes
             // lock ⊑ thread, monotoneCopy's precondition.
             ClockT &lock = state.locks[static_cast<std::size_t>(
                 rng.below(state.locks.size()))];
+            state.threads[a].increment(1);
             state.threads[a].join(lock);
             state.threads[a].increment(1);
             lock.monotoneCopy(state.threads[a]);
@@ -178,6 +183,27 @@ TEST(ClockRoundTrip, VectorClockRandomWalks)
 {
     for (int i = 0; i < 4 * test::depthScale(); i++)
         roundTripWalk<VectorClock>(2000 + i);
+}
+
+TEST(ClockRoundTrip, WalksKeepTheEnginesDiscipline)
+{
+    // The walk is only a fair input if it obeys the discipline the
+    // tree clock's pruning relies on: then a tree and a vector
+    // population walked from one seed hold the same vector time.
+    for (std::uint64_t seed = 0; seed < 50; seed++) {
+        Rng tree_rng(seed), flat_rng(seed);
+        WalkState<TreeClock> tree;
+        WalkState<VectorClock> flat;
+        randomWalk(tree, tree_rng, 400);
+        randomWalk(flat, flat_rng, 400);
+        const std::vector<TreeClock *> trees = tree.all();
+        const std::vector<VectorClock *> flats = flat.all();
+        for (std::size_t i = 0; i < trees.size(); i++) {
+            ASSERT_EQ(trees[i]->toVector(kThreads),
+                      flats[i]->toVector(kThreads))
+                << "seed " << seed << ", clock " << i;
+        }
+    }
 }
 
 TEST(ClockRoundTrip, EmptyClocks)

@@ -63,16 +63,20 @@ expectSameEvents(const Trace &expected, EventSource &source,
     EXPECT_EQ(i, expected.size()) << label;
 }
 
-/** Run an engine, collecting the per-event vector timestamps. */
+/** Run an engine, collecting per event the vector time of the
+ * performing thread right after the event. */
 template <template <typename> class Engine, typename ClockT>
 std::vector<std::vector<Clk>>
 collectTimestamps(const Trace &trace, EngineConfig cfg = {})
 {
-    std::vector<std::vector<Clk>> out(trace.size());
-    cfg.onTimestamp = [&](std::size_t i, const Event &,
-                          const std::vector<Clk> &ts) { out[i] = ts; };
+    std::vector<std::vector<Clk>> out;
+    out.reserve(trace.size());
     Engine<ClockT> engine(cfg);
-    engine.run(trace);
+    engine.begin(TraceSource(trace).info());
+    for (std::size_t i = 0; i < trace.size(); i++) {
+        engine.feed(trace[i]);
+        out.push_back(engine.viewOf(trace[i].tid));
+    }
     return out;
 }
 

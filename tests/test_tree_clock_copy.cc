@@ -25,20 +25,23 @@ namespace {
 
 struct Sim
 {
+    WorkCounters work;
+    /** Declared before the clocks, which point into it. */
+    ScratchArena arena;
     std::vector<TreeClock> threads;
     std::vector<TreeClock> locks;
-    WorkCounters work;
 
     Sim(Tid num_threads, LockId num_locks)
     {
+        arena.counters = &work;
         for (Tid t = 0; t < num_threads; t++) {
             threads.emplace_back(
                 t, static_cast<std::size_t>(num_threads));
-            threads.back().setCounters(&work);
+            threads.back().setArena(&arena);
         }
         locks.resize(static_cast<std::size_t>(num_locks));
         for (auto &l : locks)
-            l.setCounters(&work);
+            l.setArena(&arena);
     }
 
     void
@@ -190,10 +193,12 @@ TEST(TreeClockCopy, AppendixBReplay)
 TEST(TreeClockCopy, CopyCheckMonotoneTakesCheapPathWhenCovered)
 {
     WorkCounters w;
+    ScratchArena arena;
+    arena.counters = &w;
     TreeClock ct(0, 4);
     TreeClock lw;
-    ct.setCounters(&w);
-    lw.setCounters(&w);
+    ct.setArena(&arena);
+    lw.setArena(&arena);
     ct.increment(1);
     lw.copyCheckMonotone(ct); // first write: lw ⊑ ct trivially
     ct.increment(1);
@@ -205,11 +210,13 @@ TEST(TreeClockCopy, CopyCheckMonotoneTakesCheapPathWhenCovered)
 TEST(TreeClockCopy, CopyCheckMonotoneDeepCopiesOnRace)
 {
     WorkCounters w;
+    ScratchArena arena;
+    arena.counters = &w;
     TreeClock c0(0, 4), c1(1, 4);
     TreeClock lw;
-    c0.setCounters(&w);
-    c1.setCounters(&w);
-    lw.setCounters(&w);
+    c0.setArena(&arena);
+    c1.setArena(&arena);
+    lw.setArena(&arena);
     c0.increment(1);
     lw.copyCheckMonotone(c0); // lw = [1,0] rooted at t0
     c1.increment(1);
@@ -283,10 +290,13 @@ TEST(TreeClockCopy, DenseCopyCutoverBoundary)
             v0.increment(1);
 
             WorkCounters tw, vw;
+            ScratchArena tarena, varena;
+            tarena.counters = &tw;
+            varena.counters = &vw;
             TreeClock target;
             VectorClock vtarget;
-            target.setCounters(&tw);
-            vtarget.setCounters(&vw);
+            target.setArena(&tarena);
+            vtarget.setArena(&varena);
             target.monotoneCopy(t0); // first population
             vtarget.monotoneCopy(v0);
 
@@ -312,7 +322,7 @@ TEST(TreeClockCopy, DenseCopyCutoverBoundary)
                 << target.toString();
             EXPECT_EQ(tw.vtWork - tc_before.vtWork,
                       vw.vtWork - vc_before.vtWork);
-            EXPECT_EQ(target.fallbackCopies(), 0u);
+            EXPECT_EQ(tw.fallbackCopies, 0u);
             const std::uint64_t examined = m;
             const bool flat = moved > w / 2;
             EXPECT_EQ(tw.dsWork - tc_before.dsWork,
@@ -334,6 +344,9 @@ TEST(TreeClockCopy, StaleTargetSweepMatchesVectorClock)
     constexpr std::size_t vars = 3;
     Rng rng(77);
     WorkCounters tw, vw;
+    ScratchArena tarena, varena;
+    tarena.counters = &tw;
+    varena.counters = &vw;
     std::vector<TreeClock> tc_threads;
     std::vector<VectorClock> vc_threads;
     for (std::size_t t = 0; t < k; t++) {
@@ -344,11 +357,11 @@ TEST(TreeClockCopy, StaleTargetSweepMatchesVectorClock)
     std::vector<VectorClock> vc_reads(k * vars), vc_writes(vars);
     for (auto *fleet : {&tc_threads, &tc_reads, &tc_writes}) {
         for (TreeClock &c : *fleet)
-            c.setCounters(&tw);
+            c.setArena(&tarena);
     }
     for (auto *fleet : {&vc_threads, &vc_reads, &vc_writes}) {
         for (VectorClock &c : *fleet)
-            c.setCounters(&vw);
+            c.setArena(&varena);
     }
 
     // Copies whose progressed entries alone exceed half the width:
@@ -416,16 +429,16 @@ struct ShareRig
     /** Wide enough to share: 32 slots of 20 bytes (kShareMinBytes). */
     static constexpr std::size_t kWidth = 32;
 
-    ScratchArena arena;
     WorkCounters work;
+    ScratchArena arena;
+
+    ShareRig() { arena.counters = &work; }
 
     void
     wire(std::initializer_list<TreeClock *> clocks)
     {
-        for (TreeClock *c : clocks) {
+        for (TreeClock *c : clocks)
             c->setArena(&arena);
-            c->setCounters(&work);
-        }
     }
 
     /** A kWidth-wide vector time starting with @p head. */
@@ -612,6 +625,37 @@ TEST(TreeClockShare, RestoredRecordsBecomeTheSharedBuffer)
     EXPECT_NE(restored.sharedCopy(), nullptr);
     EXPECT_EQ(rig.work.clockBytes, resident);
     EXPECT_EQ(restored.toVector(k), t0.toVector(k));
+}
+
+/**
+ * setArena moves a clock into another run's context: a sharing clock
+ * takes back the records it shares, the records it holds are
+ * credited to the new arena's counters, and it shares no longer with
+ * the old arena's clocks.
+ */
+TEST(TreeClockShare, MovingToAnotherArenaTakesRecordsBack)
+{
+    constexpr std::size_t k = ShareRig::kWidth;
+    ShareRig rig, other;
+    TreeClock t0(0, k), t1(1, k), x;
+    rig.wire({&t0, &t1, &x});
+    t1.increment(4);
+    t0.increment(1);
+    t0.join(t1);
+    x.copyCheckMonotone(t0);
+    ASSERT_NE(x.sharedCopy(), nullptr);
+
+    x.setArena(&other.arena);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.toVector(k), t0.toVector(k));
+    EXPECT_EQ(x.checkInvariants(), "");
+    EXPECT_EQ(other.work.clockBytes, k * sizeof(TreeNode));
+
+    t0.increment(1);
+    x.copyCheckMonotone(t0);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(other.work.copies, 1u);
+    EXPECT_EQ(x.toVector(k), t0.toVector(k));
 }
 
 TEST(TreeClockCopy, RootSwapBetweenEqualViews)

@@ -14,16 +14,15 @@
  * them into thread clocks after their source moved on, overwrites
  * them with monotoneCopy and deepCopy and round-trips them through
  * serialize/deserialize; the two fleets' work counters must agree
- * on vtWork after every operation. A narrow fleet runs without an
- * arena (each tree clock walks with its private scratch); a wide one
- * attaches every clock to one arena, so copyCheckMonotone shares
+ * on vtWork after every operation. Each clock type has an arena of
+ * its own, as each analysis does, counting into its own sink. A
+ * narrow mirror's copyCheckMonotone copies; a wide one's shares
  * frozen copies on both sides.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/scratch_arena.hh"
@@ -41,12 +40,13 @@ class MirrorFleet
 {
   public:
     /** @p capacity: initial clock width; a small one makes growth
-     * through ensure() part of what the run covers. @p share_arena
-     * attaches every clock to one arena. */
+     * through ensure() part of what the run covers. */
     MirrorFleet(Tid threads, std::size_t locks, std::size_t aux,
-                std::size_t capacity, bool share_arena)
-        : numThreads_(threads), shareArena_(share_arena)
+                std::size_t capacity)
+        : numThreads_(threads)
     {
+        tcArena_.counters = &tcWork_;
+        vcArena_.counters = &vcWork_;
         for (Tid t = 0; t < threads; t++) {
             tc_.emplace_back(t, capacity);
             vc_.emplace_back(t, capacity);
@@ -228,15 +228,8 @@ class MirrorFleet
   private:
     static constexpr std::size_t kNoSource = ~std::size_t{0};
 
-    template <typename ClockT>
-    void
-    wire(ClockT &clock)
-    {
-        if (shareArena_)
-            clock.setArena(&arena_);
-        clock.setCounters(std::is_same_v<ClockT, TreeClock> ? &tcWork_
-                                                             : &vcWork_);
-    }
+    void wire(TreeClock &clock) { clock.setArena(&tcArena_); }
+    void wire(VectorClock &clock) { clock.setArena(&vcArena_); }
 
     void
     checkClock(const TreeClock &tree, const VectorClock &flat,
@@ -248,10 +241,9 @@ class MirrorFleet
     }
 
     Tid numThreads_;
-    bool shareArena_;
-    /** Declared before the clocks, which point into it. */
-    ScratchArena arena_;
     WorkCounters tcWork_, vcWork_;
+    /** Declared before the clocks, which point into them. */
+    ScratchArena tcArena_, vcArena_;
     std::vector<TreeClock> tc_;
     std::vector<VectorClock> vc_;
     std::vector<TreeClock> tcLocks_;
@@ -328,9 +320,8 @@ randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
 
 TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
 {
-    // Narrow clocks grown from width 1, without an arena:
-    // copyCheckMonotone copies.
-    MirrorFleet fleet(11, 5, 4, 1, false);
+    // Narrow clocks grown from width 1: copyCheckMonotone copies.
+    MirrorFleet fleet(11, 5, 4, 1);
     randomMix(fleet, 11, 5, 4, 4000 * test::depthScale());
 }
 
@@ -338,8 +329,7 @@ TEST(TreeClockDifferential, SharedCopiesAgreeWithVectorClock)
 {
     // 130 threads: both clock types are wide enough to share.
     const Tid threads = 130;
-    MirrorFleet fleet(threads, 5, 6, static_cast<std::size_t>(threads),
-                      true);
+    MirrorFleet fleet(threads, 5, 6, static_cast<std::size_t>(threads));
     randomMix(fleet, threads, 5, 6, 3000 * test::depthScale());
     EXPECT_GT(fleet.shares(), 0u);
 }

@@ -24,18 +24,20 @@ class Fleet
   public:
     Fleet(Tid threads, LockId locks)
     {
+        tcArena_.counters = &tcWork_;
+        vcArena_.counters = &vcWork_;
         for (Tid t = 0; t < threads; t++) {
             tc_.emplace_back(t, static_cast<std::size_t>(threads));
             vc_.emplace_back(t, static_cast<std::size_t>(threads));
-            tc_.back().setCounters(&tcWork_);
-            vc_.back().setCounters(&vcWork_);
+            tc_.back().setArena(&tcArena_);
+            vc_.back().setArena(&vcArena_);
         }
         tcLocks_.resize(static_cast<std::size_t>(locks));
         vcLocks_.resize(static_cast<std::size_t>(locks));
         for (auto &l : tcLocks_)
-            l.setCounters(&tcWork_);
+            l.setArena(&tcArena_);
         for (auto &l : vcLocks_)
-            l.setCounters(&vcWork_);
+            l.setArena(&vcArena_);
     }
 
     void
@@ -82,6 +84,8 @@ class Fleet
 
   private:
     WorkCounters tcWork_, vcWork_;
+    /** Declared before the clocks, which point into them. */
+    ScratchArena tcArena_, vcArena_;
     std::vector<TreeClock> tc_, tcLocks_;
     std::vector<VectorClock> vc_, vcLocks_;
 };
@@ -92,10 +96,12 @@ TEST(FastPaths, RepeatedSelfSyncHitsCopyFastPath)
     // every copy is the root-only fast path; every acquire is the
     // vacuous-join fast path.
     WorkCounters w;
+    ScratchArena arena;
+    arena.counters = &w;
     TreeClock ct(0, 4);
     TreeClock lock;
-    ct.setCounters(&w);
-    lock.setCounters(&w);
+    ct.setArena(&arena);
+    lock.setArena(&arena);
 
     ct.increment(1);
     ct.join(lock);

@@ -20,20 +20,23 @@ namespace {
 /** Minimal HB driver over raw tree clocks (Algorithm 3 by hand). */
 struct Sim
 {
+    WorkCounters work;
+    /** Declared before the clocks, which point into it. */
+    ScratchArena arena;
     std::vector<TreeClock> threads;
     std::vector<TreeClock> locks;
-    WorkCounters work;
 
     Sim(Tid num_threads, LockId num_locks)
     {
+        arena.counters = &work;
         for (Tid t = 0; t < num_threads; t++) {
             threads.emplace_back(
                 t, static_cast<std::size_t>(num_threads));
-            threads.back().setCounters(&work);
+            threads.back().setArena(&arena);
         }
         locks.resize(static_cast<std::size_t>(num_locks));
         for (auto &l : locks)
-            l.setCounters(&work);
+            l.setArena(&arena);
     }
 
     void

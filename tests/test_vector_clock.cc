@@ -94,9 +94,11 @@ TEST(VectorClock, AuxiliaryClockEmpty)
 TEST(VectorClock, WorkCountersJoin)
 {
     WorkCounters w;
+    ScratchArena arena;
+    arena.counters = &w;
     VectorClock a(0, 4), b(1, 4);
-    a.setCounters(&w);
-    b.setCounters(&w);
+    a.setArena(&arena);
+    b.setArena(&arena);
     a.increment(1); // vt 1, ds 1
     b.increment(1); // vt 1, ds 1
     a.join(b);      // 1 entry changes, 4 touched
@@ -114,9 +116,11 @@ TEST(VectorClock, WorkCountersJoin)
 TEST(VectorClock, WorkCountersCopy)
 {
     WorkCounters w;
+    ScratchArena arena;
+    arena.counters = &w;
     VectorClock a(0, 4), lock;
-    a.setCounters(&w);
-    lock.setCounters(&w);
+    a.setArena(&arena);
+    lock.setArena(&arena);
     a.increment(1);
     lock.copyFrom(a);
     EXPECT_EQ(w.copies, 1u);
@@ -138,12 +142,11 @@ TEST(VectorClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
     constexpr std::size_t k = 128;
     ScratchArena arena;
     WorkCounters w;
+    arena.counters = &w;
     VectorClock t0(0, k), t1(1, k), t2(2, k);
     VectorClock x, y, z;
-    for (VectorClock *c : {&t0, &t1, &t2, &x, &y, &z}) {
+    for (VectorClock *c : {&t0, &t1, &t2, &x, &y, &z})
         c->setArena(&arena);
-        c->setCounters(&w);
-    }
     t1.increment(4);
     t0.increment(1);
     t0.join(t1); // content change: t0 learns t1@4
@@ -200,11 +203,10 @@ TEST(VectorClockShare, CopiesFromASharingClockReadItsTime)
     constexpr std::size_t k = 128;
     ScratchArena arena;
     WorkCounters w;
+    arena.counters = &w;
     VectorClock t0(0, k), t1(1, k), x, y;
-    for (VectorClock *c : {&t0, &t1, &x, &y}) {
+    for (VectorClock *c : {&t0, &t1, &x, &y})
         c->setArena(&arena);
-        c->setCounters(&w);
-    }
     t1.increment(4);
     t0.increment(2);
     t0.join(t1); // t0@2 learns t1@4
@@ -234,15 +236,43 @@ TEST(VectorClockShare, CopiesFromASharingClockReadItsTime)
     EXPECT_EQ(t2.toVector(k), vt({2, 4}, k));
 }
 
+TEST(VectorClockShare, MovingToAnotherArenaTakesEntriesBack)
+{
+    // setArena into another run's context: a sharing clock takes
+    // its entries back and credits them to the new arena's counters.
+    constexpr std::size_t k = 128;
+    ScratchArena arena, other;
+    WorkCounters w, ow;
+    arena.counters = &w;
+    other.counters = &ow;
+    VectorClock t0(0, k), x;
+    t0.setArena(&arena);
+    x.setArena(&arena);
+    t0.increment(3);
+    x.copyCheckMonotone(t0);
+    ASSERT_NE(x.sharedCopy(), nullptr);
+
+    x.setArena(&other);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(x.toVector(k), t0.toVector(k));
+    EXPECT_EQ(ow.clockBytes, k * sizeof(Clk));
+
+    // Clocks of two arenas copy instead of sharing.
+    t0.increment(1);
+    x.copyCheckMonotone(t0);
+    EXPECT_EQ(x.sharedCopy(), nullptr);
+    EXPECT_EQ(ow.copies, 1u);
+    EXPECT_EQ(x.toVector(k), t0.toVector(k));
+}
+
 TEST(VectorClockShare, NarrowSourcesAreCopied)
 {
     ScratchArena arena;
     WorkCounters w;
+    arena.counters = &w;
     VectorClock t0(0, 64), lw;
-    for (VectorClock *c : {&t0, &lw}) {
+    for (VectorClock *c : {&t0, &lw})
         c->setArena(&arena);
-        c->setCounters(&w);
-    }
     t0.increment(3);
     const WorkCounters before = w;
     lw.copyCheckMonotone(t0); // 256 bytes: below kShareMinBytes

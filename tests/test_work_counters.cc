@@ -143,15 +143,17 @@ TEST(WorkScenarios, JoinFullTouchesMoreThanJoinOnStar)
 
     auto replay = [&](bool full) {
         WorkCounters w;
+        ScratchArena arena;
+        arena.counters = &w;
         std::vector<TreeClock> threads, locks(
             static_cast<std::size_t>(trace.numLocks()));
         for (Tid t = 0; t < trace.numThreads(); t++) {
             threads.emplace_back(
                 t, static_cast<std::size_t>(trace.numThreads()));
-            threads.back().setCounters(&w);
+            threads.back().setArena(&arena);
         }
         for (TreeClock &l : locks)
-            l.setCounters(&w);
+            l.setArena(&arena);
         for (std::size_t i = 0; i < trace.size(); i++) {
             const Event &e = trace[i];
             TreeClock &ct = threads[static_cast<std::size_t>(e.tid)];
@@ -185,10 +187,13 @@ TEST(ClockBytes, OneRecordPerAddressableSlot)
     for (const std::size_t k : {1u, 8u, 300u}) {
         SCOPED_TRACE(k);
         WorkCounters tw, vw;
+        ScratchArena tarena, varena;
+        tarena.counters = &tw;
+        varena.counters = &vw;
         TreeClock tree(0, k);
         VectorClock vec(0, k);
-        tree.setCounters(&tw);
-        vec.setCounters(&vw);
+        tree.setArena(&tarena);
+        vec.setArena(&varena);
         EXPECT_EQ(tw.clockBytes, 20 * k);
         EXPECT_EQ(vw.clockBytes, 4 * k);
 
