@@ -13,12 +13,13 @@
  * once warmed.
  *
  * The Share* benchmarks time copyCheckMonotone between clocks of one
- * ScratchArena, where it shares a frozen copy of the source instead
- * of copying (tree_clock.hh, "Shared copies"): a share that reuses
- * the source's frozen copy, one that makes the source freeze anew
- * after a join, and a join whose operand shares. Below
- * kShareMinBytes (26 tree-clock slots, 128 vector-clock entries)
- * the same loops time copies.
+ * ScratchArena, where it shares a frozen version of the source
+ * instead of copying (tree_clock.hh, "Shared copies"): a share that
+ * reuses the source's frozen version, one that makes the source
+ * freeze anew after a join, and a join whose operand shares. Tree
+ * clocks share at every width, so every TreeClock row times shares;
+ * below VectorClock::kShareMinEntries (128 entries) the VectorClock
+ * rows time copies.
  */
 
 #include <benchmark/benchmark.h>
@@ -192,7 +193,7 @@ BM_ShareReuse(benchmark::State &state)
     ClockT var;
     for (ClockT *c : {&a, &b, &var})
         c->setArena(&arena);
-    var.copyCheckMonotone(b); // warm: b freezes, var's buffer exists
+    var.copyCheckMonotone(b); // warm: b freezes into the pool
     const std::uint64_t allocs = bench::heapAllocCount();
     for (auto _ : state) {
         b.increment(1);
@@ -204,7 +205,7 @@ BM_ShareReuse(benchmark::State &state)
 
 /** A per-variable copy after the source learned something (a join
  * with fresh progress, timed too): the source freezes anew — one
- * flat copy of its entries into a free buffer. */
+ * flat copy of its entries into a free version. */
 template <typename ClockT>
 void
 BM_ShareFreeze(benchmark::State &state)

@@ -32,10 +32,11 @@ namespace tc {
  *    (release events);
  *  - copyCheckMonotone(o): become o with no precondition (SHB §5.1)
  *    — the per-variable copy (last-write and read clocks). Between
- *    clocks of one ScratchArena it shares a frozen copy of o's
- *    entries, once they take kShareMinBytes, instead of copying
- *    them (tree_clock.hh, "Shared copies"), so it is O(1) until o
- *    next changes beyond its own entry;
+ *    clocks of one ScratchArena it drops its own entries and shares
+ *    a refcounted frozen version of o's instead of copying them
+ *    (tree_clock.hh, "Shared copies"), so it is O(1) until o next
+ *    changes beyond its own entry. Tree clocks share at every
+ *    width, vector clocks from VectorClock::kShareMinEntries;
  *  - toVector(k): materialized vector time;
  *  - setArena(a): attach the run's clock context (scratch_arena.hh),
  *    whose work counters the clock then credits.

@@ -5,7 +5,7 @@
  * run's ScratchArena, which holds what the run's clocks share: the
  * walk scratch of TreeClock's iterative Join/MonotoneCopy (a frame
  * stack, as node records keep no parent pointer to backtrack
- * through, and MonotoneCopy's gathered nodes), the frozen copies
+ * through, and MonotoneCopy's gathered nodes), the frozen versions
  * copyCheckMonotone shares (frozen_pool.hh), the work-counter sink
  * and the external-id map tree clocks translate ids through.
  *
@@ -23,7 +23,7 @@
  *  - Copying a clock copies the arena pointer: clocks of one
  *    analysis share one arena by construction.
  *  - Standalone clocks (no setArena call) count nothing, translate
- *    no ids and share no copies; a tree clock walks with a private
+ *    no ids and share no versions; a tree clock walks with a private
  *    scratch. Library users need not know arenas exist.
  *  - Moving a clock to another arena takes back the records it
  *    shares and credits those it holds to the new arena's counters.
@@ -45,8 +45,8 @@
 namespace tc {
 
 /** A tree clock's per-thread node record (tree_clock.hh explains
- * the fields); declared here so the arena can hold frozen copies of
- * them. The default record is an absent thread. */
+ * the fields); declared here so the arena can hold frozen versions
+ * of them. The default record is an absent thread. */
 struct TreeNode
 {
     /** `link` of a thread never in the tree. */
@@ -94,9 +94,9 @@ struct ScratchArena
     /** MonotoneCopy's gathered nodes, in operand pre-order. */
     std::vector<Transplant> gathered;
 
-    /** Frozen tree-clock records shared by per-variable clocks. */
+    /** Frozen tree-clock versions shared by per-variable clocks. */
     FrozenPool<TreeNode> treeFrozen;
-    /** Frozen vector-clock entries shared by per-variable clocks. */
+    /** Frozen vector-clock versions shared by per-variable clocks. */
     FrozenPool<Clk> vectorFrozen;
 };
 

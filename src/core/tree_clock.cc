@@ -62,7 +62,7 @@ TreeClock::increment(Clk delta)
 {
     TC_CHECK(root_ != kNoTid,
              "increment() requires an initialized thread clock");
-    // Only the root's time moves, so a frozen copy stays valid.
+    // Only the root's time moves, so a frozen version stays valid.
     if (nodes_.sharing()) [[unlikely]]
         nodes_.bumpSharedTime(delta);
     else

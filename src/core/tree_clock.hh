@@ -66,18 +66,19 @@
  * Shared copies. copyCheckMonotone is the per-variable copy (SHB's
  * and MAZ's last-write clocks, MAZ's read clocks). Between two
  * content-changing joins a thread clock changes only in its own
- * entry, so instead of copying, the target shares a frozen copy of
- * the source's records (frozen_pool.hh, held by the run's
+ * entry, so instead of copying, the target shares a frozen version
+ * of the source's records (frozen_pool.hh, held by the run's
  * ScratchArena) and keeps the source's root time of its own. The
  * source freezes itself — one flat record copy — only on the first
  * share after a join, reset or copy changed it beyond its root; a
- * source that itself shares passes its copy on. A sharing clock has
- * no records of its own: every read but the root's goes to the
- * frozen copy, including its operand side of a join, and any
- * mutation but increment takes its own records first. Serialized,
- * it is the standalone clock a copy would have left. Sources
- * narrower than kShareMinBytes or than the target, and clocks
- * without a common arena, are copied as the paper does. Either way
+ * source that itself shares passes its version on. A sharing clock
+ * frees its records and holds only a counted reference to the
+ * version: every read but the root's goes to the version, including
+ * its operand side of a join, and any mutation but increment takes
+ * records of its own first. Serialized, it is the standalone clock a
+ * copy would have left. Tree clocks share at every width; only a
+ * source narrower than the target, an empty one and clocks without a
+ * common arena are copied as the paper does. Either way
  * copyCheckMonotone counts one copy with vtWork 0 — its entries are
  * the source's — and a share dsWork 1: the accounting a resumed run,
  * whose restored clocks share nothing, reproduces. A failed O(1)
@@ -85,10 +86,10 @@
  *
  * Value and wiring. A clock's state is its records and its root;
  * everything it shares with the other clocks of a run — the walk
- * scratch, the frozen copies, the work counters and the external-id
+ * scratch, the frozen versions, the work counters and the external-id
  * map — lives in the run's ScratchArena (scratch_arena.hh), which
  * setArena() attaches through one pointer. A clock without an arena
- * counts nothing, translates no ids, shares no copies and makes a
+ * counts nothing, translates no ids, shares no versions and makes a
  * private walk scratch on its first walk. Either way the buffers
  * are reused across operations, so steady-state join/copy never
  * allocates. There is deliberately no process-global or
@@ -244,11 +245,11 @@ class TreeClock
     /**
      * CopyCheckMonotone (§5.1), the per-variable copy: O(1)
      * monotonicity test, then — between clocks of one arena, from a
-     * source of at least kShareMinBytes — a share of @p other's
-     * frozen records (see the file comment), else a sublinear
-     * MonotoneCopy or a linear deep copy. Returns the test's outcome
-     * and counts deepCopies when it fails — SHB uses the false case
-     * as its write-write race witness.
+     * non-empty source no narrower than this clock — a share of
+     * @p other's frozen records (see the file comment), else a
+     * sublinear MonotoneCopy or a linear deep copy. Returns the
+     * test's outcome and counts deepCopies when it fails — SHB uses
+     * the false case as its write-write race witness.
      */
     bool copyCheckMonotone(const TreeClock &other);
 
@@ -292,8 +293,9 @@ class TreeClock
     Clk aclkOf(Tid t) const;
     /** Children of @p t's node, in stored (descending aclk) order. */
     std::vector<Tid> childrenOf(Tid t) const;
-    /** Identity of the frozen copy this clock shares (nullptr while
-     * it holds records of its own): equal for clocks sharing one. */
+    /** Identity of the frozen version this clock shares (nullptr
+     * while it holds records of its own): equal for clocks sharing
+     * one. */
     const void *sharedCopy() const { return nodes_.sharedCopy(); }
     /**
      * Validate all structural invariants: single root, consistent
@@ -366,13 +368,13 @@ class TreeClock
      * still copied: one half tied one quarter on time and touched
      * fewer entries; three quarters and never were slower
      * (docs/ARCHITECTURE.md, Measured verdicts). It now serves lock
-     * copies and the per-variable copies of clocks too narrow to
-     * share.
+     * copies and the per-variable copies into targets wider than
+     * their source, which cannot share.
      */
     static constexpr std::size_t kDenseCopyDivisor = 2;
 
     /** The size() records this clock reads: its own, or the shared
-     * frozen copy's (whose root record holds a stale time). */
+     * frozen version's (whose root record holds a stale time). */
     const Node *records() const { return nodes_.data(); }
 
     /** Mutable records: a mutation takes its own ones first. */
@@ -462,7 +464,7 @@ class TreeClock
     }
 
     /** Node records indexed by thread id (see the file comment), or
-     * the frozen copy this clock shares (frozen_pool.hh). */
+     * the frozen version this clock shares (frozen_pool.hh). */
     SharedRecords<Node> nodes_;
 
     Tid root_ = kNoTid;

@@ -57,7 +57,7 @@ VectorClock::increment(Clk delta)
 {
     TC_CHECK(owner_ != kNoTid,
              "increment() requires an owning thread clock");
-    // Only the owner's entry moves, so a frozen copy stays valid.
+    // Only the owner's entry moves, so a frozen version stays valid.
     WorkCounters *const counters = this->counters();
     times_.take(counters)[static_cast<std::size_t>(owner_)] += delta;
     if (counters) {
@@ -76,8 +76,8 @@ VectorClock::join(const VectorClock &other)
     Clk *mine = times_.mut().data();
     std::uint64_t changed = 0;
     if (other.times_.sharing()) {
-        // The frozen copy, except the source owner's entry, which is
-        // the operand's own.
+        // The frozen version, except the source owner's entry, which
+        // is the operand's own.
         const Clk *src = other.times_.data();
         const Tid owner = other.times_.sharedOwner();
         const auto o = static_cast<std::size_t>(owner);
@@ -150,6 +150,7 @@ VectorClock::copyCheckMonotone(const VectorClock &other)
 {
     WorkCounters *const counters = this->counters();
     if (arena_ && other.arena_ == arena_ &&
+        other.size() >= kShareMinEntries &&
         times_.canShare(other.times_)) {
         times_.share(other.times_, other.owner_, arena_->vectorFrozen,
                      counters);

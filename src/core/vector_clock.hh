@@ -7,16 +7,16 @@
  * monotoneCopy is the lock copy, a flat Θ(k) copy. copyCheckMonotone
  * is the per-variable copy (SHB's and MAZ's last-write clocks, MAZ's
  * read clocks) and, between clocks of one ScratchArena and from a
- * source of at least kShareMinBytes, shares instead of copying,
+ * source of at least kShareMinEntries, shares instead of copying,
  * exactly as TreeClock does (tree_clock.hh, "Shared copies"): the
- * target reads a frozen copy of the source's entries
- * (frozen_pool.hh) and keeps the source owner's time of its own,
- * and the source freezes itself — one flat copy — only on the first
- * share after a join, copy or release changed it beyond its owner's
- * entry (a sharing source passes its copy on, with the owner time it
- * keeps). Shared or copied, it counts one copy with vtWork 0, a share
- * dsWork 1; the vector clock has no O(1) monotone test, so it never
- * counts deepCopies.
+ * target drops its entries and holds a counted reference to a frozen
+ * version of the source's (frozen_pool.hh) plus the source owner's
+ * time, and the source freezes itself — one flat copy — only on the
+ * first share after a join, copy or release changed it beyond its
+ * owner's entry (a sharing source passes its version on, with the
+ * owner time it keeps). Shared or copied, it counts one copy with
+ * vtWork 0, a share dsWork 1; the vector clock has no O(1) monotone
+ * test, so it never counts deepCopies.
  *
  * A clock's state is its entries and its owner; its one wiring
  * pointer names the run's ScratchArena (scratch_arena.hh), which
@@ -49,6 +49,17 @@ namespace tc {
 class VectorClock
 {
   public:
+    /**
+     * copyCheckMonotone shares only a source of at least this many
+     * entries (512 bytes) and copies narrower ones: a flat copy of a
+     * narrow clock costs less than the reads through a version cost
+     * the joins that follow. Sharing at every width ran SHB and MAZ
+     * on perfbench's ingest workload (8 threads) about 7–8% slower
+     * against tree clocks (docs/ARCHITECTURE.md, Measured verdicts).
+     * Tree clocks share at every width.
+     */
+    static constexpr std::size_t kShareMinEntries = 128;
+
     /** Auxiliary (ownerless) clock; all entries 0. */
     VectorClock() = default;
 
@@ -105,7 +116,7 @@ class VectorClock
 
     /** The per-variable copy (SHB's CopyCheckMonotone, §5.1): a
      * share between clocks of one arena from a source of at least
-     * kShareMinBytes (see the file comment), else a plain copy. */
+     * kShareMinEntries (see the file comment), else a plain copy. */
     void copyCheckMonotone(const VectorClock &other);
 
     /** Ditto (TreeClock's linear fallback; a flat copy already is
@@ -143,9 +154,9 @@ class VectorClock
      * have left). */
     std::size_t size() const { return times_.size(); }
 
-    /** Identity of the frozen copy this clock shares (nullptr while
-     * it holds entries of its own): equal for clocks sharing one.
-     * Tests and debugging. */
+    /** Identity of the frozen version this clock shares (nullptr
+     * while it holds entries of its own): equal for clocks sharing
+     * one. Tests and debugging. */
     const void *sharedCopy() const { return times_.sharedCopy(); }
 
     /** @name Checkpoint serialization (core/serial.hh)
@@ -171,8 +182,8 @@ class VectorClock
         return arena_ ? arena_->counters : nullptr;
     }
 
-    /** Entries by thread id, or the frozen copy this clock shares
-     * (frozen_pool.hh). */
+    /** Entries by thread id, or the frozen version this clock
+     * shares (frozen_pool.hh). */
     SharedRecords<Clk> times_;
     Tid owner_ = kNoTid;
     /** The run's clock context, or nullptr (see setArena). */

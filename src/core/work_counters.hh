@@ -8,8 +8,9 @@
  *   VC and TC runs agree on static-membership traces). Per-variable
  *   copies (copyCheckMonotone) count 0 whether they share or copy:
  *   their entries are a thread clock's, and whether a copy shares
- *   depends on the clock type's record size, so any other rule
- *   would tell the two structures apart.
+ *   depends on the clock type (tree clocks share at every width,
+ *   vector clocks from 128 entries), so any other rule would tell
+ *   the two structures apart.
  * - dsWork: number of entries the data structure touched. For vector
  *   clocks this is Θ(k) per join/copy (VCWork); for tree clocks it is
  *   the traversal iterations plus updated nodes (TCWork), which
@@ -55,10 +56,15 @@ struct WorkCounters
      * Bytes currently held by clock payload arrays attributed to
      * this counter set, and the high-water mark. Clocks account on
      * growth and on explicit release() — never in destructors, so
-     * moves and scope exits cannot double-count. With thread
-     * lifecycle + reclamation the peak tracks *live* threads, not
-     * total-ever-created; that boundedness is what the pool-workload
-     * bench measures.
+     * moves and scope exits cannot double-count. A clock that shares
+     * a frozen version (frozen_pool.hh) holds no records yet counts
+     * the copy it stands for, and the versions are not counted: the
+     * gauge is what the clocks would hold had every copy copied,
+     * which a resumed run, whose restored clocks share nothing,
+     * reproduces. The memory sharing saves shows in perfbench's
+     * `peak_rss_mb`, not here. With thread lifecycle + reclamation
+     * the peak tracks *live* threads, not total-ever-created; that
+     * boundedness is what the pool-workload bench measures.
      * @{ */
     std::uint64_t clockBytes = 0;     ///< currently resident
     std::uint64_t clockBytesPeak = 0; ///< high-water mark

@@ -11,7 +11,9 @@
  *  - an engine run allocates per clock, not per event: doubling the
  *    trace leaves the count unchanged, batch and streamed;
  *  - a tree clock is one allocation, as a vector clock is: per
- *    partial order, TC's count is at most 1.25 × VC's.
+ *    partial order, TC's count is at most 1.25 × VC's;
+ *  - a per-variable clock that shares allocates nothing: a thousand
+ *    of them sharing one thread clock allocate what one does.
  */
 
 #include <gtest/gtest.h>
@@ -151,6 +153,39 @@ TEST(EngineAllocs, TreeClockAllocatesLikeVectorClock)
                 << ": TC " << tc << " allocations vs VC " << vc;
         }
     }
+}
+
+/** Heap allocations of @p n fresh per-variable clocks, each
+ * copying one 128-wide thread clock of their arena with
+ * copyCheckMonotone (the clocks are made before counting). */
+template <typename ClockT>
+std::uint64_t
+perVariableCopyAllocs(std::size_t n)
+{
+    constexpr std::size_t kWide = 128;
+    WorkCounters work;
+    ScratchArena arena;
+    arena.counters = &work;
+    ClockT thread(0, kWide);
+    thread.setArena(&arena);
+    thread.increment(1);
+    std::vector<ClockT> vars(n);
+    for (ClockT &v : vars)
+        v.setArena(&arena);
+    const std::uint64_t before = heapAllocCount();
+    for (ClockT &v : vars)
+        v.copyCheckMonotone(thread);
+    return heapAllocCount() - before;
+}
+
+TEST(EngineAllocs, SharingClocksAllocateNothingPerClock)
+{
+    // The first copy freezes the thread clock into the pool; the
+    // other 999 share that version and hold no records.
+    EXPECT_EQ(perVariableCopyAllocs<TreeClock>(1000),
+              perVariableCopyAllocs<TreeClock>(1));
+    EXPECT_EQ(perVariableCopyAllocs<VectorClock>(1000),
+              perVariableCopyAllocs<VectorClock>(1));
 }
 
 } // namespace

@@ -4,8 +4,9 @@
  * (partial order × clock) analysis, resuming from any snapshot of
  * a checkpointed run — sequential or parallel fan-out — must
  * reproduce the straight-through run exactly: same race totals and
- * kinds, same bounded report buffer, same work counters. Anything
- * less means a checkpoint dropped or duplicated state.
+ * kinds, same bounded report buffer, same work counters, resident
+ * clock bytes and their peak included. Anything less means a
+ * checkpoint dropped or duplicated state.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "analysis/pipeline.hh"
+#include "gen/pool_workload.hh"
 #include "gen/random_trace.hh"
 #include "support/rng.hh"
 #include "test_helpers.hh"
@@ -103,6 +105,11 @@ expectSameResult(const EngineResult &expected,
     EXPECT_EQ(expected.work.fallbackCopies,
               actual.work.fallbackCopies)
         << label;
+    EXPECT_EQ(expected.work.clockBytes, actual.work.clockBytes)
+        << label;
+    EXPECT_EQ(expected.work.clockBytesPeak,
+              actual.work.clockBytesPeak)
+        << label;
 }
 
 void
@@ -140,13 +147,11 @@ removeDir(const std::string &dir)
  * through reports every time.
  */
 void
-differentialSweep(const std::string &dir, std::uint64_t seed,
-                  std::uint64_t events, std::uint64_t every,
-                  bool parallel)
+differentialSweep(const std::string &dir, const Trace &trace,
+                  std::uint64_t every, bool parallel)
 {
     removeDir(dir);
     ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
-    const Trace trace = sampleTrace(events, seed);
 
     AnalysisPipeline straight;
     addMatrix(straight);
@@ -222,8 +227,8 @@ TEST(SnapshotDifferential, SequentialMatrix)
         // trace length: the final segment is always partial.
         const std::uint64_t every =
             static_cast<std::uint64_t>(rng.range(301, 900));
-        differentialSweep("/tmp/tc_snap_diff_seq", 0x5eed + i,
-                          3000, every, false);
+        differentialSweep("/tmp/tc_snap_diff_seq",
+                          sampleTrace(3000, 0x5eed + i), every, false);
     }
 }
 
@@ -233,8 +238,25 @@ TEST(SnapshotDifferential, ParallelFanOutMatrix)
     for (int i = 0; i < test::depthScale(); i++) {
         const std::uint64_t every =
             static_cast<std::uint64_t>(rng.range(301, 900));
-        differentialSweep("/tmp/tc_snap_diff_par", 0xfeed + i,
-                          3000, every, true);
+        differentialSweep("/tmp/tc_snap_diff_par",
+                          sampleTrace(3000, 0xfeed + i), every, true);
+    }
+}
+
+/** A lifecycle trace of 301 threads: vector clocks are wide enough
+ * to share, and clocks of retired threads are released, so the
+ * resumed gauge must match through both. */
+TEST(SnapshotDifferential, PoolWorkloadMatrix)
+{
+    Rng rng(0xd1fd);
+    for (int i = 0; i < test::depthScale(); i++) {
+        PoolWorkloadParams params;
+        params.tasks = 300;
+        params.seed = 0x9001 + static_cast<std::uint64_t>(i);
+        const std::uint64_t every =
+            static_cast<std::uint64_t>(rng.range(301, 900));
+        differentialSweep("/tmp/tc_snap_diff_pool",
+                          generatePoolWorkload(params), every, false);
     }
 }
 

@@ -426,7 +426,8 @@ TEST(TreeClockCopy, StaleTargetSweepMatchesVectorClock)
 /** Clocks sharing one arena and one counter set, as an engine's. */
 struct ShareRig
 {
-    /** Wide enough to share: 32 slots of 20 bytes (kShareMinBytes). */
+    /** Tree clocks share at every width; 32 slots keep the
+     * vector times below readable. */
     static constexpr std::size_t kWidth = 32;
 
     WorkCounters work;
@@ -544,20 +545,26 @@ TEST(TreeClockShare, CopiesFromASharingClockReadItsTime)
     EXPECT_EQ(y.toVector(k), ShareRig::vt({7, 4}));
 }
 
-TEST(TreeClockShare, NarrowSourcesAreCopied)
+TEST(TreeClockShare, NarrowSourcesShare)
 {
-    // Below kShareMinBytes a copy costs less than the state a share
-    // keeps; it counts like a share all the same.
+    // A sharing clock holds no records, so a share is never dearer
+    // than a copy: an 8-slot source shares like a wide one, and is
+    // credited to the gauge at the width a copy would hold.
     ShareRig rig;
-    TreeClock t0(0, 8), lw;
-    rig.wire({&t0, &lw});
+    TreeClock t0(0, 8), lw, lw2;
+    rig.wire({&t0, &lw, &lw2});
     t0.increment(3);
     const WorkCounters before = rig.work;
     EXPECT_TRUE(lw.copyCheckMonotone(t0));
-    EXPECT_EQ(lw.sharedCopy(), nullptr);
+    EXPECT_TRUE(lw2.copyCheckMonotone(t0));
+    EXPECT_NE(lw.sharedCopy(), nullptr);
+    EXPECT_EQ(lw.sharedCopy(), lw2.sharedCopy());
     EXPECT_EQ(lw.toVector(8), t0.toVector(8));
-    EXPECT_EQ(rig.work.copies, before.copies + 1);
+    EXPECT_EQ(rig.work.copies, before.copies + 2);
+    EXPECT_EQ(rig.work.dsWork, before.dsWork + 2);
     EXPECT_EQ(rig.work.vtWork, before.vtWork);
+    EXPECT_EQ(rig.work.clockBytes,
+              before.clockBytes + 2 * 8 * sizeof(TreeNode));
 }
 
 TEST(TreeClockShare, FailedMonotoneTestCountsADeepCopyAndShares)
@@ -590,8 +597,8 @@ TEST(TreeClockShare, MutationsTakeOwnRecordsFirst)
     EXPECT_EQ(aux.sharedCopy(), nullptr);
     EXPECT_EQ(aux.toVector(k), ShareRig::vt({2, 5}));
     EXPECT_EQ(aux.checkInvariants(), "");
-    // t0's frozen copy is gone with its last sharer: the next share
-    // freezes t0 again, into a free buffer.
+    // t0's frozen version is free with its last sharer gone: the
+    // next share freezes t0 again, reusing a free version.
     aux.copyCheckMonotone(t0);
     EXPECT_NE(aux.sharedCopy(), nullptr);
     EXPECT_EQ(aux.toVector(k), ShareRig::vt({2}));
@@ -600,7 +607,7 @@ TEST(TreeClockShare, MutationsTakeOwnRecordsFirst)
     EXPECT_EQ(aux.toVector(k), ShareRig::vt({2}));
 }
 
-TEST(TreeClockShare, RestoredRecordsBecomeTheSharedBuffer)
+TEST(TreeClockShare, SharingFreesRestoredRecordsAndKeepsTheirCredit)
 {
     constexpr std::size_t k = ShareRig::kWidth;
     ShareRig rig;
@@ -608,23 +615,29 @@ TEST(TreeClockShare, RestoredRecordsBecomeTheSharedBuffer)
     rig.wire({&t0, &lw});
     t0.increment(1);
     lw.copyCheckMonotone(t0);
+    const std::uint64_t straight = rig.work.clockBytes;
     ByteSink bytes;
     lw.serialize(bytes);
 
     // A resumed run's last-write clock: restored with records of
-    // its own, credited as it loads; its next share makes those its
-    // pool buffer instead of allocating one beside them.
+    // its own, credited as it loads, as the sharing clock it stands
+    // for was. Its next share frees those records (a sharing clock
+    // holds none) and keeps their credit: the gauge counts the copy
+    // each clock stands for, not the versions.
     TreeClock restored;
     rig.wire({&restored});
     ByteSource in(bytes.bytes());
     ASSERT_TRUE(restored.deserialize(in));
     EXPECT_EQ(restored.sharedCopy(), nullptr);
     const std::uint64_t resident = rig.work.clockBytes;
+    EXPECT_EQ(resident, straight + k * sizeof(TreeNode));
     t0.increment(1);
     restored.copyCheckMonotone(t0);
     EXPECT_NE(restored.sharedCopy(), nullptr);
+    EXPECT_EQ(restored.sharedCopy(), lw.sharedCopy());
     EXPECT_EQ(rig.work.clockBytes, resident);
     EXPECT_EQ(restored.toVector(k), t0.toVector(k));
+    EXPECT_EQ(restored.checkInvariants(), "");
 }
 
 /**

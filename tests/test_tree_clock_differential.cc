@@ -15,9 +15,9 @@
  * them with monotoneCopy and deepCopy and round-trips them through
  * serialize/deserialize; the two fleets' work counters must agree
  * on vtWork after every operation. Each clock type has an arena of
- * its own, as each analysis does, counting into its own sink. A
- * narrow mirror's copyCheckMonotone copies; a wide one's shares
- * frozen copies on both sides.
+ * its own, as each analysis does, counting into its own sink. Tree
+ * clocks share frozen versions at every width; vector clocks share
+ * only in the wide mirror, and copy in the narrow one.
  */
 
 #include <gtest/gtest.h>
@@ -320,7 +320,8 @@ randomMix(MirrorFleet &fleet, Tid threads, std::size_t locks,
 
 TEST(TreeClockDifferential, RandomizedJoinCopyAgreesWithVectorClock)
 {
-    // Narrow clocks grown from width 1: copyCheckMonotone copies.
+    // Narrow clocks grown from width 1: tree clocks share unless the
+    // target is the wider clock, vector clocks copy.
     MirrorFleet fleet(11, 5, 4, 1);
     randomMix(fleet, 11, 5, 4, 4000 * test::depthScale());
 }

@@ -138,7 +138,7 @@ vt(std::initializer_list<Clk> head, std::size_t k)
 
 TEST(VectorClockShare, CopiesBetweenTwoJoinsShareOneFrozenCopy)
 {
-    // Wide enough to share: 128 entries of 4 bytes (kShareMinBytes).
+    // Wide enough to share: VectorClock::kShareMinEntries.
     constexpr std::size_t k = 128;
     ScratchArena arena;
     WorkCounters w;
@@ -275,7 +275,7 @@ TEST(VectorClockShare, NarrowSourcesAreCopied)
         c->setArena(&arena);
     t0.increment(3);
     const WorkCounters before = w;
-    lw.copyCheckMonotone(t0); // 256 bytes: below kShareMinBytes
+    lw.copyCheckMonotone(t0); // below kShareMinEntries
     EXPECT_EQ(lw.sharedCopy(), nullptr);
     EXPECT_EQ(lw.toVector(64), t0.toVector(64));
     EXPECT_EQ(w.copies, before.copies + 1);
