@@ -22,7 +22,10 @@
 #   Job 3 — TSan: the `threaded` ctest label — every suite that
 #           runs the fan-out's worker pool or its window-bus ring,
 #           the only threads src/ starts, plus the scratch-arena
-#           regression — under ThreadSanitizer.
+#           regression — under ThreadSanitizer; then the lane
+#           scheduler's suites (test_window_bus, test_pipeline)
+#           again at TC_TEST_DEPTH=3, so their randomized sweeps
+#           cover more hand-off interleavings.
 #           CMakeLists.txt owns the list
 #           (TC_THREADED_TESTS), so new threaded suites are covered
 #           by adding them there, not by editing CI regexes. Scoped
@@ -94,6 +97,10 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-ci-tsan -j "${JOBS}" --target threaded_tests
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" \
     -L threaded
+# More (window, depth, workers) draws and more windows per worker
+# count: more interleavings of the lane scheduler under TSan.
+TC_TEST_DEPTH=3 ctest --test-dir build-ci-tsan --output-on-failure \
+    -j "${JOBS}" -R 'test_(window_bus|pipeline)$'
 
 # Job 4 — crash recovery, deep. The randomized kill/corruption
 # sweeps scale their iteration counts by TC_TEST_DEPTH; rerunning

@@ -25,11 +25,13 @@
  *   ./race_detector --trace=cap.0.tcs --stream   # sharded capture
  *
  * With --parallel[=K] the fan-out runs on a worker pool (one worker
- * per analysis, or K workers round-robin over the analyses), all
- * borrowing the same zero-copy decode windows, while the calling
- * thread decodes (and, for a shard set, merges) the windows ahead
- * of them. K=1 thus overlaps decode and merge with the analyses.
- * Results are identical to the sequential pass:
+ * per analysis, or K workers), all borrowing the same zero-copy
+ * decode windows, while the calling thread decodes (and, for a
+ * shard set, merges) the windows ahead of them. Any idle worker
+ * takes the analysis furthest behind, and while the window ring is
+ * full the calling thread runs analyses too. K=1 thus overlaps
+ * decode and merge with the analyses. Results are identical to the
+ * sequential pass:
  *
  *   ./race_detector --trace=huge.tcb --stream --parallel=1
  *   ./race_detector --trace=huge.tcb --stream \

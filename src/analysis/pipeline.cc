@@ -31,69 +31,47 @@ AnalysisPipeline::drainParallel(EventSource &source,
     if (workers == 0)
         return drain(source); // no consumers: nothing to fan out
 
-    WindowBus bus(workers, options.depth);
-    const std::size_t window_events =
-        options.window == 0 ? 1 : options.window;
-
-    // Workers: each owns the consumers congruent to its index, so
-    // a consumer's driver state is only ever touched by one thread
+    // Each consumer is a lane: it runs on one thread at a time, and
+    // the bus's mutex hands its driver state from thread to thread
     // (begin() above and result() below are ordered by thread
-    // create/join). The first exception wins; any exception stops
-    // the whole pool through the bus.
-    std::vector<std::exception_ptr> errors(workers);
+    // create/join). The first exception, on any thread, stops the
+    // pool through the bus.
+    WindowBus bus(consumers_.size(), options.depth,
+                  [this](std::size_t lane, const EventWindow &window) {
+                      AnalysisConsumer &consumer = *consumers_[lane];
+                      for (const Event &e : window)
+                          consumer.consume(e);
+                  });
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; w++) {
-        pool.emplace_back([this, &bus, &errors, w, workers] {
-            try {
-                while (const EventWindow *window =
-                           bus.acquire(w)) {
-                    for (std::size_t i = w;
-                         i < consumers_.size(); i += workers) {
-                        AnalysisConsumer &consumer = *consumers_[i];
-                        for (const Event &e : *window)
-                            consumer.consume(e);
-                    }
-                    bus.release(w);
-                }
-            } catch (...) {
-                errors[w] = std::current_exception();
-                bus.requestStop();
-            }
-        });
-    }
+    for (std::size_t w = 0; w < workers; w++)
+        pool.emplace_back([&bus] { bus.work(); });
 
-    // Producer: the calling thread decodes ahead of the pool,
-    // recycling released window storage, until end of stream,
-    // source failure (reports then cover the consumed prefix, as
-    // in the sequential drain) or a worker-requested stop. A
-    // throwing source (or an allocation failure in readWindow)
-    // must tear the pool down exactly like a throwing consumer —
-    // letting it unwind past joinable threads would terminate.
-    std::exception_ptr producerError;
+    // Producer: the calling thread decodes ahead of the pool into
+    // recycled window storage, and runs lanes while the ring is
+    // full, until end of stream, source failure (reports then cover
+    // the consumed prefix, as in the sequential drain) or a stop. A
+    // throwing source (or an allocation failure in readWindow) must
+    // tear the pool down exactly like a throwing consumer — letting
+    // it unwind past joinable threads would terminate.
+    const std::size_t window_events =
+        options.window == 0 ? 1 : options.window;
     try {
+        std::vector<Event> storage;
         for (;;) {
-            std::vector<Event> storage = bus.acquireStorage();
             const EventWindow window =
                 source.readWindow(storage, window_events);
-            if (window.empty())
-                break;
-            if (!bus.publish(std::move(storage), window))
+            if (window.empty() || !bus.publish(storage, window))
                 break;
         }
     } catch (...) {
-        producerError = std::current_exception();
-        bus.requestStop();
+        bus.requestStop(std::current_exception());
     }
     bus.finish();
     for (std::thread &worker : pool)
         worker.join();
-    if (producerError)
-        std::rethrow_exception(producerError);
-    for (std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    if (const std::exception_ptr error = bus.error())
+        std::rethrow_exception(error);
     return reports();
 }
 

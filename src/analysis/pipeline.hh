@@ -19,12 +19,13 @@
  *
  * Two execution modes, one semantics: run(source) interleaves the
  * consumers on the calling thread, run(source, ParallelOptions)
- * spreads them over a worker pool that borrows shared zero-copy
- * EventWindows through a WindowBus (see window_bus.hh) — each
- * consumer still sees the full stream in order with its own clock
- * bank and scratch arena, so reports, race summaries and work
- * counters are identical between the two modes and to N dedicated
- * runs (the pipeline test suite pins all three ways).
+ * makes each consumer a lane of a WindowBus (see window_bus.hh)
+ * over shared zero-copy EventWindows, run by a worker pool and by
+ * the calling thread while the ring is full — each consumer still
+ * sees the full stream in order, one thread at a time, with its
+ * own clock bank and scratch arena, so reports, race summaries and
+ * work counters are identical between the two modes and to N
+ * dedicated runs (the pipeline test suite pins all three ways).
  */
 
 #ifndef TC_ANALYSIS_PIPELINE_HH
@@ -149,8 +150,10 @@ struct ParallelOptions
 {
     /** Worker threads; 0 = one per consumer. Always capped at the
      * consumer count. One worker still runs on the bus: it runs
-     * every consumer while the calling thread decodes (and merges)
-     * the next windows (identical results either way). */
+     * the consumers while the calling thread decodes (and merges)
+     * the next windows, and with two or more consumers the calling
+     * thread runs them too while the ring is full (identical
+     * results either way). */
     std::size_t workers = 0;
     /** Events per published window (the producer's readWindow
      * request). */
@@ -242,20 +245,22 @@ class AnalysisPipeline
 
     /**
      * The same drain spread over a worker pool: the calling thread
-     * publishes zero-copy windows into a WindowBus and each worker
-     * runs its share of the consumers over every window (consumer
-     * i belongs to worker i mod K), so the N-analysis cross product
-     * scales across cores while every consumer still observes the
-     * exact stream order. Results are identical to the sequential
-     * overload at every worker count, 1 included: one worker
-     * overlaps the calling thread's decode with the analyses.
+     * publishes zero-copy windows into a WindowBus, each consumer
+     * is a lane of it, and any idle thread runs the lane furthest
+     * behind over its next window — the calling thread too, while
+     * the ring is full and no worker is idle, unless there is only
+     * one consumer. So the N-analysis cross product scales across
+     * cores while every consumer still observes the exact stream
+     * order. Results are identical to the sequential overload at
+     * every worker count, 1 included: one worker overlaps the
+     * calling thread's decode with the analyses.
      *
-     * A consumer throwing on any worker stops the pool and the
-     * producer, and the first such exception is rethrown here after
-     * every worker has joined (no window or thread outlives the
-     * call). Consumers must not share mutable state (a shared
-     * EngineConfig::counters sink would race — DriverConsumers own
-     * their counters by default).
+     * A consumer throwing on any thread, the calling one included,
+     * stops the pool and the producer, and the first such exception
+     * is rethrown here after every worker has joined (no window or
+     * thread outlives the call). Consumers must not share mutable
+     * state (a shared EngineConfig::counters sink would race —
+     * DriverConsumers own their counters by default).
      */
     std::vector<AnalysisReport> run(EventSource &source,
                                     const ParallelOptions &options);

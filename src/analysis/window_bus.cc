@@ -1,146 +1,167 @@
 #include "analysis/window_bus.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/assert.hh"
 
 namespace tc {
 
-WindowBus::WindowBus(std::size_t consumers, std::size_t depth)
-    : slots_(depth == 0 ? 1 : depth), gates_(consumers)
+WindowBus::WindowBus(std::size_t lanes, std::size_t depth, LaneFn run)
+    : run_(std::move(run)), slots_(depth == 0 ? 1 : depth),
+      lanes_(lanes)
 {
-    TC_CHECK(consumers > 0, "WindowBus needs at least one consumer");
-}
-
-std::vector<Event>
-WindowBus::acquireStorage()
-{
-    std::lock_guard<std::mutex> lock(producerMutex_);
-    if (spare_.empty())
-        return {};
-    std::vector<Event> storage = std::move(spare_.back());
-    spare_.pop_back();
-    return storage;
+    TC_CHECK(lanes > 0, "WindowBus needs at least one lane");
 }
 
 bool
-WindowBus::publish(std::vector<Event> storage, EventWindow window)
+WindowBus::publish(std::vector<Event> &storage, EventWindow window)
 {
+    std::unique_lock<std::mutex> lock(mutex_);
     TC_CHECK(!done_, "publish after finish");
-    {
-        // A slot is writable once every consumer released it —
-        // freed_ counts those. The producer may lead by at most
-        // the ring depth.
-        std::unique_lock<std::mutex> lock(producerMutex_);
-        spaceAvailable_.wait(lock, [this] {
-            return stopRequested() ||
-                   published_ < freed_ + slots_.size();
-        });
-    }
-    if (stopRequested())
-        return false;
-    // The slot is free (no consumer touches it until its gate
-    // advertises the new sequence number below), so it fills
-    // without any lock held.
-    Slot &slot = slotFor(published_);
-    slot.storage = std::move(storage);
-    slot.window = window;
-    slot.seq = published_;
-    slot.pending.store(gates_.size(), std::memory_order_relaxed);
-    published_++;
-    // Advertise per consumer: each waiting worker wakes through
-    // its own gate instead of the whole pool herding one condvar.
-    for (Gate &gate : gates_) {
-        {
-            std::lock_guard<std::mutex> lock(gate.m);
-            gate.published = published_;
+    for (;;) {
+        if (stopped_)
+            return false;
+        if (published_ - oldest() < slots_.size())
+            break;
+        // Ring full: run a lane rather than sleep, unless an idle
+        // worker is about to take it or the bus has one lane, which
+        // stays off this thread.
+        const std::size_t lane = lanes_.size() > 1 && idle_ == 0
+                                     ? claim(producerLane_)
+                                     : kNoLane;
+        if (lane == kNoLane) {
+            space_.wait(lock);
+            continue;
         }
-        gate.cv.notify_one();
+        producerLane_ = lane;
+        runLane(lane, lock);
+        wake();
     }
+    // Every lane has passed the slot's old window, so its storage
+    // goes back to the caller as decode capacity.
+    Slot &slot = slots_[published_ % slots_.size()];
+    std::swap(slot.storage, storage);
+    slot.window = window;
+    published_++;
+    wake();
     return true;
 }
 
 void
 WindowBus::finish()
 {
-    done_ = true;
-    for (Gate &gate : gates_) {
-        {
-            std::lock_guard<std::mutex> lock(gate.m);
-            gate.done = true;
-        }
-        gate.cv.notify_one();
-    }
-}
-
-const EventWindow *
-WindowBus::acquire(std::size_t consumer)
-{
-    Gate &gate = gates_[consumer];
     {
-        std::unique_lock<std::mutex> lock(gate.m);
-        gate.cv.wait(lock, [&gate] {
-            return gate.stopped || gate.published > gate.cursor ||
-                   gate.done;
-        });
-        if (gate.stopped || gate.published <= gate.cursor)
-            return nullptr;
+        std::lock_guard<std::mutex> lock(mutex_);
+        done_ = true;
     }
-    // The gate update happens-after the producer filled the slot,
-    // so the slot reads below are ordered without the gate lock.
-    Slot &slot = slotFor(gate.cursor);
-    // The slot cannot have been recycled past this consumer: reuse
-    // requires every cursor (including ours) to move beyond seq.
-    TC_CHECK(slot.seq == gate.cursor &&
-                 slot.pending.load(std::memory_order_relaxed) > 0,
-             "window ring slot overwritten while borrowed");
-    return &slot.window;
+    work_.notify_all();
 }
 
 void
-WindowBus::release(std::size_t consumer)
+WindowBus::work()
 {
-    Gate &gate = gates_[consumer];
-    const std::uint64_t seq = gate.cursor++;
-    Slot &slot = slotFor(seq);
-    TC_CHECK(slot.seq == seq, "release without a matching acquire");
-    // acq_rel: every consumer's window reads happen-before the
-    // last releaser's storage hand-back.
-    const std::size_t left =
-        slot.pending.fetch_sub(1, std::memory_order_acq_rel);
-    TC_CHECK(left > 0, "release without a matching acquire");
-    if (left != 1)
+    try {
+        std::unique_lock<std::mutex> lock(mutex_);
+        std::size_t last = kNoLane;
+        for (;;) {
+            const std::size_t lane = claim(last);
+            wake();
+            if (lane != kNoLane) {
+                last = lane;
+                runLane(lane, lock);
+                continue;
+            }
+            // At end of stream every lane with windows left is
+            // running, and its thread runs the rest.
+            if (stopped_ || done_)
+                return;
+            idle_++;
+            work_.wait(lock);
+            idle_--;
+        }
+    } catch (...) {
+        requestStop(std::current_exception());
+    }
+}
+
+void
+WindowBus::requestStop(std::exception_ptr error)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_)
+            error_ = std::move(error);
+        stopped_ = true;
+    }
+    work_.notify_all();
+    space_.notify_all();
+}
+
+std::exception_ptr
+WindowBus::error()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return error_;
+}
+
+std::size_t
+WindowBus::claim(std::size_t last)
+{
+    std::size_t best = kNoLane;
+    for (std::size_t i = 0; i < lanes_.size(); i++) {
+        if (!ready(lanes_[i]))
+            continue;
+        if (best == kNoLane ||
+            lanes_[i].cursor < lanes_[best].cursor ||
+            (lanes_[i].cursor == lanes_[best].cursor && i == last))
+            best = i;
+    }
+    if (best != kNoLane)
+        lanes_[best].running = true;
+    return best;
+}
+
+void
+WindowBus::runLane(std::size_t i, std::unique_lock<std::mutex> &lock)
+{
+    Lane &lane = lanes_[i];
+    const std::uint64_t seq = lane.cursor;
+    const EventWindow window = slots_[seq % slots_.size()].window;
+    // A throw leaves the lane marked running; the stop that
+    // follows ends the bus, so nothing runs it again.
+    lock.unlock();
+    run_(i, window);
+    lock.lock();
+    lane.cursor++;
+    lane.running = false;
+    // The full ring's oldest window is done: the producer may
+    // publish into its slot.
+    if (seq + slots_.size() == published_ && oldest() > seq)
+        space_.notify_one();
+}
+
+void
+WindowBus::wake()
+{
+    const bool any = std::any_of(
+        lanes_.begin(), lanes_.end(),
+        [this](const Lane &lane) { return ready(lane); });
+    if (!any)
         return;
-    // Slowest consumer out: hand the backing buffer to the
-    // producer as decode capacity and free the ring position.
-    std::vector<Event> storage = std::move(slot.storage);
-    slot.storage = {};
-    slot.window = {};
-    {
-        std::lock_guard<std::mutex> lock(producerMutex_);
-        spare_.push_back(std::move(storage));
-        freed_++;
-    }
-    spaceAvailable_.notify_one();
+    if (idle_ > 0)
+        work_.notify_one();
+    else
+        space_.notify_one();
 }
 
-void
-WindowBus::requestStop()
+std::uint64_t
+WindowBus::oldest() const
 {
-    stopped_.store(true, std::memory_order_release);
-    {
-        // Empty critical section: order the flag against the
-        // producer's predicate check so the wakeup cannot be lost.
-        std::lock_guard<std::mutex> lock(producerMutex_);
-    }
-    spaceAvailable_.notify_all();
-    for (Gate &gate : gates_) {
-        {
-            std::lock_guard<std::mutex> lock(gate.m);
-            gate.stopped = true;
-        }
-        gate.cv.notify_one();
-    }
+    std::uint64_t seq = published_;
+    for (const Lane &lane : lanes_)
+        seq = std::min(seq, lane.cursor);
+    return seq;
 }
 
 } // namespace tc

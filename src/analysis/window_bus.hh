@@ -1,44 +1,44 @@
 /**
  * @file
- * Single-producer / multi-consumer window ring for the parallel
- * analysis fan-out.
+ * The lane scheduler under the parallel analysis fan-out.
  *
  * The sequential AnalysisPipeline interleaves N analyses on one
  * thread; parallelizing it only needs one new primitive, because
  * each AnalysisDriver already owns all its mutable state (clock
- * bank, scratch arena, race summary). WindowBus is that primitive:
- * the producer publishes refcounted EventWindows (immutable spans
- * of decoded events, usually borrowed zero-copy from the source via
- * EventSource::readWindow) into a bounded ring, and each consumer
- * worker walks the ring strictly in order at its own pace. A slot
- * is recycled — its backing storage handed back to the producer as
- * spare decode capacity — only when the *slowest* consumer has
- * released it, so the ring bounds how far the reader can run ahead
- * and no event is ever copied per consumer.
+ * bank, scratch arena, race summary). WindowBus is that primitive.
+ * The producer (the calling thread) publishes EventWindows —
+ * immutable spans of decoded events, usually borrowed zero-copy
+ * from the source via EventSource::readWindow — into a bounded
+ * ring. Each consumer is a *lane*: a cursor into the ring that
+ * runs on at most one thread at a time, always on its next window
+ * in stream order. A thread looking for work takes the ready lane
+ * furthest behind (on a tie, the lane it ran last), so no thread
+ * waits while some lane has a backlog. A slot is recycled — its
+ * storage handed back to the producer as decode capacity — once
+ * every lane has passed it, so the ring bounds how far the reader
+ * runs ahead and no event is ever copied per consumer.
  *
- * Synchronization is split per party so small windows do not turn
- * into wakeup storms: every consumer has its own gate (mutex +
- * condvar + published cursor) and the producer has its own
- * space-tracking lock. A publish takes each waiting consumer's
- * gate briefly instead of herding all of them across one shared
- * mutex; a release only touches the slot's atomic refcount, and
- * only the slowest consumer out takes the producer lock to hand
- * the storage back. No consumer ever contends with another
- * consumer.
+ * While the ring is full and no worker is idle, the producer runs
+ * a ready lane instead of sleeping. A single lane never runs on
+ * the producer, so a one-analysis run keeps its decode overlapped
+ * with its analysis.
  *
- * Error discipline: requestStop() wakes every blocked party;
- * publish() then refuses new windows and acquire() returns null, so
- * a faulting consumer tears the whole pool down without deadlock
- * and without leaking windows (slot storage dies with the bus).
+ * All state sits under one mutex, and a lane's consumer state
+ * passes from one thread to the next through it. Error discipline:
+ * a lane that throws, on a worker or on the producer, and
+ * requestStop() stop the bus. No lane starts another window,
+ * publish() refuses new ones and every blocked party wakes, so a
+ * fault tears the whole pool down without deadlock; error() keeps
+ * the first exception for the caller to rethrow.
  */
 
 #ifndef TC_ANALYSIS_WINDOW_BUS_HH
 #define TC_ANALYSIS_WINDOW_BUS_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -47,115 +47,103 @@
 namespace tc {
 
 /** Windows the producer may keep in flight ahead of the slowest
- * consumer. 4 ≈ double buffering per side of the hand-off. */
+ * lane. 4 ≈ double buffering per side of the hand-off. */
 inline constexpr std::size_t kDefaultWindowRingDepth = 4;
 
 class WindowBus
 {
   public:
-    /**
-     * A ring of @p depth slots shared by @p consumers workers.
-     * Every published window must be acquired and released exactly
-     * once by every consumer index in [0, consumers).
-     */
-    WindowBus(std::size_t consumers, std::size_t depth);
+    /** Runs lane @p lane over its next window. */
+    using LaneFn =
+        std::function<void(std::size_t lane, const EventWindow &)>;
+
+    /** A ring of @p depth slots read by @p lanes lanes, each
+     * window of each lane run once through @p run. */
+    WindowBus(std::size_t lanes, std::size_t depth, LaneFn run);
 
     WindowBus(const WindowBus &) = delete;
     WindowBus &operator=(const WindowBus &) = delete;
 
-    /** @name Producer side (one thread) @{ */
-
-    /** Recycled buffer capacity from fully-released slots (an empty
-     * vector when none is spare yet) — pass it to
-     * EventSource::readWindow so decode reuses released windows. */
-    std::vector<Event> acquireStorage();
-
     /**
-     * Publish @p window, keeping @p storage alive in the slot until
-     * every consumer released it (@p window may point into
-     * @p storage or into source-stable memory; the bus does not
-     * care). Blocks while the ring is full. Returns false — and
-     * discards the window — once stop was requested.
+     * Producer (one thread): publish @p window, keeping @p storage
+     * alive in its slot until every lane has run it (@p window may
+     * point into @p storage or into source-stable memory). On
+     * return @p storage holds the recycled slot's old buffer, for
+     * the next EventSource::readWindow to decode into. While the
+     * ring is full this runs ready lanes or blocks, and a lane's
+     * exception propagates. Returns false — and discards the
+     * window — once the bus is stopped.
      */
-    bool publish(std::vector<Event> storage, EventWindow window);
+    bool publish(std::vector<Event> &storage, EventWindow window);
 
     /** No more windows will be published (clean end of stream);
-     * consumers drain what is in flight, then see null. */
+     * the workers drain what is in flight, then return. */
     void finish();
 
-    /** @} */
+    /** Worker body: run lanes until end of stream or stop. A lane
+     * that throws stops the bus with its exception. */
+    void work();
 
-    /** @name Consumer side (one thread per consumer index) @{ */
+    /** Abort: keep @p error if it is the first, wake everyone,
+     * fail further publishes and start no further lane window.
+     * Any thread may call it. */
+    void requestStop(std::exception_ptr error = nullptr);
 
-    /**
-     * Block until the next window in stream order is available for
-     * consumer @p consumer and return it; null at end of stream or
-     * stop. The span stays valid until the matching release().
-     */
-    const EventWindow *acquire(std::size_t consumer);
-
-    /** Release the window last returned by acquire(@p consumer);
-     * the last consumer out recycles the slot to the producer. */
-    void release(std::size_t consumer);
-
-    /** @} */
-
-    /** Abort: wake everyone, fail further publishes, end every
-     * consumer's stream early. Any thread may call it. */
-    void requestStop();
-
-    bool stopRequested() const
-    {
-        return stopped_.load(std::memory_order_acquire);
-    }
+    /** The first error passed to requestStop(), or null. */
+    std::exception_ptr error();
 
   private:
+    static constexpr std::size_t kNoLane = ~std::size_t{0};
+
     struct Slot
     {
         std::vector<Event> storage;
         EventWindow window;
-        std::uint64_t seq = 0;
-        /** Consumers yet to release; the producer's gate writes
-         * publish the slot contents, the last releaser's
-         * fetch-sub orders the storage hand-back. */
-        std::atomic<std::size_t> pending{0};
     };
 
-    /** One consumer's private wait channel. The producer copies
-     * its published count here under the gate lock; cursor is
-     * touched by the owning consumer thread only. Padded so two
-     * gates never share a cache line. */
-    struct alignas(64) Gate
+    struct Lane
     {
-        std::mutex m;
-        std::condition_variable cv;
-        std::uint64_t published = 0;
-        bool done = false;
-        bool stopped = false;
+        /** Sequence number of the next window to run. */
         std::uint64_t cursor = 0;
+        bool running = false;
     };
 
-    Slot &slotFor(std::uint64_t seq)
+    bool
+    ready(const Lane &lane) const
     {
-        return slots_[static_cast<std::size_t>(seq %
-                                               slots_.size())];
+        return !stopped_ && !lane.running &&
+               lane.cursor < published_;
     }
 
+    /** Mark and return the ready lane furthest behind, preferring
+     * @p last on a tie; kNoLane when none is ready. */
+    std::size_t claim(std::size_t last);
+
+    /** Run the claimed @p lane over its next window with @p lock
+     * released, then hand the lane back. */
+    void runLane(std::size_t lane,
+                 std::unique_lock<std::mutex> &lock);
+
+    /** If some lane is ready, wake an idle worker for it, or the
+     * producer when no worker is idle. */
+    void wake();
+
+    /** Sequence number of the oldest window some lane still
+     * needs. */
+    std::uint64_t oldest() const;
+
+    const LaneFn run_;
+    std::mutex mutex_;
+    std::condition_variable work_;  ///< idle workers wait here
+    std::condition_variable space_; ///< the producer waits here
     std::vector<Slot> slots_;
-    std::deque<Gate> gates_;
-
-    /** Producer-side space accounting: how many slots were fully
-     * released (freed_) and the recycled storage pool. */
-    std::mutex producerMutex_;
-    std::condition_variable spaceAvailable_;
-    std::vector<std::vector<Event>> spare_;
-    std::uint64_t freed_ = 0;
-
-    /** Producer-thread-only. */
+    std::vector<Lane> lanes_;
     std::uint64_t published_ = 0;
+    std::size_t idle_ = 0;
+    std::size_t producerLane_ = kNoLane;
     bool done_ = false;
-
-    std::atomic<bool> stopped_{false};
+    bool stopped_ = false;
+    std::exception_ptr error_;
 };
 
 } // namespace tc

@@ -28,8 +28,10 @@ addParallelFlag(ArgParser &args)
     args.addOptionalInt(
         "parallel", 0, -1,
         "fan-out worker threads: the calling thread decodes (and "
-        "merges) while K workers run the analyses, so K=1 already "
-        "overlaps decode and merge with the analyses (bare "
+        "merges) while K workers run the analyses, each taking the "
+        "analysis furthest behind, so K=1 already overlaps decode "
+        "and merge with the analyses; while its window ring is "
+        "full the calling thread runs analyses too (bare "
         "--parallel = one per analysis; 0 = sequential)");
 }
 

@@ -96,8 +96,9 @@ struct SourceInfo
  * hand-off between a source and its consumers. The span never owns
  * its events; EventSource::readWindow documents the two lifetime
  * contracts (storage-backed vs. source-stable), and the parallel
- * fan-out's WindowBus refcounts published windows so N consumers
- * can borrow one decode without copying it.
+ * fan-out's WindowBus keeps a published window until every
+ * consumer has run it, so N consumers borrow one decode without
+ * copying it.
  */
 struct EventWindow
 {

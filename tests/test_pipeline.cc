@@ -312,9 +312,16 @@ TEST(PipelineParallel, WindowDepthWorkerEquivalenceSweep)
             expectSameRaces(expected[i].result.races,
                             reports[i].result.races,
                             label + " " + reports[i].name);
-            EXPECT_EQ(expected[i].result.work.dsWork,
-                      reports[i].result.work.dsWork)
-                << label << " " << reports[i].name;
+            // Every counter: a hand-off that skipped or repeated a
+            // window would move at least one of them.
+            const WorkCounters &want = expected[i].result.work;
+            const WorkCounters &got = reports[i].result.work;
+            const std::string name = label + " " + reports[i].name;
+            EXPECT_EQ(want.dsWork, got.dsWork) << name;
+            EXPECT_EQ(want.vtWork, got.vtWork) << name;
+            EXPECT_EQ(want.clockBytes, got.clockBytes) << name;
+            EXPECT_EQ(want.clockBytesPeak, got.clockBytesPeak)
+                << name;
         }
     }
     std::remove(path.c_str());
@@ -581,6 +588,89 @@ TEST_F(PipelineFault, PipelineIsReusableAfterParallelFault)
     ASSERT_EQ(reports.size(), 4u);
     EXPECT_EQ(reports[0].result.races.total(), 1u);
     EXPECT_EQ(reports[3].result.races.total(), 1u);
+}
+
+/** An analysis that throws when it runs on @p caller while
+ * @p armed: a fault only the calling thread can meet. */
+class CallerFault final : public AnalysisConsumer
+{
+  public:
+    CallerFault(std::unique_ptr<AnalysisConsumer> inner,
+                const bool &armed, std::thread::id caller)
+        : inner_(std::move(inner)), armed_(armed), caller_(caller)
+    {}
+
+    const std::string &name() const override { return inner_->name(); }
+    void begin(const SourceInfo &si) override { inner_->begin(si); }
+    void
+    consume(const Event &e) override
+    {
+        if (armed_ && std::this_thread::get_id() == caller_)
+            throw std::runtime_error("fault on the calling thread");
+        inner_->consume(e);
+    }
+    EngineResult result() const override { return inner_->result(); }
+    void
+    saveState(ByteSink &out) const override
+    {
+        inner_->saveState(out);
+    }
+    bool
+    restoreState(ByteSource &in) override
+    {
+        return inner_->restoreState(in);
+    }
+
+  private:
+    std::unique_ptr<AnalysisConsumer> inner_;
+    const bool &armed_;
+    std::thread::id caller_;
+};
+
+TEST_F(PipelineFault, FaultOnTheCallingThreadStopsThePool)
+{
+    // Six lanes, one worker, depth 1: the ring is full after every
+    // publish, so the calling thread runs lanes beside the worker,
+    // and the first event it feeds throws. The pool must stop, the
+    // worker join, that error surface here, and the next run must
+    // equal the sequential one.
+    bool armed = true;
+    AnalysisPipeline pipeline;
+    for (const char *po : {"hb", "shb", "maz"}) {
+        for (const char *clock : {"tc", "vc"}) {
+            pipeline.add(std::make_unique<CallerFault>(
+                makeAnalysisConsumer(po, clock), armed,
+                std::this_thread::get_id()));
+        }
+    }
+    ParallelOptions opt;
+    opt.workers = 1;
+    opt.window = 16;
+    opt.depth = 1;
+    TraceSource faulty(trace_);
+    try {
+        pipeline.run(faulty, opt);
+        ADD_FAILURE() << "the calling thread ran no lane";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "fault on the calling thread");
+    }
+
+    armed = false;
+    TraceSource clean(trace_);
+    const auto reports = pipeline.run(clean, opt);
+    AnalysisPipeline sequential = fullPipeline();
+    TraceSource ref(trace_);
+    const auto expected = sequential.run(ref);
+    ASSERT_EQ(reports.size(), expected.size());
+    for (std::size_t i = 0; i < reports.size(); i++) {
+        EXPECT_EQ(expected[i].result.events, reports[i].result.events)
+            << reports[i].name;
+        expectSameRaces(expected[i].result.races,
+                        reports[i].result.races, reports[i].name);
+        EXPECT_EQ(expected[i].result.work.vtWork,
+                  reports[i].result.work.vtWork)
+            << reports[i].name;
+    }
 }
 
 /** An hb/tc consumer that records the thread running it. */

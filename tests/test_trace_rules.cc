@@ -11,8 +11,9 @@
  * mutant, validate()'s (index, message) must equal the first
  * TraceInputError of the six (po × clock) drivers fed event by
  * event, of the same six through run(Trace), and of a six-way
- * AnalysisPipeline on two workers. A mutant that is still well
- * formed must throw nowhere. TC_TEST_DEPTH scales the trace count.
+ * AnalysisPipeline on one, two and three workers. A mutant that
+ * is still well formed must throw nowhere. TC_TEST_DEPTH scales
+ * the trace count.
  */
 
 #include <gtest/gtest.h>
@@ -171,17 +172,21 @@ expectAgreement(const Trace &t, const std::string &label)
     expectDriversAgree<MazEngine, VectorClock>(t, expected,
                                                label + " maz/vc");
 
-    AnalysisPipeline pipeline;
-    for (const char *po : {"hb", "shb", "maz"}) {
-        for (const char *clock : {"tc", "vc"})
-            pipeline.add(makeAnalysisConsumer(po, clock));
+    // Whichever thread meets the bad event first — a worker, or
+    // the calling thread running a lane — the error is the same.
+    for (const std::size_t workers : {1u, 2u, 3u}) {
+        AnalysisPipeline pipeline;
+        for (const char *po : {"hb", "shb", "maz"}) {
+            for (const char *clock : {"tc", "vc"})
+                pipeline.add(makeAnalysisConsumer(po, clock));
+        }
+        TraceSource source(t);
+        ParallelOptions options;
+        options.workers = workers;
+        EXPECT_EQ(outcomeOf([&] { pipeline.run(source, options); }),
+                  expected)
+            << label << " six-way pipeline, workers=" << workers;
     }
-    TraceSource source(t);
-    ParallelOptions options;
-    options.workers = 2;
-    EXPECT_EQ(outcomeOf([&] { pipeline.run(source, options); }),
-              expected)
-        << label << " six-way pipeline";
     return expected;
 }
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * WindowBus unit tests: the single-producer / multi-consumer window
- * ring under the parallel fan-out. Ordering (every consumer sees
- * every window, in publication order), storage recycling (released
- * buffers come back through acquireStorage), bounded lead (the ring
- * never lets the producer overwrite a borrowed slot), and the two
- * shutdown paths (clean finish, requestStop from either side).
+ * WindowBus unit tests: the lane scheduler under the parallel
+ * fan-out. Ordering (every lane sees every window once, in
+ * publication order, at any worker count), exclusion (a lane never
+ * runs on two threads at once), scheduling (the lane furthest
+ * behind goes first; the producer runs lanes while the ring is
+ * full, but never a single lane), storage recycling (a slot's
+ * buffer comes back through publish once every lane has passed
+ * it), bounded lead, and the shutdown paths (clean finish, stop
+ * requests reaching blocked and busy parties, lane faults).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +16,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/window_bus.hh"
@@ -23,7 +29,7 @@ namespace tc {
 namespace {
 
 /** A storage-backed window of @p n events tagged with @p tag (the
- * tag rides in Event::target so consumers can check ordering). */
+ * tag rides in Event::target so lanes can check ordering). */
 std::vector<Event>
 taggedWindow(std::size_t n, std::uint32_t tag)
 {
@@ -36,89 +42,213 @@ taggedWindow(std::size_t n, std::uint32_t tag)
     return events;
 }
 
-TEST(WindowBus, SingleConsumerSeesEveryWindowInOrder)
+/** Publish @p windows windows of @p size events tagged 0, 1, ...,
+ * decoding each into the storage the previous publish handed
+ * back. */
+void
+publishTagged(WindowBus &bus, std::uint32_t windows, std::size_t size)
 {
-    WindowBus bus(1, 2);
-    std::thread consumer([&] {
-        std::uint32_t expected = 0;
-        while (const EventWindow *w = bus.acquire(0)) {
-            ASSERT_EQ(w->size, 8u);
-            for (const Event &e : *w)
-                EXPECT_EQ(e.target, expected);
-            bus.release(0);
-            expected++;
-        }
-        EXPECT_EQ(expected, 32u);
-    });
-    for (std::uint32_t tag = 0; tag < 32; tag++) {
-        std::vector<Event> storage = taggedWindow(8, tag);
-        const EventWindow span{storage.data(), storage.size()};
-        ASSERT_TRUE(bus.publish(std::move(storage), span));
+    std::vector<Event> storage;
+    for (std::uint32_t tag = 0; tag < windows; tag++) {
+        storage.assign(size, Event(Tid{0}, OpType::Read, tag));
+        ASSERT_TRUE(bus.publish(
+            storage, EventWindow{storage.data(), storage.size()}))
+            << "window " << tag;
     }
-    bus.finish();
-    consumer.join();
 }
 
-TEST(WindowBus, EveryConsumerSeesEveryWindow)
+/** @p n threads running WindowBus::work(); join() finishes the
+ * stream and joins them. */
+class Workers
 {
-    constexpr std::size_t kConsumers = 3;
-    WindowBus bus(kConsumers, 2);
-    std::atomic<std::uint64_t> total{0};
-    std::vector<std::thread> pool;
-    for (std::size_t c = 0; c < kConsumers; c++) {
-        pool.emplace_back([&, c] {
-            std::uint32_t expected = 0;
-            std::uint64_t events = 0;
-            while (const EventWindow *w = bus.acquire(c)) {
-                for (const Event &e : *w) {
-                    EXPECT_EQ(e.target, expected);
-                    events++;
-                }
-                bus.release(c);
-                expected++;
+  public:
+    Workers(WindowBus &bus, std::size_t n) : bus_(bus)
+    {
+        for (std::size_t i = 0; i < n; i++)
+            threads_.emplace_back([this] { bus_.work(); });
+    }
+    ~Workers() { join(); }
+    Workers(const Workers &) = delete;
+    Workers &operator=(const Workers &) = delete;
+
+    void
+    join()
+    {
+        bus_.finish();
+        for (std::thread &t : threads_) {
+            if (t.joinable())
+                t.join();
+        }
+    }
+
+  private:
+    WindowBus &bus_;
+    std::vector<std::thread> threads_;
+};
+
+/** Per-lane checks, run inside the lanes: each window arrives once,
+ * in publication order, and a lane never runs on two threads at
+ * once. The counters are plain on purpose — the bus's mutex must
+ * order them between threads (TSan runs this suite). */
+class LaneLog
+{
+  public:
+    explicit LaneLog(std::size_t lanes)
+        : next_(lanes, 0), events_(lanes, 0), inUse_(lanes)
+    {}
+
+    void
+    run(std::size_t lane, const EventWindow &window)
+    {
+        EXPECT_FALSE(inUse_[lane].exchange(true))
+            << "lane " << lane << " runs on two threads";
+        for (const Event &e : window)
+            EXPECT_EQ(e.target, next_[lane]) << "lane " << lane;
+        std::this_thread::yield();
+        next_[lane]++;
+        events_[lane] += window.size;
+        inUse_[lane].store(false);
+    }
+
+    WindowBus::LaneFn
+    fn()
+    {
+        return [this](std::size_t lane, const EventWindow &window) {
+            run(lane, window);
+        };
+    }
+
+    /** Every lane saw @p windows windows of @p size events. */
+    void
+    expectAll(std::uint32_t windows, std::size_t size,
+              const std::string &label) const
+    {
+        for (std::size_t lane = 0; lane < next_.size(); lane++) {
+            EXPECT_EQ(next_[lane], windows)
+                << label << " lane " << lane;
+            EXPECT_EQ(events_[lane], windows * size)
+                << label << " lane " << lane;
+        }
+    }
+
+  private:
+    std::vector<std::uint32_t> next_;
+    std::vector<std::uint64_t> events_;
+    std::vector<std::atomic<bool>> inUse_;
+};
+
+TEST(WindowBus, EveryLaneSeesEveryWindowOnceInOrder)
+{
+    // One-event windows make scheduling the bottleneck: at every
+    // worker count and ring depth, each lane must still see every
+    // window once, in order, on one thread at a time.
+    constexpr std::size_t kLanes = 6;
+    const std::uint32_t windows = static_cast<std::uint32_t>(
+        400 * test::depthScale());
+    for (std::size_t workers = 1; workers <= 6; workers++) {
+        for (const std::size_t depth : {1u, 2u, 4u}) {
+            const std::string label =
+                "workers=" + std::to_string(workers) +
+                " depth=" + std::to_string(depth);
+            LaneLog log(kLanes);
+            WindowBus bus(kLanes, depth, log.fn());
+            {
+                Workers pool(bus, workers);
+                publishTagged(bus, windows, 1);
             }
-            EXPECT_EQ(expected, 64u);
-            total += events;
-        });
-    }
-    for (std::uint32_t tag = 0; tag < 64; tag++) {
-        std::vector<Event> storage = taggedWindow(5, tag);
-        const EventWindow span{storage.data(), storage.size()};
-        ASSERT_TRUE(bus.publish(std::move(storage), span));
-    }
-    bus.finish();
-    for (auto &t : pool)
-        t.join();
-    EXPECT_EQ(total.load(), 64u * 5u * kConsumers);
-}
-
-TEST(WindowBus, RecyclesReleasedStorageToProducer)
-{
-    WindowBus bus(1, 2);
-    // Nothing released yet: the producer decodes into fresh space.
-    EXPECT_TRUE(bus.acquireStorage().empty());
-    std::thread consumer([&] {
-        while (bus.acquire(0) != nullptr)
-            bus.release(0);
-    });
-    std::vector<Event> first = taggedWindow(16, 0);
-    const Event *const original_buffer = first.data();
-    const EventWindow span{first.data(), first.size()};
-    ASSERT_TRUE(bus.publish(std::move(first), span));
-    // The consumer releases the slot; its storage must come back
-    // as spare capacity (same heap buffer, capacity retained).
-    std::vector<Event> recycled;
-    for (int spin = 0; spin < 5000 && recycled.empty(); spin++) {
-        recycled = bus.acquireStorage();
-        if (recycled.empty()) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
+            log.expectAll(windows, 1, label);
+            EXPECT_EQ(bus.error(), nullptr) << label;
         }
     }
-    ASSERT_GE(recycled.capacity(), 16u);
-    EXPECT_EQ(recycled.data(), original_buffer);
+}
+
+TEST(WindowBus, TakesTheLaneFurthestBehindFirst)
+{
+    // No workers: while the ring is full the producer runs every
+    // lane window itself, so the schedule is deterministic.
+    std::vector<std::pair<std::size_t, std::uint32_t>> order;
+    WindowBus bus(3, 2, [&order](std::size_t lane,
+                                 const EventWindow &window) {
+        order.emplace_back(lane, window[0].target);
+    });
+    publishTagged(bus, 5, 1);
     bus.finish();
-    consumer.join();
+    const std::vector<std::pair<std::size_t, std::uint32_t>>
+        expected = {
+            // All lanes tied at window 0: lowest index first.
+            {0, 0}, {1, 0}, {2, 0},
+            // Tied at window 1: the lane run last goes first, then
+            // the lanes it left behind.
+            {2, 1}, {0, 1}, {1, 1},
+            {1, 2}, {0, 2}, {2, 2}};
+    EXPECT_EQ(order, expected);
+}
+
+TEST(WindowBus, CallingThreadRunsLanesWhileTheRingIsFull)
+{
+    // Six lanes, one worker, depth 1: the ring fills at once, so the
+    // producer runs lanes beside the worker instead of sleeping.
+    constexpr std::size_t kLanes = 6;
+    const std::thread::id caller = std::this_thread::get_id();
+    LaneLog log(kLanes);
+    std::atomic<std::uint64_t> on_caller{0};
+    WindowBus bus(kLanes, 1,
+                  [&](std::size_t lane, const EventWindow &window) {
+                      if (std::this_thread::get_id() == caller)
+                          on_caller++;
+                      std::this_thread::sleep_for(
+                          std::chrono::microseconds(50));
+                      log.run(lane, window);
+                  });
+    {
+        Workers pool(bus, 1);
+        publishTagged(bus, 200, 4);
+    }
+    log.expectAll(200, 4, "six lanes");
+    EXPECT_GT(on_caller.load(), 0u);
+}
+
+TEST(WindowBus, ASingleLaneNeverRunsOnTheCallingThread)
+{
+    // One lane stays on its worker, so a one-analysis run overlaps
+    // the producer's decode with the analysis.
+    const std::thread::id caller = std::this_thread::get_id();
+    LaneLog log(1);
+    std::atomic<std::uint64_t> on_caller{0};
+    WindowBus bus(1, 1,
+                  [&](std::size_t lane, const EventWindow &window) {
+                      if (std::this_thread::get_id() == caller)
+                          on_caller++;
+                      std::this_thread::sleep_for(
+                          std::chrono::microseconds(20));
+                      log.run(lane, window);
+                  });
+    {
+        Workers pool(bus, 1);
+        publishTagged(bus, 100, 4);
+    }
+    log.expectAll(100, 4, "one lane");
+    EXPECT_EQ(on_caller.load(), 0u);
+}
+
+TEST(WindowBus, RecyclesSlotStorageToTheProducer)
+{
+    // Depth 2: publishing window n + 2 hands back window n's buffer
+    // (same heap block, capacity kept) once its lane ran it.
+    WindowBus bus(1, 2, [](std::size_t, const EventWindow &) {});
+    Workers pool(bus, 1);
+    std::vector<Event> storage = taggedWindow(16, 0);
+    const Event *const first = storage.data();
+    ASSERT_TRUE(bus.publish(storage, EventWindow{first, 16}));
+    EXPECT_TRUE(storage.empty()); // the slot held no buffer yet
+    for (std::uint32_t tag = 1; tag <= 2; tag++) {
+        storage = taggedWindow(16, tag);
+        ASSERT_TRUE(bus.publish(
+            storage, EventWindow{storage.data(), storage.size()}));
+    }
+    EXPECT_EQ(storage.data(), first);
+    EXPECT_GE(storage.capacity(), 16u);
+    pool.join();
 }
 
 TEST(WindowBus, ViewWindowsNeedNoBackingStorage)
@@ -126,142 +256,152 @@ TEST(WindowBus, ViewWindowsNeedNoBackingStorage)
     // Spans into source-stable memory (the TraceSource path):
     // publish with empty storage, the span must still round-trip.
     const std::vector<Event> stable = taggedWindow(12, 7);
-    WindowBus bus(2, 4);
-    std::vector<std::thread> pool;
-    for (std::size_t c = 0; c < 2; c++) {
-        pool.emplace_back([&, c] {
-            while (const EventWindow *w = bus.acquire(c)) {
-                EXPECT_EQ(w->data, stable.data());
-                EXPECT_EQ(w->size, stable.size());
-                bus.release(c);
-            }
-        });
+    std::atomic<int> runs{0};
+    WindowBus bus(2, 4,
+                  [&](std::size_t, const EventWindow &window) {
+                      EXPECT_EQ(window.data, stable.data());
+                      EXPECT_EQ(window.size, stable.size());
+                      runs++;
+                  });
+    {
+        Workers pool(bus, 2);
+        std::vector<Event> none;
+        for (int i = 0; i < 8; i++) {
+            ASSERT_TRUE(bus.publish(
+                none, EventWindow{stable.data(), stable.size()}));
+            EXPECT_TRUE(none.empty());
+        }
     }
-    for (int i = 0; i < 8; i++) {
-        ASSERT_TRUE(bus.publish(
-            {}, EventWindow{stable.data(), stable.size()}));
-    }
-    bus.finish();
-    for (auto &t : pool)
-        t.join();
+    EXPECT_EQ(runs.load(), 16);
 }
 
-TEST(WindowBus, RequestStopWakesBlockedConsumers)
+TEST(WindowBus, SlowestLaneBoundsTheProducer)
 {
-    WindowBus bus(2, 2);
-    std::vector<std::thread> pool;
-    for (std::size_t c = 0; c < 2; c++) {
-        pool.emplace_back([&, c] {
-            // No window was published: acquire blocks until the
-            // stop request, then reports end of stream.
-            EXPECT_EQ(bus.acquire(c), nullptr);
-        });
+    // Depth 2, one fast and one slow lane: the producer may lead
+    // the slow lane by at most the ring depth whenever it runs.
+    constexpr std::size_t kDepth = 2;
+    std::atomic<std::uint64_t> published{0};
+    std::atomic<std::uint32_t> slow_seen{0};
+    WindowBus bus(2, kDepth,
+                  [&](std::size_t lane, const EventWindow &window) {
+                      if (lane == 0)
+                          return;
+                      EXPECT_LE(published.load(),
+                                window[0].target + kDepth);
+                      std::this_thread::yield();
+                      slow_seen++;
+                  });
+    {
+        Workers pool(bus, 2);
+        std::vector<Event> storage;
+        for (std::uint32_t tag = 0; tag < 50; tag++) {
+            storage.assign(3, Event(Tid{0}, OpType::Read, tag));
+            ASSERT_TRUE(bus.publish(
+                storage,
+                EventWindow{storage.data(), storage.size()}));
+            published++;
+        }
     }
+    EXPECT_EQ(slow_seen.load(), 50u);
+}
+
+TEST(WindowBus, RequestStopWakesABlockedWorker)
+{
+    WindowBus bus(2, 2, [](std::size_t, const EventWindow &) {
+        ADD_FAILURE() << "nothing was published";
+    });
+    // Nothing is published: the worker blocks until the stop.
+    std::thread worker([&bus] { bus.work(); });
     bus.requestStop();
-    for (auto &t : pool)
-        t.join();
-    EXPECT_TRUE(bus.stopRequested());
+    worker.join();
+    std::vector<Event> storage = taggedWindow(4, 0);
+    EXPECT_FALSE(bus.publish(
+        storage, EventWindow{storage.data(), storage.size()}));
+    EXPECT_EQ(bus.error(), nullptr);
 }
 
-TEST(WindowBus, RequestStopUnblocksAndFailsProducer)
+TEST(WindowBus, RequestStopWakesAProducerBlockedOnAFullRing)
 {
-    // One consumer that never releases: with depth 1 the second
-    // publish must block until the stop request fails it.
-    WindowBus bus(1, 1);
-    std::vector<Event> first = taggedWindow(4, 0);
-    EventWindow span{first.data(), first.size()};
-    ASSERT_TRUE(bus.publish(std::move(first), span));
-    std::thread stopper([&] { bus.requestStop(); });
-    std::vector<Event> second = taggedWindow(4, 1);
-    span = {second.data(), second.size()};
-    EXPECT_FALSE(bus.publish(std::move(second), span));
+    // One lane, which never runs on the producer, and no worker:
+    // with depth 1 the second publish blocks until the stop fails
+    // it.
+    WindowBus bus(1, 1, [](std::size_t, const EventWindow &) {
+        ADD_FAILURE() << "no thread runs the lane";
+    });
+    std::vector<Event> storage = taggedWindow(4, 0);
+    ASSERT_TRUE(bus.publish(
+        storage, EventWindow{storage.data(), storage.size()}));
+    std::thread stopper([&bus] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        bus.requestStop();
+    });
+    storage = taggedWindow(4, 1);
+    EXPECT_FALSE(bus.publish(
+        storage, EventWindow{storage.data(), storage.size()}));
     stopper.join();
 }
 
-TEST(WindowBus, SmallWindowStress)
+TEST(WindowBus, RequestStopReachesAProducerInTheMiddleOfALane)
 {
-    // The wakeup-storm regression pin: tiny windows make publish
-    // frequency the bottleneck, so per-worker gates must keep
-    // every consumer seeing every window in order at full rate
-    // without thundering-herd races (the TSan job runs this suite;
-    // the nightly depth job multiplies the volume).
-    const std::uint32_t windows = static_cast<std::uint32_t>(
-        5000 * test::depthScale());
-    for (const std::size_t depth : {1u, 2u, 4u}) {
-        constexpr std::size_t kConsumers = 4;
-        WindowBus bus(kConsumers, depth);
-        std::atomic<std::uint64_t> total{0};
-        std::vector<std::thread> pool;
-        for (std::size_t c = 0; c < kConsumers; c++) {
-            pool.emplace_back([&, c] {
-                std::uint32_t expected = 0;
-                std::uint64_t sum = 0;
-                while (const EventWindow *w = bus.acquire(c)) {
-                    ASSERT_EQ(w->size, 1u);
-                    ASSERT_EQ((*w)[0].target, expected);
-                    sum += (*w)[0].target;
-                    bus.release(c);
-                    expected++;
-                }
-                EXPECT_EQ(expected, windows);
-                total += sum;
-            });
-        }
-        for (std::uint32_t tag = 0; tag < windows; tag++) {
-            std::vector<Event> storage =
-                bus.acquireStorage();
-            storage.clear();
-            storage.emplace_back(Tid{0}, OpType::Read, tag);
-            const EventWindow span{storage.data(),
-                                   storage.size()};
-            ASSERT_TRUE(bus.publish(std::move(storage), span));
-        }
-        bus.finish();
-        for (auto &t : pool)
-            t.join();
-        const std::uint64_t per_consumer =
-            static_cast<std::uint64_t>(windows) *
-            (windows - 1) / 2;
-        EXPECT_EQ(total.load(), per_consumer * kConsumers)
-            << "depth=" << depth;
-    }
+    // Two lanes, no worker, depth 1: the second publish runs lane
+    // 0 on the calling thread, and a stop arrives from another
+    // thread while it does. The lane finishes; nothing else runs
+    // and the publish fails.
+    std::vector<std::size_t> ran;
+    WindowBus *target = nullptr;
+    WindowBus bus(2, 1, [&](std::size_t lane, const EventWindow &) {
+        ran.push_back(lane);
+        std::thread([target] { target->requestStop(); }).join();
+    });
+    target = &bus;
+    std::vector<Event> storage = taggedWindow(2, 0);
+    ASSERT_TRUE(bus.publish(
+        storage, EventWindow{storage.data(), storage.size()}));
+    storage = taggedWindow(2, 1);
+    EXPECT_FALSE(bus.publish(
+        storage, EventWindow{storage.data(), storage.size()}));
+    EXPECT_EQ(ran, std::vector<std::size_t>{0});
 }
 
-TEST(WindowBus, SlowestConsumerBoundsTheProducer)
+TEST(WindowBus, LaneFaultsStopTheBusAndTheFirstIsKept)
 {
-    // Depth 2, one fast and one slow consumer: the producer may
-    // lead the slow consumer by at most the ring depth at any
-    // moment the slow consumer observes a window.
-    constexpr std::size_t kDepth = 2;
-    WindowBus bus(2, kDepth);
-    std::atomic<std::uint64_t> published{0};
-    std::thread fast([&] {
-        while (bus.acquire(0) != nullptr)
-            bus.release(0);
-    });
-    std::thread slow([&] {
-        std::uint64_t seen = 0;
-        while (const EventWindow *w = bus.acquire(1)) {
-            // The window we are holding occupies a slot, so at
-            // most kDepth windows (this one + the ring's lead)
-            // can have been published beyond it.
-            EXPECT_LE(published.load(), seen + kDepth);
-            EXPECT_EQ(w->size, 3u);
-            std::this_thread::yield();
-            bus.release(1);
-            seen++;
+    // On a worker: the lane's exception stops the bus, so publish
+    // fails, and error() keeps it over later stop requests.
+    {
+        WindowBus bus(1, 1, [](std::size_t, const EventWindow &w) {
+            if (w[0].target == 3)
+                throw std::runtime_error("worker lane fault");
+        });
+        Workers pool(bus, 1);
+        std::vector<Event> storage;
+        bool refused = false;
+        for (std::uint32_t tag = 0; tag < 1000 && !refused; tag++) {
+            storage.assign(1, Event(Tid{0}, OpType::Read, tag));
+            refused = !bus.publish(
+                storage, EventWindow{storage.data(), storage.size()});
         }
-        EXPECT_EQ(seen, 50u);
-    });
-    for (std::uint32_t tag = 0; tag < 50; tag++) {
-        std::vector<Event> storage = taggedWindow(3, tag);
-        const EventWindow span{storage.data(), storage.size()};
-        ASSERT_TRUE(bus.publish(std::move(storage), span));
-        published++;
+        EXPECT_TRUE(refused);
+        pool.join();
+        bus.requestStop(std::make_exception_ptr(
+            std::logic_error("a later error")));
+        ASSERT_NE(bus.error(), nullptr);
+        EXPECT_THROW(std::rethrow_exception(bus.error()),
+                     std::runtime_error);
     }
-    bus.finish();
-    fast.join();
-    slow.join();
+    // On the producer: the lane it runs throws out of publish.
+    {
+        WindowBus bus(2, 1, [](std::size_t, const EventWindow &) {
+            throw std::runtime_error("producer lane fault");
+        });
+        std::vector<Event> storage = taggedWindow(2, 0);
+        ASSERT_TRUE(bus.publish(
+            storage, EventWindow{storage.data(), storage.size()}));
+        storage = taggedWindow(2, 1);
+        EXPECT_THROW(
+            bus.publish(storage,
+                        EventWindow{storage.data(), storage.size()}),
+            std::runtime_error);
+    }
 }
 
 } // namespace
